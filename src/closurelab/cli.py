@@ -317,6 +317,15 @@ def cmd_dump(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1; a bad value
+    is a usage error (exit 2) before any work starts."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="closurelab",
@@ -331,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", default=None, choices=["text", "json", "csv"],
             help="output format (default depends on the verb)",
         )
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=idlab.DEFAULT_SEED)
 
     v = sub.add_parser("verify", help="run a named verification suite")
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=None, help="ground size scope")
     v.add_argument("--m", type=int, default=None, help="cycle half-length")
     v.add_argument("--M", type=int, default=None, help="segment endpoint")
-    v.add_argument("--samples", type=int, default=25,
+    v.add_argument("--samples", type=_positive_int, default=25,
                    help="sampled pairs per size for theorem2")
     common(v)
 

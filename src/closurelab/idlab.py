@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -34,8 +34,8 @@ from .opalg import (
     commutes,
     complement_table,
     elements_of,
-    eval_word,
     eval_word_on,
+    eval_word_stack,
 )
 from . import monoid as monoid_mod
 from .words import BLOCK_CHOICES, theorem2_word
@@ -118,29 +118,79 @@ def _pair_model(n: int, i: int, j: int, commuting: bool) -> ClosurePairModel:
     )
 
 
-def enumerate_commuting_pairs(n: int) -> list[ClosurePairModel]:
-    """All ordered pairs (p, q) of enumerated closures at ground size n
-    that commute, in canonical (p index, q index) order.  n <= 3."""
-    if not 0 <= n <= PAIR_ENUMERATION_CAP:
-        raise ValueError(
-            f"exhaustive pair enumeration supports n <= {PAIR_ENUMERATION_CAP}"
-        )
-    return [_pair_model(n, i, j, True) for i, j in _commuting_index_pairs(n)]
+@dataclass(frozen=True)
+class ModelRun:
+    """Consecutive models of one ground size, in scope order, with
+    their p and q tables stacked into read-only (k, 2**n) arrays so a
+    word is evaluated on all k models at once.  model_at(i) returns
+    the i-th model; exhaustive runs build it only when asked."""
+
+    ground_size: int
+    p: np.ndarray
+    q: np.ndarray
+    model_at: Callable[[int], ClosurePairModel]
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def models(self) -> Iterator[ClosurePairModel]:
+        return (self.model_at(i) for i in range(len(self)))
 
 
-def enumerate_all_pairs(n: int) -> list[ClosurePairModel]:
-    """All ordered closure pairs at ground size n, commuting or not."""
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _runs_of(models: Iterable[ClosurePairModel]) -> list[ModelRun]:
+    """Split a model sequence into runs of equal ground size."""
+    runs = []
+    for n, group in groupby(models, key=lambda m: m.ground_size):
+        group = list(group)
+        runs.append(ModelRun(
+            n,
+            _frozen(np.stack([m.p.entries for m in group])),
+            _frozen(np.stack([m.q.entries for m in group])),
+            group.__getitem__,
+        ))
+    return runs
+
+
+@lru_cache(maxsize=None)
+def _pair_run(n: int, commuting: bool) -> ModelRun:
+    """Every ordered closure pair at ground size n (only the commuting
+    ones if commuting), in canonical (p index, q index) order."""
     if not 0 <= n <= PAIR_ENUMERATION_CAP:
         raise ValueError(
             f"exhaustive pair enumeration supports n <= {PAIR_ENUMERATION_CAP}"
         )
     closures = _closures(n)
-    commuting = set(_commuting_index_pairs(n))
-    return [
-        _pair_model(n, i, j, (i, j) in commuting)
-        for i in range(len(closures))
-        for j in range(len(closures))
-    ]
+    commuting_pairs = frozenset(_commuting_index_pairs(n))
+    pairs = (
+        _commuting_index_pairs(n) if commuting
+        else tuple(product(range(len(closures)), repeat=2))
+    )
+
+    def model_at(k: int) -> ClosurePairModel:
+        i, j = pairs[k]
+        return _pair_model(n, i, j, (i, j) in commuting_pairs)
+
+    tables = np.stack([t.entries for t in closures])
+    index = np.array(pairs, dtype=np.intp)
+    return ModelRun(
+        n, _frozen(tables[index[:, 0]]), _frozen(tables[index[:, 1]]), model_at
+    )
+
+
+def enumerate_commuting_pairs(n: int) -> list[ClosurePairModel]:
+    """All ordered pairs (p, q) of enumerated closures at ground size n
+    that commute, in canonical (p index, q index) order.  n <= 3."""
+    return list(_pair_run(n, True).models())
+
+
+def enumerate_all_pairs(n: int) -> list[ClosurePairModel]:
+    """All ordered closure pairs at ground size n, commuting or not."""
+    return list(_pair_run(n, False).models())
 
 
 def sample_commuting_pair(n: int, seed: int, max_tries: int = 2000) -> ClosurePairModel:
@@ -180,63 +230,73 @@ def sample_commuting_pair(n: int, seed: int, max_tries: int = 2000) -> ClosurePa
 # scopes
 
 
-@dataclass(frozen=True)
 class Scope:
-    """A named, replayable stream of models."""
+    """A named family of models in a fixed order.
 
-    description: str
-    _source: Callable[[], Iterator[ClosurePairModel]]
+    A scope draws its models the first time it is walked and keeps
+    them, so later walks replay the same models without drawing again:
+    a sampled scope runs its sampler count times however many
+    equations are tested over it.  Models come in runs of one ground
+    size (see ModelRun).  A leaf scope draws all of its models at once,
+    before the first is tested, so one sampled part of count models
+    always runs its sampler count times.  A sum of scopes walks its
+    parts in order and draws a part only when the walk reaches it, so
+    a test that stops early never draws the later parts.
+    """
+
+    def __init__(self, description: str,
+                 draw: Optional[Callable[[], Iterable[ModelRun]]] = None,
+                 parts: tuple["Scope", ...] = ()):
+        self.description = description
+        self._draw = draw
+        self._parts = parts
+        self._runs: Optional[tuple[ModelRun, ...]] = None
+
+    def runs(self) -> Iterator[ModelRun]:
+        if self._parts:
+            for part in self._parts:
+                yield from part.runs()
+            return
+        if self._runs is None:
+            self._runs = tuple(self._draw())
+        yield from self._runs
 
     def models(self) -> Iterator[ClosurePairModel]:
-        return self._source()
+        for run in self.runs():
+            yield from run.models()
 
     @staticmethod
     def exhaustive(max_n: int, commuting: bool = True) -> "Scope":
         kind = "commuting" if commuting else "all"
-
-        def source():
-            for n in range(max_n + 1):
-                pairs = (
-                    enumerate_commuting_pairs(n) if commuting else enumerate_all_pairs(n)
-                )
-                yield from pairs
-
-        return Scope(f"exhaustive-{kind}-n<={max_n}", source)
+        return Scope(
+            f"exhaustive-{kind}-n<={max_n}",
+            lambda: [_pair_run(n, commuting) for n in range(max_n + 1)],
+        )
 
     @staticmethod
     def exhaustive_at(n: int, commuting: bool = True) -> "Scope":
         kind = "commuting" if commuting else "all"
-
-        def source():
-            yield from (
-                enumerate_commuting_pairs(n) if commuting else enumerate_all_pairs(n)
-            )
-
-        return Scope(f"exhaustive-{kind}-n={n}", source)
+        return Scope(f"exhaustive-{kind}-n={n}", lambda: [_pair_run(n, commuting)])
 
     @staticmethod
     def sampled(n: int, count: int, seed: int = DEFAULT_SEED) -> "Scope":
-        def source():
-            for i in range(count):
-                yield sample_commuting_pair(n, seed + i)
-
-        return Scope(f"sampled(n={n},count={count},seed={seed})", source)
+        if count < 0:
+            raise ValueError(f"sample count must be nonnegative, got {count}")
+        return Scope(
+            f"sampled(n={n},count={count},seed={seed})",
+            lambda: _runs_of(sample_commuting_pair(n, seed + i) for i in range(count)),
+        )
 
     @staticmethod
     def fixtures(models: Iterable[ClosurePairModel], label: str = "fixtures") -> "Scope":
         models = list(models)
-
-        def source():
-            yield from models
-
-        return Scope(f"fixtures({label})", source)
+        return Scope(f"fixtures({label})", lambda: _runs_of(models))
 
     def __add__(self, other: "Scope") -> "Scope":
-        def source():
-            yield from self.models()
-            yield from other.models()
-
-        return Scope(f"{self.description} + {other.description}", source)
+        return Scope(
+            f"{self.description} + {other.description}",
+            parts=(self._parts or (self,)) + (other._parts or (other,)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +348,17 @@ def test_equation(lhs, rhs, family: Scope) -> EquationCertificate:
     (mask order) on the first refuting model in scope order."""
     lhs, rhs = str(lhs), str(rhs)
     checked = 0
-    for model in family.models():
-        checked += 1
-        t1 = eval_word(lhs, model.p, model.q)
-        t2 = eval_word(rhs, model.p, model.q)
-        diff = np.flatnonzero(t1.entries != t2.entries)
-        if diff.size:
+    for run in family.runs():
+        diff = eval_word_stack(lhs, run.p, run.q) != eval_word_stack(rhs, run.p, run.q)
+        refuting = diff.any(axis=1)
+        if refuting.any():
+            k = int(refuting.argmax())
             return EquationCertificate(
                 lhs, rhs, family.description, "counterexample",
-                model=model, witness=int(diff[0]), models_checked=checked,
+                model=run.model_at(k), witness=int(diff[k].argmax()),
+                models_checked=checked + k + 1,
             )
+        checked += len(run)
     return EquationCertificate(
         lhs, rhs, family.description, "holds", models_checked=checked
     )
@@ -308,22 +369,24 @@ def replay_certificate(cert: EquationCertificate, family: Optional[Scope] = None
     """Re-check what a certificate asserts.
 
     counterexample: the witness subset must still separate the words on
-    the stored model.  holds: re-evaluate on up to sample models of the
-    (re-supplied) family and expect agreement.
+    the stored model.  holds: re-evaluate on the first sample models of
+    the (re-supplied) family and expect agreement.  Walking the family
+    draws each of its parts that those models reach (see Scope).
     """
     if not cert.holds:
         a = eval_word_on(cert.lhs, cert.model.p, cert.model.q, cert.witness)
         b = eval_word_on(cert.rhs, cert.model.p, cert.model.q, cert.witness)
         return a != b
-    if family is None:
+    if family is None or sample <= 0:
         return True
-    for i, model in enumerate(family.models()):
-        if i >= sample:
-            break
-        if eval_word(cert.lhs, model.p, model.q) != eval_word(
-            cert.rhs, model.p, model.q
-        ):
+    left = sample
+    for run in family.runs():
+        p, q = run.p[:left], run.q[:left]
+        if np.any(eval_word_stack(cert.lhs, p, q) != eval_word_stack(cert.rhs, p, q)):
             return False
+        left -= len(p)
+        if not left:
+            break
     return True
 
 

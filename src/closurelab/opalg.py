@@ -77,7 +77,11 @@ class OperatorTable:
                 )
             if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= size):
                 raise ValueError("table entry outside the powerset")
-        arr = arr.copy() if arr.base is not None or arr.flags.writeable else arr
+        # An unvalidated array is one an internal gather just built and
+        # hands over, so it is frozen in place; a caller's array, or any
+        # view, may still change under us and is copied.
+        if arr.base is not None or (_validate and arr.flags.writeable):
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "entries", arr)
@@ -247,16 +251,19 @@ def closure_from_fixed_points(n: int, fixed: Iterable[Mask]) -> OperatorTable:
     _check_ground_size(n)
     size = 1 << n
     full = size - 1
-    members = sorted(set(int(m) for m in fixed))
+    members = list({int(m) for m in fixed})
     if any(m < 0 or m > full for m in members):
         raise ValueError("family member outside the powerset")
     if full not in members:
         raise ValueError("family must contain the full ground set")
-    masks = np.arange(size, dtype=np.int64)
     out = np.full(size, full, dtype=np.int64)
-    for f in members:
-        covers = (masks & ~np.int64(f)) == 0
-        out[covers] &= f
+    out[members] = members
+    # Meet over supersets, one element at a time: after pass i, out[A]
+    # is the meet of the members B >= A that differ from A only in
+    # elements 0..i.  Each pass is O(2^n) however many members there are.
+    for i in range(n):
+        halves = out.reshape(-1, 2, 1 << i)  # [:, 0] lacks element i, [:, 1] has it
+        halves[:, 0] &= halves[:, 1]
     return OperatorTable(n, out, _validate=False)
 
 
@@ -508,19 +515,39 @@ def eval_word(word, p: OperatorTable, q: OperatorTable,
     word may be a str or anything whose str() is the letter sequence.
     c defaults to the complement table; passing another table (for
     instance a different inclusion-reversing involution) substitutes it
-    for every c letter.
+    for every c letter.  This is eval_word_stack on a single model.
     """
-    text = _word_letters(word)
     n = p.ground_size
     if q.ground_size != n or (c is not None and c.ground_size != n):
         raise ValueError("ground sizes differ")
-    if c is None:
-        c = complement_table(n)
-    tables = {"c": c.entries, "p": p.entries, "q": q.entries}
-    v = np.arange(1 << n, dtype=np.int64)
+    rows = eval_word_stack(word, p.entries[None], q.entries[None],
+                           None if c is None else c.entries[None])
+    return OperatorTable(n, rows[0], _validate=False)
+
+
+def eval_word_stack(word, p: np.ndarray, q: np.ndarray,
+                    c: Optional[np.ndarray] = None) -> np.ndarray:
+    """Tables of a cpq-word on k models at once.
+
+    p and q are (k, 2**n) stacks of entry arrays, row i holding the
+    tables of model i, and row i of the result holds the entries of
+    the word on model i.  Each letter is one gather across all rows.
+    c is complementation against the full mask unless a (k, 2**n)
+    stack is given to substitute for every c letter.
+    """
+    text = _word_letters(word)
+    k, size = p.shape
+    if q.shape != p.shape or (c is not None and c.shape != p.shape):
+        raise ValueError("ground sizes differ")
+    full = size - 1
+    tables = {"c": c, "p": p, "q": q}
+    v = np.broadcast_to(np.arange(size, dtype=np.int64), (k, size))
     for letter in reversed(text):
-        v = tables[letter][v]
-    return OperatorTable(n, v, _validate=False)
+        if letter == "c" and c is None:
+            v = full ^ v
+        else:
+            v = np.take_along_axis(tables[letter], v, axis=1)
+    return v
 
 
 def eval_word_on(word, p, q, a: Mask) -> Mask:

@@ -14,6 +14,7 @@ process pool), and merged by concatenation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations, product
@@ -76,7 +77,10 @@ def _fixed_chunks(count: int, parts: int = 32) -> list:
 
 def _pmap(fn, items, workers):
     items = list(items)
-    if workers is None or workers <= 1 or len(items) <= 1:
+    # a fork pool starts every worker up front, so never ask for more
+    # than there are cores or items
+    workers = min(workers or 1, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     chunksize = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -330,7 +334,7 @@ def suite_theorem2(
 def suite_fixtures(n: int = 3, workers: int = 1) -> SuiteReport:
     report = SuiteReport("fixtures", True)
     report.lines = ["verify fixtures"]
-    report.data = {"identities": [], "noncommuting_failure": None}
+    report.data = {"identities": []}
     scope = idlab.Scope.exhaustive(n, commuting=True)
     for lhs, rhs in idlab.FIXTURE_EQUATIONS:
         cert = idlab.test_equation(lhs, rhs, scope)
@@ -338,34 +342,30 @@ def suite_fixtures(n: int = 3, workers: int = 1) -> SuiteReport:
         report.lines.append(f"{lhs} = {rhs}: {cert.summary()}")
         report.data["identities"].append(cert.to_json())
 
-    if FIXTURE_FAILURE is None:
-        report.passed = False
-        report.lines.append("noncommuting demonstration: fixture not pinned")
-    else:
-        idx, size, pi, qi, witness = FIXTURE_FAILURE
-        lhs, rhs = idlab.FIXTURE_EQUATIONS[idx]
-        closures = idlab._closures(size)
-        p, q = closures[pi], closures[qi]
-        still_noncommuting = not commutes(p, q)
-        a = eval_word_on(lhs, p, q, witness)
-        b = eval_word_on(rhs, p, q, witness)
-        ok = still_noncommuting and a != b
-        report.passed &= ok
-        report.lines.append(
-            f"noncommuting demonstration: {lhs} != {rhs} on n={size} "
-            f"p#{pi} q#{qi} at {_fmt_set(witness)}: "
-            f"{_fmt_set(a)} vs {_fmt_set(b)}"
-        )
-        report.data["noncommuting_failure"] = {
-            "equation": [lhs, rhs],
-            "n": size,
-            "p": pi,
-            "q": qi,
-            "witness": elements_of(witness),
-            "lhs_value": elements_of(a),
-            "rhs_value": elements_of(b),
-            "commutes": not still_noncommuting,
-        }
+    idx, size, pi, qi, witness = FIXTURE_FAILURE
+    lhs, rhs = idlab.FIXTURE_EQUATIONS[idx]
+    closures = idlab._closures(size)
+    p, q = closures[pi], closures[qi]
+    still_noncommuting = not commutes(p, q)
+    a = eval_word_on(lhs, p, q, witness)
+    b = eval_word_on(rhs, p, q, witness)
+    ok = still_noncommuting and a != b
+    report.passed &= ok
+    report.lines.append(
+        f"noncommuting demonstration: {lhs} != {rhs} on n={size} "
+        f"p#{pi} q#{qi} at {_fmt_set(witness)}: "
+        f"{_fmt_set(a)} vs {_fmt_set(b)}"
+    )
+    report.data["noncommuting_failure"] = {
+        "equation": [lhs, rhs],
+        "n": size,
+        "p": pi,
+        "q": qi,
+        "witness": elements_of(witness),
+        "lhs_value": elements_of(a),
+        "rhs_value": elements_of(b),
+        "commutes": not still_noncommuting,
+    }
     return _verdict(report)
 
 

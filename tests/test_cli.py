@@ -78,6 +78,19 @@ def test_verify_out_of_range_scope_is_usage_error(capsys):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--samples", "0"), ("--samples", "-3"), ("--workers", "0"), ("--workers", "-2"),
+])
+def test_counts_below_one_are_usage_errors(capsys, flag, value):
+    # rejected while parsing, before any suite runs or pool starts
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "theorem2", "--n", "1", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
 def test_unknown_suite_name_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])

@@ -20,10 +20,22 @@ from closurelab.idlab import (
     search_identities,
     sigma_probe,
 )
-from closurelab.models import kuratowski_witness
-from closurelab.opalg import check_closure, commutes, eval_word, full_mask
+from closurelab.models import ClosurePairModel, kuratowski_witness
+from closurelab.opalg import (
+    OperatorTable,
+    check_closure,
+    commutes,
+    eval_word,
+    eval_word_on,
+    full_mask,
+)
 
-from _oracles import closure_of_family, closures_by_filter, moore_families_brute
+from _oracles import (
+    closure_of_family,
+    closures_by_filter,
+    compose_tables,
+    moore_families_brute,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +142,53 @@ def test_scope_streams_are_replayable():
     assert len(first) == 1 + 4 + 41
 
 
+def test_sampled_scope_draws_once(monkeypatch):
+    calls = []
+    real = idlab.sample_commuting_pair
+
+    def counting(n, seed, *args):
+        calls.append(seed)
+        return real(n, seed, *args)
+
+    monkeypatch.setattr(idlab, "sample_commuting_pair", counting)
+    scope = Scope.sampled(4, 5, seed=40)
+    first = [m.label for m in scope.models()]
+    second = [m.label for m in scope.models()]
+    for word in ("pq", "qp", "pqcpq"):
+        idlab.test_equation(word, "pqcpq", scope)
+    assert first == second
+    assert calls == [40, 41, 42, 43, 44]
+
+
+def test_scope_sum_draws_a_part_only_when_reached(monkeypatch):
+    calls = []
+    real = idlab.sample_commuting_pair
+
+    def counting(n, seed, *args):
+        calls.append((n, seed))
+        return real(n, seed, *args)
+
+    monkeypatch.setattr(idlab, "sample_commuting_pair", counting)
+    scope = Scope.exhaustive(2) + Scope.sampled(4, 3, seed=7) + Scope.sampled(5, 2, seed=9)
+    # pcq = qcp is refuted inside the exhaustive part, and the first
+    # ten models all lie there too
+    assert not idlab.test_equation("pcq", "qcp", scope).holds
+    held = idlab.test_equation("pcqcpcq", "pcq", Scope.exhaustive(2))
+    assert replay_certificate(held, family=scope, sample=10)
+    assert calls == []
+    assert idlab.test_equation("pcqcpcq", "pcq", scope).holds
+    assert calls == [(4, 7), (4, 8), (4, 9), (5, 9), (5, 10)]
+    assert len(list(scope.models())) == 1 + 4 + 41 + 3 + 2
+    assert len(calls) == 5
+
+
+def test_sampled_scope_rejects_negative_count():
+    with pytest.raises(ValueError):
+        Scope.sampled(4, -1)
+    empty = idlab.test_equation("pq", "qp", Scope.sampled(4, 0))
+    assert empty.holds and empty.models_checked == 0
+
+
 def test_fixture_scope():
     models = enumerate_commuting_pairs(1)
     scope = Scope.fixtures(models, label="tiny")
@@ -173,6 +232,59 @@ def test_equation_counterexample_is_minimal():
         )
     assert stream[cert.models_checked - 1].label == model.label
     assert cert.summary().startswith("refuted: pq != qp on ")
+
+
+def _oracle_pairs(max_n, commuting):
+    """Closure pairs in canonical order, built from the brute-force
+    family oracle rather than the package's enumeration."""
+    models = []
+    for n in range(max_n + 1):
+        tables = sorted(closure_of_family(n, fam) for fam in moore_families_brute(n))
+        for i, p in enumerate(tables):
+            for j, q in enumerate(tables):
+                if commuting and compose_tables(p, q) != compose_tables(q, p):
+                    continue
+                models.append(ClosurePairModel(
+                    "oracle", OperatorTable(n, p), OperatorTable(n, q),
+                    label=f"n={n} p#{i} q#{j}",
+                ))
+    return models
+
+
+def _reference_certificate(lhs, rhs, models):
+    """Model by model and mask by mask: the first refuting model in
+    order and the smallest subset it separates."""
+    for checked, model in enumerate(models, 1):
+        for a in range(1 << model.ground_size):
+            if (eval_word_on(lhs, model.p, model.q, a)
+                    != eval_word_on(rhs, model.p, model.q, a)):
+                return "counterexample", model.label, a, checked
+    return "holds", None, None, len(models)
+
+
+@pytest.mark.parametrize("seed", [3, 77])
+def test_batched_certificates_match_model_by_model_reference(seed):
+    sampled4 = [sample_commuting_pair(4, seed + i) for i in range(25)]
+    sampled4_small = [sample_commuting_pair(4, DEFAULT_SEED + i) for i in range(5)]
+    cases = [
+        (Scope.sampled(4, 25, seed), sampled4),
+        (Scope.exhaustive(2, commuting=False), _oracle_pairs(2, commuting=False)),
+        (Scope.exhaustive(2) + Scope.sampled(4, 5),
+         _oracle_pairs(2, commuting=True) + sampled4_small),
+        (Scope.fixtures([]), []),
+    ]
+    # the last two are refuted only after several agreeing models
+    equations = [("pcq", "qcp"), ("pcqcpcq", "pcq"), ("pq", "qp"),
+                 ("pcpcp", "pcp"), FIXTURE_EQUATIONS[0], ("", "p"),
+                 ("pcpcqcpq", "pqcpq"), ("qcqcqpcqp", "pqcpq")]
+    for scope, reference in cases:
+        assert [m.label for m in scope.models()] == [m.label for m in reference]
+        for lhs, rhs in equations:
+            cert = idlab.test_equation(lhs, rhs, scope)
+            label = None if cert.holds else cert.model.label
+            assert (cert.status, label, cert.witness, cert.models_checked) == (
+                _reference_certificate(lhs, rhs, reference)
+            ), (scope.description, lhs, rhs)
 
 
 def test_counterexample_json_schema():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from closurelab.opalg import (
     elements_of,
     eval_word,
     eval_word_on,
+    eval_word_stack,
     full_mask,
     identity_table,
     is_reversing_involution,
@@ -29,6 +31,8 @@ from closurelab.opalg import (
     reversed_involution,
     table_from_function,
 )
+
+from _oracles import closure_of_family
 
 
 def test_mask_helpers():
@@ -71,6 +75,19 @@ def test_tables_are_immutable():
         t.ground_size = 3
 
 
+def test_internal_tables_freeze_in_place_and_caller_arrays_are_copied():
+    built = np.arange(4, dtype=np.int64)
+    t = OperatorTable(2, built, _validate=False)
+    assert t.entries is built and not built.flags.writeable
+    view = np.arange(8, dtype=np.int64)[:4]
+    assert OperatorTable(2, view, _validate=False).entries.base is None
+    assert view.flags.writeable
+    mine = np.arange(4, dtype=np.int64)
+    t = OperatorTable(2, mine)
+    mine[0] = 3
+    assert t.apply(0) == 0 and mine.flags.writeable
+
+
 def test_json_round_trip():
     k = closure_from_fixed_points(3, [7, 5, 1])
     blob = json.dumps(k.to_json())
@@ -87,6 +104,23 @@ def test_closure_from_fixed_points_examples():
     k2 = closure_from_fixed_points(2, [1, 2, 3])
     fixed = [a for a in range(4) if k2.apply(a) == a]
     assert fixed == [0, 1, 2, 3]  # 1 & 2 = 0 forced in
+
+
+def test_closure_from_fixed_points_matches_oracle():
+    # seeded families up to n = 8, duplicates included, against the
+    # member-by-member meet of the oracle
+    rng = random.Random(11)
+    for n in range(9):
+        size = 1 << n
+        families = [[size - 1], [size - 1, size - 1]]
+        for _ in range(12):
+            members = [rng.randrange(size) for _ in range(rng.randint(0, 20))]
+            members += rng.sample(members, len(members) // 2) + [size - 1]
+            rng.shuffle(members)
+            families.append(members)
+        for members in families:
+            got = closure_from_fixed_points(n, members).entries.tolist()
+            assert tuple(got) == closure_of_family(n, members), (n, members)
 
 
 @settings(max_examples=150)
@@ -188,6 +222,40 @@ def test_eval_word_matches_manual():
         assert t.apply(a) == p.apply(c.apply(q.apply(a)))
         assert eval_word_on("pcq", p, q, a) == t.apply(a)
     assert eval_word("", p, q) == identity_table(2)
+
+
+def test_eval_word_stack_matches_per_row_composition():
+    pairs = [(closure_from_fixed_points(3, [1, 7]), closure_from_fixed_points(3, [6, 7])),
+             (closure_from_fixed_points(3, [7]), closure_from_fixed_points(3, [0, 3, 7])),
+             (identity_table(3), closure_from_fixed_points(3, [2, 5, 7]))]
+    thetas = [complement_table(3), reversed_involution([1, 0, 2]),
+              reversed_involution([2, 1, 0])]
+    p = np.stack([a.entries for a, _ in pairs])
+    q = np.stack([b.entries for _, b in pairs])
+    c = np.stack([t.entries for t in thetas])
+
+    def reference(word, a, b, theta):
+        # apply the letters right to left, one subset at a time
+        ops = {"c": theta.apply, "p": a.apply, "q": b.apply}
+        out = []
+        for mask in range(8):
+            for letter in reversed(word):
+                mask = ops[letter](mask)
+            out.append(mask)
+        return out
+
+    for word in ("", "c", "p", "qcp", "pqcpq", "cpcqcpcq"):
+        rows = eval_word_stack(word, p, q)
+        subst = eval_word_stack(word, p, q, c)
+        assert rows.shape == subst.shape == (3, 8)
+        for i, (a, b) in enumerate(pairs):
+            assert rows[i].tolist() == reference(word, a, b, thetas[0])
+            assert subst[i].tolist() == reference(word, a, b, thetas[i])
+            assert eval_word(word, a, b).entries.tolist() == rows[i].tolist()
+    with pytest.raises(ValueError):
+        eval_word_stack("pxq", p, q)
+    with pytest.raises(ValueError):
+        eval_word_stack("pcq", p, q, c[:2])
 
 
 def test_eval_word_with_substitute_involution():

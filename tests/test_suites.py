@@ -1,5 +1,6 @@
 """Tests for the verification suites behind the CLI."""
 
+from closurelab import suites
 from closurelab.suites import (
     FIXTURE_FAILURE,
     KURATOWSKI_WORDS,
@@ -43,6 +44,37 @@ def test_pmap_is_order_preserving():
     serial = _pmap(abs, items, workers=1)
     parallel = _pmap(abs, items, workers=2)
     assert serial == parallel == [abs(x) for x in items]
+
+
+def test_pmap_clamps_workers_to_cores_and_items(monkeypatch):
+    # a fake pool records the worker count it was asked for and maps in
+    # process, so no worker is ever started
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)
+    assert _pmap(abs, range(-5, 5), workers=10_000) == [abs(x) for x in range(-5, 5)]
+    assert _pmap(abs, range(3), workers=10_000) == [0, 1, 2]
+    assert _pmap(abs, range(3), workers=2) == [0, 1, 2]
+    assert asked == [4, 3, 2]
+    for workers in (0, -1, 1, None):
+        assert _pmap(abs, range(3), workers=workers) == [0, 1, 2]
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
+    assert _pmap(abs, range(3), workers=8) == [0, 1, 2]
+    assert asked == [4, 3, 2]
 
 
 def test_theorem1_suite():
