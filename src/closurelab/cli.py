@@ -8,7 +8,8 @@ Three verbs:
 
 Reports are deterministic for fixed flags.  Wall-clock facts go on
 comment lines starting with "# " so byte comparison after dropping
-that header is stable across runs and across --workers settings.
+that header is stable across runs.  Every command runs in one
+process; --workers is still accepted (at least 1) but changes nothing.
 Exit codes: 0 pass, 1 check failure, 2 usage error.
 """
 
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -31,22 +31,6 @@ from .opalg import complement_table, elements_of
 from .suites import SUITES, SuiteReport
 
 OUT_DIR_ENV = "CLOSURELAB_OUT"
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters, one instance per invocation."""
-
-    command: str
-    n: Optional[int] = None
-    m: Optional[int] = None
-    M: Optional[int] = None
-    n_max: Optional[int] = None
-    cap: Optional[int] = None
-    seed: int = idlab.DEFAULT_SEED
-    out: Optional[str] = None
-    format: str = "text"
-    workers: int = 1
 
 
 def _resolve_out(path: Optional[str]) -> Optional[str]:
@@ -112,7 +96,6 @@ def cmd_verify(args) -> int:
     if name == "theorem2":
         kwargs["samples"] = args.samples
         kwargs["seed"] = args.seed
-    kwargs["workers"] = args.workers
 
     if args.format not in ("text", "json"):
         print("verify supports --format text or json", file=sys.stderr)
@@ -340,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", default=None, choices=["text", "json", "csv"],
             help="output format (default depends on the verb)",
         )
-        p.add_argument("--workers", type=_positive_int, default=1)
+        # accepted for old command lines, checked, and otherwise unused
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=idlab.DEFAULT_SEED)
 
     v = sub.add_parser("verify", help="run a named verification suite")

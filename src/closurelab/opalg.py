@@ -490,11 +490,8 @@ def is_reversing_involution(f: OperatorTable) -> bool:
     masks = np.arange(1 << n, dtype=np.int64)
     if np.any(e[e] != masks):
         return False
-    for i in range(n):
-        up = e[masks | np.int64(1 << i)]
-        if np.any(up & ~e):
-            return False
-    return True
+    # f is antitone exactly when its complement is monotone
+    return _monotone_fast(full_mask(n) ^ e, n)
 
 
 _WORD_LETTERS = frozenset("cpq")

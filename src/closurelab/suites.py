@@ -6,16 +6,14 @@ Volatile facts (wall-clock time) are the renderer's business and go on
 comment lines prefixed with "# " so reports can be compared byte for
 byte after dropping that header.
 
-Parallel execution never changes output: work is split into a fixed
-chunk grid up front, chunks are mapped in order (serially or over a
-process pool), and merged by concatenation.
+Every suite runs in one process.  Identities over closure pairs are
+checked with opalg.eval_word_stack: one gather per letter over a whole
+stack of tables, so there is one evaluation kernel rather than a loop
+per suite.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
@@ -32,6 +30,7 @@ from .opalg import (
     conjugated_involution,
     elements_of,
     eval_word_on,
+    eval_word_stack,
     is_reversing_involution,
     leq,
     reversed_involution,
@@ -66,27 +65,6 @@ def _verdict(report: SuiteReport) -> SuiteReport:
     return report
 
 
-def _fixed_chunks(count: int, parts: int = 32) -> list:
-    """Split range(count) into at most `parts` contiguous chunks.  The
-    grid depends only on count, never on worker count."""
-    if count == 0:
-        return []
-    step = math.ceil(count / parts)
-    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def _pmap(fn, items, workers):
-    items = list(items)
-    # a fork pool starts every worker up front, so never ask for more
-    # than there are cores or items
-    workers = min(workers or 1, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
-
-
 def _fmt_set(mask: int) -> str:
     return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
 
@@ -95,30 +73,36 @@ def _fmt_set(mask: int) -> str:
 # theorem1: pcqcpcq = pcq over every closure pair, no commutation needed
 
 
-def _theorem1_kernel(args):
-    n, lo, hi = args
-    closures = idlab._closures(n)
-    c = complement_table(n).entries
-    checked = 0
+def _closure_stack(n: int) -> np.ndarray:
+    """The entries of every closure at ground size n, one row each, in
+    canonical order."""
+    return np.stack([t.entries for t in idlab._closures(n)])
+
+
+def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
+    """Every (i, j, t, mask) where lhs != rhs on the closure pair p#i,
+    q#j at ground size n, with row t of the (T, 2**n) stack thetas in
+    place of c (plain complement and t = 0 when thetas is None).  The
+    failures come in (i, j, t) order and mask is the smallest subset on
+    which the two words differ."""
+    closures = _closure_stack(n)
+    count = 1 if thetas is None else len(thetas)
+    q = np.repeat(closures, count, axis=0)
+    c = None if thetas is None else np.tile(thetas, (len(closures), 1))
     failures = []
-    for i in range(lo, hi):
-        p = closures[i].entries
-        for j, qt in enumerate(closures):
-            q = qt.entries
-            checked += 1
-            pcq = p[c[q]]
-            lhs = p[c[q[c[pcq]]]]
-            if not np.array_equal(lhs, pcq):
-                failures.append((i, j, int(np.flatnonzero(lhs != pcq)[0])))
-    return checked, failures
+    for i, row in enumerate(closures):
+        p = np.broadcast_to(row, q.shape)
+        diff = eval_word_stack(lhs, p, q, c) != eval_word_stack(rhs, p, q, c)
+        for r in np.flatnonzero(diff.any(axis=1)):
+            j, t = divmod(int(r), count)
+            failures.append((i, j, t, int(diff[r].argmax())))
+    return failures
 
 
-def suite_theorem1(n: int = 2, workers: int = 1) -> SuiteReport:
+def suite_theorem1(n: int = 2) -> SuiteReport:
     closures = idlab.enumerate_closures(n)
-    chunks = [(n, lo, hi) for lo, hi in _fixed_chunks(len(closures))]
-    results = _pmap(_theorem1_kernel, chunks, workers)
-    checked = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
+    checked = len(closures) ** 2
+    failures = [(i, j, w) for i, j, _, w in _pair_failures("pcqcpcq", "pcq", n)]
     report = SuiteReport("theorem1", not failures)
     report.lines = [
         "verify theorem1",
@@ -145,29 +129,20 @@ def suite_theorem1(n: int = 2, workers: int = 1) -> SuiteReport:
 # kuratowski14: monoid bound, pinned witness, Hammer identity
 
 
-def _kuratowski_kernel(args):
-    n, lo, hi = args
-    closures = idlab._closures(n)
-    c = complement_table(n)
-    cc = c.entries
-    rows = []
-    for i in range(lo, hi):
-        k = closures[i]
-        size = len(monoid_mod.generate_monoid([k, c], names=("k", "c")))
-        kk = k.entries
-        kck = kk[cc[kk]]
-        kckckck = kk[cc[kk[cc[kck]]]]
-        rows.append((i, size, bool(np.array_equal(kckckck, kck))))
-    return rows
-
-
-def suite_kuratowski14(n: int = 4, workers: int = 1) -> SuiteReport:
+def suite_kuratowski14(n: int = 4) -> SuiteReport:
     closures = idlab.enumerate_closures(n)
-    chunks = [(n, lo, hi) for lo, hi in _fixed_chunks(len(closures))]
-    rows = [r for chunk in _pmap(_kuratowski_kernel, chunks, workers) for r in chunk]
-    max_size = max(size for _, size, _ in rows) if rows else 1
-    over = [(i, size) for i, size, _ in rows if size > 14]
-    hammer_bad = [i for i, _, ok in rows if not ok]
+    c = complement_table(n)
+    sizes = [
+        len(monoid_mod.generate_monoid([k, c], names=("k", "c"))) for k in closures
+    ]
+    max_size = max(sizes)
+    over = [(i, size) for i, size in enumerate(sizes) if size > 14]
+    # kckckck = kck, with k as p and q alike
+    stack = _closure_stack(n)
+    hammer = (
+        eval_word_stack("pcpcpcp", stack, stack) != eval_word_stack("pcp", stack, stack)
+    )
+    hammer_bad = np.flatnonzero(hammer.any(axis=1)).tolist()
 
     k, seed = models.kuratowski_witness()
     c = complement_table(k.ground_size)
@@ -217,109 +192,51 @@ def suite_kuratowski14(n: int = 4, workers: int = 1) -> SuiteReport:
 # theorem2: the collapse family over commuting pairs
 
 
-def _scope_from_spec(spec) -> idlab.Scope:
-    kind = spec[0]
-    if kind == "exhaustive":
-        return idlab.Scope.exhaustive(spec[1], commuting=True)
-    if kind == "sampled":
-        return idlab.Scope.sampled(spec[1], spec[2], spec[3])
-    raise ValueError(f"unknown scope spec {spec!r}")
-
-
-def _equation_kernel(args):
-    scope_spec, words = args
-    scope = _scope_from_spec(scope_spec)
-    out = []
-    for w in words:
-        cert = idlab.test_equation(w, "pqcpq", scope)
-        out.append(
-            (w, cert.holds, None if cert.holds else cert.model.label,
-             cert.witness, cert.models_checked)
-        )
-    return out
-
-
-def _word_chunks(all_words, parts=32):
-    return [
-        [all_words[i] for i in range(lo, hi)]
-        for lo, hi in _fixed_chunks(len(all_words), parts)
-    ]
-
-
 def suite_theorem2(
     n: int = 3,
     samples: int = 25,
     seed: int = idlab.DEFAULT_SEED,
-    workers: int = 1,
 ) -> SuiteReport:
     report = SuiteReport("theorem2", True)
     report.lines = ["verify theorem2", "target: pqcpq"]
     report.data = {"target": "pqcpq", "parts": []}
     failures = 0
 
-    exhaustive_spec = ("exhaustive", n)
-    for n_blocks in (1, 2):
-        eqs = [str(theorem2_word(t)) for t in product(BLOCK_CHOICES, repeat=2 * n_blocks)]
-        results = [
-            r
-            for chunk in _pmap(
-                _equation_kernel,
-                [(exhaustive_spec, ws) for ws in _word_chunks(eqs)],
-                workers,
-            )
-            for r in chunk
+    exhaustive = idlab.Scope.exhaustive(n, commuting=True)
+    parts = [
+        (1, exhaustive),
+        (2, exhaustive),
+        (3, idlab.Scope.sampled(4, samples, seed)),
+        (3, idlab.Scope.sampled(5, samples, seed + 1000)),
+    ]
+    for n_blocks, scope in parts:
+        certs = [
+            idlab.test_equation(str(theorem2_word(t)), "pqcpq", scope)
+            for t in product(BLOCK_CHOICES, repeat=2 * n_blocks)
         ]
-        held = sum(1 for r in results if r[1])
-        models_checked = results[0][4] if results else 0
-        failures += len(results) - held
-        report.lines.append(
-            f"n_blocks={n_blocks} scope=exhaustive-commuting-n<={n}: "
-            f"{held}/{len(results)} equations hold over {models_checked} pairs"
+        held = sum(1 for cert in certs if cert.holds)
+        failures += len(certs) - held
+        part = {
+            "n_blocks": n_blocks,
+            "scope": scope.description,
+            "equations": len(certs),
+            "held": held,
+            "failures": [
+                {"word": cert.lhs, "model": cert.model.label,
+                 "witness": elements_of(cert.witness)}
+                for cert in certs
+                if not cert.holds
+            ],
+        }
+        line = (
+            f"n_blocks={n_blocks} scope={scope.description}: "
+            f"{held}/{len(certs)} equations hold"
         )
-        report.data["parts"].append(
-            {
-                "n_blocks": n_blocks,
-                "scope": f"exhaustive-commuting-n<={n}",
-                "equations": len(results),
-                "held": held,
-                "pairs": models_checked,
-                "failures": [
-                    {"word": w, "model": lbl, "witness": elements_of(wit)}
-                    for w, ok, lbl, wit, _ in results
-                    if not ok
-                ],
-            }
-        )
-
-    eqs3 = [str(theorem2_word(t)) for t in product(BLOCK_CHOICES, repeat=6)]
-    for size in (4, 5):
-        spec = ("sampled", size, samples, seed if size == 4 else seed + 1000)
-        results = [
-            r
-            for chunk in _pmap(
-                _equation_kernel, [(spec, ws) for ws in _word_chunks(eqs3)], workers
-            )
-            for r in chunk
-        ]
-        held = sum(1 for r in results if r[1])
-        failures += len(results) - held
-        scope_desc = _scope_from_spec(spec).description
-        report.lines.append(
-            f"n_blocks=3 scope={scope_desc}: {held}/{len(results)} equations hold"
-        )
-        report.data["parts"].append(
-            {
-                "n_blocks": 3,
-                "scope": scope_desc,
-                "equations": len(results),
-                "held": held,
-                "failures": [
-                    {"word": w, "model": lbl, "witness": elements_of(wit)}
-                    for w, ok, lbl, wit, _ in results
-                    if not ok
-                ],
-            }
-        )
+        if scope is exhaustive:
+            part["pairs"] = certs[0].models_checked
+            line += f" over {part['pairs']} pairs"
+        report.lines.append(line)
+        report.data["parts"].append(part)
 
     report.lines.append(f"failures: {failures}")
     report.passed = failures == 0
@@ -331,7 +248,7 @@ def suite_theorem2(
 # that dropping commutativity breaks at least one of them
 
 
-def suite_fixtures(n: int = 3, workers: int = 1) -> SuiteReport:
+def suite_fixtures(n: int = 3) -> SuiteReport:
     report = SuiteReport("fixtures", True)
     report.lines = ["verify fixtures"]
     report.data = {"identities": []}
@@ -373,7 +290,7 @@ def suite_fixtures(n: int = 3, workers: int = 1) -> SuiteReport:
 # section4: the flagged-cycle model
 
 
-def suite_section4(m: int = 4, workers: int = 1) -> SuiteReport:
+def suite_section4(m: int = 4) -> SuiteReport:
     report = SuiteReport("section4", True)
     model = models.section4_model(m)
     n = model.ground_size
@@ -474,7 +391,7 @@ def suite_section4(m: int = 4, workers: int = 1) -> SuiteReport:
 # example3: staircase model, repaired and literal
 
 
-def suite_example3(M: int = 10, workers: int = 1) -> SuiteReport:
+def suite_example3(M: int = 10) -> SuiteReport:
     report = SuiteReport("example3", True)
     lines = ["verify example3", f"featured M: {M}"]
     data = {"M": M}
@@ -567,7 +484,7 @@ def suite_example3(M: int = 10, workers: int = 1) -> SuiteReport:
 # lemma6: the four pij flavors are commuting closure pairs on cycles
 
 
-def suite_lemma6(workers: int = 1) -> SuiteReport:
+def suite_lemma6() -> SuiteReport:
     report = SuiteReport("lemma6", True)
     lines = ["verify lemma6"]
     rows = []
@@ -600,7 +517,7 @@ def suite_lemma6(workers: int = 1) -> SuiteReport:
 # interior and product-closure properties
 
 
-def suite_interior(n: int = 3, workers: int = 1) -> SuiteReport:
+def suite_interior(n: int = 3) -> SuiteReport:
     report = SuiteReport("interior", True)
     lines = ["verify interior", "property: ckc is an interior operator"]
     counts = []
@@ -620,7 +537,7 @@ def suite_interior(n: int = 3, workers: int = 1) -> SuiteReport:
     return _verdict(report)
 
 
-def suite_pq_closure(n: int = 3, workers: int = 1) -> SuiteReport:
+def suite_pq_closure(n: int = 3) -> SuiteReport:
     report = SuiteReport("pq-closure", True)
     lines = ["verify pq-closure", "property: pq is a closure for commuting p, q"]
     counts = []
@@ -645,47 +562,23 @@ def suite_pq_closure(n: int = 3, workers: int = 1) -> SuiteReport:
 # involution in place of complement
 
 
-def _involution_kernel(args):
-    n, lo, hi, perms = args
-    closures = idlab._closures(n)
-    thetas = []
-    for perm in perms:
-        t = conjugated_involution(list(perm))
-        thetas.append(("conjugated", perm, t.entries))
-    for perm in perms:
-        pi = list(perm)
-        if all(pi[pi[x]] == x for x in range(len(pi))):
-            t = reversed_involution(pi)
-            thetas.append(("reversed", perm, t.entries))
-    checked = 0
-    failures = []
-    for i in range(lo, hi):
-        p = closures[i].entries
-        for j, qt in enumerate(closures):
-            q = qt.entries
-            for kind, perm, th in thetas:
-                checked += 1
-                pcq = p[th[q]]
-                lhs = p[th[q[th[pcq]]]]
-                if not np.array_equal(lhs, pcq):
-                    failures.append(
-                        (kind, perm, i, j, int(np.flatnonzero(lhs != pcq)[0]))
-                    )
-    return checked, failures
-
-
-def suite_remark_involution(n: int = 3, workers: int = 1) -> SuiteReport:
+def suite_remark_involution(n: int = 3) -> SuiteReport:
     perms = tuple(permutations(range(n)))
     involutive = [
         pi for pi in perms if all(pi[pi[x]] == x for x in range(n))
     ]
+    thetas = [("conjugated", pi, conjugated_involution(list(pi))) for pi in perms]
     for pi in involutive:
-        assert is_reversing_involution(reversed_involution(list(pi)))
+        t = reversed_involution(list(pi))
+        assert is_reversing_involution(t)
+        thetas.append(("reversed", pi, t))
     closures = idlab.enumerate_closures(n)
-    chunks = [(n, lo, hi, perms) for lo, hi in _fixed_chunks(len(closures))]
-    results = _pmap(_involution_kernel, chunks, workers)
-    checked = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
+    checked = len(closures) ** 2 * len(thetas)
+    stack = np.stack([t.entries for _, _, t in thetas])
+    failures = [
+        (thetas[t][0], thetas[t][1], i, j, w)
+        for i, j, t, w in _pair_failures("pcqcpcq", "pcq", n, stack)
+    ]
     report = SuiteReport("remark-involution", not failures)
     report.lines = [
         "verify remark-involution",

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .opalg import OperatorTable, complement_table, identity_table, leq
+from .opalg import OperatorTable, check_closure, complement_table, identity_table
 
 
 # ---------------------------------------------------------------------------
@@ -781,17 +781,9 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     add("bar-antitone", not bool(np.any(le & ~le_bar.T)))
     add("bar-fixes-unit", c.compose(ident).compose(c) == ident)
 
-    p_closure = (
-        leq(ident, model.p)
-        and model.p.compose(model.p) == model.p
-        and _monotone_table(model.p)
-    )
+    p_closure = check_closure(model.p).ok
     add("p-closure", p_closure, "" if p_closure else "p fails a closure axiom")
-    q_closure = (
-        leq(ident, model.q)
-        and model.q.compose(model.q) == model.q
-        and _monotone_table(model.q)
-    )
+    q_closure = check_closure(model.q).ok
     add("q-closure", q_closure, "" if q_closure else "q fails a closure axiom")
 
     comm = np.array_equal(
@@ -800,11 +792,3 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     add("pq-commute", bool(comm), "" if comm else "p and q do not commute")
 
     return ModelCheckReport(universe_size=k, checks=tuple(checks))
-
-
-def _monotone_table(f: OperatorTable) -> bool:
-    masks = np.arange(1 << f.ground_size, dtype=np.int64)
-    for i in range(f.ground_size):
-        if np.any(f.entries & ~f.entries[masks | np.int64(1 << i)]):
-            return False
-    return True

@@ -213,6 +213,15 @@ def test_lift_permutation_and_involutions():
         reversed_involution([1, 2, 0])  # not involutive
 
 
+def test_is_reversing_involution_needs_both_halves():
+    # swapping two points is an involution, but it keeps inclusion
+    swap = lift_permutation([1, 0, 2])
+    assert swap.compose(swap) == identity_table(3)
+    assert not is_reversing_involution(swap)
+    # the constant empty set reverses inclusion, but is not an involution
+    assert not is_reversing_involution(OperatorTable(3, np.zeros(8, dtype=np.int64)))
+
+
 def test_eval_word_matches_manual():
     p = closure_from_fixed_points(2, [1, 3])
     q = closure_from_fixed_points(2, [2, 3])

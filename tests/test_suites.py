@@ -1,12 +1,14 @@
 """Tests for the verification suites behind the CLI."""
 
-from closurelab import suites
+import numpy as np
+
+from closurelab import idlab
+from closurelab.opalg import complement_table, reversed_involution
 from closurelab.suites import (
     FIXTURE_FAILURE,
     KURATOWSKI_WORDS,
     SUITES,
-    _fixed_chunks,
-    _pmap,
+    _pair_failures,
     suite_example3,
     suite_fixtures,
     suite_interior,
@@ -19,6 +21,8 @@ from closurelab.suites import (
     suite_theorem2,
 )
 
+from _oracles import compose_tables
+
 
 def test_suite_registry():
     assert sorted(SUITES) == [
@@ -26,55 +30,6 @@ def test_suite_registry():
         "pq-closure", "remark-involution", "section4", "theorem1",
         "theorem2",
     ]
-
-
-def test_fixed_chunks_cover_range():
-    assert _fixed_chunks(0) == []
-    for count in (1, 5, 31, 32, 33, 100, 1000):
-        chunks = _fixed_chunks(count)
-        assert len(chunks) <= 32
-        covered = [i for lo, hi in chunks for i in range(lo, hi)]
-        assert covered == list(range(count))
-    # the grid depends on the count only
-    assert _fixed_chunks(100) == _fixed_chunks(100)
-
-
-def test_pmap_is_order_preserving():
-    items = list(range(-20, 20))
-    serial = _pmap(abs, items, workers=1)
-    parallel = _pmap(abs, items, workers=2)
-    assert serial == parallel == [abs(x) for x in items]
-
-
-def test_pmap_clamps_workers_to_cores_and_items(monkeypatch):
-    # a fake pool records the worker count it was asked for and maps in
-    # process, so no worker is ever started
-    asked = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)
-    assert _pmap(abs, range(-5, 5), workers=10_000) == [abs(x) for x in range(-5, 5)]
-    assert _pmap(abs, range(3), workers=10_000) == [0, 1, 2]
-    assert _pmap(abs, range(3), workers=2) == [0, 1, 2]
-    assert asked == [4, 3, 2]
-    for workers in (0, -1, 1, None):
-        assert _pmap(abs, range(3), workers=workers) == [0, 1, 2]
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
-    assert _pmap(abs, range(3), workers=8) == [0, 1, 2]
-    assert asked == [4, 3, 2]
 
 
 def test_theorem1_suite():
@@ -90,8 +45,50 @@ def test_theorem1_suite():
     assert rep.data["passed"] is True
 
 
-def test_theorem1_suite_parallel_identical():
-    assert suite_theorem1(2, workers=1).lines == suite_theorem1(2, workers=2).lines
+def _pair_failures_by_hand(lhs, rhs, n, thetas=None):
+    """(i, j, t, smallest differing mask) for every closure pair and
+    every theta in thetas (plain complement when None), word by word
+    and subset by subset."""
+    size = 1 << n
+    closures = [tuple(t.entries.tolist()) for t in idlab.enumerate_closures(n)]
+    if thetas is None:
+        thetas = [tuple((size - 1) ^ a for a in range(size))]
+
+    def table(word, p, q, c):
+        out = tuple(range(size))
+        for letter in reversed(word):
+            out = compose_tables({"p": p, "q": q, "c": c}[letter], out)
+        return out
+
+    failures = []
+    for i, p in enumerate(closures):
+        for j, q in enumerate(closures):
+            for t, c in enumerate(thetas):
+                a, b = table(lhs, p, q, c), table(rhs, p, q, c)
+                if a != b:
+                    failures.append((i, j, t, min(x for x in range(size) if a[x] != b[x])))
+    return failures
+
+
+def test_pair_failures_report_each_failure_in_order():
+    # pq = qp fails on every noncommuting pair: 49 ordered pairs at n=2,
+    # 41 of them commuting
+    plain = _pair_failures("pq", "qp", 2)
+    assert len(plain) == 8
+    assert plain == _pair_failures_by_hand("pq", "qp", 2)
+
+    theta = reversed_involution([1, 0])
+    assert theta != complement_table(2)
+    one = tuple(theta.entries.tolist())
+    assert (_pair_failures("pq", "qp", 2, np.stack([theta.entries]))
+            == _pair_failures_by_hand("pq", "qp", 2, [one]))
+
+    # with a c letter the two involutions refute different pairs
+    both = np.stack([complement_table(2).entries, theta.entries])
+    got = _pair_failures("pcq", "qcp", 2, both)
+    assert {t for _, _, t, _ in got} == {0, 1}
+    assert got == _pair_failures_by_hand(
+        "pcq", "qcp", 2, [tuple(row.tolist()) for row in both])
 
 
 def test_kuratowski_suite():
@@ -118,6 +115,24 @@ def test_theorem2_suite_small():
     assert "failures: 0" in rep.lines
     assert any("sampled(n=4,count=2" in ln for ln in rep.lines)
     assert any("sampled(n=5,count=2" in ln for ln in rep.lines)
+
+
+def test_theorem2_draws_each_sampled_scope_once(monkeypatch):
+    calls = []
+    real = idlab.sample_commuting_pair
+
+    def counting(n, seed, *args):
+        calls.append((n, seed))
+        return real(n, seed, *args)
+
+    monkeypatch.setattr(idlab, "sample_commuting_pair", counting)
+    samples, seed = 25, idlab.DEFAULT_SEED
+    assert suite_theorem2().passed
+    assert len(calls) == 2 * samples
+    assert calls == (
+        [(4, seed + i) for i in range(samples)]
+        + [(5, seed + 1000 + i) for i in range(samples)]
+    )
 
 
 def test_fixtures_suite():
