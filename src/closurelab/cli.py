@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import idlab, models
 from . import monoid as monoid_mod
-from .opalg import complement_table, elements_of
+from .opalg import MAX_GROUND_SIZE, complement_table, elements_of
 from .suites import SUITES, SuiteReport
 
 OUT_DIR_ENV = "CLOSURELAB_OUT"
@@ -83,6 +83,25 @@ _SUITE_DEFAULTS = {
     "remark-involution": {"n": 3},
 }
 
+#: the values each suite accepts for its scope flags, as inclusive
+#: (low, high) bounds; cmd_verify rejects any other value as a usage
+#: error before the suite runs.  n is capped by the exhaustive
+#: enumeration a suite walks; windows span at least 2 elements, and
+#: the flagged cycle (ground size 2m + 2) and the segment {0..M}
+#: (ground size M + 1) must fit the table cap.
+_SUITE_RANGES = {
+    "theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
+    "kuratowski14": {"n": (0, idlab.ENUMERATION_CAP)},
+    "theorem2": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "fixtures": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "section4": {"m": (2, (MAX_GROUND_SIZE - 2) // 2)},
+    "example3": {"M": (2, MAX_GROUND_SIZE - 1)},
+    "lemma6": {},
+    "interior": {"n": (0, idlab.ENUMERATION_CAP)},
+    "pq-closure": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "remark-involution": {"n": (0, idlab.ENUMERATION_CAP)},
+}
+
 
 def cmd_verify(args) -> int:
     name = args.name
@@ -100,13 +119,17 @@ def cmd_verify(args) -> int:
     if args.format not in ("text", "json"):
         print("verify supports --format text or json", file=sys.stderr)
         return 2
+    for flag, (low, high) in _SUITE_RANGES[name].items():
+        if not low <= kwargs[flag] <= high:
+            print(f"usage error: verify {name} takes --{flag} {low}..{high},"
+                  f" got {kwargs[flag]}", file=sys.stderr)
+            return 2
 
+    # A ValueError raised inside a suite is a bug, not a usage error,
+    # and propagates.
     started = time.perf_counter()
     try:
         report = SUITES[name](**kwargs)
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
     except RuntimeError as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1

@@ -31,14 +31,14 @@ from .models import ClosurePairModel
 from .opalg import (
     OperatorTable,
     closure_from_fixed_points,
+    closures_from_fixed_points,
     commutes,
     complement_table,
     elements_of,
     eval_word_on,
     eval_word_stack,
 )
-from . import monoid as monoid_mod
-from .words import BLOCK_CHOICES, theorem2_word
+from .words import BLOCK_CHOICES, KURATOWSKI_WORDS, theorem2_word
 
 DEFAULT_SEED = 20250816
 
@@ -82,12 +82,12 @@ def _closures(n: int) -> tuple[OperatorTable, ...]:
             f"exhaustive closure enumeration supports n <= {ENUMERATION_CAP}"
         )
     size = 1 << n
-    tables = [
-        closure_from_fixed_points(n, [s for s in range(size) if (fam >> s) & 1])
-        for fam in _moore_family_masks(n)
-    ]
-    tables.sort(key=lambda t: t.entries.tolist())
-    return tuple(tables)
+    rows = closures_from_fixed_points(
+        n, [[s for s in range(size) if (fam >> s) & 1] for fam in _moore_family_masks(n)]
+    )
+    # lexicographic order of the entry arrays, entry 0 the primary key
+    order = np.lexsort(rows.T[::-1])
+    return tuple(OperatorTable(n, rows[i], _validate=False) for i in order)
 
 
 def enumerate_closures(n: int) -> list[OperatorTable]:
@@ -505,17 +505,63 @@ def search_counterexample(lhs, rhs, max_n: int = 2,
 
 WITNESS_SEARCH_BASE = 777000
 
+#: entries per word table in one screened block of seeded candidates,
+#: which bounds a block's memory: 14 tables of 2**14 entries in the
+#: narrowest dtype (230 KB up to n = 8), and one 128 KB int64 word
+#: evaluation at a time.  Blocks of 2**16 entries were no faster and
+#: left about 1 MB more peak memory in a process that went on to other
+#: work.  (The canonical stack at n <= 4 is one block of at most 2480
+#: rows of 16 entries.)
+WITNESS_BLOCK_ENTRIES = 1 << 14
 
-def _witness_from(k: OperatorTable, n: int):
-    c = complement_table(n)
-    mon = monoid_mod.generate_monoid([k, c], names=("k", "c"))
-    if len(mon) != 14:
-        return None
-    for seed in range(1 << n):
-        if len({e.apply(seed) for e in mon.elements}) == 14:
-            fixed = tuple(m for m in range(1 << n) if k.apply(m) == m)
-            return n, fixed, seed
-    return None
+
+def _closure_stack(n: int) -> np.ndarray:
+    """The entries of every closure at ground size n, one row each, in
+    canonical order."""
+    return np.stack([t.entries for t in _closures(n)])
+
+
+def _witness_family(n: int, trial: int) -> list[int]:
+    """Fixed-point family of seeded witness-search trial number trial."""
+    rng = random.Random(WITNESS_SEARCH_BASE + trial)
+    size = 1 << n
+    count = rng.randint(1, min(size, 3 * n))
+    members = [rng.randrange(size) for _ in range(count)]
+    members.append(size - 1)
+    return members
+
+
+def _witness_blocks(n: int, trials: int) -> Iterator[np.ndarray]:
+    """The witness search's candidate closures at ground size n, in
+    search order, as (rows, 2**n) stacks: the canonical enumeration in
+    one block at n <= ENUMERATION_CAP, beyond that the seeded trials
+    0 .. trials-1 in runs of WITNESS_BLOCK_ENTRIES >> n."""
+    if n <= ENUMERATION_CAP:
+        yield _closure_stack(n)
+        return
+    rows = max(1, WITNESS_BLOCK_ENTRIES >> n)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        yield closures_from_fixed_points(
+            n, [_witness_family(n, trial) for trial in range(start, stop)]
+        )
+
+
+def _first_separating_seeds(closures: np.ndarray) -> np.ndarray:
+    """For each closure k of a (rows, 2**n) stack, the smallest seed
+    subset on which the 14 words of KURATOWSKI_WORDS (k for p) take 14
+    pairwise distinct values, or -1 if there is none."""
+    size = closures.shape[1]
+    tables = np.empty((len(KURATOWSKI_WORDS),) + closures.shape,
+                      dtype=np.min_scalar_type(size - 1))
+    tables[0] = np.arange(size)
+    for table, w in zip(tables[1:], KURATOWSKI_WORDS[1:]):
+        table[...] = eval_word_stack(w.replace("k", "p"), closures, closures)
+    # sorted along the word axis, 14 distinct values have no equal
+    # neighbours
+    tables.sort(axis=0)
+    separating = (tables[1:] != tables[:-1]).all(axis=0)
+    return np.where(separating.any(axis=1), separating.argmax(axis=1), -1)
 
 
 def find_kuratowski_witness(max_n: int = 8, trials: int = 30000):
@@ -527,24 +573,26 @@ def find_kuratowski_witness(max_n: int = 8, trials: int = 30000):
     monoid size 14 already occurs there, but no seed separates all 14
     operators.  Beyond that the canonical enumeration is out of reach,
     so the search walks seeded random fixed-point families, which makes
-    the first hit reproducible.  Returns (n, fixed point masks, seed).
-    This is the regeneration path for the pinned fixture in the models
-    module.
+    the first hit reproducible.  Returns (n, fixed point masks, seed),
+    the seed being the smallest one for the first hit.  This is the
+    regeneration path for the pinned fixture in the models module.
+
+    The candidates are screened a block at a time (see _witness_blocks):
+    the 14 words of KURATOWSKI_WORDS are evaluated over the whole block
+    in one stacked call each, and a seed separates a closure when the
+    14 values there are pairwise distinct.  The screen is exact: every
+    element of the monoid generated by k and c is one of those 14 words
+    (Kuratowski's theorem, checked exhaustively at n <= 4 by verify
+    kuratowski14), so a seed's images under the monoid are the 14 word
+    values, and 14 distinct values there mean a monoid of 14 elements
+    with a seed of 14 distinct images, and the other way round.
     """
     for n in range(1, max_n + 1):
-        if n <= ENUMERATION_CAP:
-            for k in _closures(n):
-                hit = _witness_from(k, n)
-                if hit:
-                    return hit
-            continue
-        size = 1 << n
-        for trial in range(trials):
-            rng = random.Random(WITNESS_SEARCH_BASE + trial)
-            count = rng.randint(1, min(size, 3 * n))
-            members = [rng.randrange(size) for _ in range(count)]
-            members.append(size - 1)
-            hit = _witness_from(closure_from_fixed_points(n, members), n)
-            if hit:
-                return hit
+        for block in _witness_blocks(n, trials):
+            seeds = _first_separating_seeds(block)
+            hit = seeds >= 0
+            if hit.any():
+                row = int(hit.argmax())
+                fixed = np.flatnonzero(block[row] == np.arange(1 << n))
+                return n, tuple(fixed.tolist()), int(seeds[row])
     raise RuntimeError(f"no separating 14-element witness found at n <= {max_n}")

@@ -496,13 +496,14 @@ def section4_model(window, materialize: Optional[bool] = None) -> ClosurePairMod
 
 
 # The first hit of the seeded random search in
-# idlab.find_kuratowski_witness (regenerate with
-# scripts/derive_constants.py), then frozen: a closure at ground size 6
-# whose monoid with complement has 14 elements, with the smallest seed
-# subset whose 14 images are pairwise distinct.  It is not first in any
-# canonical order: that order is swept only at ground sizes <= 4, where
-# monoid size 14 occurs but no seed separates all 14 operators; ground
-# size 5 got 30,000 seeded random trials without a hit.
+# idlab.find_kuratowski_witness (trial 1273 at ground size 6;
+# regenerate with scripts/derive_constants.py), then frozen: a closure
+# at ground size 6 whose monoid with complement has 14 elements, with
+# the smallest seed subset whose 14 images are pairwise distinct.  It is
+# not first in any canonical order: that order is swept only at ground
+# sizes <= 4, where monoid size 14 occurs but no seed separates all 14
+# operators; ground size 5 got 30,000 seeded random trials without a
+# hit.
 _KURATOWSKI_GROUND = 6
 _KURATOWSKI_FIXED_POINTS = (
     0, 1, 2, 3, 5, 7, 11, 15, 32, 33, 34, 35,

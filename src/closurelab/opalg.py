@@ -246,25 +246,43 @@ def closure_from_fixed_points(n: int, fixed: Iterable[Mask]) -> OperatorTable:
     Maps A to the intersection of all family members containing A.  The
     family must contain the full ground set so the intersection is never
     empty-ranged.  The result is always a closure operator; its fixed
-    points are the meet-closure of the input family.
+    points are the meet-closure of the input family.  This is
+    closures_from_fixed_points on a single family.
+    """
+    return OperatorTable(n, closures_from_fixed_points(n, [fixed])[0], _validate=False)
+
+
+def closures_from_fixed_points(n: int, families) -> np.ndarray:
+    """Entries of the smallest-enclosing-member operator of each family.
+
+    families is a sequence of member lists; row i of the (k, 2**n)
+    result is the table of family i (see closure_from_fixed_points).
+    Every family must contain the full ground set, and members may
+    repeat.
     """
     _check_ground_size(n)
     size = 1 << n
     full = size - 1
-    members = list({int(m) for m in fixed})
-    if any(m < 0 or m > full for m in members):
-        raise ValueError("family member outside the powerset")
-    if full not in members:
-        raise ValueError("family must contain the full ground set")
-    out = np.full(size, full, dtype=np.int64)
-    out[members] = members
-    # Meet over supersets, one element at a time: after pass i, out[A]
-    # is the meet of the members B >= A that differ from A only in
-    # elements 0..i.  Each pass is O(2^n) however many members there are.
+    out = np.empty((len(families), size), dtype=np.int64)
+    out.fill(full)
+    for row, fixed in zip(out, families):
+        members = list(set(map(int, fixed)))
+        if members and (min(members) < 0 or max(members) > full):
+            raise ValueError("family member outside the powerset")
+        if full not in members:
+            raise ValueError("family must contain the full ground set")
+        row[members] = members
+    # Meet over supersets, one element at a time: after pass i, out[r, A]
+    # is the meet of the members B >= A of family r that differ from A
+    # only in elements 0..i.  Each pass is O(k 2^n) however many members
+    # there are; 2**(i+1) divides a row, so no pair of halves straddles
+    # two rows.  The meet goes into the view in place, as
+    # halves[:, 0] &= ... would write it back through a second subscript.
     for i in range(n):
-        halves = out.reshape(-1, 2, 1 << i)  # [:, 0] lacks element i, [:, 1] has it
-        halves[:, 0] &= halves[:, 1]
-    return OperatorTable(n, out, _validate=False)
+        halves = out.reshape(-1, 2, 1 << i)
+        lacks = halves[:, 0]  # the subsets without element i
+        lacks &= halves[:, 1]
+    return out
 
 
 def apply(f, a: Mask) -> Mask:

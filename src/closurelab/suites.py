@@ -35,14 +35,7 @@ from .opalg import (
     leq,
     reversed_involution,
 )
-from .words import BLOCK_CHOICES, theorem2_word
-
-#: the fourteen canonical words of the complement-closure monoid, in
-#: breadth-first order (identity written "1")
-KURATOWSKI_WORDS = (
-    "1", "k", "c", "kc", "ck", "kck", "ckc", "kckc", "ckck",
-    "kckck", "ckckc", "kckckc", "ckckck", "ckckckc",
-)
+from .words import BLOCK_CHOICES, KURATOWSKI_WORDS, theorem2_word
 
 #: pinned demonstration that the collapse fixtures need commutativity:
 #: fixture equation index, ground size, closure indices into the
@@ -73,19 +66,13 @@ def _fmt_set(mask: int) -> str:
 # theorem1: pcqcpcq = pcq over every closure pair, no commutation needed
 
 
-def _closure_stack(n: int) -> np.ndarray:
-    """The entries of every closure at ground size n, one row each, in
-    canonical order."""
-    return np.stack([t.entries for t in idlab._closures(n)])
-
-
 def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
     """Every (i, j, t, mask) where lhs != rhs on the closure pair p#i,
     q#j at ground size n, with row t of the (T, 2**n) stack thetas in
     place of c (plain complement and t = 0 when thetas is None).  The
     failures come in (i, j, t) order and mask is the smallest subset on
     which the two words differ."""
-    closures = _closure_stack(n)
+    closures = idlab._closure_stack(n)
     count = 1 if thetas is None else len(thetas)
     q = np.repeat(closures, count, axis=0)
     c = None if thetas is None else np.tile(thetas, (len(closures), 1))
@@ -138,7 +125,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     max_size = max(sizes)
     over = [(i, size) for i, size in enumerate(sizes) if size > 14]
     # kckckck = kck, with k as p and q alike
-    stack = _closure_stack(n)
+    stack = idlab._closure_stack(n)
     hammer = (
         eval_word_stack("pcpcpcp", stack, stack) != eval_word_stack("pcp", stack, stack)
     )

@@ -68,6 +68,13 @@ def power_word(w: Word, k: int) -> Word:
 
 BLOCK_CHOICES = ("p", "q", "pq")
 
+#: the fourteen canonical words of the complement-closure monoid, in
+#: breadth-first order (identity written "1")
+KURATOWSKI_WORDS = (
+    "1", "k", "c", "kc", "ck", "kck", "ckc", "kckc", "ckck",
+    "kckck", "ckckc", "kckckc", "ckckck", "ckckckc",
+)
+
 
 @dataclass(frozen=True)
 class Balanced:

@@ -10,7 +10,7 @@ import pytest
 
 from closurelab import cli, models
 from closurelab import monoid as monoid_mod
-from closurelab.suites import KURATOWSKI_WORDS
+from closurelab.suites import KURATOWSKI_WORDS, SUITES, SuiteReport
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +76,42 @@ def test_verify_out_of_range_scope_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "theorem1", "--n", "5")
     assert code == 2
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("name,flag,low,high", [
+    ("theorem1", "--n", 0, 4), ("kuratowski14", "--n", 0, 4),
+    ("theorem2", "--n", 0, 3), ("fixtures", "--n", 0, 3),
+    ("section4", "--m", 2, 9), ("example3", "--M", 2, 19),
+    ("interior", "--n", 0, 4), ("pq-closure", "--n", 0, 3),
+    ("remark-involution", "--n", 0, 4),
+])
+def test_verify_scope_flags_are_checked_before_the_suite_runs(
+        capsys, monkeypatch, name, flag, low, high):
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs[flag.lstrip("-")])
+        return SuiteReport(name, True, ["stub"], {})
+
+    monkeypatch.setitem(SUITES, name, stub)
+    for value in (low - 1, high + 1):
+        code, out, err = run_cli(capsys, "verify", name, flag, str(value))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:") and f"{low}..{high}" in err
+    assert calls == []
+    for value in (low, high):
+        assert run_cli(capsys, "verify", name, flag, str(value))[0] == 0
+    assert calls == [low, high]
+
+
+def test_verify_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(**kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setitem(SUITES, "lemma6", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["verify", "lemma6"])
+    assert "usage error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -1,7 +1,9 @@
 """Tests for enumeration, sampling, scopes, certificates and searches."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from closurelab import idlab
@@ -21,10 +23,13 @@ from closurelab.idlab import (
     sigma_probe,
 )
 from closurelab.models import ClosurePairModel, kuratowski_witness
+from closurelab.monoid import generate_monoid
 from closurelab.opalg import (
     OperatorTable,
     check_closure,
+    closure_from_fixed_points,
     commutes,
+    complement_table,
     eval_word,
     eval_word_on,
     full_mask,
@@ -401,7 +406,7 @@ def test_search_counterexample_modes():
 
 def test_witness_search_regenerates_the_pinned_fixture():
     # sweeps n <= 4 exhaustively, then seeded random families at n = 5
-    # (no hit) and n = 6 (hit); a few seconds of work
+    # (no hit) and n = 6 (hit at trial 1273); about a second of work
     n, fixed, seed = find_kuratowski_witness()
     table, pinned_seed = kuratowski_witness()
     assert n == table.ground_size == 6
@@ -409,3 +414,46 @@ def test_witness_search_regenerates_the_pinned_fixture():
     assert fixed == tuple(
         m for m in range(64) if int(table.entries[m]) == m
     )
+
+
+def _bfs_separating_seed(k):
+    """Smallest seed with 14 distinct images under the monoid of k and
+    complement, or -1 when the monoid has fewer elements or no seed
+    separates them."""
+    mon = generate_monoid([k, complement_table(k.ground_size)], names=("k", "c"))
+    if len(mon) != 14:
+        return -1
+    for seed in range(1 << k.ground_size):
+        if len({e.apply(seed) for e in mon.elements}) == 14:
+            return seed
+    return -1
+
+
+def _seeded_trial_closure(n, trial):
+    rng = random.Random(idlab.WITNESS_SEARCH_BASE + trial)
+    size = 1 << n
+    count = rng.randint(1, min(size, 3 * n))
+    members = [rng.randrange(size) for _ in range(count)] + [size - 1]
+    return closure_from_fixed_points(n, members)
+
+
+def test_witness_screen_matches_monoid_bfs_per_candidate():
+    # Every closure at n <= 4, then seeded trials at n = 5 and n = 6
+    # across block boundaries and past the hit at n = 6, trial 1273:
+    # the screen's blocks must hold the candidates in search order, and
+    # its seed for each must be the BFS reference's.
+    hits = []
+    for n, trials in ((1, 0), (2, 0), (3, 0), (4, 0), (5, 2100), (6, 1300)):
+        if n <= idlab.ENUMERATION_CAP:
+            candidates = enumerate_closures(n)
+        else:
+            candidates = [_seeded_trial_closure(n, t) for t in range(trials)]
+        blocks = list(idlab._witness_blocks(n, trials))
+        if n > idlab.ENUMERATION_CAP:
+            assert len(blocks) >= 2  # the trials cross a block boundary
+        assert np.concatenate(blocks).tolist() == [k.entries.tolist() for k in candidates]
+        got = np.concatenate([idlab._first_separating_seeds(b) for b in blocks])
+        want = [_bfs_separating_seed(k) for k in candidates]
+        assert got.tolist() == want, n
+        hits += [(n, int(i), int(got[i])) for i in np.flatnonzero(got >= 0)]
+    assert hits == [(6, 1273, 18)]

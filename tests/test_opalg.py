@@ -13,6 +13,7 @@ from closurelab.opalg import (
     check_closure,
     check_interior,
     closure_from_fixed_points,
+    closures_from_fixed_points,
     commutes,
     commuting_witness,
     complement_table,
@@ -108,7 +109,7 @@ def test_closure_from_fixed_points_examples():
 
 def test_closure_from_fixed_points_matches_oracle():
     # seeded families up to n = 8, duplicates included, against the
-    # member-by-member meet of the oracle
+    # member-by-member meet of the oracle, one by one and stacked
     rng = random.Random(11)
     for n in range(9):
         size = 1 << n
@@ -121,6 +122,27 @@ def test_closure_from_fixed_points_matches_oracle():
         for members in families:
             got = closure_from_fixed_points(n, members).entries.tolist()
             assert tuple(got) == closure_of_family(n, members), (n, members)
+        # all families at once: one row each, row 0 the one-family table
+        stack = closures_from_fixed_points(n, families)
+        assert [tuple(row) for row in stack.tolist()] == [
+            closure_of_family(n, members) for members in families
+        ]
+        assert np.array_equal(closure_from_fixed_points(n, families[0]).entries, stack[0])
+    assert closures_from_fixed_points(3, []).shape == (0, 8)
+
+
+def test_closure_from_fixed_points_rejects_bad_families():
+    for members in ([3, 4], [-1, 3], [3, 1 << 70]):
+        with pytest.raises(ValueError, match="outside the powerset"):
+            closure_from_fixed_points(2, members)
+    for members in ([], [0, 1, 2], [1, 1]):
+        with pytest.raises(ValueError, match="full ground set"):
+            closure_from_fixed_points(2, members)
+    # a bad family anywhere in a stack rejects the whole stack
+    with pytest.raises(ValueError, match="outside the powerset"):
+        closures_from_fixed_points(2, [[3], [1, 3], [3, 4]])
+    with pytest.raises(ValueError, match="full ground set"):
+        closures_from_fixed_points(2, [[3], [1, 3], [1, 2]])
 
 
 @settings(max_examples=150)
