@@ -103,6 +103,22 @@ _SUITE_RANGES = {
 }
 
 
+def _in_ranges(command: str, ranges: dict, values: dict) -> bool:
+    """Whether every flag in ranges has a value within its inclusive
+    (low, high) bounds, high None meaning no upper bound; a flag left
+    at None is not checked.  Prints the usage error for the first value
+    out of range."""
+    for flag, (low, high) in ranges.items():
+        value = values[flag]
+        if value is None or (low <= value and (high is None or value <= high)):
+            continue
+        bounds = f"{low} or more" if high is None else f"{low}..{high}"
+        print(f"usage error: {command} takes --{flag} {bounds}, got {value}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_verify(args) -> int:
     name = args.name
     kwargs = dict(_SUITE_DEFAULTS[name])
@@ -119,11 +135,8 @@ def cmd_verify(args) -> int:
     if args.format not in ("text", "json"):
         print("verify supports --format text or json", file=sys.stderr)
         return 2
-    for flag, (low, high) in _SUITE_RANGES[name].items():
-        if not low <= kwargs[flag] <= high:
-            print(f"usage error: verify {name} takes --{flag} {low}..{high},"
-                  f" got {kwargs[flag]}", file=sys.stderr)
-            return 2
+    if not _in_ranges(f"verify {name}", _SUITE_RANGES[name], kwargs):
+        return 2
 
     # A ValueError raised inside a suite is a bug, not a usage error,
     # and propagates.
@@ -143,7 +156,24 @@ def cmd_verify(args) -> int:
 # search
 
 
+#: the values each search accepts for its bounded flags, checked like
+#: _SUITE_RANGES before any work starts (high None: no upper bound).
+#: --n is capped by the exhaustive pair enumeration, --maxlen by the
+#: identity search's word budget (see the README for its cost).
+_SEARCH_RANGES = {
+    "identities": {
+        "n": (0, idlab.PAIR_ENUMERATION_CAP),
+        "maxlen": (0, idlab.MAXLEN_CAP),
+        "limit": (0, None),
+    },
+    "counterexample": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "witness14": {},
+}
+
+
 def cmd_search(args) -> int:
+    if not _in_ranges(f"search {args.kind}", _SEARCH_RANGES[args.kind], vars(args)):
+        return 2
     if args.kind == "identities":
         equations, scope_desc, examined = idlab.search_identities(
             args.maxlen, n=args.n, limit=args.limit

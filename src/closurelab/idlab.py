@@ -33,7 +33,6 @@ from .opalg import (
     closure_from_fixed_points,
     closures_from_fixed_points,
     commutes,
-    complement_table,
     elements_of,
     eval_word_on,
     eval_word_stack,
@@ -421,11 +420,29 @@ def sigma_probe(equations, samples: int = 25, seed: int = DEFAULT_SEED):
 # identity search over reduced words
 
 
-def _reduced_successors(word: str):
-    last = word[-1] if word else ""
-    for ch in "cpq":
-        if ch != last:
-            yield ch
+#: the longest word search_identities examines: 3 * 2**(L-1) words of
+#: length L, so the word count doubles with each letter while the
+#: distinct states stay few (see the README for the cost at the cap)
+MAXLEN_CAP = 16
+
+
+def _scope_letters(n: int) -> dict[str, np.ndarray]:
+    """The c, p and q tables of every commuting closure pair at ground
+    sizes <= n laid end to end in one flat vector: model i occupies
+    offset o_i .. o_i + 2**n_i - 1, and each table maps o_i + a to o_i
+    plus the image of a, so one 1-D gather applies a letter in every
+    model.  c is a gather too, as the ground sizes differ."""
+    letters = {"c": [], "p": [], "q": []}
+    offset = 0
+    for size in range(n + 1):
+        run = _pair_run(size, True)
+        k, width = run.p.shape
+        shift = np.arange(offset, offset + k * width, width, dtype=np.int64)[:, None]
+        letters["c"].append((shift + ((width - 1) ^ np.arange(width))).reshape(-1))
+        letters["p"].append((run.p + shift).reshape(-1))
+        letters["q"].append((run.q + shift).reshape(-1))
+        offset += k * width
+    return {ch: np.concatenate(parts) for ch, parts in letters.items()}
 
 
 def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
@@ -435,60 +452,60 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     The first word reaching a bucket is its canonical representative;
     every later arrival yields the equation "word = canonical", which
     holds across the whole exhaustive scope by construction.  Returns
-    (equations, scope description, words examined).
+    (equations, scope description, words examined), the equations cut
+    to the first limit when limit is given.
+
+    The search walks the word automaton of the scope: a state is the
+    flat vector of a word's tables over all models (_scope_letters),
+    each distinct state gets an id the first time a word reaches it,
+    and each (state, letter) step is one gather, made once and then
+    looked up.  The frontier holds (word, state id) pairs.
     """
-    if maxlen < 0:
-        raise ValueError("maxlen must be nonnegative")
-    models = []
-    for size in range(n + 1):
-        models.extend(enumerate_commuting_pairs(size))
-    scope_desc = f"exhaustive-commuting-n<={n}"
-
-    def state_of(tables) -> bytes:
-        return b"".join(t.tobytes() for t in tables)
-
-    start_tables = tuple(
-        np.arange(1 << m.ground_size, dtype=np.int64) for m in models
-    )
-    letter_tables = [
-        {
-            "c": complement_table(m.ground_size).entries,
-            "p": m.p.entries,
-            "q": m.q.entries,
-        }
-        for m in models
-    ]
-
-    canon: dict[bytes, str] = {}
+    if not 0 <= maxlen <= MAXLEN_CAP:
+        raise ValueError(f"maxlen must be in 0..{MAXLEN_CAP}, got {maxlen}")
+    if not 0 <= n <= PAIR_ENUMERATION_CAP:
+        raise ValueError(f"n must be in 0..{PAIR_ENUMERATION_CAP}, got {n}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    letters = _scope_letters(n)
+    # a state's entries are positions in the flat vector, kept in the
+    # narrowest dtype; its array is a view of its key's bytes
+    width = len(letters["c"])
+    start = np.arange(width, dtype=np.min_scalar_type(width - 1))
+    states = [start]                  # state id -> flat tables
+    ids = {start.tobytes(): 0}        # flat tables -> state id
+    canon = [""]                      # state id -> canonical word
+    steps: dict[tuple[int, str], int] = {}
     equations: list[tuple[str, str]] = []
-    examined = 0
+    examined = 1
 
-    frontier = [("", start_tables)]
-    canon[state_of(start_tables)] = ""
-    examined += 1
-
+    frontier = [("", 0)]
     for _ in range(maxlen):
         new_frontier = []
-        for word, tabs in frontier:
-            for ch in _reduced_successors(word):
-                # appending a letter on the right applies it first
-                new_tabs = tuple(
-                    t[lt[ch]] for t, lt in zip(tabs, letter_tables)
-                )
+        for word, state in frontier:
+            last = word[-1:]
+            for ch in "cpq":
+                if ch == last:
+                    continue
                 new_word = word + ch
                 examined += 1
-                key = state_of(new_tabs)
-                seen = canon.get(key)
-                if seen is None:
-                    canon[key] = new_word
-                else:
-                    equations.append((new_word, seen))
-                new_frontier.append((new_word, new_tabs))
+                target = steps.get((state, ch))
+                if target is None:
+                    # appending a letter on the right applies it first
+                    key = states[state][letters[ch]].tobytes()
+                    target = ids.setdefault(key, len(states))
+                    if target == len(states):
+                        states.append(np.frombuffer(key, dtype=start.dtype))
+                        canon.append(new_word)
+                    steps[state, ch] = target
+                if canon[target] != new_word:
+                    equations.append((new_word, canon[target]))
+                new_frontier.append((new_word, target))
         frontier = new_frontier
 
     if limit is not None:
         equations = equations[:limit]
-    return equations, scope_desc, examined
+    return equations, f"exhaustive-commuting-n<={n}", examined
 
 
 def search_counterexample(lhs, rhs, max_n: int = 2,

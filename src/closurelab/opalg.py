@@ -380,15 +380,16 @@ def _first_true(condition) -> Optional[int]:
     return int(idx[0]) if idx.size else None
 
 
-def _monotone_fast(entries: np.ndarray, n: int) -> bool:
-    # Monotonicity over all pairs A <= B follows from the single-element
-    # covers A <= A + {i}, which is an n-pass vectorized screen.
-    masks = np.arange(entries.size, dtype=np.int64)
+def _monotone_fast(entries: np.ndarray, n: int) -> np.ndarray:
+    # Row by row over the last axis: monotonicity over all pairs A <= B
+    # follows from the single-element covers A <= A + {i}, which is an
+    # n-pass vectorized screen.  A single table gives a 0-d result.
+    masks = np.arange(entries.shape[-1], dtype=np.int64)
+    ok = np.ones(entries.shape[:-1], dtype=bool)
     for i in range(n):
-        up = entries[masks | np.int64(1 << i)]
-        if np.any(entries & ~up):
-            return False
-    return True
+        up = entries[..., masks | np.int64(1 << i)]
+        ok &= ~np.any(entries & ~up, axis=-1)
+    return ok
 
 
 def _monotone_witness(entries: np.ndarray, n: int) -> tuple[Mask, Mask]:
@@ -424,6 +425,16 @@ def check_closure(f: OperatorTable) -> ClosureReport:
     bad = _first_true(e[e] != e)
     idempotent = Check(True) if bad is None else Check(False, bad)
     return ClosureReport(expanding, monotone, idempotent)
+
+
+def closure_rows(entries: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of a (k, 2**n) stack of tables are closure operators
+    (expanding, monotone and idempotent); check_closure screens one
+    table and names witnesses."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    expanding = ~np.any(masks & ~entries, axis=-1)
+    idempotent = ~np.any(eval_word_stack("pp", entries, entries) != entries, axis=-1)
+    return expanding & idempotent & _monotone_fast(entries, n)
 
 
 def check_interior(f: OperatorTable) -> InteriorReport:
@@ -509,7 +520,7 @@ def is_reversing_involution(f: OperatorTable) -> bool:
     if np.any(e[e] != masks):
         return False
     # f is antitone exactly when its complement is monotone
-    return _monotone_fast(full_mask(n) ^ e, n)
+    return bool(_monotone_fast(full_mask(n) ^ e, n))
 
 
 _WORD_LETTERS = frozenset("cpq")
@@ -517,9 +528,9 @@ _WORD_LETTERS = frozenset("cpq")
 
 def _word_letters(word) -> str:
     text = str(word)
-    for i, ch in enumerate(text):
-        if ch not in _WORD_LETTERS:
-            raise ValueError(f"unknown letter {ch!r} at position {i}")
+    if not _WORD_LETTERS.issuperset(text):
+        i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in _WORD_LETTERS)
+        raise ValueError(f"unknown letter {ch!r} at position {i}")
     return text
 
 
@@ -530,14 +541,18 @@ def eval_word(word, p: OperatorTable, q: OperatorTable,
     word may be a str or anything whose str() is the letter sequence.
     c defaults to the complement table; passing another table (for
     instance a different inclusion-reversing involution) substitutes it
-    for every c letter.  This is eval_word_stack on a single model.
+    for every c letter.  This is eval_word_stack on a single model,
+    whose one row needs no offset.
     """
+    text = _word_letters(word)
     n = p.ground_size
     if q.ground_size != n or (c is not None and c.ground_size != n):
         raise ValueError("ground sizes differ")
-    rows = eval_word_stack(word, p.entries[None], q.entries[None],
-                           None if c is None else c.entries[None])
-    return OperatorTable(n, rows[0], _validate=False)
+    tables = {"p": p.entries, "q": q.entries}
+    if c is not None:
+        tables["c"] = c.entries
+    v = _apply_letters(text, tables, np.arange(1 << n, dtype=np.int64), (1 << n) - 1)
+    return OperatorTable(n, v, _validate=False)
 
 
 def eval_word_stack(word, p: np.ndarray, q: np.ndarray,
@@ -545,23 +560,39 @@ def eval_word_stack(word, p: np.ndarray, q: np.ndarray,
     """Tables of a cpq-word on k models at once.
 
     p and q are (k, 2**n) stacks of entry arrays, row i holding the
-    tables of model i, and row i of the result holds the entries of
-    the word on model i.  Each letter is one gather across all rows.
-    c is complementation against the full mask unless a (k, 2**n)
-    stack is given to substitute for every c letter.
+    tables of model i, and row i of the (k, 2**n) int64 result holds
+    the entries of the word on model i.  c is complementation against
+    the full mask unless a (k, 2**n) stack is given to substitute for
+    every c letter.
+
+    The stacks are laid end to end in one flat vector, row i at offset
+    i * 2**n, and each table the word uses is shifted once by its row's
+    offset, so every letter is one 1-D gather across all rows.  The
+    offsets are multiples of 2**n, so complementing is still an XOR
+    with the full mask, and masking with it at the end drops them.
     """
     text = _word_letters(word)
     k, size = p.shape
     if q.shape != p.shape or (c is not None and c.shape != p.shape):
         raise ValueError("ground sizes differ")
-    full = size - 1
-    tables = {"c": c, "p": p, "q": q}
-    v = np.broadcast_to(np.arange(size, dtype=np.int64), (k, size))
+    offsets = np.arange(0, k * size, size, dtype=np.int64)[:, None]
+    tables = {
+        letter: (stack + offsets).reshape(-1)
+        for letter, stack in (("c", c), ("p", p), ("q", q))
+        if stack is not None and letter in text
+    }
+    v = _apply_letters(text, tables, np.arange(k * size, dtype=np.int64), size - 1)
+    v &= size - 1
+    return v.reshape(k, size)
+
+
+def _apply_letters(text: str, tables: dict, v: np.ndarray, full: int) -> np.ndarray:
+    """The word kernel: the letters of text, right to left, applied to
+    the flat vector v, each a 1-D gather through its table, or an XOR
+    with full for a c that has none."""
     for letter in reversed(text):
-        if letter == "c" and c is None:
-            v = full ^ v
-        else:
-            v = np.take_along_axis(tables[letter], v, axis=1)
+        table = tables.get(letter)
+        v = v ^ full if table is None else table[v]
     return v
 
 

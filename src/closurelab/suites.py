@@ -24,6 +24,7 @@ from . import monoid as monoid_mod
 from .opalg import (
     check_closure,
     check_interior,
+    closure_rows,
     commutes,
     complement_table,
     compose,
@@ -71,18 +72,22 @@ def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
     q#j at ground size n, with row t of the (T, 2**n) stack thetas in
     place of c (plain complement and t = 0 when thetas is None).  The
     failures come in (i, j, t) order and mask is the smallest subset on
-    which the two words differ."""
+    which the two words differ.  Rows of thetas that repeat a table
+    are evaluated once and share its failures."""
     closures = idlab._closure_stack(n)
-    count = 1 if thetas is None else len(thetas)
-    q = np.repeat(closures, count, axis=0)
-    c = None if thetas is None else np.tile(thetas, (len(closures), 1))
+    if thetas is None:
+        thetas = complement_table(n).entries[None]
+    distinct, inverse = np.unique(thetas, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    q = np.repeat(closures, len(distinct), axis=0)
+    c = np.tile(distinct, (len(closures), 1))
     failures = []
     for i, row in enumerate(closures):
         p = np.broadcast_to(row, q.shape)
         diff = eval_word_stack(lhs, p, q, c) != eval_word_stack(rhs, p, q, c)
-        for r in np.flatnonzero(diff.any(axis=1)):
-            j, t = divmod(int(r), count)
-            failures.append((i, j, t, int(diff[r].argmax())))
+        diff = diff.reshape(len(closures), len(distinct), -1)
+        for j, t in zip(*np.nonzero(diff.any(axis=2)[:, inverse])):
+            failures.append((i, int(j), int(t), int(diff[j, inverse[t]].argmax())))
     return failures
 
 
@@ -529,15 +534,12 @@ def suite_pq_closure(n: int = 3) -> SuiteReport:
     lines = ["verify pq-closure", "property: pq is a closure for commuting p, q"]
     counts = []
     for size in range(n + 1):
-        bad = 0
-        pairs = idlab.enumerate_commuting_pairs(size)
-        for model in pairs:
-            if not check_closure(model.p.compose(model.q)).ok:
-                bad += 1
-        counts.append((size, len(pairs), bad))
+        run = idlab._pair_run(size, True)
+        bad = int((~closure_rows(eval_word_stack("pq", run.p, run.q), size)).sum())
+        counts.append((size, len(run), bad))
         report.passed &= bad == 0
         lines.append(
-            f"n={size}: {len(pairs)} commuting pairs, product failures: {bad}"
+            f"n={size}: {len(run)} commuting pairs, product failures: {bad}"
         )
     report.lines = lines
     report.data = {"counts": counts}

@@ -24,7 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .opalg import OperatorTable, check_closure, complement_table, identity_table
+from .opalg import (
+    OperatorTable,
+    check_closure,
+    complement_table,
+    eval_word,
+    identity_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +210,42 @@ def term_variables(t: Term) -> set:
 # evaluation in a concrete powerset model
 
 
+_BAR_END = object()
+
+
+def term_word(t: Term) -> str:
+    """The cpq-word of a ground term: 1 is the empty word, a product
+    concatenates its factors' words (the right factor acts first, as
+    in a word) and bar(g) is c g c."""
+    letters = []
+    todo = [t]  # terms still to lower, and _BAR_END for each open bar
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Prod):
+            todo += (t.right, t.left)
+        elif isinstance(t, Bar):
+            letters.append("c")
+            todo += (_BAR_END, t.inner)
+        elif isinstance(t, Const):
+            letters.append("" if t.name == "1" else t.name)
+        elif t is _BAR_END:
+            letters.append("c")
+        elif isinstance(t, Var):
+            raise ValueError(f"cannot evaluate open term (variable {t.name})")
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(letters)
+
+
 def eval_term(term: Term, model) -> OperatorTable:
     """Interpret a ground term over model.p / model.q.
 
     The unit is the identity table, product is composition (right
     factor acts first, matching word evaluation), and bar(g) is
-    complement . g . complement.  model just needs ground_size, p, q.
+    complement . g . complement: the term is evaluated as its word
+    (term_word).  model just needs p and q.
     """
-    n = model.ground_size
-    c = complement_table(n)
-    memo: dict = {}
-
-    def ev(t: Term) -> OperatorTable:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Const):
-            out = {"1": identity_table(n), "p": model.p, "q": model.q}[t.name]
-        elif isinstance(t, Prod):
-            out = ev(t.left).compose(ev(t.right))
-        elif isinstance(t, Bar):
-            out = c.compose(ev(t.inner)).compose(c)
-        elif isinstance(t, Var):
-            raise ValueError(f"cannot evaluate open term (variable {t.name})")
-        else:
-            raise TypeError(f"not a term: {t!r}")
-        memo[t] = out
-        return out
-
-    return ev(term)
+    return eval_word(term_word(term), model.p, model.q)
 
 
 # ---------------------------------------------------------------------------
@@ -661,27 +674,42 @@ class ModelCheckReport:
         }
 
 
+#: the largest k * k * 2**n the exhaustive axiom screen takes on, for
+#: a universe of k tables at ground size n (its pairwise products)
+SCREEN_ENTRIES_CAP = 1 << 27
+
+
+def _check_universe_size(k: int, n: int) -> None:
+    if k * k * (1 << n) > SCREEN_ENTRIES_CAP:
+        raise ValueError(
+            f"universe of {k} tables at ground size {n} is too large"
+            " for the exhaustive axiom screen; lower the depth"
+        )
+
+
 def term_universe(model, depth: int = 3) -> list[OperatorTable]:
     """Distinct tables of terms over 1, p, q up to the given nesting
-    depth of product/bar, in deterministic generation order."""
+    depth of product/bar, in deterministic generation order.  Stops
+    with ValueError as soon as the universe grows past what
+    check_intended_model can screen (SCREEN_ENTRIES_CAP)."""
     n = model.ground_size
     c = complement_table(n)
 
-    def bar_table(f: OperatorTable) -> OperatorTable:
-        return c.compose(f).compose(c)
-
     universe: dict[bytes, OperatorTable] = {}
+
+    def add(t: OperatorTable) -> None:
+        if universe.setdefault(t.key(), t) is t:
+            _check_universe_size(len(universe), n)
+
     for t in (identity_table(n), model.p, model.q):
-        universe.setdefault(t.key(), t)
+        add(t)
     for _ in range(depth):
         current = list(universe.values())
         for f in current:
-            b = bar_table(f)
-            universe.setdefault(b.key(), b)
+            add(c.compose(f).compose(c))
         for f in current:
             for g in current:
-                fg = f.compose(g)
-                universe.setdefault(fg.key(), fg)
+                add(f.compose(g))
     return list(universe.values())
 
 
@@ -692,19 +720,15 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     Equations and inequalities are checked exhaustively over the
     universe (products compare by table, the order is the pointwise
     subset order).  Product monotonicity is checked one side at a time,
-    which together with transitivity covers the two-sided rule.
+    which together with transitivity covers the two-sided rule.  A
+    universe too large to screen raises ValueError while it is built.
     """
     n = model.ground_size
     u = term_universe(model, depth)
     k = len(u)
+    _check_universe_size(k, n)  # the screen's own precondition
     c = complement_table(n)
     ident = identity_table(n)
-
-    if k * k * (1 << n) > (1 << 27):
-        raise ValueError(
-            f"universe of {k} tables at ground size {n} is too large"
-            " for the exhaustive axiom screen; lower the depth"
-        )
 
     # stacked entries: E[i] is the table of universe element i, and
     # P2[i, j] = E[i] after E[j], so P2 holds every pairwise product

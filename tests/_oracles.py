@@ -85,3 +85,66 @@ def monoid_size_brute(tables):
                     new.append(h)
         frontier = new
     return len(seen)
+
+
+def commuting_closure_pairs(n):
+    """Every ordered pair of closure tables at ground size n that
+    commute, built from moore_families_brute (n <= 3)."""
+    closures = [closure_of_family(n, fam) for fam in moore_families_brute(n)]
+    return [(p, q) for p in closures for q in closures
+            if compose_tables(p, q) == compose_tables(q, p)]
+
+
+def word_table(word, p, q, n):
+    """Table of a cpq-word on the pair (p, q), one subset at a time,
+    letters right to left, c the complement."""
+    full = (1 << n) - 1
+    out = []
+    for a in range(1 << n):
+        for letter in reversed(word):
+            a = full ^ a if letter == "c" else (p if letter == "p" else q)[a]
+        out.append(a)
+    return tuple(out)
+
+
+def identity_survey(maxlen, n):
+    """(equations, words examined in order) of the identity search,
+    word by word: every reduced cpq-word (no letter twice in a row) up
+    to maxlen in shortlex order (c < p < q), keyed by its tables over
+    every commuting closure pair at sizes <= n; a word whose key an
+    earlier word already has yields (word, earlier word)."""
+    pairs = [(size, p, q) for size in range(n + 1)
+             for p, q in commuting_closure_pairs(size)]
+    words = [""]
+    for length in range(1, maxlen + 1):
+        words += ["".join(w) for w in product("cpq", repeat=length)
+                  if all(a != b for a, b in zip(w, w[1:]))]
+    first, equations = {}, []
+    for w in words:
+        key = tuple(word_table(w, p, q, size) for size, p, q in pairs)
+        if key in first:
+            equations.append((w, first[key]))
+        else:
+            first[key] = w
+    return equations, words
+
+
+def term_table(term, p, q, n):
+    """Table of a theory term on the pair (p, q), by structural
+    recursion on the term's class: 1 the identity, a product the
+    composition (right factor first), bar(g) complement . g .
+    complement.  A variable raises ValueError, anything else
+    TypeError."""
+    full = (1 << n) - 1
+    kind = type(term).__name__
+    if kind == "Const":
+        return {"1": tuple(range(1 << n)), "p": tuple(p), "q": tuple(q)}[term.name]
+    if kind == "Prod":
+        return compose_tables(term_table(term.left, p, q, n),
+                              term_table(term.right, p, q, n))
+    if kind == "Bar":
+        inner = term_table(term.inner, p, q, n)
+        return tuple(full ^ inner[full ^ a] for a in range(1 << n))
+    if kind == "Var":
+        raise ValueError(f"open term (variable {term.name})")
+    raise TypeError(f"not a term: {term!r}")

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from closurelab import cli, models
+from closurelab import cli, idlab, models
 from closurelab import monoid as monoid_mod
 from closurelab.suites import KURATOWSKI_WORDS, SUITES, SuiteReport
 
@@ -161,6 +161,43 @@ def test_search_identities_json(capsys):
         "status": "holds",
     }
     assert all(entry["status"] == "holds" for entry in payload)
+
+
+@pytest.mark.parametrize("kind,flag,low,high", [
+    ("identities", "--n", 0, 3), ("identities", "--maxlen", 0, 16),
+    ("identities", "--limit", 0, None), ("counterexample", "--n", 0, 3),
+])
+def test_search_flags_are_checked_before_any_work(
+        capsys, monkeypatch, kind, flag, low, high):
+    calls = []
+
+    def stub_identities(maxlen, n=2, limit=None):
+        calls.append((maxlen, n, limit))
+        return [], "stub", 1
+
+    def stub_counterexample(lhs, rhs, max_n=2, commuting=False):
+        calls.append(max_n)
+        return idlab.EquationCertificate(lhs, rhs, "stub", "holds")
+
+    monkeypatch.setattr(idlab, "search_identities", stub_identities)
+    monkeypatch.setattr(idlab, "search_counterexample", stub_counterexample)
+    extra = ["--eq", "pq=qp"] if kind == "counterexample" else []
+    bad = [low - 1] if high is None else [low - 1, high + 1]
+    for value in bad:
+        code, out, err = run_cli(capsys, "search", kind, flag, str(value), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: search {kind} takes {flag} {low}")
+    assert calls == []
+    for value in [low] if high is None else [low, high]:
+        assert run_cli(capsys, "search", kind, flag, str(value), *extra)[0] in (0, 1)
+    assert len(calls) == (1 if high is None else 2)
+
+
+def test_search_identities_limit_zero_lists_no_equation(capsys):
+    code, out, _ = run_cli(capsys, "search", "identities", "--maxlen", "5",
+                           "--limit", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == ["words examined: 94", "equations found: 0"]
 
 
 def test_search_counterexample_refuted_exits_zero(capsys):

@@ -39,6 +39,7 @@ from _oracles import (
     closure_of_family,
     closures_by_filter,
     compose_tables,
+    identity_survey,
     moore_families_brute,
 )
 
@@ -390,6 +391,30 @@ def test_search_identities_limit_and_degenerate():
     assert cut == full[:7]
     with pytest.raises(ValueError):
         search_identities(-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_search_identities_matches_the_word_by_word_oracle(n):
+    # the oracle evaluates every reduced word from scratch in pure
+    # Python; its equations for a shorter maxlen are those of its
+    # shorter words, as shortlex order puts them first
+    equations, words = identity_survey(8, n)
+    for maxlen in range(9):
+        eqs, scope, examined = search_identities(maxlen, n=n)
+        assert scope == f"exhaustive-commuting-n<={n}"
+        assert examined == sum(1 for w in words if len(w) <= maxlen)
+        assert eqs == [(lhs, rhs) for lhs, rhs in equations if len(lhs) <= maxlen]
+    assert search_identities(8, n=n, limit=5)[0] == equations[:5]
+    assert search_identities(8, n=n, limit=0)[0] == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"maxlen": -1}, {"maxlen": idlab.MAXLEN_CAP + 1}, {"maxlen": 3, "n": -1},
+    {"maxlen": 3, "n": idlab.PAIR_ENUMERATION_CAP + 1}, {"maxlen": 3, "limit": -1},
+])
+def test_search_identities_rejects_out_of_range_arguments(kwargs):
+    with pytest.raises(ValueError):
+        search_identities(**kwargs)
 
 
 def test_search_rediscovers_the_long_fixture():

@@ -33,7 +33,7 @@ from closurelab.opalg import (
     table_from_function,
 )
 
-from _oracles import closure_of_family
+from _oracles import closure_of_family, compose_tables, moore_families_brute
 
 
 def test_mask_helpers():
@@ -287,6 +287,87 @@ def test_eval_word_stack_matches_per_row_composition():
         eval_word_stack("pxq", p, q)
     with pytest.raises(ValueError):
         eval_word_stack("pcq", p, q, c[:2])
+
+
+def test_flat_word_kernel_matches_per_row_composition():
+    n, size = 3, 8
+    closures = [closure_of_family(n, fam) for fam in moore_families_brute(n)]
+    # inclusion-reversing involutions written out: complement after a
+    # lifted involutive permutation of the ground set
+    thetas = []
+    for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1)):
+        lift = [sum(1 << perm[i] for i in range(n) if a >> i & 1) for a in range(size)]
+        thetas.append(tuple(lift[(size - 1) ^ a] for a in range(size)))
+    rows = len(closures)
+    ps = closures
+    qs = closures[::-1]
+    cs = [thetas[i % len(thetas)] for i in range(rows)]
+
+    def reference(word, p, q, c):
+        out = tuple(range(size))
+        for letter in reversed(word):
+            out = compose_tables({"p": p, "q": q, "c": c}[letter], out)
+        return out
+
+    words = ("", "c", "p", "cc", "qcp", "pqcpq", "cpcqcpcqc", "ppqqcc")
+    for k in (0, 1, 2, rows):
+        p = np.array(ps[:k], dtype=np.int64).reshape(k, size)
+        q = np.array(qs[:k], dtype=np.int64).reshape(k, size)
+        c = np.array(cs[:k], dtype=np.int64).reshape(k, size)
+        complement = [tuple((size - 1) ^ a for a in range(size))] * k
+        for word in words:
+            plain = eval_word_stack(word, p, q)
+            subst = eval_word_stack(word, p, q, c)
+            narrow = eval_word_stack(word, p.astype(np.uint8), q.astype(np.uint8),
+                                     c.astype(np.uint8))
+            assert plain.shape == subst.shape == narrow.shape == (k, size)
+            assert plain.dtype == subst.dtype == narrow.dtype == np.int64
+            assert [tuple(r) for r in plain.tolist()] == [
+                reference(word, *abc) for abc in zip(ps[:k], qs[:k], complement)]
+            assert [tuple(r) for r in subst.tolist()] == [
+                reference(word, *abc) for abc in zip(ps[:k], qs[:k], cs[:k])]
+            assert np.array_equal(narrow, subst)
+    # one row through the single-model wrapper, with and without theta
+    a, b = OperatorTable(n, ps[5]), OperatorTable(n, qs[5])
+    theta = OperatorTable(n, thetas[1])
+    for word in words:
+        assert eval_word(word, a, b).entries.tolist() == list(
+            reference(word, ps[5], qs[5], thetas[0]))
+        assert eval_word(word, a, b, theta).entries.tolist() == list(
+            reference(word, ps[5], qs[5], thetas[1]))
+
+
+def test_closure_rows_matches_check_closure_per_pair():
+    # pq over every ordered closure pair at n <= 3: the product of a
+    # noncommuting pair can fail to be a closure, that of a commuting
+    # pair never does
+    from closurelab import idlab
+
+    failing = 0
+    for n in range(4):
+        run = idlab._pair_run(n, False)
+        pq = eval_word_stack("pq", run.p, run.q)
+        got = opalg.closure_rows(pq, n)
+        want = [check_closure(m.p.compose(m.q)).ok for m in run.models()]
+        assert got.tolist() == want
+        assert all(got[i] for i, m in enumerate(run.models()) if m.commuting)
+        failing += len(want) - sum(want)
+        # the monotonicity screen row by row, against one table at a time
+        mono = opalg._monotone_fast(pq, n)
+        assert mono.tolist() == [bool(opalg._monotone_fast(row, n)) for row in pq]
+    assert failing > 0
+    # each axiom failing alone, next to closures in the same stack: a
+    # table that is monotone and idempotent but not expanding, one
+    # expanding and idempotent but not monotone, one expanding and
+    # monotone but not idempotent
+    stack = np.array([[0, 0, 0, 3], [1, 1, 2, 3], [1, 3, 3, 3],
+                      [0, 1, 2, 3], [3, 3, 3, 3], [0, 3, 3, 3]])
+    reports = [check_closure(OperatorTable(2, r)) for r in stack]
+    assert [(r.expanding.passed, r.monotone.passed, r.idempotent.passed)
+            for r in reports] == [(False, True, True), (True, False, True),
+                                  (True, True, False)] + [(True, True, True)] * 3
+    assert opalg.closure_rows(stack, 2).tolist() == [False] * 3 + [True] * 3
+    assert opalg._monotone_fast(stack, 2).tolist() == [True, False] + [True] * 4
 
 
 def test_eval_word_with_substitute_involution():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from closurelab import idlab
+from closurelab import idlab, suites
 from closurelab.opalg import complement_table, reversed_involution
 from closurelab.suites import (
     FIXTURE_FAILURE,
@@ -89,6 +89,27 @@ def test_pair_failures_report_each_failure_in_order():
     assert {t for _, _, t, _ in got} == {0, 1}
     assert got == _pair_failures_by_hand(
         "pcq", "qcp", 2, [tuple(row.tolist()) for row in both])
+
+
+def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
+    # two distinct involutions spread over five rows: each table is
+    # evaluated once, and each failure is reported for every row that
+    # holds the table, in (p, q, theta) order
+    comp, theta = complement_table(2), reversed_involution([1, 0])
+    stack = np.stack([t.entries for t in (comp, theta, comp, theta, comp)])
+    rows = []
+    kernel = suites.eval_word_stack
+
+    def counted(word, p, q, c=None):
+        rows.append(len(c))
+        return kernel(word, p, q, c)
+
+    monkeypatch.setattr(suites, "eval_word_stack", counted)
+    got = _pair_failures("pcq", "qcp", 2, stack)
+    assert got == _pair_failures_by_hand(
+        "pcq", "qcp", 2, [tuple(row.tolist()) for row in stack])
+    assert {t for _, _, t, _ in got} == {0, 1, 2, 3, 4}
+    assert rows == [7 * 2] * (2 * 7)  # 7 closures times 2 tables, 2 words per p
 
 
 def test_kuratowski_suite():

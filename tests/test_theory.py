@@ -1,11 +1,16 @@
 """Tests for the term language, the proof checker and the axiom screen."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from closurelab.idlab import enumerate_commuting_pairs, enumerate_closures
+from closurelab.idlab import (
+    enumerate_all_pairs,
+    enumerate_closures,
+    enumerate_commuting_pairs,
+)
 from closurelab.models import pij_pair
 from closurelab.opalg import eval_word
 from closurelab.theory import (
@@ -29,9 +34,12 @@ from closurelab.theory import (
     substitute,
     term_universe,
     term_variables,
+    term_word,
     TermSyntaxError,
 )
 from closurelab.words import Word, to_term
+
+from _oracles import term_table
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +140,50 @@ def test_eval_term_open_term_rejected():
     m = _small_models()[0]
     with pytest.raises(ValueError):
         eval_term(Var("x"), m)
+
+
+def _random_term(rng, depth, var_odds):
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < var_odds:
+            return Var("x")
+        return rng.choice((ONE, P, Q))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Bar(_random_term(rng, depth - 1, var_odds))
+    return Prod(_random_term(rng, depth - 1, var_odds),
+                _random_term(rng, depth - 1, var_odds))
+
+
+def test_eval_term_matches_the_recursive_oracle():
+    rng = random.Random(20251018)
+    models = [m for n in range(4)
+              for m in rng.sample(enumerate_all_pairs(n), min(3, 1 << n))]
+    assert any(not m.commuting for m in models)
+    opened = 0
+    for _ in range(300):
+        term = _random_term(rng, rng.randrange(1, 7), 0.03)
+        for m in models:
+            try:
+                want = term_table(term, m.p.entries.tolist(), m.q.entries.tolist(),
+                                  m.ground_size)
+            except ValueError:
+                opened += 1
+                with pytest.raises(ValueError, match="open term"):
+                    eval_term(term, m)
+                continue
+            got = eval_term(term, m)
+            assert got.ground_size == m.ground_size
+            assert tuple(got.entries.tolist()) == want, print_term(term)
+    assert opened  # some terms hold a variable
+    # nested bars and units, written out
+    assert term_word(parse_term("bar(bar(p1)q)1bar(1)")) == "ccpcqccc"
+
+
+def test_eval_term_rejects_non_terms():
+    m = _small_models()[0]
+    for bad in (Prod(P, "q"), Bar(3), "p"):
+        with pytest.raises(TypeError, match="not a term"):
+            eval_term(bad, m)
 
 
 def test_translation_matches_word_evaluation_exhaustive():
@@ -401,6 +453,31 @@ def test_term_universe_deterministic_and_closed():
     from closurelab.opalg import identity_table
     assert identity_table(m.ground_size).key() in keys
     assert m.p.key() in keys and m.q.key() in keys
+
+
+def test_term_universe_stops_as_soon_as_it_outgrows_the_screen(monkeypatch):
+    from closurelab import theory
+    from closurelab.opalg import OperatorTable
+
+    m = pij_pair(1, 0, 3)
+    calls = []
+    compose = OperatorTable.compose
+
+    def counted(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(OperatorTable, "compose", counted)
+    assert len(term_universe(m, depth=3)) == 11
+    whole = len(calls)
+    # room for 7 tables at ground size 6: the 8th stops the build
+    monkeypatch.setattr(theory, "SCREEN_ENTRIES_CAP", 7 * 7 * 64)
+    del calls[:]
+    with pytest.raises(ValueError, match="universe of 8 tables"):
+        term_universe(m, depth=3)
+    assert 0 < len(calls) < whole
+    with pytest.raises(ValueError, match="universe of 8 tables"):
+        check_intended_model(m, depth=3)
 
 
 def test_universe_size_guard(monkeypatch):
