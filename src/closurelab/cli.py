@@ -10,6 +10,8 @@ Reports are deterministic for fixed flags.  Wall-clock facts go on
 comment lines starting with "# " so byte comparison after dropping
 that header is stable across runs.  Every command runs in one
 process; --workers is still accepted (at least 1) but changes nothing.
+verify passes a suite only the scope flags that are given, so an unset
+one takes the suite's own default.
 Exit codes: 0 pass, 1 check failure, 2 usage error.
 """
 
@@ -70,25 +72,13 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str, elapsed: float)
 # verify
 
 
-_SUITE_DEFAULTS = {
-    "theorem1": {"n": 2},
-    "kuratowski14": {"n": 4},
-    "theorem2": {"n": 3},
-    "fixtures": {"n": 3},
-    "section4": {"m": 4},
-    "example3": {"M": 10},
-    "lemma6": {},
-    "interior": {"n": 3},
-    "pq-closure": {"n": 3},
-    "remark-involution": {"n": 3},
-}
-
-#: the values each suite accepts for its scope flags, as inclusive
-#: (low, high) bounds; cmd_verify rejects any other value as a usage
-#: error before the suite runs.  n is capped by the exhaustive
-#: enumeration a suite walks; windows span at least 2 elements, and
-#: the flagged cycle (ground size 2m + 2) and the segment {0..M}
-#: (ground size M + 1) must fit the table cap.
+#: the scope flags of each suite, with the values it accepts as
+#: inclusive (low, high) bounds; cmd_verify rejects any other value as
+#: a usage error before the suite runs, and passes a flag that is set
+#: on to the suite, which has its own default for one left unset.  n
+#: is capped by the exhaustive enumeration a suite walks; windows span
+#: at least 2 elements, and the flagged cycle (ground size 2m + 2) and
+#: the segment {0..M} (ground size M + 1) must fit the table cap.
 _SUITE_RANGES = {
     "theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
     "kuratowski14": {"n": (0, idlab.ENUMERATION_CAP)},
@@ -121,22 +111,16 @@ def _in_ranges(command: str, ranges: dict, values: dict) -> bool:
 
 def cmd_verify(args) -> int:
     name = args.name
-    kwargs = dict(_SUITE_DEFAULTS[name])
-    if "n" in kwargs and args.n is not None:
-        kwargs["n"] = args.n
-    if "m" in kwargs and args.m is not None:
-        kwargs["m"] = args.m
-    if "M" in kwargs and args.M is not None:
-        kwargs["M"] = args.M
-    if name == "theorem2":
-        kwargs["samples"] = args.samples
-        kwargs["seed"] = args.seed
-
     if args.format not in ("text", "json"):
         print("verify supports --format text or json", file=sys.stderr)
         return 2
-    if not _in_ranges(f"verify {name}", _SUITE_RANGES[name], kwargs):
+    if not _in_ranges(f"verify {name}", _SUITE_RANGES[name], vars(args)):
         return 2
+    kwargs = {flag: getattr(args, flag) for flag in _SUITE_RANGES[name]
+              if getattr(args, flag) is not None}
+    if name == "theorem2":
+        kwargs["samples"] = args.samples
+        kwargs["seed"] = args.seed
 
     # A ValueError raised inside a suite is a bug, not a usage error,
     # and propagates.
@@ -398,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eq", default=None, help='equation "LHS=RHS" to refute')
     common(s)
 
-    d = sub.add_parser("dump", help="serialize models and derived artifacts")
+    # no prefix matching, or a stray --n would be taken for --name
+    d = sub.add_parser("dump", help="serialize models and derived artifacts",
+                       allow_abbrev=False)
     d.add_argument("what", choices=["model", "monoid", "orbit", "hasse"])
     d.add_argument("--name", default=None, help="model name for dump model")
     d.add_argument("--model", default=None, help="model name for monoid/orbit/hasse")
@@ -407,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--start", default=None, help="comma list of element names")
     d.add_argument("--iters", type=int, default=10)
     d.add_argument("--cap", type=int, default=monoid_mod.DEFAULT_CAP)
-    d.add_argument("--n", type=int, default=None)
     d.add_argument("--m", type=int, default=None)
     d.add_argument("--M", type=int, default=None)
     common(d)

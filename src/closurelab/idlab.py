@@ -21,21 +21,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby, product
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .models import ClosurePairModel
+from .monoid import generate_monoid
 from .opalg import (
+    FlatScope,
     OperatorTable,
     closure_from_fixed_points,
     closures_from_fixed_points,
     commutes,
+    complement_table,
     elements_of,
     eval_word_on,
-    eval_word_stack,
 )
 from .words import BLOCK_CHOICES, KURATOWSKI_WORDS, theorem2_word
 
@@ -75,7 +77,10 @@ def _moore_family_masks(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _closures(n: int) -> tuple[OperatorTable, ...]:
+def _closure_stack(n: int) -> np.ndarray:
+    """The entries of every closure at ground size n, one read-only row
+    each, in canonical order: lexicographic by entry array, entry 0 the
+    primary key."""
     if not 0 <= n <= ENUMERATION_CAP:
         raise ValueError(
             f"exhaustive closure enumeration supports n <= {ENUMERATION_CAP}"
@@ -84,9 +89,12 @@ def _closures(n: int) -> tuple[OperatorTable, ...]:
     rows = closures_from_fixed_points(
         n, [[s for s in range(size) if (fam >> s) & 1] for fam in _moore_family_masks(n)]
     )
-    # lexicographic order of the entry arrays, entry 0 the primary key
-    order = np.lexsort(rows.T[::-1])
-    return tuple(OperatorTable(n, rows[i], _validate=False) for i in order)
+    return _frozen(rows[np.lexsort(rows.T[::-1])])
+
+
+@lru_cache(maxsize=None)
+def _closures(n: int) -> tuple[OperatorTable, ...]:
+    return tuple(OperatorTable(n, row, _validate=False) for row in _closure_stack(n))
 
 
 def enumerate_closures(n: int) -> list[OperatorTable]:
@@ -95,34 +103,13 @@ def enumerate_closures(n: int) -> list[OperatorTable]:
     return list(_closures(n))
 
 
-@lru_cache(maxsize=None)
-def _commuting_index_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    closures = _closures(n)
-    out = []
-    for i, p in enumerate(closures):
-        for j, q in enumerate(closures):
-            if commutes(p, q):
-                out.append((i, j))
-    return tuple(out)
-
-
-def _pair_model(n: int, i: int, j: int, commuting: bool) -> ClosurePairModel:
-    closures = _closures(n)
-    return ClosurePairModel(
-        provenance="enumerated",
-        p=closures[i],
-        q=closures[j],
-        label=f"n={n} p#{i} q#{j}",
-        commuting=commuting,
-    )
-
-
 @dataclass(frozen=True)
 class ModelRun:
     """Consecutive models of one ground size, in scope order, with
-    their p and q tables stacked into read-only (k, 2**n) arrays so a
-    word is evaluated on all k models at once.  model_at(i) returns
-    the i-th model; exhaustive runs build it only when asked."""
+    their p and q tables stacked into read-only (k, 2**n) arrays.  Its
+    flat scope, built on first use and kept, evaluates a word on all k
+    models at once.  model_at(i) returns the i-th model; exhaustive
+    runs build it only when asked."""
 
     ground_size: int
     p: np.ndarray
@@ -134,6 +121,10 @@ class ModelRun:
 
     def models(self) -> Iterator[ClosurePairModel]:
         return (self.model_at(i) for i in range(len(self)))
+
+    @cached_property
+    def flat(self) -> FlatScope:
+        return FlatScope(self.p, self.q)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -163,22 +154,31 @@ def _pair_run(n: int, commuting: bool) -> ModelRun:
         raise ValueError(
             f"exhaustive pair enumeration supports n <= {PAIR_ENUMERATION_CAP}"
         )
-    closures = _closures(n)
-    commuting_pairs = frozenset(_commuting_index_pairs(n))
-    pairs = (
-        _commuting_index_pairs(n) if commuting
-        else tuple(product(range(len(closures)), repeat=2))
-    )
+    stack = _closure_stack(n)
+    k = len(stack)
+    # pair i * k + j is (p#i, q#j)
+    pairs = np.flatnonzero(_commute_flags(n)) if commuting else np.arange(k * k)
 
-    def model_at(k: int) -> ClosurePairModel:
-        i, j = pairs[k]
-        return _pair_model(n, i, j, (i, j) in commuting_pairs)
+    def model_at(r: int) -> ClosurePairModel:
+        i, j = divmod(int(pairs[r]), k)
+        return ClosurePairModel(
+            provenance="enumerated", p=_closures(n)[i], q=_closures(n)[j],
+            label=f"n={n} p#{i} q#{j}",
+            commuting=commuting or bool(_commute_flags(n)[pairs[r]]),
+        )
 
-    tables = np.stack([t.entries for t in closures])
-    index = np.array(pairs, dtype=np.intp)
-    return ModelRun(
-        n, _frozen(tables[index[:, 0]]), _frozen(tables[index[:, 1]]), model_at
-    )
+    return ModelRun(n, _frozen(stack[pairs // k]), _frozen(stack[pairs % k]), model_at)
+
+
+@lru_cache(maxsize=None)
+def _commute_flags(n: int) -> np.ndarray:
+    """Which ordered closure pairs at ground size n commute, pair
+    i * k + j being (p#i, q#j) of the k closures: one pq vs qp screen
+    over all of them, on stacks that are not kept."""
+    stack = _closure_stack(n)
+    k = len(stack)
+    flat = FlatScope(np.repeat(stack, k, axis=0), np.tile(stack, (k, 1)))
+    return _frozen(np.all(flat.eval("pq") == flat.eval("qp"), axis=1))
 
 
 def enumerate_commuting_pairs(n: int) -> list[ClosurePairModel]:
@@ -273,11 +273,6 @@ class Scope:
         )
 
     @staticmethod
-    def exhaustive_at(n: int, commuting: bool = True) -> "Scope":
-        kind = "commuting" if commuting else "all"
-        return Scope(f"exhaustive-{kind}-n={n}", lambda: [_pair_run(n, commuting)])
-
-    @staticmethod
     def sampled(n: int, count: int, seed: int = DEFAULT_SEED) -> "Scope":
         if count < 0:
             raise ValueError(f"sample count must be nonnegative, got {count}")
@@ -348,7 +343,7 @@ def test_equation(lhs, rhs, family: Scope) -> EquationCertificate:
     lhs, rhs = str(lhs), str(rhs)
     checked = 0
     for run in family.runs():
-        diff = eval_word_stack(lhs, run.p, run.q) != eval_word_stack(rhs, run.p, run.q)
+        diff = run.flat.eval(lhs) != run.flat.eval(rhs)
         refuting = diff.any(axis=1)
         if refuting.any():
             k = int(refuting.argmax())
@@ -380,10 +375,9 @@ def replay_certificate(cert: EquationCertificate, family: Optional[Scope] = None
         return True
     left = sample
     for run in family.runs():
-        p, q = run.p[:left], run.q[:left]
-        if np.any(eval_word_stack(cert.lhs, p, q) != eval_word_stack(cert.rhs, p, q)):
+        if np.any((run.flat.eval(cert.lhs) != run.flat.eval(cert.rhs))[:left]):
             return False
-        left -= len(p)
+        left -= min(left, len(run))
         if not left:
             break
     return True
@@ -426,25 +420,6 @@ def sigma_probe(equations, samples: int = 25, seed: int = DEFAULT_SEED):
 MAXLEN_CAP = 16
 
 
-def _scope_letters(n: int) -> dict[str, np.ndarray]:
-    """The c, p and q tables of every commuting closure pair at ground
-    sizes <= n laid end to end in one flat vector: model i occupies
-    offset o_i .. o_i + 2**n_i - 1, and each table maps o_i + a to o_i
-    plus the image of a, so one 1-D gather applies a letter in every
-    model.  c is a gather too, as the ground sizes differ."""
-    letters = {"c": [], "p": [], "q": []}
-    offset = 0
-    for size in range(n + 1):
-        run = _pair_run(size, True)
-        k, width = run.p.shape
-        shift = np.arange(offset, offset + k * width, width, dtype=np.int64)[:, None]
-        letters["c"].append((shift + ((width - 1) ^ np.arange(width))).reshape(-1))
-        letters["p"].append((run.p + shift).reshape(-1))
-        letters["q"].append((run.q + shift).reshape(-1))
-        offset += k * width
-    return {ch: np.concatenate(parts) for ch, parts in letters.items()}
-
-
 def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     """Shortlex survey of reduced words (no cc, pp, qq factor), bucketed
     by their joint evaluation over every commuting pair at sizes <= n.
@@ -456,10 +431,11 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     to the first limit when limit is given.
 
     The search walks the word automaton of the scope: a state is the
-    flat vector of a word's tables over all models (_scope_letters),
-    each distinct state gets an id the first time a word reaches it,
-    and each (state, letter) step is one gather, made once and then
-    looked up.  The frontier holds (word, state id) pairs.
+    flat vector of a word's tables over all models (laid end to end by
+    FlatScope.end_to_end), each distinct state gets an id the first
+    time a word reaches it, and each (state, letter) step is one
+    gather, made once and then looked up.  The frontier holds (word,
+    state id) pairs.
     """
     if not 0 <= maxlen <= MAXLEN_CAP:
         raise ValueError(f"maxlen must be in 0..{MAXLEN_CAP}, got {maxlen}")
@@ -467,7 +443,8 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
         raise ValueError(f"n must be in 0..{PAIR_ENUMERATION_CAP}, got {n}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    letters = _scope_letters(n)
+    runs = (_pair_run(size, True) for size in range(n + 1))
+    letters = FlatScope.end_to_end((run.p, run.q) for run in runs)
     # a state's entries are positions in the flat vector, kept in the
     # narrowest dtype; its array is a view of its key's bytes
     width = len(letters["c"])
@@ -532,12 +509,6 @@ WITNESS_SEARCH_BASE = 777000
 WITNESS_BLOCK_ENTRIES = 1 << 14
 
 
-def _closure_stack(n: int) -> np.ndarray:
-    """The entries of every closure at ground size n, one row each, in
-    canonical order."""
-    return np.stack([t.entries for t in _closures(n)])
-
-
 def _witness_family(n: int, trial: int) -> list[int]:
     """Fixed-point family of seeded witness-search trial number trial."""
     rng = random.Random(WITNESS_SEARCH_BASE + trial)
@@ -564,16 +535,43 @@ def _witness_blocks(n: int, trials: int) -> Iterator[np.ndarray]:
         )
 
 
+def _kc_tables(ks: np.ndarray, words=KURATOWSKI_WORDS) -> Iterator[np.ndarray]:
+    """The (rows, 2**n) table of each word over k and c ("1" the empty
+    word) on each operator k of a (rows, 2**n) stack, in the narrowest
+    dtype, one word at a time from one flat scope."""
+    flat = FlatScope(ks, ks)
+    dtype = np.min_scalar_type(ks.shape[1] - 1)
+    for w in words:
+        yield flat.eval(w.replace("1", "").replace("k", "p")).astype(dtype)
+
+
+def _kc_monoid_sizes(ks: np.ndarray) -> np.ndarray:
+    """The size of the monoid of k and complement for each operator k
+    of a (rows, 2**n) stack.  Where k and c map the tables of the 14
+    KURATOWSKI_WORDS back among themselves, those tables are the whole
+    monoid, and its size is how many of them are distinct (every
+    closure, by Kuratowski's theorem); any other row gets a monoid BFS.
+    Tables compare whole, as one void key each, and the 28 products
+    are screened one at a time, which keeps every array small."""
+    rows, size = ks.shape
+    words = KURATOWSKI_WORDS
+    tables = _kc_tables(ks, words + tuple(g + w for g in "kc" for w in words))
+    keys = (t.view(np.dtype((np.void, size * t.itemsize)))[:, 0] for t in tables)
+    own = np.stack([next(keys) for _ in words], axis=1)
+    ordered = np.sort(own, axis=1)
+    sizes = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
+    closed = np.all([(key[:, None] == own).any(axis=1) for key in keys], axis=0)
+    n = size.bit_length() - 1
+    for row in np.flatnonzero(~closed):
+        sizes[row] = len(generate_monoid([OperatorTable(n, ks[row]), complement_table(n)]))
+    return sizes
+
+
 def _first_separating_seeds(closures: np.ndarray) -> np.ndarray:
     """For each closure k of a (rows, 2**n) stack, the smallest seed
-    subset on which the 14 words of KURATOWSKI_WORDS (k for p) take 14
-    pairwise distinct values, or -1 if there is none."""
-    size = closures.shape[1]
-    tables = np.empty((len(KURATOWSKI_WORDS),) + closures.shape,
-                      dtype=np.min_scalar_type(size - 1))
-    tables[0] = np.arange(size)
-    for table, w in zip(tables[1:], KURATOWSKI_WORDS[1:]):
-        table[...] = eval_word_stack(w.replace("k", "p"), closures, closures)
+    subset on which the 14 words of KURATOWSKI_WORDS take 14 pairwise
+    distinct values, or -1 if there is none."""
+    tables = np.stack(list(_kc_tables(closures)))
     # sorted along the word axis, 14 distinct values have no equal
     # neighbours
     tables.sort(axis=0)

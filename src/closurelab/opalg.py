@@ -433,7 +433,7 @@ def closure_rows(entries: np.ndarray, n: int) -> np.ndarray:
     table and names witnesses."""
     masks = np.arange(1 << n, dtype=np.int64)
     expanding = ~np.any(masks & ~entries, axis=-1)
-    idempotent = ~np.any(eval_word_stack("pp", entries, entries) != entries, axis=-1)
+    idempotent = ~np.any(FlatScope(entries, entries).eval("pp") != entries, axis=-1)
     return expanding & idempotent & _monotone_fast(entries, n)
 
 
@@ -541,8 +541,8 @@ def eval_word(word, p: OperatorTable, q: OperatorTable,
     word may be a str or anything whose str() is the letter sequence.
     c defaults to the complement table; passing another table (for
     instance a different inclusion-reversing involution) substitutes it
-    for every c letter.  This is eval_word_stack on a single model,
-    whose one row needs no offset.
+    for every c letter.  This is FlatScope.eval on a single model,
+    whose one row needs no offset, so no scope is built.
     """
     text = _word_letters(word)
     n = p.ground_size
@@ -555,35 +555,51 @@ def eval_word(word, p: OperatorTable, q: OperatorTable,
     return OperatorTable(n, v, _validate=False)
 
 
-def eval_word_stack(word, p: np.ndarray, q: np.ndarray,
-                    c: Optional[np.ndarray] = None) -> np.ndarray:
-    """Tables of a cpq-word on k models at once.
+class FlatScope:
+    """k models of one ground size n in one flat vector, row i at offset
+    i * 2**n, so that a word is evaluated on all of them at once.
 
     p and q are (k, 2**n) stacks of entry arrays, row i holding the
-    tables of model i, and row i of the (k, 2**n) int64 result holds
-    the entries of the word on model i.  c is complementation against
-    the full mask unless a (k, 2**n) stack is given to substitute for
-    every c letter.
-
-    The stacks are laid end to end in one flat vector, row i at offset
-    i * 2**n, and each table the word uses is shifted once by its row's
-    offset, so every letter is one 1-D gather across all rows.  The
-    offsets are multiples of 2**n, so complementing is still an XOR
-    with the full mask, and masking with it at the end drops them.
+    tables of model i; c is complementation unless a (k, 2**n) stack is
+    given to substitute for every c letter.  Each stack is shifted by
+    its rows' offsets once, when the scope is built, and each letter is
+    then one 1-D gather across all rows.  The offsets are multiples of
+    2**n, so complementing is an XOR with the full mask, and masking
+    with it at the end drops them.
     """
-    text = _word_letters(word)
-    k, size = p.shape
-    if q.shape != p.shape or (c is not None and c.shape != p.shape):
-        raise ValueError("ground sizes differ")
-    offsets = np.arange(0, k * size, size, dtype=np.int64)[:, None]
-    tables = {
-        letter: (stack + offsets).reshape(-1)
-        for letter, stack in (("c", c), ("p", p), ("q", q))
-        if stack is not None and letter in text
-    }
-    v = _apply_letters(text, tables, np.arange(k * size, dtype=np.int64), size - 1)
-    v &= size - 1
-    return v.reshape(k, size)
+
+    def __init__(self, p: np.ndarray, q: np.ndarray, c: Optional[np.ndarray] = None):
+        k, size = p.shape
+        if q.shape != p.shape or (c is not None and c.shape != p.shape):
+            raise ValueError("ground sizes differ")
+        offsets = np.arange(0, k * size, size, dtype=np.int64)[:, None]
+        self.shape = (k, size)
+        self.tables = {letter: (stack + offsets).reshape(-1)
+                       for letter, stack in (("c", c), ("p", p), ("q", q))
+                       if stack is not None}
+
+    def eval(self, word) -> np.ndarray:
+        """The (k, 2**n) int64 tables of a cpq-word, letters acting
+        right-to-left as usual, row i on model i."""
+        text = _word_letters(word)
+        k, size = self.shape
+        v = _apply_letters(text, self.tables, np.arange(k * size, dtype=np.int64), size - 1)
+        v &= size - 1
+        return v.reshape(k, size)
+
+    @staticmethod
+    def end_to_end(runs) -> dict[str, np.ndarray]:
+        """The flat c, p and q tables of several (p, q) stack pairs of
+        any ground sizes laid end to end, each run's tables moved past
+        the runs before it; c is a table, complementing in each run's
+        own ground size."""
+        parts, start = [], 0
+        for p, q in runs:
+            size = p.shape[1]
+            c = np.broadcast_to((size - 1) ^ np.arange(size), p.shape)
+            parts.append({ch: t + start for ch, t in FlatScope(p, q, c).tables.items()})
+            start += p.size
+        return {ch: np.concatenate([part[ch] for part in parts]) for ch in "cpq"}
 
 
 def _apply_letters(text: str, tables: dict, v: np.ndarray, full: int) -> np.ndarray:

@@ -7,9 +7,12 @@ comment lines prefixed with "# " so reports can be compared byte for
 byte after dropping that header.
 
 Every suite runs in one process.  Identities over closure pairs are
-checked with opalg.eval_word_stack: one gather per letter over a whole
-stack of tables, so there is one evaluation kernel rather than a loop
-per suite.
+checked on an opalg.FlatScope, built once over a whole stack of tables
+and then one gather per letter for every word, so there is one
+evaluation kernel rather than a loop per suite.  kuratowski14 counts
+each closure's monoid with k and c as the number of distinct tables
+among the 14 Kuratowski words, having checked that k and c map those
+tables back among themselves.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from . import idlab, models
 from . import monoid as monoid_mod
 from .opalg import (
+    FlatScope,
     check_closure,
     check_interior,
     closure_rows,
@@ -31,7 +35,6 @@ from .opalg import (
     conjugated_involution,
     elements_of,
     eval_word_on,
-    eval_word_stack,
     is_reversing_involution,
     leq,
     reversed_involution,
@@ -83,8 +86,8 @@ def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
     c = np.tile(distinct, (len(closures), 1))
     failures = []
     for i, row in enumerate(closures):
-        p = np.broadcast_to(row, q.shape)
-        diff = eval_word_stack(lhs, p, q, c) != eval_word_stack(rhs, p, q, c)
+        flat = FlatScope(np.broadcast_to(row, q.shape), q, c)
+        diff = flat.eval(lhs) != flat.eval(rhs)
         diff = diff.reshape(len(closures), len(distinct), -1)
         for j, t in zip(*np.nonzero(diff.any(axis=2)[:, inverse])):
             failures.append((i, int(j), int(t), int(diff[j, inverse[t]].argmax())))
@@ -122,18 +125,13 @@ def suite_theorem1(n: int = 2) -> SuiteReport:
 
 
 def suite_kuratowski14(n: int = 4) -> SuiteReport:
-    closures = idlab.enumerate_closures(n)
-    c = complement_table(n)
-    sizes = [
-        len(monoid_mod.generate_monoid([k, c], names=("k", "c"))) for k in closures
-    ]
+    stack = idlab._closure_stack(n)
+    sizes = idlab._kc_monoid_sizes(stack).tolist()
     max_size = max(sizes)
     over = [(i, size) for i, size in enumerate(sizes) if size > 14]
     # kckckck = kck, with k as p and q alike
-    stack = idlab._closure_stack(n)
-    hammer = (
-        eval_word_stack("pcpcpcp", stack, stack) != eval_word_stack("pcp", stack, stack)
-    )
+    flat = FlatScope(stack, stack)
+    hammer = flat.eval("pcpcpcp") != flat.eval("pcp")
     hammer_bad = np.flatnonzero(hammer.any(axis=1)).tolist()
 
     k, seed = models.kuratowski_witness()
@@ -154,7 +152,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     report.lines = [
         "verify kuratowski14",
         f"n: {n}",
-        f"{len(closures)} closures, max monoid {max_size}",
+        f"{len(stack)} closures, max monoid {max_size}",
         f"monoids over 14: {len(over)}",
         f"hammer kckckck = kck failures: {len(hammer_bad)}",
         f"witness ground size: {k.ground_size}",
@@ -165,7 +163,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     ]
     report.data = {
         "n": n,
-        "closures": len(closures),
+        "closures": len(stack),
         "max_monoid": max_size,
         "over_14": over,
         "hammer_failures": hammer_bad,
@@ -535,7 +533,7 @@ def suite_pq_closure(n: int = 3) -> SuiteReport:
     counts = []
     for size in range(n + 1):
         run = idlab._pair_run(size, True)
-        bad = int((~closure_rows(eval_word_stack("pq", run.p, run.q), size)).sum())
+        bad = int((~closure_rows(run.flat.eval("pq"), size)).sum())
         counts.append((size, len(run), bad))
         report.passed &= bad == 0
         lines.append(

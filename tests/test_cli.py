@@ -104,6 +104,26 @@ def test_verify_scope_flags_are_checked_before_the_suite_runs(
     assert calls == [low, high]
 
 
+def test_verify_passes_only_the_flags_that_are_set(capsys, monkeypatch):
+    # a scope flag left unset takes the suite's own default, and a
+    # flag the suite has no use for is not passed on
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs)
+        return SuiteReport("stub", True, ["stub"], {})
+
+    for name in ("theorem1", "section4", "lemma6", "theorem2"):
+        monkeypatch.setitem(SUITES, name, stub)
+    assert run_cli(capsys, "verify", "theorem1")[0] == 0
+    assert run_cli(capsys, "verify", "theorem1", "--n", "3", "--m", "4")[0] == 0
+    assert run_cli(capsys, "verify", "section4", "--n", "3")[0] == 0
+    assert run_cli(capsys, "verify", "lemma6", "--M", "5")[0] == 0
+    assert run_cli(capsys, "verify", "theorem2", "--samples", "2")[0] == 0
+    assert calls == [{}, {"n": 3}, {}, {},
+                     {"samples": 2, "seed": idlab.DEFAULT_SEED}]
+
+
 def test_verify_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(**kwargs):
         raise ValueError("internal fault")
@@ -275,6 +295,15 @@ def test_dump_model_flag_errors(capsys):
     code, _, err = run_cli(capsys, "dump", "model", "--name", "pij(1)")
     assert code == 2
     assert "pij" in err
+
+
+def test_dump_has_no_n_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dump", "monoid", "--model", "witness14", "--n", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n" in captured.err
 
 
 def test_dump_monoid_witness14(capsys):

@@ -132,7 +132,6 @@ def test_sampler_size_guard():
 def test_scope_descriptions():
     assert Scope.exhaustive(3).description == "exhaustive-commuting-n<=3"
     assert Scope.exhaustive(2, commuting=False).description == "exhaustive-all-n<=2"
-    assert Scope.exhaustive_at(2).description == "exhaustive-commuting-n=2"
     assert Scope.sampled(4, 25).description == (
         f"sampled(n=4,count=25,seed={DEFAULT_SEED})"
     )
@@ -186,6 +185,27 @@ def test_scope_sum_draws_a_part_only_when_reached(monkeypatch):
     assert calls == [(4, 7), (4, 8), (4, 9), (5, 9), (5, 10)]
     assert len(list(scope.models())) == 1 + 4 + 41 + 3 + 2
     assert len(calls) == 5
+
+
+def test_each_run_builds_its_flat_scope_once(monkeypatch):
+    # a scope of three runs (n = 1 and n = 2 fixtures, n = 4 samples)
+    # walked by many test_equation and replay calls: each run shifts its
+    # stacks into a flat scope once, however many words it evaluates
+    built = []
+
+    class Counted(idlab.FlatScope):
+        def __init__(self, p, q, c=None):
+            built.append(p.shape)
+            super().__init__(p, q, c)
+
+    monkeypatch.setattr(idlab, "FlatScope", Counted)
+    fixtures = enumerate_commuting_pairs(1) + enumerate_commuting_pairs(2)
+    scope = Scope.fixtures(fixtures) + Scope.sampled(4, 3, seed=11)
+    certs = [idlab.test_equation(lhs, rhs, scope) for lhs, rhs in FIXTURE_EQUATIONS]
+    assert all(cert.holds for cert in certs)
+    assert replay_certificate(certs[0], family=scope, sample=len(fixtures) + 2)
+    assert not idlab.test_equation("pcq", "qcp", scope).holds
+    assert built == [(4, 2), (41, 4), (3, 16)]
 
 
 def test_sampled_scope_rejects_negative_count():
@@ -460,6 +480,22 @@ def _seeded_trial_closure(n, trial):
     count = rng.randint(1, min(size, 3 * n))
     members = [rng.randrange(size) for _ in range(count)] + [size - 1]
     return closure_from_fixed_points(n, members)
+
+
+def test_kc_monoid_sizes_match_the_monoid_bfs():
+    # every closure at n <= 4, where the 14 words are closed under k and
+    # c, then arbitrary maps at n = 2, where many rows are not and the
+    # helper falls back to the BFS
+    for n in range(5):
+        c = complement_table(n)
+        want = [len(generate_monoid([k, c])) for k in enumerate_closures(n)]
+        assert idlab._kc_monoid_sizes(idlab._closure_stack(n)).tolist() == want, n
+    rng = np.random.default_rng(5)
+    maps = rng.integers(0, 4, size=(200, 4))
+    want = [len(generate_monoid([OperatorTable(2, row), complement_table(2)]))
+            for row in maps]
+    assert idlab._kc_monoid_sizes(maps).tolist() == want
+    assert max(want) > 14
 
 
 def test_witness_screen_matches_monoid_bfs_per_candidate():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from closurelab import opalg
 from closurelab.opalg import (
     AdditiveOperator,
+    FlatScope,
     OperatorTable,
     check_closure,
     check_interior,
@@ -22,7 +23,6 @@ from closurelab.opalg import (
     elements_of,
     eval_word,
     eval_word_on,
-    eval_word_stack,
     full_mask,
     identity_table,
     is_reversing_involution,
@@ -255,7 +255,7 @@ def test_eval_word_matches_manual():
     assert eval_word("", p, q) == identity_table(2)
 
 
-def test_eval_word_stack_matches_per_row_composition():
+def test_flat_scope_matches_per_row_composition():
     pairs = [(closure_from_fixed_points(3, [1, 7]), closure_from_fixed_points(3, [6, 7])),
              (closure_from_fixed_points(3, [7]), closure_from_fixed_points(3, [0, 3, 7])),
              (identity_table(3), closure_from_fixed_points(3, [2, 5, 7]))]
@@ -275,18 +275,19 @@ def test_eval_word_stack_matches_per_row_composition():
             out.append(mask)
         return out
 
+    plain_scope, subst_scope = FlatScope(p, q), FlatScope(p, q, c)
     for word in ("", "c", "p", "qcp", "pqcpq", "cpcqcpcq"):
-        rows = eval_word_stack(word, p, q)
-        subst = eval_word_stack(word, p, q, c)
+        rows = plain_scope.eval(word)
+        subst = subst_scope.eval(word)
         assert rows.shape == subst.shape == (3, 8)
         for i, (a, b) in enumerate(pairs):
             assert rows[i].tolist() == reference(word, a, b, thetas[0])
             assert subst[i].tolist() == reference(word, a, b, thetas[i])
             assert eval_word(word, a, b).entries.tolist() == rows[i].tolist()
     with pytest.raises(ValueError):
-        eval_word_stack("pxq", p, q)
+        plain_scope.eval("pxq")
     with pytest.raises(ValueError):
-        eval_word_stack("pcq", p, q, c[:2])
+        FlatScope(p, q, c[:2])
 
 
 def test_flat_word_kernel_matches_per_row_composition():
@@ -315,11 +316,10 @@ def test_flat_word_kernel_matches_per_row_composition():
         q = np.array(qs[:k], dtype=np.int64).reshape(k, size)
         c = np.array(cs[:k], dtype=np.int64).reshape(k, size)
         complement = [tuple((size - 1) ^ a for a in range(size))] * k
+        scopes = (FlatScope(p, q), FlatScope(p, q, c),
+                  FlatScope(p.astype(np.uint8), q.astype(np.uint8), c.astype(np.uint8)))
         for word in words:
-            plain = eval_word_stack(word, p, q)
-            subst = eval_word_stack(word, p, q, c)
-            narrow = eval_word_stack(word, p.astype(np.uint8), q.astype(np.uint8),
-                                     c.astype(np.uint8))
+            plain, subst, narrow = (scope.eval(word) for scope in scopes)
             assert plain.shape == subst.shape == narrow.shape == (k, size)
             assert plain.dtype == subst.dtype == narrow.dtype == np.int64
             assert [tuple(r) for r in plain.tolist()] == [
@@ -337,6 +337,27 @@ def test_flat_word_kernel_matches_per_row_composition():
             reference(word, ps[5], qs[5], thetas[1]))
 
 
+def test_flat_scope_end_to_end_lays_runs_of_mixed_ground_sizes():
+    # runs at n = 1, 0 and 2 in one flat vector, c a table: a word's
+    # segment for each run, less the segment's start, is the run's own
+    # flat evaluation
+    runs = []
+    for n, fams in ((1, ([1], [0, 1])), (0, ([0],)), (2, ([3], [1, 3], [2, 3]))):
+        tables = [closure_from_fixed_points(n, fam).entries for fam in fams]
+        runs.append((np.stack(tables), np.stack(tables[::-1])))
+    flat = FlatScope.end_to_end(runs)
+    width = sum(p.size for p, _ in runs)
+    assert {len(t) for t in flat.values()} == {width}
+    for word in ("", "c", "pcq", "cpcqcpcqc"):
+        v = opalg._apply_letters(word, flat, np.arange(width, dtype=np.int64), None)
+        start = 0
+        for p, q in runs:
+            segment = v[start:start + p.size].reshape(p.shape)
+            assert np.array_equal(segment - start - np.arange(0, p.size, p.shape[1])[:, None],
+                                  FlatScope(p, q).eval(word))
+            start += p.size
+
+
 def test_closure_rows_matches_check_closure_per_pair():
     # pq over every ordered closure pair at n <= 3: the product of a
     # noncommuting pair can fail to be a closure, that of a commuting
@@ -346,7 +367,7 @@ def test_closure_rows_matches_check_closure_per_pair():
     failing = 0
     for n in range(4):
         run = idlab._pair_run(n, False)
-        pq = eval_word_stack("pq", run.p, run.q)
+        pq = run.flat.eval("pq")
         got = opalg.closure_rows(pq, n)
         want = [check_closure(m.p.compose(m.q)).ok for m in run.models()]
         assert got.tolist() == want

@@ -97,19 +97,27 @@ def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
     # holds the table, in (p, q, theta) order
     comp, theta = complement_table(2), reversed_involution([1, 0])
     stack = np.stack([t.entries for t in (comp, theta, comp, theta, comp)])
-    rows = []
-    kernel = suites.eval_word_stack
+    scopes, words = [], []
 
-    def counted(word, p, q, c=None):
-        rows.append(len(c))
-        return kernel(word, p, q, c)
+    class Counted(suites.FlatScope):
+        def __init__(self, p, q, c=None):
+            scopes.append((len(c), sorted({tuple(row) for row in c.tolist()})))
+            super().__init__(p, q, c)
 
-    monkeypatch.setattr(suites, "eval_word_stack", counted)
+        def eval(self, word):
+            words.append(word)
+            return super().eval(word)
+
+    monkeypatch.setattr(suites, "FlatScope", Counted)
     got = _pair_failures("pcq", "qcp", 2, stack)
     assert got == _pair_failures_by_hand(
         "pcq", "qcp", 2, [tuple(row.tolist()) for row in stack])
     assert {t for _, _, t, _ in got} == {0, 1, 2, 3, 4}
-    assert rows == [7 * 2] * (2 * 7)  # 7 closures times 2 tables, 2 words per p
+    # one scope per p of the 7 closures, each over 7 q times the 2
+    # distinct tables, and the 2 words evaluated on it
+    distinct = sorted({tuple(comp.entries.tolist()), tuple(theta.entries.tolist())})
+    assert scopes == [(7 * 2, distinct)] * 7
+    assert words == ["pcq", "qcp"] * 7
 
 
 def test_kuratowski_suite():
