@@ -21,7 +21,7 @@ def show_orbit(M):
 
 def main():
     literal = example3(10, variant="literal")
-    a, b = literal.p_report.monotone.witness
+    a, b = literal.p_report.checks["monotone"].witness
     print("the unrepaired p is not monotone:")
     print(f"  {sorted(elements_of(a))} is inside {sorted(elements_of(b))}, "
           f"but p maps them to {sorted(elements_of(literal.p.apply(a)))} "

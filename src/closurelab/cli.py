@@ -10,8 +10,9 @@ Reports are deterministic for fixed flags.  Wall-clock facts go on
 comment lines starting with "# " so byte comparison after dropping
 that header is stable across runs.  Every command runs in one
 process; --workers is still accepted (at least 1) but changes nothing.
-verify passes a suite only the scope flags that are given, so an unset
-one takes the suite's own default.
+A flag the command does not read is a usage error, and so is a bounded
+flag out of its range; verify passes a suite only the flags that are
+given, so an unset one takes the suite's own default.
 Exit codes: 0 pass, 1 check failure, 2 usage error.
 """
 
@@ -72,17 +73,22 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str, elapsed: float)
 # verify
 
 
-#: the scope flags of each suite, with the values it accepts as
-#: inclusive (low, high) bounds; cmd_verify rejects any other value as
-#: a usage error before the suite runs, and passes a flag that is set
-#: on to the suite, which has its own default for one left unset.  n
-#: is capped by the exhaustive enumeration a suite walks; windows span
-#: at least 2 elements, and the flagged cycle (ground size 2m + 2) and
-#: the segment {0..M} (ground size M + 1) must fit the table cap.
+#: the flags each suite reads, with the values it accepts as inclusive
+#: (low, high) bounds, None for no bound; cmd_verify rejects any other
+#: flag or value as a usage error before the suite runs, and passes a
+#: flag that is set on to the suite, which has its own default for one
+#: left unset.  n is capped by the exhaustive enumeration a suite
+#: walks; windows span at least 2 elements, and the flagged cycle
+#: (ground size 2m + 2) and the segment {0..M} (ground size M + 1) must
+#: fit the table cap.
 _SUITE_RANGES = {
     "theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
     "kuratowski14": {"n": (0, idlab.ENUMERATION_CAP)},
-    "theorem2": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "theorem2": {
+        "n": (0, idlab.PAIR_ENUMERATION_CAP),
+        "samples": (1, None),
+        "seed": (None, None),
+    },
     "fixtures": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
     "section4": {"m": (2, (MAX_GROUND_SIZE - 2) // 2)},
     "example3": {"M": (2, MAX_GROUND_SIZE - 1)},
@@ -93,14 +99,20 @@ _SUITE_RANGES = {
 }
 
 
-def _in_ranges(command: str, ranges: dict, values: dict) -> bool:
-    """Whether every flag in ranges has a value within its inclusive
-    (low, high) bounds, high None meaning no upper bound; a flag left
-    at None is not checked.  Prints the usage error for the first value
-    out of range."""
-    for flag, (low, high) in ranges.items():
+def _in_ranges(command: str, ranges: dict, values: dict, flags) -> bool:
+    """Whether each of flags that is set (not None) is one that ranges
+    names, with a value within its inclusive (low, high) bounds there,
+    a None bound meaning none.  Prints the usage error for the first
+    flag that is not."""
+    for flag in flags:
         value = values[flag]
-        if value is None or (low <= value and (high is None or value <= high)):
+        if value is None:
+            continue
+        if flag not in ranges:
+            print(f"usage error: {command} does not take --{flag}", file=sys.stderr)
+            return False
+        low, high = ranges[flag]
+        if (low is None or low <= value) and (high is None or value <= high):
             continue
         bounds = f"{low} or more" if high is None else f"{low}..{high}"
         print(f"usage error: {command} takes --{flag} {bounds}, got {value}",
@@ -111,16 +123,10 @@ def _in_ranges(command: str, ranges: dict, values: dict) -> bool:
 
 def cmd_verify(args) -> int:
     name = args.name
-    if args.format not in ("text", "json"):
-        print("verify supports --format text or json", file=sys.stderr)
+    flags, values = ("n", "m", "M", "samples", "seed"), vars(args)
+    if not _in_ranges(f"verify {name}", _SUITE_RANGES[name], values, flags):
         return 2
-    if not _in_ranges(f"verify {name}", _SUITE_RANGES[name], vars(args)):
-        return 2
-    kwargs = {flag: getattr(args, flag) for flag in _SUITE_RANGES[name]
-              if getattr(args, flag) is not None}
-    if name == "theorem2":
-        kwargs["samples"] = args.samples
-        kwargs["seed"] = args.seed
+    kwargs = {flag: values[flag] for flag in flags if values[flag] is not None}
 
     # A ValueError raised inside a suite is a bug, not a usage error,
     # and propagates.
@@ -140,27 +146,30 @@ def cmd_verify(args) -> int:
 # search
 
 
-#: the values each search accepts for its bounded flags, checked like
-#: _SUITE_RANGES before any work starts (high None: no upper bound).
-#: --n is capped by the exhaustive pair enumeration, --maxlen by the
-#: identity search's word budget (see the README for its cost).
+#: the flags each search reads and the values it accepts, checked like
+#: _SUITE_RANGES before any work starts.  --n is capped by the
+#: exhaustive pair enumeration, --maxlen by the identity search's word
+#: budget (see the README for its cost).
 _SEARCH_RANGES = {
     "identities": {
         "n": (0, idlab.PAIR_ENUMERATION_CAP),
         "maxlen": (0, idlab.MAXLEN_CAP),
         "limit": (0, None),
     },
-    "counterexample": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "counterexample": {"n": (0, idlab.PAIR_ENUMERATION_CAP), "eq": (None, None)},
     "witness14": {},
 }
 
 
 def cmd_search(args) -> int:
-    if not _in_ranges(f"search {args.kind}", _SEARCH_RANGES[args.kind], vars(args)):
+    if not _in_ranges(f"search {args.kind}", _SEARCH_RANGES[args.kind], vars(args),
+                      ("n", "maxlen", "limit", "eq")):
         return 2
+    n = 2 if args.n is None else args.n
     if args.kind == "identities":
+        maxlen = 13 if args.maxlen is None else args.maxlen
         equations, scope_desc, examined = idlab.search_identities(
-            args.maxlen, n=args.n, limit=args.limit
+            maxlen, n=n, limit=args.limit
         )
         if args.format == "json":
             payload = [
@@ -170,7 +179,7 @@ def cmd_search(args) -> int:
             _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
         else:
             lines = [
-                f"search identities maxlen={args.maxlen} scope={scope_desc}",
+                f"search identities maxlen={maxlen} scope={scope_desc}",
                 f"words examined: {examined}",
                 f"equations found: {len(equations)}",
             ]
@@ -184,7 +193,7 @@ def cmd_search(args) -> int:
             return 2
         lhs, rhs = (side.strip() for side in args.eq.split("=", 1))
         try:
-            cert = idlab.search_counterexample(lhs, rhs, max_n=args.n, commuting=False)
+            cert = idlab.search_counterexample(lhs, rhs, max_n=n, commuting=False)
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return 2
@@ -194,36 +203,44 @@ def cmd_search(args) -> int:
             _emit(f"search counterexample {lhs} = {rhs}\n{cert.summary()}\n", args.out)
         return 0 if not cert.holds else 1
 
-    if args.kind == "witness14":
-        try:
-            n, fixed, seed = idlab.find_kuratowski_witness()
-        except RuntimeError as err:
-            print(f"check failed: {err}", file=sys.stderr)
-            return 1
-        payload = {
-            "ground_size": n,
-            "fixed_points": [elements_of(m) for m in fixed],
-            "seed": elements_of(seed),
-        }
-        if args.format == "json":
-            _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        else:
-            lines = [
-                "search witness14",
-                f"ground size: {n}",
-                "fixed points: "
-                + " ".join("{" + ",".join(map(str, f)) + "}" for f in payload["fixed_points"]),
-                "seed: {" + ",".join(map(str, payload["seed"])) + "}",
-            ]
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0
-
-    print(f"unknown search kind {args.kind}", file=sys.stderr)
-    return 2
+    # witness14
+    try:
+        n, fixed, seed = idlab.find_kuratowski_witness()
+    except RuntimeError as err:
+        print(f"check failed: {err}", file=sys.stderr)
+        return 1
+    payload = {
+        "ground_size": n,
+        "fixed_points": [elements_of(m) for m in fixed],
+        "seed": elements_of(seed),
+    }
+    if args.format == "json":
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    else:
+        lines = [
+            "search witness14",
+            f"ground size: {n}",
+            "fixed points: "
+            + " ".join("{" + ",".join(map(str, f)) + "}" for f in payload["fixed_points"]),
+            "seed: {" + ",".join(map(str, payload["seed"])) + "}",
+        ]
+        _emit("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # dump
+
+
+#: the values dump accepts for its bounded flags, checked like
+#: _SUITE_RANGES before any model is built: a window spans at least 2
+#: elements, and the segment {0..M} (ground size M + 1) fits the table cap
+_DUMP_RANGES = {"m": (2, None), "M": (2, MAX_GROUND_SIZE - 1), "cap": (1, None),
+                "iters": (1, None)}
+
+#: the flags each dump target cannot do without
+_DUMP_NEEDS = {"model": ("name",), "monoid": ("model",), "hasse": ("model",),
+               "orbit": ("model", "word", "start")}
 
 
 def _model_from_flags(name: str, args):
@@ -231,15 +248,15 @@ def _model_from_flags(name: str, args):
         M = args.M if args.M is not None else 10
         variant = "literal" if name == "example3-literal" else "repaired"
         return models.example3(M, variant=variant)
+    m = args.m if args.m is not None else 4
     if name == "section4":
-        m = args.m if args.m is not None else 4
-        return models.section4_model(m)
+        # only an orbit walks a flagged cycle past the cap as functions
+        return models.section4_model(m, materialize=None if args.what == "orbit" else True)
     if name.startswith("pij(") and name.endswith(")"):
         inner = name[4:-1].split(",")
         if len(inner) != 2:
             raise ValueError(f"bad pij name {name!r}, expected pij(i,j)")
         i, j = (int(part) for part in inner)
-        m = args.m if args.m is not None else 4
         return models.pij_pair(i, j, models.WindowSpec("cycle", m))
     raise ValueError(f"unknown model name {name!r}")
 
@@ -258,79 +275,83 @@ def _named_generators(model_name: str, args) -> dict:
 
 
 def cmd_dump(args) -> int:
+    what = args.what
+    if not _in_ranges(f"dump {what}", _DUMP_RANGES, vars(args), _DUMP_RANGES):
+        return 2
+    needs = _DUMP_NEEDS[what]
+    if not all(getattr(args, flag) for flag in needs):
+        print(f"dump {what} requires " + ", ".join(f"--{flag}" for flag in needs),
+              file=sys.stderr)
+        return 2
+
+    # A model name, window or --start that names nothing is a usage
+    # error; a model failing its own screen, or any later ValueError,
+    # is a bug and propagates.
     try:
-        if args.what == "model":
-            if not args.name:
-                print("dump model requires --name", file=sys.stderr)
-                return 2
-            model = _model_from_flags(args.name, args)
-            _emit(json.dumps(model.to_json(), sort_keys=True, indent=2) + "\n", args.out)
-            return 0
-
-        if args.what in ("monoid", "hasse"):
-            if not args.model:
-                print(f"dump {args.what} requires --model", file=sys.stderr)
-                return 2
+        if what in ("monoid", "hasse"):
             named = _named_generators(args.model, args)
-            letters = [part.strip() for part in args.gens.split(",") if part.strip()]
-            missing = [g for g in letters if g not in named]
-            if missing:
-                print(
-                    f"generators {missing} not available for model {args.model} "
-                    f"(available: {sorted(named)})",
-                    file=sys.stderr,
-                )
-                return 2
-            mon = monoid_mod.generate_monoid(
-                [named[g] for g in letters],
-                cap=args.cap,
-                names=tuple(letters),
-            )
-            if args.what == "monoid":
-                _emit(json.dumps(mon.to_json(), sort_keys=True, indent=2) + "\n", args.out)
-                return 0
-            edges = monoid_mod.hasse(mon)
-            nodes = [w or "1" for w in mon.witnesses]
-            payload = {
-                "nodes": nodes,
-                "edges": [[nodes[lo], nodes[hi]] for lo, hi in edges],
-            }
-            _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-            return 0
-
-        if args.what == "orbit":
-            if not (args.model and args.word and args.start):
-                print("dump orbit requires --model, --word, --start", file=sys.stderr)
-                return 2
-            model = _model_from_flags(args.model, args)
-            start = model.mask_of_names(args.start)
-            rep = monoid_mod.orbit(args.word, model, start, max_iter=args.iters)
-            if args.format == "json":
-                payload = {
-                    "word": rep.word,
-                    "start": model.format_mask(rep.start),
-                    "images": [model.format_mask(a) for a in rep.images],
-                    "cycle_entry": rep.cycle_entry,
-                    "truncated": rep.truncated,
-                }
-                _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-            else:
-                buf = io.StringIO()
-                writer = csv.writer(buf)
-                writer.writerow(["step", "image"])
-                for i, a in enumerate(rep.images):
-                    writer.writerow([i, model.format_mask(a)])
-                _emit(buf.getvalue(), args.out)
-            return 0
-    except (ValueError, models.ModelConstructionError) as err:
+        else:
+            model = _model_from_flags(args.name if what == "model" else args.model, args)
+            start = model.mask_of_names(args.start) if what == "orbit" else None
+    except models.ModelConstructionError:
+        raise
+    except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
-        print(f"check failed: {err}", file=sys.stderr)
-        return 1
 
-    print(f"unknown dump target {args.what}", file=sys.stderr)
-    return 2
+    if what == "model":
+        _emit(json.dumps(model.to_json(), sort_keys=True, indent=2) + "\n", args.out)
+        return 0
+
+    if what == "orbit":
+        rep = monoid_mod.orbit(args.word, model, start, max_iter=args.iters)
+        if args.format == "json":
+            payload = {
+                "word": rep.word,
+                "start": model.format_mask(rep.start),
+                "images": [model.format_mask(a) for a in rep.images],
+                "cycle_entry": rep.cycle_entry,
+                "truncated": rep.truncated,
+            }
+            _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["step", "image"])
+            for i, a in enumerate(rep.images):
+                writer.writerow([i, model.format_mask(a)])
+            _emit(buf.getvalue(), args.out)
+        return 0
+
+    letters = [part.strip() for part in args.gens.split(",") if part.strip()]
+    missing = [g for g in letters if g not in named]
+    if missing or not letters:
+        print(
+            f"generators {missing} not available for model {args.model} "
+            f"(available: {sorted(named)})",
+            file=sys.stderr,
+        )
+        return 2
+    mon = monoid_mod.generate_monoid(
+        [named[g] for g in letters],
+        cap=args.cap,
+        names=tuple(letters),
+    )
+    if what == "monoid":
+        _emit(json.dumps(mon.to_json(), sort_keys=True, indent=2) + "\n", args.out)
+        return 0
+    if mon.truncated:
+        print(f"usage error: dump hasse orders the whole monoid, which has more"
+              f" than --cap {args.cap} elements", file=sys.stderr)
+        return 2
+    edges = monoid_mod.hasse(mon)
+    nodes = [w or "1" for w in mon.witnesses]
+    payload = {
+        "nodes": nodes,
+        "edges": [[nodes[lo], nodes[hi]] for lo, hi in edges],
+    }
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -356,28 +377,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument(
-            "--format", default=None, choices=["text", "json", "csv"],
-            help="output format (default depends on the verb)",
-        )
+        p.add_argument("--format", default=None,
+                       help="output format (default depends on the verb)")
         # accepted for old command lines, checked, and otherwise unused
         p.add_argument("--workers", type=_positive_int, default=1,
                        help=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=idlab.DEFAULT_SEED)
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("name", choices=sorted(SUITES))
     v.add_argument("--n", type=int, default=None, help="ground size scope")
     v.add_argument("--m", type=int, default=None, help="cycle half-length")
     v.add_argument("--M", type=int, default=None, help="segment endpoint")
-    v.add_argument("--samples", type=_positive_int, default=25,
+    v.add_argument("--samples", type=_positive_int, default=None,
                    help="sampled pairs per size for theorem2")
+    v.add_argument("--seed", type=int, default=None, help="sampling seed for theorem2")
     common(v)
 
     s = sub.add_parser("search", help="identity survey or counterexample hunt")
     s.add_argument("kind", choices=["identities", "counterexample", "witness14"])
-    s.add_argument("--n", type=int, default=2, help="exhaustive scope bound")
-    s.add_argument("--maxlen", type=int, default=13)
+    s.add_argument("--n", type=int, default=None, help="exhaustive scope bound")
+    s.add_argument("--maxlen", type=int, default=None)
     s.add_argument("--limit", type=int, default=None)
     s.add_argument("--eq", default=None, help='equation "LHS=RHS" to refute')
     common(s)
@@ -400,19 +419,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the output formats each command renders, its default first
+_FORMATS = {"verify": ("text", "json"), "search": ("text", "json"), "dump model": ("json",),
+            "dump monoid": ("json",), "dump hasse": ("json",), "dump orbit": ("csv", "json")}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = f"dump {args.what}" if args.command == "dump" else args.command
+    formats = _FORMATS[command]
     if args.format is None:
-        args.format = "csv" if (args.command, getattr(args, "what", "")) == ("dump", "orbit") else "text"
-        if args.command == "dump" and args.what in ("model", "monoid", "hasse"):
-            args.format = "json"
+        args.format = formats[0]
+    elif args.format not in formats:
+        print(f"{command} supports --format {' or '.join(formats)}", file=sys.stderr)
+        return 2
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "search":
         return cmd_search(args)
-    if args.command == "dump":
-        return cmd_dump(args)
-    return 2
+    return cmd_dump(args)
 
 
 if __name__ == "__main__":

@@ -430,10 +430,18 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     (equations, scope description, words examined), the equations cut
     to the first limit when limit is given.
 
+    Only the pairs at size n itself are walked: two words agree on
+    every commuting pair at sizes <= n exactly when they agree at size
+    n.  A commuting pair on s < n points extends to one on n points,
+    acting as the identity pair on the other n - s points.  Every
+    letter then acts on the two parts separately, so the extended pair
+    separates any two words the small one does.  (At size 0 every word
+    is the identity.)
+
     The search walks the word automaton of the scope: a state is the
-    flat vector of a word's tables over all models (laid end to end by
-    FlatScope.end_to_end), each distinct state gets an id the first
-    time a word reaches it, and each (state, letter) step is one
+    flat vector of a word's tables over all models (the flat layout of
+    FlatScope, with c as a table), each distinct state gets an id the
+    first time a word reaches it, and each (state, letter) step is one
     gather, made once and then looked up.  The frontier holds (word,
     state id) pairs.
     """
@@ -443,11 +451,11 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
         raise ValueError(f"n must be in 0..{PAIR_ENUMERATION_CAP}, got {n}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    runs = (_pair_run(size, True) for size in range(n + 1))
-    letters = FlatScope.end_to_end((run.p, run.q) for run in runs)
+    flat = _pair_run(n, True).flat
+    width = flat.shape[0] * flat.shape[1]
+    letters = dict(flat.tables, c=np.arange(width) ^ (flat.shape[1] - 1))
     # a state's entries are positions in the flat vector, kept in the
     # narrowest dtype; its array is a view of its key's bytes
-    width = len(letters["c"])
     start = np.arange(width, dtype=np.min_scalar_type(width - 1))
     states = [start]                  # state id -> flat tables
     ids = {start.tobytes(): 0}        # flat tables -> state id
@@ -539,7 +547,7 @@ def _kc_tables(ks: np.ndarray, words=KURATOWSKI_WORDS) -> Iterator[np.ndarray]:
     """The (rows, 2**n) table of each word over k and c ("1" the empty
     word) on each operator k of a (rows, 2**n) stack, in the narrowest
     dtype, one word at a time from one flat scope."""
-    flat = FlatScope(ks, ks)
+    flat = FlatScope(ks)
     dtype = np.min_scalar_type(ks.shape[1] - 1)
     for w in words:
         yield flat.eval(w.replace("1", "").replace("k", "p")).astype(dtype)

@@ -31,7 +31,7 @@ import numpy as np
 from .opalg import (
     MAX_GROUND_SIZE,
     AdditiveOperator,
-    ClosureReport,
+    AxiomReport,
     FnOperator,
     OperatorTable,
     check_closure,
@@ -91,8 +91,8 @@ class ClosurePairModel:
     window: Optional[WindowSpec] = None
     label: str = ""
     names: Optional[tuple[str, ...]] = None
-    p_report: Optional[ClosureReport] = None
-    q_report: Optional[ClosureReport] = None
+    p_report: Optional[AxiomReport] = None
+    q_report: Optional[AxiomReport] = None
     commuting: Optional[bool] = None
 
     @property

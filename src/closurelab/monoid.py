@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .opalg import OperatorTable, eval_word_on, leq
+import numpy as np
+
+from .opalg import OperatorTable, eval_word_on, leq_matrix
 
 DEFAULT_CAP = 10000
 
@@ -124,29 +126,23 @@ def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
 
     Edges (i, j) mean element i is strictly below j with nothing in
     between; sorted by the witness words of the endpoints (shortest
-    first, then lexicographic).
+    first, then lexicographic).  The order is one leq_matrix screen of
+    the stacked tables; j covers i where the strict order's square,
+    which counts the v with i < v < j, is 0 (in float32: exact, by BLAS).
     """
     if monoid.truncated:
         raise ValueError("refusing to order a truncated monoid")
-    k = len(monoid.elements)
-    strict = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j and leq(monoid.elements[i], monoid.elements[j]):
-                strict[i][j] = True
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            if not strict[i][j]:
-                continue
-            if any(strict[i][v] and strict[v][j] for v in range(k)):
-                continue
-            edges.append((i, j))
+    tables = np.stack([e.entries for e in monoid.elements])
+    strict = leq_matrix(tables, tables)
+    np.fill_diagonal(strict, False)
+    counts = strict.astype(np.float32)
+    covers = strict & (counts @ counts == 0)
 
     def wkey(idx):
         w = monoid.witnesses[idx]
         return (len(w), w)
 
+    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(covers))]
     edges.sort(key=lambda e: (wkey(e[0]), wkey(e[1])))
     return edges
 

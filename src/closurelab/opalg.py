@@ -311,6 +311,30 @@ def leq(f: OperatorTable, g: OperatorTable) -> bool:
     return not np.any(f.entries & ~g.entries)
 
 
+#: the most entries leq_matrix's temporary holds at once
+ORDER_SCREEN_ENTRIES = 1 << 20
+
+
+def leq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (k, k') bool matrix of the pointwise order between a
+    (k, 2**n) stack of tables a and a (k', 2**n) stack b: le[i, j] says
+    a[i](A) is a subset of b[j](A) for every A.  The mask axis is
+    screened a slice at a time, in the narrowest dtype that holds a
+    mask, so the (k, k', slice) temporary holds at most
+    ORDER_SCREEN_ENTRIES entries, or k * k' if one mask is more."""
+    (k, size), k2 = a.shape, len(b)
+    if b.shape[1:] != (size,):
+        raise ValueError("ground sizes differ")
+    dtype = np.min_scalar_type(size - 1)
+    a, b = a.astype(dtype), b.astype(dtype)
+    le = np.ones((k, k2), dtype=bool)
+    step = max(1, ORDER_SCREEN_ENTRIES // max(1, k * k2))
+    for start in range(0, size, step):
+        outside = a[:, None, start:start + step] & ~b[None, :, start:start + step]
+        le &= ~outside.any(axis=-1)
+    return le
+
+
 @dataclass(frozen=True)
 class Check:
     """Outcome of a single axiom screen.
@@ -331,53 +355,32 @@ class Check:
 
 
 @dataclass(frozen=True)
-class ClosureReport:
-    expanding: Check
-    monotone: Check
-    idempotent: Check
+class AxiomReport:
+    """Named axiom screens of one table, in screening order; a check
+    is read by name, as report.checks["monotone"]."""
+
+    checks: dict[str, Check]
 
     @property
     def ok(self) -> bool:
-        return self.expanding.passed and self.monotone.passed and self.idempotent.passed
+        return all(chk.passed for chk in self.checks.values())
 
     def as_dict(self) -> dict:
-        return _report_dict(
-            ("expanding", self.expanding),
-            ("monotone", self.monotone),
-            ("idempotent", self.idempotent),
-        )
-
-
-@dataclass(frozen=True)
-class InteriorReport:
-    contracting: Check
-    monotone: Check
-    idempotent: Check
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.contracting.passed and self.monotone.passed and self.idempotent.passed
-        )
-
-    def as_dict(self) -> dict:
-        return _report_dict(
-            ("contracting", self.contracting),
-            ("monotone", self.monotone),
-            ("idempotent", self.idempotent),
-        )
-
-
-def _report_dict(*named: tuple[str, Check]) -> dict:
-    out = {}
-    for name, chk in named:
-        out[name] = {"passed": chk.passed, "witness": chk.witness_elements()}
-    return out
+        return {
+            name: {"passed": chk.passed, "witness": chk.witness_elements()}
+            for name, chk in self.checks.items()
+        }
 
 
 def _first_true(condition) -> Optional[int]:
     idx = np.flatnonzero(condition)
     return int(idx[0]) if idx.size else None
+
+
+def _mask_check(failing) -> Check:
+    """Passed, or failed at the smallest mask where failing is nonzero."""
+    bad = _first_true(failing)
+    return Check(True) if bad is None else Check(False, bad)
 
 
 def _monotone_fast(entries: np.ndarray, n: int) -> np.ndarray:
@@ -408,23 +411,24 @@ def _monotone_witness(entries: np.ndarray, n: int) -> tuple[Mask, Mask]:
     raise AssertionError("witness scan reached the end of a failing table")
 
 
-def _monotone_check(entries: np.ndarray, n: int) -> Check:
-    if _monotone_fast(entries, n):
-        return Check(True)
-    return Check(False, _monotone_witness(entries, n))
+def _axiom_report(f: OperatorTable, first: str, failing) -> AxiomReport:
+    """The report of the axiom named first, failing at the masks where
+    failing is nonzero, then of monotone and idempotent, which closure
+    and interior operators share."""
+    e, n = f.entries, f.ground_size
+    monotone = _monotone_fast(e, n)
+    return AxiomReport({
+        first: _mask_check(failing),
+        "monotone": Check(True) if monotone else Check(False, _monotone_witness(e, n)),
+        "idempotent": _mask_check(e[e] != e),
+    })
 
 
-def check_closure(f: OperatorTable) -> ClosureReport:
-    """Screen the three closure axioms, with smallest witnesses on failure."""
-    n = f.ground_size
-    masks = np.arange(1 << n, dtype=np.int64)
-    e = f.entries
-    bad = _first_true(masks & ~e)
-    expanding = Check(True) if bad is None else Check(False, bad)
-    monotone = _monotone_check(e, n)
-    bad = _first_true(e[e] != e)
-    idempotent = Check(True) if bad is None else Check(False, bad)
-    return ClosureReport(expanding, monotone, idempotent)
+def check_closure(f: OperatorTable) -> AxiomReport:
+    """Screen the three closure axioms (expanding, monotone,
+    idempotent), with smallest witnesses on failure."""
+    masks = np.arange(1 << f.ground_size, dtype=np.int64)
+    return _axiom_report(f, "expanding", masks & ~f.entries)
 
 
 def closure_rows(entries: np.ndarray, n: int) -> np.ndarray:
@@ -433,21 +437,14 @@ def closure_rows(entries: np.ndarray, n: int) -> np.ndarray:
     table and names witnesses."""
     masks = np.arange(1 << n, dtype=np.int64)
     expanding = ~np.any(masks & ~entries, axis=-1)
-    idempotent = ~np.any(FlatScope(entries, entries).eval("pp") != entries, axis=-1)
+    idempotent = ~np.any(FlatScope(entries).eval("pp") != entries, axis=-1)
     return expanding & idempotent & _monotone_fast(entries, n)
 
 
-def check_interior(f: OperatorTable) -> InteriorReport:
+def check_interior(f: OperatorTable) -> AxiomReport:
     """Screen the interior axioms (contracting, monotone, idempotent)."""
-    n = f.ground_size
-    masks = np.arange(1 << n, dtype=np.int64)
-    e = f.entries
-    bad = _first_true(e & ~masks)
-    contracting = Check(True) if bad is None else Check(False, bad)
-    monotone = _monotone_check(e, n)
-    bad = _first_true(e[e] != e)
-    idempotent = Check(True) if bad is None else Check(False, bad)
-    return InteriorReport(contracting, monotone, idempotent)
+    masks = np.arange(1 << f.ground_size, dtype=np.int64)
+    return _axiom_report(f, "contracting", f.entries & ~masks)
 
 
 def commuting_witness(f: OperatorTable, g: OperatorTable) -> Optional[Mask]:
@@ -560,17 +557,19 @@ class FlatScope:
     i * 2**n, so that a word is evaluated on all of them at once.
 
     p and q are (k, 2**n) stacks of entry arrays, row i holding the
-    tables of model i; c is complementation unless a (k, 2**n) stack is
-    given to substitute for every c letter.  Each stack is shifted by
-    its rows' offsets once, when the scope is built, and each letter is
-    then one 1-D gather across all rows.  The offsets are multiples of
-    2**n, so complementing is an XOR with the full mask, and masking
-    with it at the end drops them.
+    tables of model i; q may be left out when no word uses it, and a
+    word with a q letter is then refused.  c is complementation unless
+    a (k, 2**n) stack is given to substitute for every c letter.  Each
+    stack given is shifted by its rows' offsets once, when the scope is
+    built, and each letter is then one 1-D gather across all rows.  The
+    offsets are multiples of 2**n, so complementing is an XOR with the
+    full mask, and masking with it at the end drops them.
     """
 
-    def __init__(self, p: np.ndarray, q: np.ndarray, c: Optional[np.ndarray] = None):
+    def __init__(self, p: np.ndarray, q: Optional[np.ndarray] = None,
+                 c: Optional[np.ndarray] = None):
         k, size = p.shape
-        if q.shape != p.shape or (c is not None and c.shape != p.shape):
+        if any(t is not None and t.shape != p.shape for t in (q, c)):
             raise ValueError("ground sizes differ")
         offsets = np.arange(0, k * size, size, dtype=np.int64)[:, None]
         self.shape = (k, size)
@@ -582,24 +581,12 @@ class FlatScope:
         """The (k, 2**n) int64 tables of a cpq-word, letters acting
         right-to-left as usual, row i on model i."""
         text = _word_letters(word)
+        if "q" in text and "q" not in self.tables:
+            raise ValueError(f"word {text!r} has a q letter, but the scope has no q")
         k, size = self.shape
         v = _apply_letters(text, self.tables, np.arange(k * size, dtype=np.int64), size - 1)
         v &= size - 1
         return v.reshape(k, size)
-
-    @staticmethod
-    def end_to_end(runs) -> dict[str, np.ndarray]:
-        """The flat c, p and q tables of several (p, q) stack pairs of
-        any ground sizes laid end to end, each run's tables moved past
-        the runs before it; c is a table, complementing in each run's
-        own ground size."""
-        parts, start = [], 0
-        for p, q in runs:
-            size = p.shape[1]
-            c = np.broadcast_to((size - 1) ^ np.arange(size), p.shape)
-            parts.append({ch: t + start for ch, t in FlatScope(p, q, c).tables.items()})
-            start += p.size
-        return {ch: np.concatenate([part[ch] for part in parts]) for ch in "cpq"}
 
 
 def _apply_letters(text: str, tables: dict, v: np.ndarray, full: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from .opalg import (
     elements_of,
     eval_word_on,
     is_reversing_involution,
-    leq,
+    leq_matrix,
     reversed_involution,
 )
 from .words import BLOCK_CHOICES, KURATOWSKI_WORDS, theorem2_word
@@ -130,7 +130,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     max_size = max(sizes)
     over = [(i, size) for i, size in enumerate(sizes) if size > 14]
     # kckckck = kck, with k as p and q alike
-    flat = FlatScope(stack, stack)
+    flat = FlatScope(stack)
     hammer = flat.eval("pcpcpcp") != flat.eval("pcp")
     hammer_bad = np.flatnonzero(hammer.any(axis=1)).tolist()
 
@@ -310,19 +310,13 @@ def suite_section4(m: int = 4) -> SuiteReport:
     lines.append(f"flag preservation: {'PASS' if flags_ok else 'FAIL'}")
     data["flag_preservation"] = flags_ok
 
-    pij = {
-        (i, j): models.pij_pair(i, j, models.WindowSpec("cycle", m))
-        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))
-    }
+    pij = [models.pij_pair(i, j, models.WindowSpec("cycle", m))
+           for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))]
     sandwich = {}
     for which in "pq":
-        t = {key: getattr(pij[key], which) for key in pij}
-        sandwich[which] = (
-            leq(t[(0, 0)], t[(1, 0)])
-            and leq(t[(0, 0)], t[(0, 1)])
-            and leq(t[(1, 0)], t[(1, 1)])
-            and leq(t[(0, 1)], t[(1, 1)])
-        )
+        t = np.stack([getattr(pair, which).entries for pair in pij])
+        le = leq_matrix(t, t)  # rows and columns 00, 10, 01, 11
+        sandwich[which] = bool(le[0, 1] and le[0, 2] and le[1, 3] and le[2, 3])
         report.passed &= sandwich[which]
         lines.append(
             f"sandwich {which}00 <= {which}10,{which}01 <= {which}11: "
@@ -419,8 +413,8 @@ def suite_example3(M: int = 10) -> SuiteReport:
 
     literal = models.example3(M, variant="literal")
     wit = None
-    if literal.p_report is not None and literal.p_report.monotone.witness:
-        a, b = literal.p_report.monotone.witness
+    if literal.p_report is not None and literal.p_report.checks["monotone"].witness:
+        a, b = literal.p_report.checks["monotone"].witness
         wit = (a, b)
         lines.append(
             f"literal p monotonicity fails at M={M}: "

@@ -27,9 +27,11 @@ import numpy as np
 from .opalg import (
     OperatorTable,
     check_closure,
+    commutes,
     complement_table,
     eval_word,
     identity_table,
+    leq_matrix,
 )
 
 
@@ -299,10 +301,35 @@ AXIOM_SCHEMAS = {
     "axiom:comm": ("eq", Prod(P, Q), Prod(Q, P)),
 }
 
-RULES = (
-    "refl", "eq-refl", "trans", "antisym", "compat", "antitone",
-    "eq-sym", "eq-trans", "cong-prod", "cong-bar", "eq-le",
-)
+
+def _chain(step: Step, a: Step, b: Step):
+    return [(a.lhs, b.rhs)] if a.rhs == b.lhs else []
+
+
+def _sidewise(step: Step, a: Step, b: Step):
+    return [(Prod(a.lhs, b.lhs), Prod(a.rhs, b.rhs))]
+
+
+#: rule -> (premise kinds, conclusion kind, the (lhs, rhs) conclusions
+#: the step's premises allow, as a function of the step and them)
+_RULE_TABLE = {
+    "refl": ((), "le", lambda s: [(s.lhs, s.lhs)]),
+    "eq-refl": ((), "eq", lambda s: [(s.lhs, s.lhs)]),
+    "trans": (("le", "le"), "le", _chain),
+    "antisym": (
+        ("le", "le"), "eq",
+        lambda s, a, b: [(a.lhs, a.rhs)] if (a.lhs, a.rhs) == (b.rhs, b.lhs) else [],
+    ),
+    "compat": (("le", "le"), "le", _sidewise),
+    "antitone": (("le",), "le", lambda s, a: [(Bar(a.rhs), Bar(a.lhs))]),
+    "eq-sym": (("eq",), "eq", lambda s, a: [(a.rhs, a.lhs)]),
+    "eq-trans": (("eq", "eq"), "eq", _chain),
+    "cong-prod": (("eq", "eq"), "eq", _sidewise),
+    "cong-bar": (("eq",), "eq", lambda s, a: [(Bar(a.lhs), Bar(a.rhs))]),
+    "eq-le": (("eq",), "le", lambda s, a: [(a.lhs, a.rhs), (a.rhs, a.lhs)]),
+}
+
+RULES = tuple(_RULE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -443,116 +470,18 @@ def _check_axiom_step(step: Step) -> Optional[str]:
 
 
 def _check_rule_step(step: Step, prem) -> Optional[str]:
-    rule = step.rule
-
-    def arity(k):
-        if len(prem) != k:
-            return f"{rule} takes {k} premise(s), got {len(prem)}"
-        return None
-
-    def kinds(*ks):
-        for p, k in zip(prem, ks):
-            if p.kind != k:
-                return f"{rule} premise must be a {k} claim"
-        return None
-
-    if rule == "refl":
-        return (
-            arity(0)
-            or (None if step.kind == "le" and step.lhs == step.rhs
-                else "refl concludes t <= t")
-        )
-    if rule == "eq-refl":
-        return (
-            arity(0)
-            or (None if step.kind == "eq" and step.lhs == step.rhs
-                else "eq-refl concludes t = t")
-        )
-    if rule == "trans":
-        err = arity(2) or kinds("le", "le")
-        if err:
-            return err
-        a, b = prem
-        if a.rhs != b.lhs:
-            return "middle terms differ"
-        if step.kind != "le" or (step.lhs, step.rhs) != (a.lhs, b.rhs):
-            return "conclusion must chain the premises"
-        return None
-    if rule == "antisym":
-        err = arity(2) or kinds("le", "le")
-        if err:
-            return err
-        a, b = prem
-        if (a.lhs, a.rhs) != (b.rhs, b.lhs):
-            return "premises are not opposite inequalities"
-        if step.kind != "eq" or (step.lhs, step.rhs) != (a.lhs, a.rhs):
-            return "conclusion must equate the premise sides"
-        return None
-    if rule == "compat":
-        err = arity(2) or kinds("le", "le")
-        if err:
-            return err
-        a, b = prem
-        if step.kind != "le" or (step.lhs, step.rhs) != (
-            Prod(a.lhs, b.lhs), Prod(a.rhs, b.rhs)
-        ):
-            return "conclusion must multiply the premises sidewise"
-        return None
-    if rule == "antitone":
-        err = arity(1) or kinds("le")
-        if err:
-            return err
-        (a,) = prem
-        if step.kind != "le" or (step.lhs, step.rhs) != (Bar(a.rhs), Bar(a.lhs)):
-            return "conclusion must be bar(rhs) <= bar(lhs)"
-        return None
-    if rule == "eq-sym":
-        err = arity(1) or kinds("eq")
-        if err:
-            return err
-        (a,) = prem
-        if step.kind != "eq" or (step.lhs, step.rhs) != (a.rhs, a.lhs):
-            return "conclusion must flip the premise"
-        return None
-    if rule == "eq-trans":
-        err = arity(2) or kinds("eq", "eq")
-        if err:
-            return err
-        a, b = prem
-        if a.rhs != b.lhs:
-            return "middle terms differ"
-        if step.kind != "eq" or (step.lhs, step.rhs) != (a.lhs, b.rhs):
-            return "conclusion must chain the premises"
-        return None
-    if rule == "cong-prod":
-        err = arity(2) or kinds("eq", "eq")
-        if err:
-            return err
-        a, b = prem
-        if step.kind != "eq" or (step.lhs, step.rhs) != (
-            Prod(a.lhs, b.lhs), Prod(a.rhs, b.rhs)
-        ):
-            return "conclusion must multiply the premises sidewise"
-        return None
-    if rule == "cong-bar":
-        err = arity(1) or kinds("eq")
-        if err:
-            return err
-        (a,) = prem
-        if step.kind != "eq" or (step.lhs, step.rhs) != (Bar(a.lhs), Bar(a.rhs)):
-            return "conclusion must bar both sides"
-        return None
-    if rule == "eq-le":
-        err = arity(1) or kinds("eq")
-        if err:
-            return err
-        (a,) = prem
-        ok = step.kind == "le" and (
-            (step.lhs, step.rhs) == (a.lhs, a.rhs)
-            or (step.lhs, step.rhs) == (a.rhs, a.lhs)
-        )
-        return None if ok else "conclusion must weaken the equation"
-    raise AssertionError(f"unhandled rule {rule}")
+    """Check a rule step against its _RULE_TABLE entry: the number of
+    premises, their kinds, then the claim against the conclusions they
+    allow."""
+    kinds, kind, allowed = _RULE_TABLE[step.rule]
+    if len(prem) != len(kinds):
+        return f"{step.rule} takes {len(kinds)} premise(s), got {len(prem)}"
+    for p, k in zip(prem, kinds):
+        if p.kind != k:
+            return f"{step.rule} premise must be a {k} claim"
+    if step.kind != kind or (step.lhs, step.rhs) not in allowed(step, *prem):
+        return f"conclusion does not follow by {step.rule}"
+    return None
 
 
 def collapse_derivation() -> Derivation:
@@ -730,14 +659,14 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     c = complement_table(n)
     ident = identity_table(n)
 
+    def products(s):
+        # products(s)[i, j] is s[i] after s[j], for a (k, 2**n) stack s
+        return s[np.arange(k)[:, None, None], s[None, :, :]]
+
     # stacked entries: E[i] is the table of universe element i, and
-    # P2[i, j] = E[i] after E[j], so P2 holds every pairwise product
+    # P2 holds every pairwise product
     e_stack = np.stack([t.entries for t in u])
-    p2 = np.take_along_axis(
-        e_stack[:, None, :].repeat(k, axis=1).reshape(k * k, -1),
-        e_stack[None, :, :].repeat(k, axis=0).reshape(k * k, -1),
-        axis=1,
-    ).reshape(k, k, -1)
+    p2 = products(e_stack)
     ce = c.entries
     bar_stack = ce[e_stack[:, ce]]
 
@@ -746,21 +675,12 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     def add(name, passed, detail=""):
         checks.append(AxiomCheck(name, passed, detail))
 
-    def below(a, b):
-        # pointwise subset order between stacks of tables, broadcast
-        return ~np.any(a & ~b, axis=-1)
-
     # composition of maps is associative by construction; record the
     # exhaustive confirmation over the universe anyway, one slice of the
-    # third index at a time to bound memory
-    assoc_ok = True
-    for m in range(k):
-        lhs = p2[:, :, e_stack[m]]          # (u_i u_j) u_m
-        rhs = e_stack[:, p2[:, m, :]]       # u_i (u_j u_m)
-        if not np.array_equal(lhs, rhs):
-            assoc_ok = False
-            break
-    add("product-associative", assoc_ok)
+    # third index at a time to bound memory: (u_i u_j) u_m = u_i (u_j u_m)
+    add("product-associative", all(
+        np.array_equal(p2[:, :, e_stack[m]], e_stack[:, p2[:, m, :]]) for m in range(k)
+    ))
 
     unit_ok = all(
         np.array_equal(ident.entries[e], e) and np.array_equal(e[ident.entries], e)
@@ -768,40 +688,28 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     )
     add("unit-neutral", unit_ok)
 
-    le = below(e_stack[:, None, :], e_stack[None, :, :])
+    le = leq_matrix(e_stack, e_stack)
     add("order-reflexive", bool(le.diagonal().all()))
-    anti_ok = True
-    for i, j in zip(*np.nonzero(le & le.T)):
-        if i != j and not np.array_equal(e_stack[i], e_stack[j]):
-            anti_ok = False
-            break
-    add("order-antisymmetric", anti_ok)
+    i, j = np.nonzero(le & le.T)
+    add("order-antisymmetric", bool(np.all(e_stack[i] == e_stack[j])))
     implied = (le.astype(np.int32) @ le.astype(np.int32)) > 0
     add("order-transitive", not bool(np.any(implied & ~le)))
 
-    # one-sided monotonicity of the product in each argument; with
-    # transitivity this yields the two-sided rule x<=y, u<=v => xu<=yv
-    compat_ok = True
-    for m in range(k):
-        right = p2[:, m, :]   # u_x u_m as x varies
-        left = p2[m, :, :]    # u_m u_x as x varies
-        bad = le & ~below(right[:, None, :], right[None, :, :])
-        bad |= le & ~below(left[:, None, :], left[None, :, :])
-        if np.any(bad):
-            compat_ok = False
-            break
-    add("product-monotone", compat_ok)
+    # one-sided monotonicity of the product in each argument, u_x u_m
+    # and u_m u_x as x varies; with transitivity this yields the
+    # two-sided rule x<=y, u<=v => xu<=yv
+    add("product-monotone", not any(
+        np.any(le & ~(leq_matrix(p2[:, m], p2[:, m]) & leq_matrix(p2[m], p2[m])))
+        for m in range(k)
+    ))
 
     add(
         "bar-involutive",
         bool(np.array_equal(ce[bar_stack[:, ce]], e_stack)),
     )
     bar_of_products = ce[p2[:, :, ce]]
-    bar_products = np.stack(
-        [bar_stack[i, bar_stack] for i in range(k)]
-    )  # bar(u_i) after bar(u_j)
-    add("bar-multiplicative", bool(np.array_equal(bar_of_products, bar_products)))
-    le_bar = below(bar_stack[:, None, :], bar_stack[None, :, :])
+    add("bar-multiplicative", bool(np.array_equal(bar_of_products, products(bar_stack))))
+    le_bar = leq_matrix(bar_stack, bar_stack)
     add("bar-antitone", not bool(np.any(le & ~le_bar.T)))
     add("bar-fixes-unit", c.compose(ident).compose(c) == ident)
 
@@ -810,9 +718,7 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     q_closure = check_closure(model.q).ok
     add("q-closure", q_closure, "" if q_closure else "q fails a closure axiom")
 
-    comm = np.array_equal(
-        model.p.entries[model.q.entries], model.q.entries[model.p.entries]
-    )
-    add("pq-commute", bool(comm), "" if comm else "p and q do not commute")
+    comm = commutes(model.p, model.q)
+    add("pq-commute", comm, "" if comm else "p and q do not commute")
 
     return ModelCheckReport(universe_size=k, checks=tuple(checks))

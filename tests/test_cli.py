@@ -105,8 +105,7 @@ def test_verify_scope_flags_are_checked_before_the_suite_runs(
 
 
 def test_verify_passes_only_the_flags_that_are_set(capsys, monkeypatch):
-    # a scope flag left unset takes the suite's own default, and a
-    # flag the suite has no use for is not passed on
+    # a flag left unset takes the suite's own default
     calls = []
 
     def stub(**kwargs):
@@ -116,12 +115,65 @@ def test_verify_passes_only_the_flags_that_are_set(capsys, monkeypatch):
     for name in ("theorem1", "section4", "lemma6", "theorem2"):
         monkeypatch.setitem(SUITES, name, stub)
     assert run_cli(capsys, "verify", "theorem1")[0] == 0
-    assert run_cli(capsys, "verify", "theorem1", "--n", "3", "--m", "4")[0] == 0
-    assert run_cli(capsys, "verify", "section4", "--n", "3")[0] == 0
-    assert run_cli(capsys, "verify", "lemma6", "--M", "5")[0] == 0
+    assert run_cli(capsys, "verify", "theorem1", "--n", "3")[0] == 0
+    assert run_cli(capsys, "verify", "section4", "--m", "3")[0] == 0
+    assert run_cli(capsys, "verify", "lemma6")[0] == 0
     assert run_cli(capsys, "verify", "theorem2", "--samples", "2")[0] == 0
-    assert calls == [{}, {"n": 3}, {}, {},
-                     {"samples": 2, "seed": idlab.DEFAULT_SEED}]
+    assert run_cli(capsys, "verify", "theorem2", "--seed", "-5", "--n", "1")[0] == 0
+    assert calls == [{}, {"n": 3}, {"m": 3}, {}, {"samples": 2}, {"n": 1, "seed": -5}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma6", "--n", "3"],
+    ["verify", "lemma6", "--M", "5"],
+    ["verify", "theorem1", "--samples", "3"],
+    ["verify", "theorem1", "--n", "3", "--m", "4"],
+    ["verify", "section4", "--n", "3"],
+    ["verify", "fixtures", "--seed", "5"],
+    ["search", "witness14", "--n", "2"],
+    ["search", "identities", "--eq", "p=p"],
+    ["search", "counterexample", "--eq", "p=p", "--maxlen", "5"],
+    ["search", "counterexample", "--eq", "p=p", "--limit", "5"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("ran despite an unread flag")
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, never)
+    for name in ("search_identities", "search_counterexample", "find_kuratowski_witness"):
+        monkeypatch.setattr(idlab, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {argv[0]} {argv[1]} does not take {argv[-2]}\n"
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["search", "identities", "--format", "csv"], "search"),
+    (["dump", "model", "--name", "section4", "--format", "text"], "dump model"),
+    (["dump", "hasse", "--model", "witness14", "--format", "csv"], "dump hasse"),
+    (["dump", "orbit", "--model", "section4", "--word", "p", "--start", "0",
+      "--format", "text"], "dump orbit"),
+])
+def test_a_format_the_command_does_not_render_is_a_usage_error(
+        capsys, monkeypatch, argv, command):
+    def never(*args, **kwargs):
+        raise AssertionError("ran despite an unrendered format")
+
+    monkeypatch.setattr(idlab, "search_identities", never)
+    monkeypatch.setattr(models, "section4_model", never)
+    monkeypatch.setattr(models, "kuratowski_witness", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{command} supports --format ")
+
+
+@pytest.mark.parametrize("verb", ["search", "dump"])
+def test_seed_is_a_verify_flag_only(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "witness14" if verb == "search" else "model", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_verify_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -295,6 +347,46 @@ def test_dump_model_flag_errors(capsys):
     code, _, err = run_cli(capsys, "dump", "model", "--name", "pij(1)")
     assert code == 2
     assert "pij" in err
+
+
+@pytest.mark.parametrize("argv,flag,bounds", [
+    (["dump", "model", "--name", "section4", "--m", "1"], "--m", "2 or more"),
+    (["dump", "orbit", "--model", "section4", "--m", "0", "--word", "p", "--start", "0"],
+     "--m", "2 or more"),
+    (["dump", "model", "--name", "example3", "--M", "20"], "--M", "2..19"),
+    (["dump", "monoid", "--model", "example3", "--M", "1", "--gens", "p"], "--M", "2..19"),
+    (["dump", "hasse", "--model", "witness14", "--cap", "0"], "--cap", "1 or more"),
+    (["dump", "orbit", "--model", "section4", "--word", "p", "--start", "0",
+      "--iters", "0"], "--iters", "1 or more"),
+])
+def test_dump_flags_are_checked_before_any_work(capsys, monkeypatch, argv, flag, bounds):
+    def never(*args, **kwargs):
+        raise AssertionError("ran despite a flag out of range")
+
+    for name in ("section4_model", "example3", "pij_pair", "kuratowski_witness"):
+        monkeypatch.setattr(models, name, never)
+    for name in ("generate_monoid", "hasse", "orbit"):
+        monkeypatch.setattr(monoid_mod, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    value = argv[argv.index(flag) + 1]
+    assert err == f"usage error: dump {argv[1]} takes {flag} {bounds}, got {value}\n"
+
+
+def test_dump_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(monoid):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(monoid_mod, "hasse", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["dump", "hasse", "--model", "witness14"])
+    assert "usage error" not in capsys.readouterr().err
+
+
+def test_dump_hasse_of_a_truncated_monoid_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "dump", "hasse", "--model", "witness14", "--cap", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: dump hasse") and "--cap 5" in err
 
 
 def test_dump_has_no_n_flag(capsys):

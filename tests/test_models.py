@@ -75,9 +75,10 @@ def test_staircase_literal_fails_monotonicity():
     m = example3(10, variant="literal")
     assert m.provenance == "example3-literal"
     assert not m.p_report.ok
-    assert m.p_report.expanding.passed and m.p_report.idempotent.passed
-    assert not m.p_report.monotone.passed
-    a, b = m.p_report.monotone.witness
+    checks = m.p_report.checks
+    assert checks["expanding"].passed and checks["idempotent"].passed
+    assert not checks["monotone"].passed
+    a, b = checks["monotone"].witness
     assert (a, b) == (2, 10)  # {1} inside {1,3}, images incomparable
     assert a & ~b == 0
     pa = m.p.entries[a]

@@ -134,29 +134,43 @@ def test_index_of():
 # order structure
 
 
+def _covering_pairs(mon):
+    """Brute force: every (i, j) with element i strictly below j under
+    pairwise leq and no element strictly in between."""
+    k = len(mon)
+    le = [[leq(a, b) for b in mon.elements] for a in mon.elements]
+    strict = [[le[i][j] and i != j for j in range(k)] for i in range(k)]
+    return {(i, j) for i in range(k) for j in range(k)
+            if strict[i][j] and not any(strict[i][v] and strict[v][j] for v in range(k))}
+
+
 def test_hasse_of_kuratowski_monoid():
     k, _ = kuratowski_witness()
     c = complement_table(k.ground_size)
     mon = generate_monoid([k, c], names=("k", "c"))
     edges = hasse(mon)
     assert len(edges) == 16
-    # every edge is a strict covering pair
-    for i, j in edges:
-        assert leq(mon.elements[i], mon.elements[j])
-        assert mon.elements[i] != mon.elements[j]
-        for v in range(len(mon)):
-            if v in (i, j):
-                continue
-            assert not (
-                leq(mon.elements[i], mon.elements[v])
-                and leq(mon.elements[v], mon.elements[j])
-                and mon.elements[v] != mon.elements[i]
-                and mon.elements[v] != mon.elements[j]
-            ), (i, v, j)
+    # the edges are exactly the strict covering pairs
+    assert set(edges) == _covering_pairs(mon) and len(set(edges)) == len(edges)
     # identity sits below k and above the interior ckc
     by_witness = {w: i for i, w in enumerate(mon.witnesses)}
     assert (by_witness[""], by_witness["k"]) in edges
     assert (by_witness["ckc"], by_witness[""]) in edges
+
+
+@pytest.mark.parametrize("model,gens", [
+    (lambda: section4_model(2), "pqc"),
+    (lambda: example3(6), "pq"),
+    (lambda: example3(7), "pq"),
+    (lambda: example3(8), "pq"),
+], ids=["section4-m2-pqc", "example3-M6-pq", "example3-M7-pq", "example3-M8-pq"])
+def test_hasse_edges_are_the_covering_pairs(model, gens):
+    m = model()
+    tables = {"p": m.p, "q": m.q, "c": complement_table(m.ground_size)}
+    mon = generate_monoid([tables[g] for g in gens], names=tuple(gens))
+    edges = hasse(mon)
+    assert set(edges) == _covering_pairs(mon) and len(set(edges)) == len(edges)
+    assert edges  # a nontrivial order
 
 
 def test_hasse_edges_sorted_by_witness():

@@ -163,16 +163,16 @@ def test_check_closure_witnesses():
     # a non-expanding table: constant empty set
     t = OperatorTable(2, np.zeros(4, dtype=np.int64))
     rep = check_closure(t)
-    assert not rep.expanding.passed
-    assert rep.expanding.witness == 1  # smallest nonempty subset
+    assert not rep.checks["expanding"].passed
+    assert rep.checks["expanding"].witness == 1  # smallest nonempty subset
     # a non-idempotent expanding monotone table: add one element per step
     grow = OperatorTable(
         2, np.array([1, 3, 3, 3], dtype=np.int64)
     )
     rep2 = check_closure(grow)
-    assert rep2.expanding.passed and rep2.monotone.passed
-    assert not rep2.idempotent.passed
-    assert rep2.idempotent.witness == 0
+    assert rep2.checks["expanding"].passed and rep2.checks["monotone"].passed
+    assert not rep2.checks["idempotent"].passed
+    assert rep2.checks["idempotent"].witness == 0
 
 
 def test_monotone_witness_is_smallest():
@@ -187,8 +187,8 @@ def test_monotone_witness_is_smallest():
 
     t = table_from_function(5, p)
     rep = check_closure(t)
-    assert not rep.monotone.passed
-    a, b = rep.monotone.witness
+    assert not rep.checks["monotone"].passed
+    a, b = rep.checks["monotone"].witness
     assert (a, b) == (2, 10)  # {1} vs {1,3}
 
 
@@ -204,6 +204,31 @@ def test_leq_is_pointwise():
     big = closure_from_fixed_points(2, [3])
     assert leq(small, big)
     assert not leq(big, small)
+
+
+def test_leq_matrix_matches_pairwise_leq_across_slices(monkeypatch):
+    # 40 x 30 tables at n = 10 pass ORDER_SCREEN_ENTRIES, so the mask
+    # axis is screened in more than one slice; b's rows contain some of
+    # a's, so the order holds for some pairs and fails for the rest
+    n, size = 10, 1 << 10
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, size, (40, size)) & rng.integers(0, size, (40, size))
+    b = a[rng.integers(0, 40, 30)] | (rng.integers(0, size, (30, size))
+                                      & rng.integers(0, 2, (30, 1)) * (size - 1))
+    assert len(a) * len(b) * size > opalg.ORDER_SCREEN_ENTRIES
+    want = [[leq(OperatorTable(n, x), OperatorTable(n, y)) for y in b] for x in a]
+    assert 0 < np.sum(want) < a.shape[0] * len(b)
+    assert opalg.leq_matrix(a, b).tolist() == want
+    # two tables that differ at the last mask only
+    ends = np.tile(np.arange(size), (2, 1))
+    ends[1, -1] = 0
+    # slices that do not divide the mask axis, down to one mask each
+    for bound in (7 * 40 * 30, 1):
+        monkeypatch.setattr(opalg, "ORDER_SCREEN_ENTRIES", bound)
+        assert opalg.leq_matrix(a, b).tolist() == want
+        assert opalg.leq_matrix(ends, ends).tolist() == [[True, False], [True, True]]
+    with pytest.raises(ValueError):
+        opalg.leq_matrix(a, b[:, :512])
 
 
 def test_commutes_and_witness():
@@ -290,6 +315,19 @@ def test_flat_scope_matches_per_row_composition():
         FlatScope(p, q, c[:2])
 
 
+def test_flat_scope_shifts_only_the_letters_it_is_given():
+    ks = np.stack([closure_from_fixed_points(3, fam).entries
+                   for fam in ([7], [1, 7], [0, 3, 7], [2, 5, 7])])
+    p_only = FlatScope(ks)
+    assert sorted(p_only.tables) == ["p"]
+    for word in ("", "c", "p", "pcp", "cpcpcpc"):
+        assert np.array_equal(p_only.eval(word), FlatScope(ks, ks).eval(word))
+    # with no q table a q letter is refused, not taken for a c
+    for word in ("q", "pqp", "cq"):
+        with pytest.raises(ValueError, match="q"):
+            p_only.eval(word)
+
+
 def test_flat_word_kernel_matches_per_row_composition():
     n, size = 3, 8
     closures = [closure_of_family(n, fam) for fam in moore_families_brute(n)]
@@ -337,27 +375,6 @@ def test_flat_word_kernel_matches_per_row_composition():
             reference(word, ps[5], qs[5], thetas[1]))
 
 
-def test_flat_scope_end_to_end_lays_runs_of_mixed_ground_sizes():
-    # runs at n = 1, 0 and 2 in one flat vector, c a table: a word's
-    # segment for each run, less the segment's start, is the run's own
-    # flat evaluation
-    runs = []
-    for n, fams in ((1, ([1], [0, 1])), (0, ([0],)), (2, ([3], [1, 3], [2, 3]))):
-        tables = [closure_from_fixed_points(n, fam).entries for fam in fams]
-        runs.append((np.stack(tables), np.stack(tables[::-1])))
-    flat = FlatScope.end_to_end(runs)
-    width = sum(p.size for p, _ in runs)
-    assert {len(t) for t in flat.values()} == {width}
-    for word in ("", "c", "pcq", "cpcqcpcqc"):
-        v = opalg._apply_letters(word, flat, np.arange(width, dtype=np.int64), None)
-        start = 0
-        for p, q in runs:
-            segment = v[start:start + p.size].reshape(p.shape)
-            assert np.array_equal(segment - start - np.arange(0, p.size, p.shape[1])[:, None],
-                                  FlatScope(p, q).eval(word))
-            start += p.size
-
-
 def test_closure_rows_matches_check_closure_per_pair():
     # pq over every ordered closure pair at n <= 3: the product of a
     # noncommuting pair can fail to be a closure, that of a commuting
@@ -384,7 +401,7 @@ def test_closure_rows_matches_check_closure_per_pair():
     stack = np.array([[0, 0, 0, 3], [1, 1, 2, 3], [1, 3, 3, 3],
                       [0, 1, 2, 3], [3, 3, 3, 3], [0, 3, 3, 3]])
     reports = [check_closure(OperatorTable(2, r)) for r in stack]
-    assert [(r.expanding.passed, r.monotone.passed, r.idempotent.passed)
+    assert [tuple(r.checks[name].passed for name in ("expanding", "monotone", "idempotent"))
             for r in reports] == [(False, True, True), (True, False, True),
                                   (True, True, False)] + [(True, True, True)] * 3
     assert opalg.closure_rows(stack, 2).tolist() == [False] * 3 + [True] * 3

@@ -344,6 +344,57 @@ def test_rule_steps_checked_structurally():
     assert not check_derivation(Derivation((le_1p, flipped))).accepted
 
 
+#: premises the rule cases below cite by index
+_RULE_BASE = (
+    Step("le", ONE, P, "axiom:one-le-p"),          # 0: 1 <= p
+    Step("le", P, P, "refl"),                      # 1: p <= p
+    Step("le", ONE, Q, "axiom:one-le-q"),          # 2: 1 <= q
+    Step("eq", P, Prod(P, P), "axiom:p-idem"),     # 3: p = pp
+    Step("eq", Prod(P, P), Prod(P, P), "eq-refl"),  # 4: pp = pp
+    Step("eq", Q, Prod(Q, Q), "axiom:q-idem"),     # 5: q = qq
+)
+
+_PP, _QQ = Prod(P, P), Prod(Q, Q)
+
+
+@pytest.mark.parametrize("rule,kind,lhs,rhs,premises,accepted", [
+    ("refl", "le", P, P, (), True),
+    ("refl", "le", P, Q, (), False),
+    ("refl", "le", P, P, (0,), False),                 # wrong arity
+    ("eq-refl", "eq", Q, Q, (), True),
+    ("eq-refl", "le", Q, Q, (), False),                # wrong conclusion kind
+    ("trans", "le", ONE, P, (0, 1), True),
+    ("trans", "le", ONE, Q, (0, 2), False),            # middle terms p and 1
+    ("trans", "le", ONE, P, (0,), False),              # wrong arity
+    ("trans", "le", P, _PP, (3, 4), False),            # eq premises
+    ("antisym", "eq", P, P, (1, 1), True),
+    ("antisym", "eq", ONE, P, (0, 1), False),          # not opposite
+    ("compat", "le", Prod(ONE, ONE), Prod(P, Q), (0, 2), True),
+    ("compat", "le", Prod(ONE, ONE), Prod(Q, P), (0, 2), False),
+    ("antitone", "le", Bar(P), Bar(ONE), (0,), True),
+    ("antitone", "le", Bar(ONE), Bar(P), (0,), False),
+    ("eq-sym", "eq", _PP, P, (3,), True),
+    ("eq-sym", "eq", P, _PP, (3,), False),
+    ("eq-sym", "eq", P, P, (1,), False),               # le premise
+    ("eq-trans", "eq", P, _PP, (3, 4), True),
+    ("eq-trans", "eq", P, _QQ, (3, 5), False),         # middle terms pp and q
+    ("cong-prod", "eq", Prod(P, Q), Prod(_PP, _QQ), (3, 5), True),
+    ("cong-prod", "eq", Prod(Q, P), Prod(_QQ, _PP), (3, 5), False),
+    ("cong-bar", "eq", Bar(P), Bar(_PP), (3,), True),
+    ("cong-bar", "eq", Bar(_PP), Bar(P), (3,), False),
+    ("eq-le", "le", P, _PP, (3,), True),
+    ("eq-le", "le", _PP, P, (3,), True),
+    ("eq-le", "le", P, Q, (3,), False),
+    ("eq-le", "eq", P, _PP, (3,), False),              # wrong conclusion kind
+    ("eq-le", "le", ONE, P, (0,), False),              # le premise
+])
+def test_each_rule_accepts_only_what_its_premises_allow(
+        rule, kind, lhs, rhs, premises, accepted):
+    step = Step(kind, lhs, rhs, rule, premises)
+    v = check_derivation(Derivation(_RULE_BASE + (step,)))
+    assert (v.accepted, v.failed_step) == (accepted, None if accepted else len(_RULE_BASE))
+
+
 def test_single_step_mutations_rejected():
     # flipping any one field of a mid-derivation step must break the check
     d = collapse_derivation()
