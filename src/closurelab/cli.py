@@ -26,12 +26,14 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional, Union
 
 from . import idlab, models
 from . import monoid as monoid_mod
 from .opalg import MAX_GROUND_SIZE, complement_table, elements_of
 from .suites import SUITES, SuiteReport
+from .words import parse_word
 
 OUT_DIR_ENV = "CLOSURELAB_OUT"
 
@@ -45,13 +47,15 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
+    """Write text, or each string it yields, to stdout or to out."""
+    chunks = [text] if isinstance(text, str) else text
     target = _resolve_out(out)
     if target is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(target, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _meta_header(argv_echo: str, elapsed: float) -> str:
@@ -83,7 +87,7 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str, elapsed: float)
 #: fit the table cap.
 _SUITE_RANGES = {
     "theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
-    "kuratowski14": {"n": (0, idlab.ENUMERATION_CAP)},
+    "kuratowski14": {"n": (0, idlab.BLOCKED_ENUMERATION_CAP)},
     "theorem2": {
         "n": (0, idlab.PAIR_ENUMERATION_CAP),
         "samples": (1, None),
@@ -172,11 +176,13 @@ def cmd_search(args) -> int:
             maxlen, n=n, limit=args.limit
         )
         if args.format == "json":
-            payload = [
-                {"lhs": lhs, "rhs": rhs, "scope": scope_desc, "status": "holds"}
-                for lhs, rhs in equations
-            ]
-            _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+            # streamed, as json.dumps(payload, sort_keys=True, indent=2)
+            entry = ('\n  {{\n    "lhs": {},\n    "rhs": {},\n    "scope": {},\n'
+                     '    "status": "holds"\n  }}')
+            scope = json.dumps(scope_desc)
+            entries = (("," if i else "[") + entry.format(json.dumps(lhs), json.dumps(rhs), scope)
+                       for i, (lhs, rhs) in enumerate(equations))
+            _emit(chain(entries, ["\n]\n"]) if equations else "[]\n", args.out)
         else:
             lines = [
                 f"search identities maxlen={maxlen} scope={scope_desc}",
@@ -191,12 +197,13 @@ def cmd_search(args) -> int:
         if not args.eq or "=" not in args.eq:
             print("--eq LHS=RHS is required for counterexample search", file=sys.stderr)
             return 2
-        lhs, rhs = (side.strip() for side in args.eq.split("=", 1))
+        # a word that does not parse is a usage error, and nothing else
         try:
-            cert = idlab.search_counterexample(lhs, rhs, max_n=n, commuting=False)
+            lhs, rhs = (str(parse_word(side.strip())) for side in args.eq.split("=", 1))
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return 2
+        cert = idlab.search_counterexample(lhs, rhs, max_n=n, commuting=False)
         if args.format == "json":
             _emit(json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n", args.out)
         else:
@@ -232,11 +239,16 @@ def cmd_search(args) -> int:
 # dump
 
 
-#: the values dump accepts for its bounded flags, checked like
-#: _SUITE_RANGES before any model is built: a window spans at least 2
-#: elements, and the segment {0..M} (ground size M + 1) fits the table cap
-_DUMP_RANGES = {"m": (2, None), "M": (2, MAX_GROUND_SIZE - 1), "cap": (1, None),
-                "iters": (1, None)}
+#: the flags each dump target reads, checked like _SUITE_RANGES before
+#: any model is built: a window spans at least 2 elements, and the
+#: segment {0..M} (ground size M + 1) fits the table cap
+_ANY, _WINDOW = (None, None), {"m": (2, None), "M": (2, MAX_GROUND_SIZE - 1)}
+_DUMP_RANGES = {
+    "model": dict(_WINDOW, name=_ANY),
+    "monoid": dict(_WINDOW, model=_ANY, gens=_ANY, cap=(1, None)),
+    "hasse": dict(_WINDOW, model=_ANY, gens=_ANY, cap=(1, None)),
+    "orbit": dict(_WINDOW, model=_ANY, word=_ANY, start=_ANY, iters=(1, None)),
+}
 
 #: the flags each dump target cannot do without
 _DUMP_NEEDS = {"model": ("name",), "monoid": ("model",), "hasse": ("model",),
@@ -276,7 +288,8 @@ def _named_generators(model_name: str, args) -> dict:
 
 def cmd_dump(args) -> int:
     what = args.what
-    if not _in_ranges(f"dump {what}", _DUMP_RANGES, vars(args), _DUMP_RANGES):
+    if not _in_ranges(f"dump {what}", _DUMP_RANGES[what], vars(args),
+                      ("name", "model", "iters", "cap", "gens", "word", "start", "m", "M")):
         return 2
     needs = _DUMP_NEEDS[what]
     if not all(getattr(args, flag) for flag in needs):
@@ -304,7 +317,7 @@ def cmd_dump(args) -> int:
         return 0
 
     if what == "orbit":
-        rep = monoid_mod.orbit(args.word, model, start, max_iter=args.iters)
+        rep = monoid_mod.orbit(args.word, model, start, max_iter=args.iters or 10)
         if args.format == "json":
             payload = {
                 "word": rep.word,
@@ -323,7 +336,8 @@ def cmd_dump(args) -> int:
             _emit(buf.getvalue(), args.out)
         return 0
 
-    letters = [part.strip() for part in args.gens.split(",") if part.strip()]
+    gens = "c,k" if args.gens is None else args.gens
+    letters = [part.strip() for part in gens.split(",") if part.strip()]
     missing = [g for g in letters if g not in named]
     if missing or not letters:
         print(
@@ -332,17 +346,15 @@ def cmd_dump(args) -> int:
             file=sys.stderr,
         )
         return 2
-    mon = monoid_mod.generate_monoid(
-        [named[g] for g in letters],
-        cap=args.cap,
-        names=tuple(letters),
-    )
+    cap = args.cap or monoid_mod.DEFAULT_CAP  # a --cap given is at least 1
+    mon = monoid_mod.generate_monoid([named[g] for g in letters], cap=cap,
+                                     names=tuple(letters))
     if what == "monoid":
         _emit(json.dumps(mon.to_json(), sort_keys=True, indent=2) + "\n", args.out)
         return 0
     if mon.truncated:
         print(f"usage error: dump hasse orders the whole monoid, which has more"
-              f" than --cap {args.cap} elements", file=sys.stderr)
+              f" than --cap {cap} elements", file=sys.stderr)
         return 2
     edges = monoid_mod.hasse(mon)
     nodes = [w or "1" for w in mon.witnesses]
@@ -407,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("what", choices=["model", "monoid", "orbit", "hasse"])
     d.add_argument("--name", default=None, help="model name for dump model")
     d.add_argument("--model", default=None, help="model name for monoid/orbit/hasse")
-    d.add_argument("--gens", default="c,k", help="comma list of generator letters")
+    d.add_argument("--gens", default=None, help="generator letters (default c,k)")
     d.add_argument("--word", default=None)
     d.add_argument("--start", default=None, help="comma list of element names")
-    d.add_argument("--iters", type=int, default=10)
-    d.add_argument("--cap", type=int, default=monoid_mod.DEFAULT_CAP)
+    d.add_argument("--iters", type=int, default=None, help="orbit steps (default 10)")
+    d.add_argument("--cap", type=int, default=None, help="monoid size cap")
     d.add_argument("--m", type=int, default=None)
     d.add_argument("--M", type=int, default=None)
     common(d)

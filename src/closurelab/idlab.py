@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -55,25 +55,35 @@ FIXTURE_EQUATIONS = (
 )
 
 ENUMERATION_CAP = 4
+BLOCKED_ENUMERATION_CAP = 5  # _closure_blocks, for verify kuratowski14 only
 PAIR_ENUMERATION_CAP = 3
 SAMPLING_CAP = 12
 
 
 @lru_cache(maxsize=None)
-def _moore_family_masks(n: int) -> tuple[int, ...]:
-    # A family is a bitmask over the 2^n subset masks: bit s set iff
-    # subset s belongs.  Intersection-closure is a pairwise screen.
-    size = 1 << n
-    fams = np.arange(1 << size, dtype=np.int64)
-    ok = ((fams >> (size - 1)) & 1).astype(bool)  # must contain the full set
-    for a in range(size):
-        for b in range(a + 1, size):
-            meet = a & b
-            if meet == a or meet == b:
-                continue
-            bad = ((fams >> a) & (fams >> b) & ~(fams >> meet) & 1).astype(bool)
-            ok &= ~bad
-    return tuple(int(f) for f in fams[ok])
+def _moore_families(n: int) -> np.ndarray:
+    """Every Moore family on n <= 5 points (closed under intersection,
+    with the full set) as an int64 bitmask over the 2**n subset masks,
+    by the decomposition of Colomb, Irlande and Raynaud (ICFCA 2010):
+    F0 | F1 << 2**(n-1), where F1 is a Moore family on n - 1 points and
+    F0, a Moore family there with or without its full set, is stable
+    under meets with F1.  Counts: OEIS A102896."""
+    if not 0 <= n <= BLOCKED_ENUMERATION_CAP:
+        raise ValueError(f"Moore families are listed for n <= {BLOCKED_ENUMERATION_CAP}")
+    if n == 0:
+        return _frozen(np.ones(1, dtype=np.int64))
+    upper = _moore_families(n - 1)
+    half = 1 << (n - 1)
+    lower = np.concatenate([upper, upper ^ (1 << (half - 1))])
+    # bit b of unstable[f] is set when family f meets subset b outside f
+    unstable = np.zeros_like(lower)
+    for b in range(half):
+        meets = np.bitwise_or.reduce([((lower >> a) & 1) << (a & b) for a in range(half)])
+        unstable |= (meets & ~lower != 0).astype(np.int64) << b
+    # all (F0, F1) pairs at once, narrow (uint16 at n = 5: 24 MB)
+    narrow = np.min_scalar_type((1 << half) - 1)
+    f0, f1 = np.nonzero((unstable.astype(narrow)[:, None] & upper.astype(narrow)) == 0)
+    return _frozen(lower[f0] | upper[f1] << half)
 
 
 @lru_cache(maxsize=None)
@@ -85,11 +95,20 @@ def _closure_stack(n: int) -> np.ndarray:
         raise ValueError(
             f"exhaustive closure enumeration supports n <= {ENUMERATION_CAP}"
         )
-    size = 1 << n
-    rows = closures_from_fixed_points(
-        n, [[s for s in range(size) if (fam >> s) & 1] for fam in _moore_family_masks(n)]
-    )
+    rows = closures_from_fixed_points(n, _moore_families(n))
     return _frozen(rows[np.lexsort(rows.T[::-1])])
+
+
+def _closure_blocks(n: int) -> Iterator[np.ndarray]:
+    """Every closure on n points: the canonical stack, or past n = 4
+    blocks of WITNESS_BLOCK_ENTRIES >> n rows in Moore-family order."""
+    if n <= ENUMERATION_CAP:
+        yield _closure_stack(n)
+        return
+    masks = _moore_families(n)
+    rows = WITNESS_BLOCK_ENTRIES >> n
+    for start in range(0, len(masks), rows):
+        yield closures_from_fixed_points(n, masks[start:start + rows])
 
 
 @lru_cache(maxsize=None)
@@ -507,13 +526,13 @@ def search_counterexample(lhs, rhs, max_n: int = 2,
 
 WITNESS_SEARCH_BASE = 777000
 
-#: entries per word table in one screened block of seeded candidates,
-#: which bounds a block's memory: 14 tables of 2**14 entries in the
-#: narrowest dtype (230 KB up to n = 8), and one 128 KB int64 word
-#: evaluation at a time.  Blocks of 2**16 entries were no faster and
-#: left about 1 MB more peak memory in a process that went on to other
-#: work.  (The canonical stack at n <= 4 is one block of at most 2480
-#: rows of 16 entries.)
+#: entries per word table in one screened block of seeded candidates
+#: or of the closures at n = 5, which bounds a block's memory: 16
+#: tables of 2**14 entries in the narrowest dtype (262 KB up to n = 8),
+#: and one 128 KB int64 word evaluation at a time.  Blocks of 2**16
+#: entries were no faster and left about 1 MB more peak memory in a
+#: process that went on to other work.  (The canonical stack at n <= 4
+#: is one block of at most 2480 rows of 16 entries.)
 WITNESS_BLOCK_ENTRIES = 1 << 14
 
 
@@ -543,48 +562,51 @@ def _witness_blocks(n: int, trials: int) -> Iterator[np.ndarray]:
         )
 
 
-def _kc_tables(ks: np.ndarray, words=KURATOWSKI_WORDS) -> Iterator[np.ndarray]:
-    """The (rows, 2**n) table of each word over k and c ("1" the empty
-    word) on each operator k of a (rows, 2**n) stack, in the narrowest
-    dtype, one word at a time from one flat scope."""
+def _kc_screen(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each operator k of a (rows, 2**n) stack: the size of its
+    monoid with complement, whether kckckck = kck fails, and the
+    smallest seed on which the 14 KURATOWSKI_WORDS take 14 pairwise
+    distinct values, or -1.  Their tables, and those of kk and kckckck,
+    are the suffixes of kckckck, ckckckc and kk.  Where kk = k and
+    kckckck = kck (on every closure), k and c map the 14 tables among
+    themselves, so they are the monoid; any other row gets a BFS."""
+    rows, size = ks.shape
+    order = KURATOWSKI_WORDS + ("kk", "kckckck")
+    tables = np.empty((len(order), rows, size), dtype=np.min_scalar_type(size - 1))
+    tables[0] = np.arange(size)
     flat = FlatScope(ks)
-    dtype = np.min_scalar_type(ks.shape[1] - 1)
-    for w in words:
-        yield flat.eval(w.replace("1", "").replace("k", "p")).astype(dtype)
+    for word in ("kckckck", "ckckckc", "kk"):
+        for length, table in enumerate(flat.suffixes(word.replace("k", "p")), 1):
+            tables[order.index(word[-length:])] = table
+    keys = tables.view(np.dtype((np.void, size * tables.itemsize)))[..., 0]
+    words = len(KURATOWSKI_WORDS)
+    # a table is new unless an earlier word has it
+    sizes = words - np.sum([(keys[:i] == keys[i]).any(axis=0) for i in range(1, words)], axis=0)
+    # only rows with 14 distinct tables are sorted along the word axis,
+    # where 14 distinct values have no equal neighbours
+    full = np.flatnonzero(sizes == words)
+    ordered = np.sort(tables[:words, full], axis=0)
+    separating = (ordered[1:] != ordered[:-1]).all(axis=0)
+    seeds = np.full(rows, -1)
+    seeds[full] = np.where(separating.any(axis=1), separating.argmax(axis=1), -1)
+    hammer_fails = keys[order.index("kckckck")] != keys[order.index("kck")]
+    n = size.bit_length() - 1
+    for row in np.flatnonzero(hammer_fails | (keys[order.index("kk")] != keys[1])):
+        sizes[row] = len(generate_monoid([OperatorTable(n, ks[row]), complement_table(n)]))
+    return sizes, hammer_fails, seeds
 
 
 def _kc_monoid_sizes(ks: np.ndarray) -> np.ndarray:
-    """The size of the monoid of k and complement for each operator k
-    of a (rows, 2**n) stack.  Where k and c map the tables of the 14
-    KURATOWSKI_WORDS back among themselves, those tables are the whole
-    monoid, and its size is how many of them are distinct (every
-    closure, by Kuratowski's theorem); any other row gets a monoid BFS.
-    Tables compare whole, as one void key each, and the 28 products
-    are screened one at a time, which keeps every array small."""
-    rows, size = ks.shape
-    words = KURATOWSKI_WORDS
-    tables = _kc_tables(ks, words + tuple(g + w for g in "kc" for w in words))
-    keys = (t.view(np.dtype((np.void, size * t.itemsize)))[:, 0] for t in tables)
-    own = np.stack([next(keys) for _ in words], axis=1)
-    ordered = np.sort(own, axis=1)
-    sizes = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
-    closed = np.all([(key[:, None] == own).any(axis=1) for key in keys], axis=0)
-    n = size.bit_length() - 1
-    for row in np.flatnonzero(~closed):
-        sizes[row] = len(generate_monoid([OperatorTable(n, ks[row]), complement_table(n)]))
-    return sizes
+    return _kc_screen(ks)[0]
 
 
 def _first_separating_seeds(closures: np.ndarray) -> np.ndarray:
-    """For each closure k of a (rows, 2**n) stack, the smallest seed
-    subset on which the 14 words of KURATOWSKI_WORDS take 14 pairwise
-    distinct values, or -1 if there is none."""
-    tables = np.stack(list(_kc_tables(closures)))
-    # sorted along the word axis, 14 distinct values have no equal
-    # neighbours
-    tables.sort(axis=0)
-    separating = (tables[1:] != tables[:-1]).all(axis=0)
-    return np.where(separating.any(axis=1), separating.argmax(axis=1), -1)
+    return _kc_screen(closures)[2]
+
+
+#: no closure on at most this many points has a separating seed, by the
+#: witness search's sweep at n <= 4 and by verify kuratowski14 --n 5
+WITNESS_FREE_CAP = 5
 
 
 def find_kuratowski_witness(max_n: int = 8, trials: int = 30000):
@@ -594,23 +616,23 @@ def find_kuratowski_witness(max_n: int = 8, trials: int = 30000):
 
     Ground sizes up to 4 are swept exhaustively in canonical order;
     monoid size 14 already occurs there, but no seed separates all 14
-    operators.  Beyond that the canonical enumeration is out of reach,
-    so the search walks seeded random fixed-point families, which makes
+    operators, nor at 5 (WITNESS_FREE_CAP), which is skipped.  From 6 on
+    the search walks seeded random fixed-point families, which makes
     the first hit reproducible.  Returns (n, fixed point masks, seed),
     the seed being the smallest one for the first hit.  This is the
     regeneration path for the pinned fixture in the models module.
 
     The candidates are screened a block at a time (see _witness_blocks):
     the 14 words of KURATOWSKI_WORDS are evaluated over the whole block
-    in one stacked call each, and a seed separates a closure when the
-    14 values there are pairwise distinct.  The screen is exact: every
+    (_kc_screen), and a seed separates a closure when the 14 values
+    there are pairwise distinct.  The screen is exact: every
     element of the monoid generated by k and c is one of those 14 words
-    (Kuratowski's theorem, checked exhaustively at n <= 4 by verify
+    (Kuratowski's theorem, checked exhaustively at n <= 5 by verify
     kuratowski14), so a seed's images under the monoid are the 14 word
     values, and 14 distinct values there mean a monoid of 14 elements
     with a seed of 14 distinct images, and the other way round.
     """
-    for n in range(1, max_n + 1):
+    for n in chain(range(1, ENUMERATION_CAP + 1), range(WITNESS_FREE_CAP + 1, max_n + 1)):
         for block in _witness_blocks(n, trials):
             seeds = _first_separating_seeds(block)
             hit = seeds >= 0

@@ -17,7 +17,7 @@ touching the full powerset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -255,23 +255,30 @@ def closure_from_fixed_points(n: int, fixed: Iterable[Mask]) -> OperatorTable:
 def closures_from_fixed_points(n: int, families) -> np.ndarray:
     """Entries of the smallest-enclosing-member operator of each family.
 
-    families is a sequence of member lists; row i of the (k, 2**n)
-    result is the table of family i (see closure_from_fixed_points).
-    Every family must contain the full ground set, and members may
-    repeat.
+    families is a sequence of member lists, or (with no loop per family,
+    n <= 5) an int64 array of bitmasks, bit s set for member s.  Row i
+    of the (k, 2**n) result is the table of family i (see
+    closure_from_fixed_points).  Every family must contain the full
+    ground set, and members may repeat.
     """
     _check_ground_size(n)
     size = 1 << n
     full = size - 1
-    out = np.empty((len(families), size), dtype=np.int64)
-    out.fill(full)
-    for row, fixed in zip(out, families):
-        members = list(set(map(int, fixed)))
-        if members and (min(members) < 0 or max(members) > full):
-            raise ValueError("family member outside the powerset")
-        if full not in members:
-            raise ValueError("family must contain the full ground set")
-        row[members] = members
+    if isinstance(families, np.ndarray) and families.ndim == 1:
+        members = (families[:, None] >> np.arange(size)) & 1
+        if n > 5 or not members[:, full].all():
+            raise ValueError("family bitmasks need n <= 5 and the full ground set")
+        out = np.where(members, np.arange(size), full)
+    else:
+        out = np.empty((len(families), size), dtype=np.int64)
+        out.fill(full)
+        for row, fixed in zip(out, families):
+            members = list(set(map(int, fixed)))
+            if members and (min(members) < 0 or max(members) > full):
+                raise ValueError("family member outside the powerset")
+            if full not in members:
+                raise ValueError("family must contain the full ground set")
+            row[members] = members
     # Meet over supersets, one element at a time: after pass i, out[r, A]
     # is the meet of the members B >= A of family r that differ from A
     # only in elements 0..i.  Each pass is O(k 2^n) however many members
@@ -581,21 +588,33 @@ class FlatScope:
         """The (k, 2**n) int64 tables of a cpq-word, letters acting
         right-to-left as usual, row i on model i."""
         text = _word_letters(word)
-        if "q" in text and "q" not in self.tables:
-            raise ValueError(f"word {text!r} has a q letter, but the scope has no q")
         k, size = self.shape
         v = _apply_letters(text, self.tables, np.arange(k * size, dtype=np.int64), size - 1)
         v &= size - 1
         return v.reshape(k, size)
 
+    def suffixes(self, word) -> Iterator[np.ndarray]:
+        """The (k, 2**n) int64 tables of the nonempty suffixes of a
+        cpq-word, shortest first, at one gather per letter in all."""
+        k, size = self.shape
+        v = np.arange(k * size, dtype=np.int64)
+        for letter in reversed(_word_letters(word)):
+            v = _apply_letters(letter, self.tables, v, size - 1)
+            yield (v & (size - 1)).reshape(k, size)
+
 
 def _apply_letters(text: str, tables: dict, v: np.ndarray, full: int) -> np.ndarray:
     """The word kernel: the letters of text, right to left, applied to
     the flat vector v, each a 1-D gather through its table, or an XOR
-    with full for a c that has none."""
+    with full for a c that has none; any other letter needs a table."""
     for letter in reversed(text):
         table = tables.get(letter)
-        v = v ^ full if table is None else table[v]
+        if table is not None:
+            v = table[v]
+        elif letter == "c":
+            v = v ^ full
+        else:
+            raise ValueError(f"word {text!r} has a {letter} letter, but no {letter} table")
     return v
 
 

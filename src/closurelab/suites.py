@@ -11,8 +11,8 @@ checked on an opalg.FlatScope, built once over a whole stack of tables
 and then one gather per letter for every word, so there is one
 evaluation kernel rather than a loop per suite.  kuratowski14 counts
 each closure's monoid with k and c as the number of distinct tables
-among the 14 Kuratowski words, having checked that k and c map those
-tables back among themselves.
+among the 14 Kuratowski words, having checked that kk = k and
+kckckck = kck, so that k and c map those tables among themselves.
 """
 
 from __future__ import annotations
@@ -125,14 +125,14 @@ def suite_theorem1(n: int = 2) -> SuiteReport:
 
 
 def suite_kuratowski14(n: int = 4) -> SuiteReport:
-    stack = idlab._closure_stack(n)
-    sizes = idlab._kc_monoid_sizes(stack).tolist()
-    max_size = max(sizes)
-    over = [(i, size) for i, size in enumerate(sizes) if size > 14]
-    # kckckck = kck, with k as p and q alike
-    flat = FlatScope(stack)
-    hammer = flat.eval("pcpcpcp") != flat.eval("pcp")
-    hammer_bad = np.flatnonzero(hammer.any(axis=1)).tolist()
+    # indices count in the order of idlab._closure_blocks
+    screens = [idlab._kc_screen(block) for block in idlab._closure_blocks(n)]
+    sizes, hammer, seeds = (np.concatenate(column) for column in zip(*screens))
+    max_size = int(sizes.max())
+    over = [(int(i), int(sizes[i])) for i in np.flatnonzero(sizes > 14)]
+    hammer_bad = np.flatnonzero(hammer).tolist()
+    separating = int(np.count_nonzero(seeds >= 0))
+    histogram = dict(zip(*(col.tolist() for col in np.unique(sizes, return_counts=True))))
 
     k, seed = models.kuratowski_witness()
     c = complement_table(k.ground_size)
@@ -144,6 +144,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     passed = (
         not over
         and not hammer_bad
+        and not separating
         and len(mon) == 14
         and words_ok
         and len(orbit_images) == 14
@@ -152,9 +153,13 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     report.lines = [
         "verify kuratowski14",
         f"n: {n}",
-        f"{len(stack)} closures, max monoid {max_size}",
+        f"{len(sizes)} closures, max monoid {max_size}",
         f"monoids over 14: {len(over)}",
         f"hammer kckckck = kck failures: {len(hammer_bad)}",
+    ]
+    if separating:
+        report.lines.append(f"closures with a separating seed: {separating}")
+    report.lines += [
         f"witness ground size: {k.ground_size}",
         f"witness monoid size: {len(mon)}",
         "witness words: " + " ".join(wit_words),
@@ -163,10 +168,12 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     ]
     report.data = {
         "n": n,
-        "closures": len(stack),
+        "closures": len(sizes),
         "max_monoid": max_size,
+        "monoid_sizes": histogram,
         "over_14": over,
         "hammer_failures": hammer_bad,
+        "separating_seeds": separating,
         "witness": {
             "ground_size": k.ground_size,
             "monoid_size": len(mon),

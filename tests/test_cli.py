@@ -79,7 +79,7 @@ def test_verify_out_of_range_scope_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("name,flag,low,high", [
-    ("theorem1", "--n", 0, 4), ("kuratowski14", "--n", 0, 4),
+    ("theorem1", "--n", 0, 4), ("kuratowski14", "--n", 0, 5),
     ("theorem2", "--n", 0, 3), ("fixtures", "--n", 0, 3),
     ("section4", "--m", 2, 9), ("example3", "--M", 2, 19),
     ("interior", "--n", 0, 4), ("pq-closure", "--n", 0, 3),
@@ -286,6 +286,45 @@ def test_search_counterexample_held_exits_one(capsys):
                    "no counterexample found (exhaustive-all-n<=2)\n")
 
 
+def test_search_counterexample_parses_both_words_before_the_search(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(idlab, "search_counterexample", lambda *args, **kw: calls.append(args))
+    for eq in ("px=p", "p=qx", "pq = q1"):
+        code, out, err = run_cli(capsys, "search", "counterexample", "--eq", eq)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: unknown letter")
+    assert calls == []
+
+
+def test_search_counterexample_internal_value_error_is_not_a_usage_error(
+        capsys, monkeypatch):
+    def broken(lhs, rhs, max_n=2, commuting=False):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(idlab, "search_counterexample", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["search", "counterexample", "--eq", "pq=qp"])
+    assert "usage error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,maxlen,limit", [
+    (0, 5, None), (1, 7, None), (2, 9, None), (3, 6, None), (2, 9, 7), (2, 9, 0),
+    (2, 0, None),
+])
+def test_search_identities_json_streams_the_bytes_of_json_dumps(
+        capsys, tmp_path, n, maxlen, limit):
+    argv = ["search", "identities", "--format", "json", "--n", str(n), "--maxlen", str(maxlen)]
+    argv += [] if limit is None else ["--limit", str(limit)]
+    equations, scope, _ = idlab.search_identities(maxlen, n=n, limit=limit)
+    payload = [{"lhs": lhs, "rhs": rhs, "scope": scope, "status": "holds"}
+               for lhs, rhs in equations]
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert run_cli(capsys, *argv) == (0, want, "")
+    target = tmp_path / "identities.json"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == want
+
+
 def test_search_counterexample_flag_errors(capsys):
     code, _, err = run_cli(capsys, "search", "counterexample")
     assert code == 2
@@ -371,6 +410,50 @@ def test_dump_flags_are_checked_before_any_work(capsys, monkeypatch, argv, flag,
     assert (code, out) == (2, "")
     value = argv[argv.index(flag) + 1]
     assert err == f"usage error: dump {argv[1]} takes {flag} {bounds}, got {value}\n"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["dump", "model", "--name", "pij(1,0)", "--iters", "5", "--cap", "3", "--gens", "p",
+      "--word", "p"], "--iters"),
+    (["dump", "model", "--name", "section4", "--gens", "p"], "--gens"),
+    (["dump", "model", "--name", "section4", "--model", "witness14"], "--model"),
+    (["dump", "model", "--name", "section4", "--start", "0"], "--start"),
+    (["dump", "monoid", "--model", "witness14", "--word", "k"], "--word"),
+    (["dump", "monoid", "--model", "witness14", "--name", "section4"], "--name"),
+    (["dump", "hasse", "--model", "witness14", "--iters", "3"], "--iters"),
+    (["dump", "orbit", "--model", "section4", "--word", "p", "--start", "0", "--cap", "9"],
+     "--cap"),
+    (["dump", "orbit", "--model", "section4", "--word", "p", "--start", "0", "--gens", "p"],
+     "--gens"),
+])
+def test_dump_refuses_a_flag_its_target_does_not_read(capsys, monkeypatch, argv, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("ran despite an unread flag")
+
+    for name in ("section4_model", "example3", "pij_pair", "kuratowski_witness"):
+        monkeypatch.setattr(models, name, never)
+    for name in ("generate_monoid", "hasse", "orbit"):
+        monkeypatch.setattr(monoid_mod, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: dump {argv[1]} does not take {flag}\n"
+
+
+def test_dump_takes_the_flags_its_target_reads(capsys):
+    # and the hidden --workers, which every command still accepts
+    code, out, _ = run_cli(capsys, "dump", "monoid", "--model", "witness14", "--gens", "k",
+                           "--cap", "20", "--workers", "1")
+    assert code == 0 and json.loads(out)["witnesses"] == ["", "k"]
+    # a header and the start, then one row per step: 2, or by default up
+    # to 10 (this orbit cycles after 7)
+    for iters, rows in ((["--iters", "2"], 4), ([], 9)):
+        code, out, _ = run_cli(capsys, "dump", "orbit", "--model", "section4", "--m", "8",
+                               "--word", "cpcpcqcq", "--start", "0,top", *iters,
+                               "--workers", "1")
+        assert code == 0 and len(out.splitlines()) == rows
+    code, out, _ = run_cli(capsys, "dump", "model", "--name", "example3", "--M", "4",
+                           "--workers", "1")
+    assert code == 0 and json.loads(out) == models.example3(4).to_json()
 
 
 def test_dump_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

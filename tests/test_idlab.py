@@ -25,6 +25,7 @@ from closurelab.idlab import (
 from closurelab.models import ClosurePairModel, kuratowski_witness
 from closurelab.monoid import generate_monoid
 from closurelab.opalg import (
+    FlatScope,
     OperatorTable,
     check_closure,
     closure_from_fixed_points,
@@ -50,6 +51,49 @@ from _oracles import (
 
 def test_closure_counts():
     assert [len(enumerate_closures(n)) for n in range(5)] == [1, 2, 7, 61, 2480]
+
+
+def test_moore_family_recursion_gives_the_published_counts():
+    # OEIS A102896; the families at n <= 4 are those of the brute-force
+    # scan of every family bitmask, and sampled ones at n = 5 hold the
+    # full set and are closed under intersection
+    assert [len(idlab._moore_families(n)) for n in range(6)] == [
+        1, 2, 7, 61, 2480, 1385552]
+    for n in range(5):
+        brute = sorted(sum(1 << s for s in fam) for fam in moore_families_brute(n))
+        assert sorted(idlab._moore_families(n).tolist()) == brute, n
+    five = idlab._moore_families(5)
+    assert len(np.unique(five)) == len(five)
+    for fam in five[::4999].tolist():
+        members = [s for s in range(32) if (fam >> s) & 1]
+        assert 31 in members
+        assert all((fam >> (a & b)) & 1 for a in members for b in members), fam
+    with pytest.raises(ValueError):
+        idlab._moore_families(6)
+
+
+def test_closure_stack_matches_the_brute_force_row_for_row():
+    # int64 rows in lexicographic order, as built from the brute-force
+    # family scan, at every n <= 4
+    for n in range(5):
+        stack = idlab._closure_stack(n)
+        assert stack.dtype == np.int64 and stack.flags.c_contiguous
+        assert not stack.flags.writeable
+        want = sorted(closure_of_family(n, fam) for fam in moore_families_brute(n))
+        assert [tuple(row) for row in stack.tolist()] == want, n
+
+
+def test_closure_blocks_past_the_canonical_stack_follow_the_families():
+    # the fixed points of each row of a block are its Moore family
+    assert np.array_equal(next(idlab._closure_blocks(4)), idlab._closure_stack(4))
+    blocks = idlab._closure_blocks(5)
+    rows = idlab.WITNESS_BLOCK_ENTRIES >> 5
+    for start in (0, rows):
+        block = next(blocks)
+        assert block.shape == (rows, 32)
+        fixed = (block == np.arange(32)) << np.arange(32)
+        assert fixed.sum(axis=1).tolist() == (
+            idlab._moore_families(5)[start:start + rows].tolist())
 
 
 def test_enumeration_matches_function_filter_oracle():
@@ -450,8 +494,9 @@ def test_search_counterexample_modes():
 
 
 def test_witness_search_regenerates_the_pinned_fixture():
-    # sweeps n <= 4 exhaustively, then seeded random families at n = 5
-    # (no hit) and n = 6 (hit at trial 1273); about a second of work
+    # sweeps n <= 4 exhaustively, skips n = 5 (checked exhaustively by
+    # verify kuratowski14 --n 5), then seeded random families at n = 6
+    # (hit at trial 1273)
     n, fixed, seed = find_kuratowski_witness()
     table, pinned_seed = kuratowski_witness()
     assert n == table.ground_size == 6
@@ -459,6 +504,32 @@ def test_witness_search_regenerates_the_pinned_fixture():
     assert fixed == tuple(
         m for m in range(64) if int(table.entries[m]) == m
     )
+
+
+def test_witness_search_draws_no_trial_at_n5(monkeypatch):
+    drawn = []
+    real = idlab._witness_family
+
+    def counting(n, trial):
+        drawn.append((n, trial))
+        return real(n, trial)
+
+    monkeypatch.setattr(idlab, "_witness_family", counting)
+    assert find_kuratowski_witness()[0] == 6
+    # whole blocks of 256 trials at n = 6, the fifth holding the hit at
+    # trial 1273
+    assert idlab.WITNESS_BLOCK_ENTRIES >> 6 == 256
+    assert drawn == [(6, trial) for trial in range(1280)]
+
+
+def test_kc_screen_flags_hammer_failures_on_arbitrary_maps():
+    rng = np.random.default_rng(9)
+    maps = rng.integers(0, 4, size=(200, 4))
+    _, hammer, _ = idlab._kc_screen(maps)
+    flat = FlatScope(maps)
+    want = (flat.eval("pcpcpcp") != flat.eval("pcp")).any(axis=1)
+    assert want.any() and not want.all()
+    assert hammer.tolist() == want.tolist()
 
 
 def _bfs_separating_seed(k):

@@ -145,6 +145,41 @@ def test_closure_from_fixed_points_rejects_bad_families():
         closures_from_fixed_points(2, [[3], [1, 3], [1, 2]])
 
 
+def test_closures_from_family_bitmasks_match_member_lists():
+    # the bitmask path of the meet kernel against the member-list path
+    # and the oracle, on seeded families at every n <= 5
+    rng = np.random.default_rng(3)
+    for n in range(6):
+        size = 1 << n
+        masks = rng.integers(0, 1 << size, size=40, dtype=np.int64) | (1 << (size - 1))
+        families = [[s for s in range(size) if (int(m) >> s) & 1] for m in masks]
+        got = closures_from_fixed_points(n, masks)
+        assert got.dtype == np.int64
+        assert got.tolist() == closures_from_fixed_points(n, families).tolist()
+        assert [tuple(row) for row in got.tolist()] == [
+            closure_of_family(n, members) for members in families
+        ]
+    with pytest.raises(ValueError, match="full ground set"):
+        closures_from_fixed_points(2, np.array([8, 7], dtype=np.int64))
+    with pytest.raises(ValueError, match="n <= 5"):
+        closures_from_fixed_points(6, np.array([1 << 62], dtype=np.int64))
+
+
+def test_flat_scope_suffixes_are_the_tables_of_the_suffixes():
+    ks = np.stack([closure_from_fixed_points(3, fam).entries
+                   for fam in ([7], [1, 7], [0, 3, 7], [2, 5, 7])])
+    flat = FlatScope(ks, ks[::-1].copy())
+    word = "pcqqpcpcq"
+    got = list(flat.suffixes(word))
+    assert len(got) == len(word)
+    for length, table in enumerate(got, 1):
+        assert np.array_equal(table, flat.eval(word[-length:])), length
+    assert list(flat.suffixes("")) == []
+    # with no q table a q letter is refused, not taken for a c
+    with pytest.raises(ValueError, match="q"):
+        list(FlatScope(ks).suffixes("pqp"))
+
+
 @settings(max_examples=150)
 @given(
     n=st.integers(min_value=0, max_value=4),

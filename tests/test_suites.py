@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from closurelab import idlab, suites
+from closurelab import idlab, models, suites
 from closurelab.opalg import complement_table, reversed_involution
 from closurelab.suites import (
     FIXTURE_FAILURE,
@@ -131,6 +131,41 @@ def test_kuratowski_suite():
     assert "witness words match canonical list: yes" in rep.lines
     assert "witness seed {1,4} distinct images: 14" in rep.lines
     assert rep.data["witness"]["words"] == list(KURATOWSKI_WORDS)
+
+
+def test_kuratowski_suite_reports_the_monoid_size_histogram():
+    rep = suite_kuratowski14(4)
+    assert rep.data["monoid_sizes"] == {2: 1, 4: 1, 6: 28, 8: 699, 10: 1511, 14: 240}
+    assert rep.data["separating_seeds"] == 0
+
+
+def test_kuratowski_suite_checks_every_closure_at_n5():
+    # every closure on 5 points, walked in blocks: no monoid over 14, no
+    # Hammer failure, and no seed with 14 distinct images, which is
+    # what lets the witness search skip n = 5
+    rep = suite_kuratowski14(5)
+    assert rep.passed
+    assert rep.lines[1:5] == [
+        "n: 5",
+        "1385552 closures, max monoid 14",
+        "monoids over 14: 0",
+        "hammer kckckck = kck failures: 0",
+    ]
+    assert rep.data["monoid_sizes"] == {
+        2: 1, 4: 1, 6: 81, 8: 149369, 10: 978760, 14: 257340}
+    assert rep.data["separating_seeds"] == 0
+    assert rep.data["over_14"] == [] and rep.data["hammer_failures"] == []
+    assert idlab.WITNESS_FREE_CAP == 5
+
+
+def test_kuratowski_suite_fails_on_a_separating_seed(monkeypatch):
+    k, _ = models.kuratowski_witness()
+    monkeypatch.setattr(idlab, "_closure_blocks", lambda n: iter([k.entries[None]]))
+    rep = suite_kuratowski14(6)
+    assert not rep.passed
+    assert "closures with a separating seed: 1" in rep.lines
+    assert rep.data["separating_seeds"] == 1
+    assert rep.data["monoid_sizes"] == {14: 1}
 
 
 def test_theorem2_suite_small():
