@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -58,6 +59,34 @@ def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
             fh.writelines(chunks)
 
 
+#: the exact types the C encoder writes as json.dumps does
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder, with a list's items one per line at this depth."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\\n",
+    with each list of scalars written by one call to the C encoder; at
+    a depth past 0, obj's text as an item there, with no newline."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, dict) and obj:
+        # keys are sorted, then spelled by the C encoder: 8 before 10
+        text = "{" + ",".join(pad + _encoder(0)({key: 0})[1:-2] + _json_text(value, depth + 1)
+                              for key, value in sorted(obj.items())) + pad[:-2] + "}"
+    elif isinstance(obj, (list, tuple)) and obj and not _SCALARS.issuperset(map(type, obj)):
+        text = "[" + ",".join(pad + _json_text(value, depth + 1) for value in obj) + pad[:-2] + "]"
+    elif isinstance(obj, (list, tuple)) and obj:
+        text = "[" + pad + _encoder(depth + 1)(obj)[1:-1] + pad[:-2] + "]"
+    else:
+        text = _encoder(0)(obj)  # a scalar, [] or {}
+    return text if depth else text + "\n"
+
+
 def _meta_header(argv_echo: str, elapsed: float) -> str:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return (
@@ -68,7 +97,7 @@ def _meta_header(argv_echo: str, elapsed: float) -> str:
 
 def _render_suite(report: SuiteReport, fmt: str, argv_echo: str, elapsed: float) -> str:
     if fmt == "json":
-        return json.dumps(report.data, sort_keys=True, indent=2) + "\n"
+        return _json_text(report.data)
     body = "\n".join(report.lines) + "\n"
     return _meta_header(argv_echo, elapsed) + body
 
@@ -205,7 +234,7 @@ def cmd_search(args) -> int:
             return 2
         cert = idlab.search_counterexample(lhs, rhs, max_n=n, commuting=False)
         if args.format == "json":
-            _emit(json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n", args.out)
+            _emit(_json_text(cert.to_json()), args.out)
         else:
             _emit(f"search counterexample {lhs} = {rhs}\n{cert.summary()}\n", args.out)
         return 0 if not cert.holds else 1
@@ -222,7 +251,7 @@ def cmd_search(args) -> int:
         "seed": elements_of(seed),
     }
     if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         lines = [
             "search witness14",
@@ -313,7 +342,7 @@ def cmd_dump(args) -> int:
         return 2
 
     if what == "model":
-        _emit(json.dumps(model.to_json(), sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(model.to_json()), args.out)
         return 0
 
     if what == "orbit":
@@ -326,7 +355,7 @@ def cmd_dump(args) -> int:
                 "cycle_entry": rep.cycle_entry,
                 "truncated": rep.truncated,
             }
-            _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+            _emit(_json_text(payload), args.out)
         else:
             buf = io.StringIO()
             writer = csv.writer(buf)
@@ -350,7 +379,7 @@ def cmd_dump(args) -> int:
     mon = monoid_mod.generate_monoid([named[g] for g in letters], cap=cap,
                                      names=tuple(letters))
     if what == "monoid":
-        _emit(json.dumps(mon.to_json(), sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(mon.to_json()), args.out)
         return 0
     if mon.truncated:
         print(f"usage error: dump hasse orders the whole monoid, which has more"
@@ -362,7 +391,7 @@ def cmd_dump(args) -> int:
         "nodes": nodes,
         "edges": [[nodes[lo], nodes[hi]] for lo, hi in edges],
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 

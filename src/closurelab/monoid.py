@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .opalg import OperatorTable, eval_word_on, leq_matrix
+from . import opalg
+from .opalg import OperatorTable, eval_word_on, hex_rows, leq_matrix
 
 DEFAULT_CAP = 10000
 
@@ -51,7 +52,8 @@ class GeneratedMonoid:
             "generator_names": list(self.generator_names),
             "size": len(self.elements),
             "truncated": self.truncated,
-            "elements": [e.to_json() for e in self.elements],
+            "elements": [{"n": self.elements[0].ground_size, "entries": row} for row in
+                         hex_rows(np.stack([e.entries for e in self.elements]))],
             "witnesses": list(self.witnesses),
             "cayley": [list(row) for row in self.cayley],
         }
@@ -129,6 +131,7 @@ def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
     first, then lexicographic).  The order is one leq_matrix screen of
     the stacked tables; j covers i where the strict order's square,
     which counts the v with i < v < j, is 0 (in float32: exact, by BLAS).
+    The square is formed in blocks of rows: one k x k float32 matrix.
     """
     if monoid.truncated:
         raise ValueError("refusing to order a truncated monoid")
@@ -136,13 +139,15 @@ def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
     strict = leq_matrix(tables, tables)
     np.fill_diagonal(strict, False)
     counts = strict.astype(np.float32)
-    covers = strict & (counts @ counts == 0)
+    step = max(1, opalg.COVER_BLOCK_ENTRIES // len(counts))
+    edges = [(start + int(i), int(j)) for start in range(0, len(counts), step)
+             for i, j in zip(*np.nonzero(strict[start:start + step]
+                                         & (counts[start:start + step] @ counts == 0)))]
 
     def wkey(idx):
         w = monoid.witnesses[idx]
         return (len(w), w)
 
-    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(covers))]
     edges.sort(key=lambda e: (wkey(e[0]), wkey(e[1])))
     return edges
 

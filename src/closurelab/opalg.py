@@ -56,6 +56,13 @@ def _check_ground_size(n: int) -> None:
         )
 
 
+def hex_rows(stack: np.ndarray) -> list[list[str]]:
+    """Each row of a (k, 2**n) stack of tables as lowercase hex strings.
+    The 2**n strings are built per call, not kept: 15 MB at n = 18."""
+    digits = ["%x" % a for a in range(stack.shape[-1])]
+    return [list(map(digits.__getitem__, row)) for row in stack.tolist()]
+
+
 class OperatorTable:
     """A powerset operator materialized as a table of 2**n masks.
 
@@ -122,10 +129,7 @@ class OperatorTable:
         return f"OperatorTable(n={self.ground_size})"
 
     def to_json(self) -> dict:
-        return {
-            "n": self.ground_size,
-            "entries": [format(int(e), "x") for e in self.entries],
-        }
+        return {"n": self.ground_size, "entries": hex_rows(self.entries[None])[0]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "OperatorTable":
@@ -321,6 +325,9 @@ def leq(f: OperatorTable, g: OperatorTable) -> bool:
 #: the most entries leq_matrix's temporary holds at once
 ORDER_SCREEN_ENTRIES = 1 << 20
 
+#: the most entries of one row block of monoid.hasse's cover test
+COVER_BLOCK_ENTRIES = 1 << 20
+
 
 def leq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (k, k') bool matrix of the pointwise order between a
@@ -392,13 +399,12 @@ def _mask_check(failing) -> Check:
 
 def _monotone_fast(entries: np.ndarray, n: int) -> np.ndarray:
     # Row by row over the last axis: monotonicity over all pairs A <= B
-    # follows from the single-element covers A <= A + {i}, which is an
-    # n-pass vectorized screen.  A single table gives a 0-d result.
-    masks = np.arange(entries.shape[-1], dtype=np.int64)
+    # follows from the single-element covers A <= A + {i}: one pass per
+    # bit i over the halves without and with it.  One table gives a 0-d result.
     ok = np.ones(entries.shape[:-1], dtype=bool)
     for i in range(n):
-        up = entries[..., masks | np.int64(1 << i)]
-        ok &= ~np.any(entries & ~up, axis=-1)
+        h = entries.reshape(entries.shape[:-1] + (-1, 2, 1 << i))
+        ok &= ~np.any(h[..., 0, :] & ~h[..., 1, :], axis=(-2, -1))
     return ok
 
 

@@ -18,15 +18,7 @@ def closures_by_filter(n):
             continue
         if any(entries[entries[a]] != entries[a] for a in range(size)):
             continue
-        monotone = True
-        for a in range(size):
-            for b in range(size):
-                if a | b == b and entries[a] | entries[b] != entries[b]:
-                    monotone = False
-                    break
-            if not monotone:
-                break
-        if monotone:
+        if is_monotone(entries):
             found.append(tuple(entries))
     return found
 
@@ -62,6 +54,14 @@ def closure_of_family(n, members):
                 best &= m
         entries.append(best)
     return tuple(entries)
+
+
+def is_monotone(entries):
+    """Whether A <= B implies entries[A] <= entries[B], over every pair
+    of subsets."""
+    size = len(entries)
+    return all(entries[a] | entries[b] == entries[b]
+               for a in range(size) for b in range(size) if a | b == b)
 
 
 def compose_tables(outer, inner):

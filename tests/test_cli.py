@@ -10,6 +10,7 @@ import pytest
 
 from closurelab import cli, idlab, models
 from closurelab import monoid as monoid_mod
+from closurelab.opalg import complement_table, elements_of
 from closurelab.suites import KURATOWSKI_WORDS, SUITES, SuiteReport
 
 
@@ -551,6 +552,103 @@ def test_dump_orbit_missing_flags(capsys):
     code, _, err = run_cli(capsys, "dump", "orbit", "--model", "section4")
     assert code == 2
     assert "--word" in err
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _witness14_monoid():
+    k, _ = models.kuratowski_witness()
+    return monoid_mod.generate_monoid([complement_table(k.ground_size), k], names=("c", "k"))
+
+
+def test_json_writer_writes_the_bytes_of_json_dumps():
+    corpus = [
+        {8: "a", 10: "b", -1: "c"}, {True: 1, False: 2}, {None: 0}, {2.5: 1, 1: 2, 1e300: 3},
+        {"b": 1, "a": 2, "": 3},
+        [], {}, (), [[]], [{}], {"a": [], "b": {}, "c": [[], {}], "d": {"e": {"f": []}}},
+        (1, (2, 3), ("x",)), {"t": (1, 2), "u": ()},
+        [1, "two", 3.5, None, True, False], [1, [2], {"a": 3}, "x", ()],
+        [[1, 2], [3, [4, []]], [], [[[5]]]],
+        [0.1, -0.0, 1e300, 1e-300, float("inf"), float("-inf"), float("nan"), 1.0],
+        {float("inf"): 1, float("-inf"): 2},
+        None, 0, -7, 1.5, True, "", "x",
+        ['"quoted"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "\u00e9 \u4e2d \U0001f600",
+         "\u2028", "</script>"],
+        {'"k"': {"\\": "\n"}},
+        SUITES["kuratowski14"]().data,
+        idlab.search_counterexample("pq", "qp").to_json(),
+        models.section4_model(3).to_json(),
+        _witness14_monoid().to_json(),
+    ]
+    for obj in corpus:
+        assert cli._json_text(obj) == _dumps(obj), obj
+    # a key of another type, or keys that do not sort: TypeError from both
+    for obj in ({(1, 2): 0}, {1: 0, "a": 1}, [{1: 0, None: 1}]):
+        for write in (_dumps, cli._json_text):
+            with pytest.raises(TypeError):
+                write(obj)
+
+
+def _hasse_payload(mon):
+    nodes = [w or "1" for w in mon.witnesses]
+    return {"nodes": nodes, "edges": [[nodes[a], nodes[b]] for a, b in monoid_mod.hasse(mon)]}
+
+
+def _witness14_payload():
+    n, fixed, seed = idlab.find_kuratowski_witness()
+    return {"ground_size": n, "fixed_points": [elements_of(m) for m in fixed],
+            "seed": elements_of(seed)}
+
+
+def _orbit_payload():
+    model = models.section4_model(4)
+    rep = monoid_mod.orbit("cpcpcqcq", model, model.mask_of_names("0,top"), max_iter=10)
+    return {"word": rep.word, "start": model.format_mask(rep.start),
+            "images": [model.format_mask(a) for a in rep.images],
+            "cycle_entry": rep.cycle_entry, "truncated": rep.truncated}
+
+
+def _section4_monoid():
+    model = models.section4_model(2)
+    return monoid_mod.generate_monoid(
+        [model.p, model.q, complement_table(model.ground_size)], names=("p", "q", "c"))
+
+
+#: every command with --format json but the streamed identities list,
+#: with the library payload it writes
+_JSON_COMMANDS = [
+    *[(["verify", name], (lambda name=name: SUITES[name]().data)) for name in sorted(SUITES)],
+    (["search", "counterexample", "--eq", "pq=qp"],
+     lambda: idlab.search_counterexample("pq", "qp").to_json()),
+    (["search", "counterexample", "--eq", "pcqcpcq=pcq"],
+     lambda: idlab.search_counterexample("pcqcpcq", "pcq").to_json()),
+    (["search", "witness14"], _witness14_payload),
+    (["dump", "model", "--name", "section4"], lambda: models.section4_model(4).to_json()),
+    (["dump", "model", "--name", "example3-literal"],
+     lambda: models.example3(10, variant="literal").to_json()),
+    (["dump", "monoid", "--model", "witness14"], lambda: _witness14_monoid().to_json()),
+    (["dump", "monoid", "--model", "section4", "--m", "2", "--gens", "p,q,c"],
+     lambda: _section4_monoid().to_json()),
+    (["dump", "hasse", "--model", "witness14"], lambda: _hasse_payload(_witness14_monoid())),
+    (["dump", "hasse", "--model", "section4", "--m", "2", "--gens", "p,q,c"],
+     lambda: _hasse_payload(_section4_monoid())),
+    (["dump", "orbit", "--model", "section4", "--word", "cpcpcqcq", "--start", "0,top"],
+     _orbit_payload),
+]
+
+
+@pytest.mark.parametrize("argv,payload", _JSON_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in _JSON_COMMANDS])
+def test_json_output_is_the_bytes_of_json_dumps(capsys, argv, payload):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code in (0, 1) and err == ""
+    assert out == _dumps(payload())
 
 
 # ---------------------------------------------------------------------------

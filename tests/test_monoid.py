@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from closurelab import opalg
 from closurelab.models import example3, example3_additive, kuratowski_witness, pij_pair, section4_model
 from closurelab.monoid import (
     generate_monoid,
@@ -164,13 +165,16 @@ def test_hasse_of_kuratowski_monoid():
     (lambda: example3(7), "pq"),
     (lambda: example3(8), "pq"),
 ], ids=["section4-m2-pqc", "example3-M6-pq", "example3-M7-pq", "example3-M8-pq"])
-def test_hasse_edges_are_the_covering_pairs(model, gens):
+def test_hasse_edges_are_the_covering_pairs(model, gens, monkeypatch):
     m = model()
     tables = {"p": m.p, "q": m.q, "c": complement_table(m.ground_size)}
     mon = generate_monoid([tables[g] for g in gens], names=tuple(gens))
     edges = hasse(mon)
     assert set(edges) == _covering_pairs(mon) and len(set(edges)) == len(edges)
     assert edges  # a nontrivial order
+    # the cover test in blocks of 7 rows, the last one short
+    monkeypatch.setattr(opalg, "COVER_BLOCK_ENTRIES", 7 * len(mon) + 6)
+    assert len(mon) % 7 and hasse(mon) == edges
 
 
 def test_hasse_edges_sorted_by_witness():

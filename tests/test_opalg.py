@@ -33,7 +33,7 @@ from closurelab.opalg import (
     table_from_function,
 )
 
-from _oracles import closure_of_family, compose_tables, moore_families_brute
+from _oracles import closure_of_family, compose_tables, is_monotone, moore_families_brute
 
 
 def test_mask_helpers():
@@ -441,6 +441,22 @@ def test_closure_rows_matches_check_closure_per_pair():
                                   (True, True, False)] + [(True, True, True)] * 3
     assert opalg.closure_rows(stack, 2).tolist() == [False] * 3 + [True] * 3
     assert opalg._monotone_fast(stack, 2).tolist() == [True, False] + [True] * 4
+    # random stacks, most rows not monotone, mixed with monotone rows
+    # A | r and A & r, against the brute-force oracle; a (2, k, 2**n)
+    # stack screens row by row, a single table gives a 0-d result
+    rng = np.random.default_rng(7)
+    for n in range(5):
+        masks = np.arange(1 << n)
+        rs = rng.integers(0, 1 << n, size=(8, 1))
+        stack = np.concatenate([rng.integers(0, 1 << n, size=(16, 1 << n)),
+                                masks | rs, masks & rs])
+        rng.shuffle(stack)
+        want = [is_monotone(row.tolist()) for row in stack]
+        assert opalg._monotone_fast(stack, n).tolist() == want
+        assert opalg._monotone_fast(stack.reshape(2, 16, -1), n).tolist() == [
+            want[:16], want[16:]]
+        assert opalg._monotone_fast(stack[0], n).shape == ()
+        assert (False in want) == (n > 0) and True in want
 
 
 def test_eval_word_with_substitute_involution():
