@@ -37,6 +37,7 @@ from .opalg import (
     check_closure,
     closure_from_fixed_points,
     commutes,
+    hex_rows,
     identity_table,
 )
 
@@ -129,13 +130,14 @@ class ClosurePairModel:
             self.q, OperatorTable
         ):
             raise ValueError("only table-backed models serialize to JSON")
+        p_hex, q_hex = hex_rows(np.stack([self.p.entries, self.q.entries]))
         out = {
             "provenance": self.provenance,
             "label": self.label,
             "window": self.window.to_json() if self.window else None,
             "names": list(self.element_names()),
-            "p": self.p.to_json(),
-            "q": self.q.to_json(),
+            "p": {"n": self.ground_size, "entries": p_hex},
+            "q": {"n": self.ground_size, "entries": q_hex},
             "commuting": self.commuting,
         }
         if self.p_report is not None:

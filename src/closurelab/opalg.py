@@ -17,6 +17,7 @@ touching the full powerset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -117,10 +118,8 @@ class OperatorTable:
     def __eq__(self, other):
         if not isinstance(other, OperatorTable):
             return NotImplemented
-        return (
-            self.ground_size == other.ground_size
-            and np.array_equal(self.entries, other.entries)
-        )
+        # entries are always int64 of shape (2**n,): equal bytes, equal tables
+        return self.ground_size == other.ground_size and self.key() == other.key()
 
     def __hash__(self):
         return hash((self.ground_size, self.key()))
@@ -231,11 +230,17 @@ def identity_table(n: int) -> OperatorTable:
 
 
 def complement_table(n: int) -> OperatorTable:
+    return OperatorTable(n, _complement_entries(n), _validate=False)
+
+
+@lru_cache(maxsize=None)
+def _complement_entries(n: int) -> np.ndarray:
+    """The complement table's entries at ground size n, shared: a view of
+    a read-only array, so no caller can make it writable again."""
     _check_ground_size(n)
-    full = np.int64((1 << n) - 1)
-    return OperatorTable(
-        n, full ^ np.arange(1 << n, dtype=np.int64), _validate=False
-    )
+    entries = np.int64((1 << n) - 1) ^ np.arange(1 << n, dtype=np.int64)
+    entries.setflags(write=False)
+    return entries[:]
 
 
 def table_from_function(n: int, fn: Callable[[Mask], Mask]) -> OperatorTable:
@@ -552,15 +557,15 @@ def eval_word(word, p: OperatorTable, q: OperatorTable,
     c defaults to the complement table; passing another table (for
     instance a different inclusion-reversing involution) substitutes it
     for every c letter.  This is FlatScope.eval on a single model,
-    whose one row needs no offset, so no scope is built.
+    whose one row needs no offset, so no scope is built; every letter,
+    c included, is one gather through its table (c's is cached per n).
     """
     text = _word_letters(word)
     n = p.ground_size
     if q.ground_size != n or (c is not None and c.ground_size != n):
         raise ValueError("ground sizes differ")
-    tables = {"p": p.entries, "q": q.entries}
-    if c is not None:
-        tables["c"] = c.entries
+    tables = {"p": p.entries, "q": q.entries,
+              "c": _complement_entries(n) if c is None else c.entries}
     v = _apply_letters(text, tables, np.arange(1 << n, dtype=np.int64), (1 << n) - 1)
     return OperatorTable(n, v, _validate=False)
 

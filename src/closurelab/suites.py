@@ -17,6 +17,7 @@ kckckck = kck, so that k and c map those tables among themselves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
@@ -125,14 +126,18 @@ def suite_theorem1(n: int = 2) -> SuiteReport:
 
 
 def suite_kuratowski14(n: int = 4) -> SuiteReport:
-    # indices count in the order of idlab._closure_blocks
-    screens = [idlab._kc_screen(block) for block in idlab._closure_blocks(n)]
-    sizes, hammer, seeds = (np.concatenate(column) for column in zip(*screens))
-    max_size = int(sizes.max())
-    over = [(int(i), int(sizes[i])) for i in np.flatnonzero(sizes > 14)]
-    hammer_bad = np.flatnonzero(hammer).tolist()
-    separating = int(np.count_nonzero(seeds >= 0))
-    histogram = dict(zip(*(col.tolist() for col in np.unique(sizes, return_counts=True))))
+    # blocks are folded in as they come; indices count in their order
+    closures = separating = 0
+    over, hammer_bad, histogram = [], [], Counter()
+    for block in idlab._closure_blocks(n):
+        sizes, hammer, seeds = idlab._kc_screen(block)
+        over += [(closures + int(i), int(sizes[i])) for i in np.flatnonzero(sizes > 14)]
+        hammer_bad += (closures + np.flatnonzero(hammer)).tolist()
+        separating += int(np.count_nonzero(seeds >= 0))
+        histogram.update(dict(zip(*(col.tolist() for col in np.unique(sizes, return_counts=True)))))
+        closures += len(sizes)
+    histogram = dict(sorted(histogram.items()))
+    max_size = max(histogram)
 
     k, seed = models.kuratowski_witness()
     c = complement_table(k.ground_size)
@@ -153,7 +158,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     report.lines = [
         "verify kuratowski14",
         f"n: {n}",
-        f"{len(sizes)} closures, max monoid {max_size}",
+        f"{closures} closures, max monoid {max_size}",
         f"monoids over 14: {len(over)}",
         f"hammer kckckck = kck failures: {len(hammer_bad)}",
     ]
@@ -168,7 +173,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     ]
     report.data = {
         "n": n,
-        "closures": len(sizes),
+        "closures": closures,
         "max_monoid": max_size,
         "monoid_sizes": histogram,
         "over_14": over,

@@ -14,12 +14,14 @@ Three layers live here:
   earlier steps, and checking is purely syntactic.
 
 Terms are plain frozen dataclasses, so structural equality is dataclass
-equality and terms can key dictionaries.
+equality and terms can key dictionaries.  Each ground term also carries
+its cpq-word, built once from its children's words and left out of
+equality, hashing and repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -41,6 +43,7 @@ from .opalg import (
 
 class Term:
     __slots__ = ()
+    word: Optional[str] = None  # the cpq-word of a ground term (term_word)
 
     def __mul__(self, other):
         if isinstance(other, Term):
@@ -48,9 +51,20 @@ class Term:
         return NotImplemented
 
 
+def _set_word(t: Term, template: str, *children) -> None:
+    """Store t's word, its children's words filled into template, or
+    None when a child is open or not a term (term_word says which)."""
+    words = [c.word if isinstance(c, Term) else None for c in children]
+    object.__setattr__(t, "word", None if None in words else template.format(*words))
+
+
 @dataclass(frozen=True)
 class Const(Term):
     name: str  # "1", "p" or "q"
+    word: Optional[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "word", "" if self.name == "1" else self.name)
 
 
 @dataclass(frozen=True)
@@ -64,11 +78,19 @@ class Var(Term):
 class Prod(Term):
     left: Term
     right: Term
+    word: Optional[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        _set_word(self, "{}{}", self.left, self.right)
 
 
 @dataclass(frozen=True)
 class Bar(Term):
     inner: Term
+    word: Optional[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        _set_word(self, "c{}c", self.inner)
 
 
 ONE = Const("1")
@@ -212,31 +234,15 @@ def term_variables(t: Term) -> set:
 # evaluation in a concrete powerset model
 
 
-_BAR_END = object()
-
-
 def term_word(t: Term) -> str:
-    """The cpq-word of a ground term: 1 is the empty word, a product
-    concatenates its factors' words (the right factor acts first, as
-    in a word) and bar(g) is c g c."""
-    letters = []
-    todo = [t]  # terms still to lower, and _BAR_END for each open bar
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Prod):
-            todo += (t.right, t.left)
-        elif isinstance(t, Bar):
-            letters.append("c")
-            todo += (_BAR_END, t.inner)
-        elif isinstance(t, Const):
-            letters.append("" if t.name == "1" else t.name)
-        elif t is _BAR_END:
-            letters.append("c")
-        elif isinstance(t, Var):
-            raise ValueError(f"cannot evaluate open term (variable {t.name})")
-        else:
-            raise TypeError(f"not a term: {t!r}")
-    return "".join(letters)
+    """The cpq-word of a ground term, built once when the term is: 1 is
+    the empty word, a product concatenates its factors' words (the right
+    factor acts first, as in a word) and bar(g) is c g c."""
+    word = t.word if isinstance(t, Term) else None
+    if word is None:
+        names = term_variables(t)  # a non-term anywhere raises TypeError
+        raise ValueError(f"cannot evaluate open term (variable {min(names)})")
+    return word
 
 
 def eval_term(term: Term, model) -> OperatorTable:
@@ -245,7 +251,8 @@ def eval_term(term: Term, model) -> OperatorTable:
     The unit is the identity table, product is composition (right
     factor acts first, matching word evaluation), and bar(g) is
     complement . g . complement: the term is evaluated as its word
-    (term_word).  model just needs p and q.
+    (term_word, built when the term was), one gather per letter.  model
+    just needs p and q.
     """
     return eval_word(term_word(term), model.p, model.q)
 

@@ -459,6 +459,53 @@ def test_closure_rows_matches_check_closure_per_pair():
         assert (False in want) == (n > 0) and True in want
 
 
+def test_eval_word_gathers_every_letter_like_the_flat_scope():
+    rng = np.random.default_rng(20261018)
+    for n in range(5):
+        size = 1 << n
+        c = complement_table(n)
+        for _ in range(4):
+            p = OperatorTable(n, rng.integers(0, size, size))
+            q = OperatorTable(n, rng.integers(0, size, size))
+            scope = FlatScope(p.entries[None], q.entries[None])
+            words = ["", "c", "p", "q", "cc", "ccc"]
+            words += ["".join(rng.choice(list("cpq"), int(rng.integers(1, 9))))
+                      for _ in range(8)]
+            for word in words:
+                got = eval_word(word, p, q)
+                assert got == eval_word(word, p, q, c), word
+                assert got.entries.tolist() == scope.eval(word)[0].tolist(), word
+                assert not got.entries.flags.writeable
+        # the cached complement entries cannot be made writable, and no
+        # table handed out shares their memory
+        shared = opalg._complement_entries(n)
+        with pytest.raises(ValueError):
+            shared.setflags(write=True)
+        for table in (c, complement_table(n), eval_word("", p, q), eval_word("c", p, q)):
+            assert not table.entries.flags.writeable
+            assert not np.shares_memory(table.entries, shared)
+        assert shared.tolist() == [(size - 1) ^ a for a in range(size)]
+
+
+def test_table_equality_agrees_across_construction_paths():
+    k = closure_from_fixed_points(3, [1, 5, 7])
+    entries = k.entries.tolist()
+    wide = np.zeros(16, dtype=np.int64)
+    wide[::2] = entries
+    same = [OperatorTable(3, entries),
+            identity_table(3).compose(k),
+            OperatorTable(3, wide[::2]),
+            OperatorTable(3, np.array(entries, dtype=np.int64)[:])]
+    for t in same:
+        assert t == k and k == t and hash(t) == hash(k)
+    assert k != identity_table(3) and k != complement_table(3)
+    # tables at different ground sizes differ, even when one's entries
+    # start the other's
+    assert identity_table(0) != OperatorTable(1, [0, 0])
+    assert OperatorTable(0, [0]) == identity_table(0)
+    assert k.__eq__(entries) is NotImplemented and k != entries and k != "k"
+
+
 def test_eval_word_with_substitute_involution():
     p = closure_from_fixed_points(2, [1, 3])
     q = closure_from_fixed_points(2, [3])

@@ -1,5 +1,6 @@
 """Tests for the term language, the proof checker and the axiom screen."""
 
+import dataclasses
 import json
 import random
 
@@ -16,6 +17,7 @@ from closurelab.opalg import eval_word
 from closurelab.theory import (
     AXIOM_SCHEMAS,
     Bar,
+    Const,
     Derivation,
     ONE,
     P,
@@ -177,11 +179,41 @@ def test_eval_term_matches_the_recursive_oracle():
     assert opened  # some terms hold a variable
     # nested bars and units, written out
     assert term_word(parse_term("bar(bar(p1)q)1bar(1)")) == "ccpcqccc"
+    # terms built by parsing, substitution, dataclasses.replace and the
+    # proposition5 builder carry the words of their trees
+    schema = Prod(Bar(Prod(Var("x"), Q)), Var("y"))
+    built = [parse_term(print_term(_random_term(rng, 5, 0.0))) for _ in range(20)]
+    built += [substitute(schema, {"x": _random_term(rng, 3, 0.0), "y": Bar(P)})
+              for _ in range(20)]
+    built += [dataclasses.replace(t, left=Bar(t.right))
+              for t in built if isinstance(t, Prod)]
+    built += [side for blocks in (("p", "q"), ("pq", "p", "q", "pq"))
+              for side in proposition5_equation(blocks)]
+    assert schema.word is None and len(built) > 40
+    for term in built:
+        for m in models:
+            p, q = m.p.entries.tolist(), m.q.entries.tolist()
+            want = term_table(term, p, q, m.ground_size)
+            assert tuple(eval_term(term, m).entries.tolist()) == want, print_term(term)
+
+
+def test_term_word_is_left_out_of_equality_hash_and_repr():
+    a, b = Prod(P, Q), Prod(P, Q)
+    assert a.word == "pq" and a == b and hash(a) == hash(b)
+    assert "word" not in repr(a) and "word" not in repr(Bar(a))
+    assert repr(a) == "Prod(left=Const(name='p'), right=Const(name='q'))"
+    assert {a: 1}[b] == 1 and Bar(a) != a
+    for cls, names in ((Const, ["name"]), (Prod, ["left", "right"]), (Bar, ["inner"])):
+        fields = dataclasses.fields(cls)
+        assert [f.name for f in fields if f.compare or f.hash or f.repr] == names
 
 
 def test_eval_term_rejects_non_terms():
     m = _small_models()[0]
-    for bad in (Prod(P, "q"), Bar(3), "p"):
+    # a non-term child builds, and fails only once evaluated
+    built = (Prod(P, "q"), Bar(3), Prod(Var("x"), Bar(3)))
+    assert all(t.word is None for t in built)
+    for bad in built + ("p",):
         with pytest.raises(TypeError, match="not a term"):
             eval_term(bad, m)
 
