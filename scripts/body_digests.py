@@ -13,8 +13,9 @@ and one line is printed per command:
 Report bodies are deterministic for fixed flags, so two commits print
 the same lines exactly when every listed command writes the same body
 with the same exit code: compare two runs with diff.  The list covers
-every verify suite as text and json, each search, and each dump target,
-with the largest dumps the benchmark makes.
+every verify suite as text and json, theorem2 over non-default sampled
+scopes, each search, and each dump target, with the largest dumps the
+benchmark makes.
 """
 
 import hashlib
@@ -31,6 +32,9 @@ SUITES = ("theorem1", "kuratowski14", "theorem2", "fixtures", "section4", "examp
 PQC_M6 = ("--model", "example3-repaired", "--M", "6", "--gens", "p,q,c")
 COMMANDS = (
     [("verify", name, "--format", fmt) for name in SUITES for fmt in ("text", "json")]
+    + [("verify", "theorem2", "--samples", "200", "--seed", "7", "--format", fmt)
+       for fmt in ("text", "json")]
+    + [("verify", "theorem2", "--n", "1", "--seed", "-5")]
     + [("search", kind, *extra, "--format", fmt)
        for kind, extra in (("identities", ()),
                            ("counterexample", ("--eq", "pq=qp")),

@@ -54,6 +54,7 @@ from .idlab import (
     enumerate_commuting_pairs,
     find_kuratowski_witness,
     sample_commuting_pair,
+    sample_commuting_pairs,
     search_identities,
     sigma_probe,
     test_equation,

@@ -111,15 +111,15 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str, elapsed: float)
 #: flag or value as a usage error before the suite runs, and passes a
 #: flag that is set on to the suite, which has its own default for one
 #: left unset.  n is capped by the exhaustive enumeration a suite
-#: walks; windows span at least 2 elements, and the flagged cycle
-#: (ground size 2m + 2) and the segment {0..M} (ground size M + 1) must
-#: fit the table cap.
+#: walks, samples by the seeds one lockstep draw holds; windows span
+#: at least 2 elements, and the flagged cycle (ground size 2m + 2) and
+#: the segment {0..M} (ground size M + 1) must fit the table cap.
 _SUITE_RANGES = {
     "theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
     "kuratowski14": {"n": (0, idlab.BLOCKED_ENUMERATION_CAP)},
     "theorem2": {
         "n": (0, idlab.PAIR_ENUMERATION_CAP),
-        "samples": (1, None),
+        "samples": (1, idlab.SAMPLE_COUNT_CAP),
         "seed": (None, None),
     },
     "fixtures": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},

@@ -32,9 +32,7 @@ from .monoid import generate_monoid
 from .opalg import (
     FlatScope,
     OperatorTable,
-    closure_from_fixed_points,
     closures_from_fixed_points,
-    commutes,
     complement_table,
     elements_of,
     eval_word_on,
@@ -58,6 +56,11 @@ ENUMERATION_CAP = 4
 BLOCKED_ENUMERATION_CAP = 5  # _closure_blocks, for verify kuratowski14 only
 PAIR_ENUMERATION_CAP = 3
 SAMPLING_CAP = 12
+#: the most seeds a sampled scope of verify theorem2 draws: lockstep
+#: sampling holds a generator state (about 2.5 KB) per seed
+SAMPLE_COUNT_CAP = 10_000
+#: F0 families screened at a time against every F1 in _moore_families
+MOORE_SCREEN_ROWS = 256
 
 
 @lru_cache(maxsize=None)
@@ -80,10 +83,23 @@ def _moore_families(n: int) -> np.ndarray:
     for b in range(half):
         meets = np.bitwise_or.reduce([((lower >> a) & 1) << (a & b) for a in range(half)])
         unstable |= (meets & ~lower != 0).astype(np.int64) << b
-    # all (F0, F1) pairs at once, narrow (uint16 at n = 5: 24 MB)
+    # the (F0, F1) pairs, narrow, MOORE_SCREEN_ROWS values of F0 at a
+    # time (one block at n <= 4; 256 x 2480 uint16 at n = 5, not 24 MB)
     narrow = np.min_scalar_type((1 << half) - 1)
-    f0, f1 = np.nonzero((unstable.astype(narrow)[:, None] & upper.astype(narrow)) == 0)
-    return _frozen(lower[f0] | upper[f1] << half)
+    unstable, narrow_upper = unstable.astype(narrow), upper.astype(narrow)
+    starts = range(0, len(lower), MOORE_SCREEN_ROWS)
+
+    def stable(start):
+        return (unstable[start:start + MOORE_SCREEN_ROWS, None] & narrow_upper) == 0
+
+    # counted first, so that the families are written once, in place
+    out = np.empty(sum(np.count_nonzero(stable(start)) for start in starts), dtype=np.int64)
+    at = 0
+    for start in starts:
+        f0, f1 = np.nonzero(stable(start))
+        out[at:at + len(f0)] = lower[start + f0] | upper[f1] << half
+        at += len(f0)
+    return _frozen(out)
 
 
 @lru_cache(maxsize=None)
@@ -127,13 +143,15 @@ class ModelRun:
     """Consecutive models of one ground size, in scope order, with
     their p and q tables stacked into read-only (k, 2**n) arrays.  Its
     flat scope, built on first use and kept, evaluates a word on all k
-    models at once.  model_at(i) returns the i-th model; exhaustive
-    runs build it only when asked."""
+    models at once.  model_at(i) returns the i-th model; exhaustive and
+    sampled runs build it only when asked.  A sampled run also keeps the
+    tries each model's seed took, read-only."""
 
     ground_size: int
     p: np.ndarray
     q: np.ndarray
     model_at: Callable[[int], ClosurePairModel]
+    tries: Optional[np.ndarray] = None  # per model, in a sampled run
 
     def __len__(self) -> int:
         return len(self.p)
@@ -211,37 +229,74 @@ def enumerate_all_pairs(n: int) -> list[ClosurePairModel]:
     return list(_pair_run(n, False).models())
 
 
-def sample_commuting_pair(n: int, seed: int, max_tries: int = 2000) -> ClosurePairModel:
-    """Seeded rejection sampler for a commuting closure pair.
+def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) -> ModelRun:
+    """Seeded rejection sampler for commuting closure pairs, one pair per
+    seed, drawn for all seeds in lockstep.
 
     Each candidate closure comes from a random subset collection plus
     the ground set, intersection-closed by construction of the
     smallest-enclosing-member table.  Every closure at the given n has
     positive probability, so long seed sweeps cover the whole space.
+
+    Seed s draws from its own random.Random(s), a p family and then a q
+    family per try, until the pair commutes.  Each round makes one try
+    for every seed still pending: the tables of all their families are
+    built in one closures_from_fixed_points call and screened for pq =
+    qp at once.  A seed's stream is the same whatever other seeds are
+    drawn with it, so its pair is the one it would draw alone.  The run
+    keeps the tries each seed took.  If a seed finds no pair in
+    max_tries tries, RuntimeError names the first such seed in seed
+    order.
     """
     if not 0 <= n <= SAMPLING_CAP:
         raise ValueError(f"sampling supports n <= {SAMPLING_CAP}")
-    rng = random.Random(seed)
+    seeds = list(seeds)
     size = 1 << n
-
-    def random_closure() -> OperatorTable:
-        count = rng.randint(0, min(size, 16))
-        members = [rng.randrange(size) for _ in range(count)]
-        members.append(size - 1)
-        return closure_from_fixed_points(n, members)
-
+    bound = min(size, 16)
+    rngs = [random.Random(seed) for seed in seeds]
+    p = np.empty((len(seeds), size), dtype=np.int64)
+    q = np.empty_like(p)
+    tries = np.zeros(len(seeds), dtype=np.int64)
+    pending = np.arange(len(seeds))
     for _ in range(max_tries):
-        p = random_closure()
-        q = random_closure()
-        if commutes(p, q):
-            return ClosurePairModel(
-                provenance="custom",
-                p=p,
-                q=q,
-                label=f"sampled n={n} seed={seed}",
-                commuting=True,
-            )
-    raise RuntimeError(f"no commuting pair found in {max_tries} tries (seed {seed})")
+        if not len(pending):
+            break
+        families = []
+        for i in pending.tolist():
+            randint, randrange = rngs[i].randint, rngs[i].randrange
+            families += [[randrange(size) for _ in range(randint(0, bound))] + [size - 1]
+                         for _ in "pq"]
+        if n <= 5:  # as int64 family bitmasks
+            families = np.array([sum(1 << m for m in set(f)) for f in families], dtype=np.int64)
+        tables = closures_from_fixed_points(n, families)
+        ps, qs = tables[0::2], tables[1::2]
+        ok = np.all(np.take_along_axis(ps, qs, 1) == np.take_along_axis(qs, ps, 1), axis=1)
+        tries[pending] += 1
+        p[pending[ok]], q[pending[ok]] = ps[ok], qs[ok]
+        pending = pending[~ok]
+    if len(pending):
+        raise RuntimeError(
+            f"no commuting pair found in {max_tries} tries (seed {seeds[pending[0]]})"
+        )
+
+    def model_at(i: int) -> ClosurePairModel:
+        return ClosurePairModel(
+            provenance="custom",
+            p=OperatorTable(n, p[i], _validate=False),
+            q=OperatorTable(n, q[i], _validate=False),
+            label=f"sampled n={n} seed={seeds[i]}",
+            commuting=True,
+        )
+
+    return ModelRun(n, _frozen(p), _frozen(q), model_at, _frozen(tries))
+
+
+def sample_commuting_pair(n: int, seed: int, max_tries: int = 2000) -> ClosurePairModel:
+    """Seeded rejection sampler for a commuting closure pair: the one-seed
+    case of sample_commuting_pairs.  The pair is the one seed draws in a
+    lockstep call with any other seeds, from the same random.Random(seed)
+    stream, and RuntimeError names seed when max_tries tries find none."""
+    return sample_commuting_pairs(n, [seed], max_tries).model_at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +308,11 @@ class Scope:
 
     A scope draws its models the first time it is walked and keeps
     them, so later walks replay the same models without drawing again:
-    a sampled scope runs its sampler count times however many
-    equations are tested over it.  Models come in runs of one ground
-    size (see ModelRun).  A leaf scope draws all of its models at once,
-    before the first is tested, so one sampled part of count models
-    always runs its sampler count times.  A sum of scopes walks its
+    a sampled scope runs its sampler once however many equations are
+    tested over it.  Models come in runs of one ground size (see
+    ModelRun).  A leaf scope draws all of its models at once, before
+    the first is tested, so one sampled part of count models is one
+    lockstep draw of its count seeds.  A sum of scopes walks its
     parts in order and draws a part only when the walk reaches it, so
     a test that stops early never draws the later parts.
     """
@@ -293,11 +348,16 @@ class Scope:
 
     @staticmethod
     def sampled(n: int, count: int, seed: int = DEFAULT_SEED) -> "Scope":
+        """The pairs that seeds seed .. seed + count - 1 draw at ground
+        size n, in seed order, as one run from one lockstep call of
+        sample_commuting_pairs (no run when count is 0).  Each seed's
+        pair is the one sample_commuting_pair draws for it alone, and a
+        seed that finds none fails the draw, the first such seed named."""
         if count < 0:
             raise ValueError(f"sample count must be nonnegative, got {count}")
         return Scope(
             f"sampled(n={n},count={count},seed={seed})",
-            lambda: _runs_of(sample_commuting_pair(n, seed + i) for i in range(count)),
+            lambda: [sample_commuting_pairs(n, range(seed, seed + count))] if count else [],
         )
 
     @staticmethod

@@ -194,6 +194,17 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
 # theorem2: the collapse family over commuting pairs
 
 
+def _sampler_comment(n: int, scope: idlab.Scope) -> str:
+    """A "# " line on the tries the seeds of a sampled scope took: the
+    counts are deterministic, but a comment line leaves the report body
+    as it was before they were printed."""
+    tries = [t for run in scope.runs() for t in run.tries.tolist()]
+    line = f"# sampler n={n}: {len(tries)} seeds, {sum(tries)} tries"
+    if tries:
+        line += f" (min/median/max {min(tries)}/{np.median(tries):g}/{max(tries)})"
+    return line
+
+
 def suite_theorem2(
     n: int = 3,
     samples: int = 25,
@@ -205,13 +216,14 @@ def suite_theorem2(
     failures = 0
 
     exhaustive = idlab.Scope.exhaustive(n, commuting=True)
+    # (inner block pairs, scope, ground size of a sampled scope)
     parts = [
-        (1, exhaustive),
-        (2, exhaustive),
-        (3, idlab.Scope.sampled(4, samples, seed)),
-        (3, idlab.Scope.sampled(5, samples, seed + 1000)),
+        (1, exhaustive, None),
+        (2, exhaustive, None),
+        (3, idlab.Scope.sampled(4, samples, seed), 4),
+        (3, idlab.Scope.sampled(5, samples, seed + 1000), 5),
     ]
-    for n_blocks, scope in parts:
+    for n_blocks, scope, sampled_n in parts:
         certs = [
             idlab.test_equation(str(theorem2_word(t)), "pqcpq", scope)
             for t in product(BLOCK_CHOICES, repeat=2 * n_blocks)
@@ -239,6 +251,8 @@ def suite_theorem2(
             line += f" over {part['pairs']} pairs"
         report.lines.append(line)
         report.data["parts"].append(part)
+        if sampled_n is not None:
+            report.lines.append(_sampler_comment(sampled_n, scope))
 
     report.lines.append(f"failures: {failures}")
     report.passed = failures == 0

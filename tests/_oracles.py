@@ -5,6 +5,7 @@ or all subset families, no numpy, no shared code with the package
 beyond the bitmask conventions.  Slow above tiny sizes by design.
 """
 
+import random
 from itertools import product
 
 
@@ -54,6 +55,27 @@ def closure_of_family(n, members):
                 best &= m
         entries.append(best)
     return tuple(entries)
+
+
+def sample_commuting_pair(n, seed, max_tries=2000):
+    """(p, q, tries) of the seeded rejection sampler, one try at a time:
+    random.Random(seed) draws a p family and then a q family per try,
+    each randint(0, min(2**n, 16)) members by randrange(2**n) plus the
+    ground set, until the pair's closures commute, tries counting the
+    pairs drawn.  None when max_tries pairs do not."""
+    rng = random.Random(seed)
+    size = 1 << n
+
+    def draw():
+        count = rng.randint(0, min(size, 16))
+        return closure_of_family(n, [rng.randrange(size) for _ in range(count)] + [size - 1])
+
+    for tries in range(1, max_tries + 1):
+        p = draw()
+        q = draw()
+        if compose_tables(p, q) == compose_tables(q, p):
+            return p, q, tries
+    return None
 
 
 def is_monotone(entries):

@@ -105,6 +105,28 @@ def test_verify_scope_flags_are_checked_before_the_suite_runs(
     assert calls == [low, high]
 
 
+def test_verify_samples_cap_is_checked_before_the_suite_runs(capsys, monkeypatch):
+    # the scope-flag check above for --samples: its low bound is
+    # refused while parsing (test_counts_below_one_are_usage_errors),
+    # and a count over the cap before the suite draws a seed
+    cap = idlab.SAMPLE_COUNT_CAP
+    assert cap == 10_000
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs["samples"])
+        return SuiteReport("theorem2", True, ["stub"], {})
+
+    monkeypatch.setitem(SUITES, "theorem2", stub)
+    code, out, err = run_cli(capsys, "verify", "theorem2", "--samples", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: verify theorem2 takes --samples 1..{cap}, got {cap + 1}\n"
+    assert calls == []
+    for value in (1, cap):
+        assert run_cli(capsys, "verify", "theorem2", "--samples", str(value))[0] == 0
+    assert calls == [1, cap]
+
+
 def test_verify_passes_only_the_flags_that_are_set(capsys, monkeypatch):
     # a flag left unset takes the suite's own default
     calls = []

@@ -43,6 +43,7 @@ from _oracles import (
     identity_survey,
     moore_families_brute,
 )
+from _oracles import sample_commuting_pair as reference_pair
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +71,20 @@ def test_moore_family_recursion_gives_the_published_counts():
         assert all((fam >> (a & b)) & 1 for a in members for b in members), fam
     with pytest.raises(ValueError):
         idlab._moore_families(6)
+
+
+def test_moore_family_screen_in_blocks_keeps_the_order(monkeypatch):
+    # at n <= 4 the pair screen is one block; screened a few F0 rows at
+    # a time, the families come out in the same order
+    whole = [idlab._moore_families(n) for n in range(5)]
+    assert len(idlab._moore_families(3)) * 2 <= idlab.MOORE_SCREEN_ROWS
+    monkeypatch.setattr(idlab, "MOORE_SCREEN_ROWS", 5)
+    idlab._moore_families.cache_clear()
+    try:
+        blocked = [idlab._moore_families(n) for n in range(5)]
+    finally:
+        idlab._moore_families.cache_clear()
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, whole))
 
 
 def test_closure_stack_matches_the_brute_force_row_for_row():
@@ -167,6 +182,72 @@ def test_sampler_covers_distinct_pairs():
 def test_sampler_size_guard():
     with pytest.raises(ValueError):
         sample_commuting_pair(13, seed=0)
+    with pytest.raises(ValueError):
+        idlab.sample_commuting_pairs(13, [0])
+
+
+@pytest.mark.parametrize("n,seeds", [(n, range(100, 130)) for n in range(7)]
+                         + [(12, range(100, 103))])
+def test_lockstep_sampler_matches_the_sequential_reference(n, seeds):
+    # drawing every seed in lockstep gives each seed the pair, and the
+    # try count, of the one-at-a-time rejection sampler on its stream
+    run = idlab.sample_commuting_pairs(n, seeds)
+    want = [reference_pair(n, seed) for seed in seeds]
+    assert run.ground_size == n and len(run) == len(seeds)
+    assert [tuple(row) for row in run.p.tolist()] == [p for p, _, _ in want]
+    assert [tuple(row) for row in run.q.tolist()] == [q for _, q, _ in want]
+    assert run.tries.tolist() == [tries for _, _, tries in want]
+    # and drawing a seed alone gives the same pair
+    alone = sample_commuting_pair(n, seeds[-1])
+    assert alone.p.entries.tolist() == run.p[-1].tolist()
+    assert alone.q.entries.tolist() == run.q[-1].tolist()
+
+
+def test_sampled_run_models_and_stacks():
+    seeds = [40, 3, 41]
+    run = idlab.sample_commuting_pairs(4, seeds)
+    assert run.p.shape == run.q.shape == (3, 16) and run.p.dtype == np.int64
+    for stack in (run.p, run.q, run.tries):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0] = 0
+    models = list(run.models())
+    assert [m.label for m in models] == [f"sampled n=4 seed={s}" for s in seeds]
+    for i, m in enumerate(models):
+        assert m.provenance == "custom" and m.commuting is True
+        assert commutes(m.p, m.q)
+        assert m.p.entries.tolist() == run.p[i].tolist()
+        assert m.q.entries.tolist() == run.q[i].tolist()
+        alone = sample_commuting_pair(4, seeds[i])
+        assert (alone.p, alone.q, alone.label) == (m.p, m.q, m.label)
+
+
+def test_sampling_no_seeds():
+    run = idlab.sample_commuting_pairs(4, [])
+    assert len(run) == 0 and run.p.shape == run.q.shape == (0, 16)
+    assert run.tries.tolist() == [] and list(run.models()) == []
+    assert list(Scope.sampled(4, 0).runs()) == []
+
+
+def test_sampler_exhaustion_names_the_first_failing_seed():
+    # with one try each, some seeds find a commuting pair and some do
+    # not; the error names the first that does not, in the order given,
+    # as drawing the seeds one after another would
+    seeds = list(range(30))
+    fails = [s for s in seeds if reference_pair(4, s, max_tries=1) is None]
+    assert fails and fails[0] > seeds[0] and len(fails) > 1
+    for order in (seeds, seeds[::-1]):
+        first = next(s for s in order if s in fails)
+        message = rf"^no commuting pair found in 1 tries \(seed {first}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            idlab.sample_commuting_pairs(4, order, max_tries=1)
+        with pytest.raises(RuntimeError, match=message):
+            for s in order:
+                sample_commuting_pair(4, s, max_tries=1)
+    ok = [s for s in seeds if s not in fails]
+    assert idlab.sample_commuting_pairs(4, ok, max_tries=1).tries.tolist() == [1] * len(ok)
+    with pytest.raises(RuntimeError, match=r"in 0 tries \(seed 5\)$"):
+        idlab.sample_commuting_pairs(4, [5, 6], max_tries=0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,31 +274,31 @@ def test_scope_streams_are_replayable():
 
 def test_sampled_scope_draws_once(monkeypatch):
     calls = []
-    real = idlab.sample_commuting_pair
+    real = idlab.sample_commuting_pairs
 
-    def counting(n, seed, *args):
-        calls.append(seed)
-        return real(n, seed, *args)
+    def counting(n, seeds, *args):
+        calls.append((n, list(seeds)))
+        return real(n, seeds, *args)
 
-    monkeypatch.setattr(idlab, "sample_commuting_pair", counting)
+    monkeypatch.setattr(idlab, "sample_commuting_pairs", counting)
     scope = Scope.sampled(4, 5, seed=40)
     first = [m.label for m in scope.models()]
     second = [m.label for m in scope.models()]
     for word in ("pq", "qp", "pqcpq"):
         idlab.test_equation(word, "pqcpq", scope)
     assert first == second
-    assert calls == [40, 41, 42, 43, 44]
+    assert calls == [(4, [40, 41, 42, 43, 44])]
 
 
 def test_scope_sum_draws_a_part_only_when_reached(monkeypatch):
     calls = []
-    real = idlab.sample_commuting_pair
+    real = idlab.sample_commuting_pairs
 
-    def counting(n, seed, *args):
-        calls.append((n, seed))
-        return real(n, seed, *args)
+    def counting(n, seeds, *args):
+        calls.append((n, list(seeds)))
+        return real(n, seeds, *args)
 
-    monkeypatch.setattr(idlab, "sample_commuting_pair", counting)
+    monkeypatch.setattr(idlab, "sample_commuting_pairs", counting)
     scope = Scope.exhaustive(2) + Scope.sampled(4, 3, seed=7) + Scope.sampled(5, 2, seed=9)
     # pcq = qcp is refuted inside the exhaustive part, and the first
     # ten models all lie there too
@@ -226,9 +307,9 @@ def test_scope_sum_draws_a_part_only_when_reached(monkeypatch):
     assert replay_certificate(held, family=scope, sample=10)
     assert calls == []
     assert idlab.test_equation("pcqcpcq", "pcq", scope).holds
-    assert calls == [(4, 7), (4, 8), (4, 9), (5, 9), (5, 10)]
+    assert calls == [(4, [7, 8, 9]), (5, [9, 10])]
     assert len(list(scope.models())) == 1 + 4 + 41 + 3 + 2
-    assert len(calls) == 5
+    assert len(calls) == 2
 
 
 def test_each_run_builds_its_flat_scope_once(monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for the verification suites behind the CLI."""
 
+import statistics
+
 import numpy as np
 
 from closurelab import idlab, models, suites
@@ -22,6 +24,7 @@ from closurelab.suites import (
 )
 
 from _oracles import compose_tables
+from _oracles import sample_commuting_pair as reference_pair
 
 
 def test_suite_registry():
@@ -183,20 +186,42 @@ def test_theorem2_suite_small():
 
 def test_theorem2_draws_each_sampled_scope_once(monkeypatch):
     calls = []
-    real = idlab.sample_commuting_pair
+    real = idlab.sample_commuting_pairs
 
-    def counting(n, seed, *args):
-        calls.append((n, seed))
-        return real(n, seed, *args)
+    def counting(n, seeds, *args):
+        calls.append((n, list(seeds)))
+        return real(n, seeds, *args)
 
-    monkeypatch.setattr(idlab, "sample_commuting_pair", counting)
+    monkeypatch.setattr(idlab, "sample_commuting_pairs", counting)
     samples, seed = 25, idlab.DEFAULT_SEED
     assert suite_theorem2().passed
-    assert len(calls) == 2 * samples
-    assert calls == (
-        [(4, seed + i) for i in range(samples)]
-        + [(5, seed + 1000 + i) for i in range(samples)]
-    )
+    assert len(calls) == 2
+    assert calls == [
+        (4, [seed + i for i in range(samples)]),
+        (5, [seed + 1000 + i for i in range(samples)]),
+    ]
+
+
+def test_theorem2_prints_sampler_tries_on_comment_lines():
+    # one "# " line per sampled part, right after the part's line, with
+    # the tries the reference sampler takes on each seed
+    samples, seed = 6, 300
+    rep = suite_theorem2(n=1, samples=samples, seed=seed)
+    want = []
+    for n, first in ((4, seed), (5, seed + 1000)):
+        tries = [reference_pair(n, s)[2] for s in range(first, first + samples)]
+        want.append(f"# sampler n={n}: {samples} seeds, {sum(tries)} tries "
+                    f"(min/median/max {min(tries)}/{statistics.median(tries):g}/{max(tries)})")
+    comments = [i for i, ln in enumerate(rep.lines) if ln.startswith("# ")]
+    assert [rep.lines[i] for i in comments] == want
+    assert [rep.lines[i - 1].split(":")[0] for i in comments] == [
+        f"n_blocks=3 scope=sampled(n=4,count={samples},seed={seed})",
+        f"n_blocks=3 scope=sampled(n=5,count={samples},seed={seed + 1000})",
+    ]
+    assert "# " not in str(rep.data)
+    empty = suite_theorem2(n=1, samples=0)
+    assert [ln for ln in empty.lines if ln.startswith("# ")] == [
+        "# sampler n=4: 0 seeds, 0 tries", "# sampler n=5: 0 seeds, 0 tries"]
 
 
 def test_fixtures_suite():
