@@ -87,19 +87,11 @@ def _moore_families(n: int) -> np.ndarray:
     # time (one block at n <= 4; 256 x 2480 uint16 at n = 5, not 24 MB)
     narrow = np.min_scalar_type((1 << half) - 1)
     unstable, narrow_upper = unstable.astype(narrow), upper.astype(narrow)
-    starts = range(0, len(lower), MOORE_SCREEN_ROWS)
-
-    def stable(start):
-        return (unstable[start:start + MOORE_SCREEN_ROWS, None] & narrow_upper) == 0
-
-    # counted first, so that the families are written once, in place
-    out = np.empty(sum(np.count_nonzero(stable(start)) for start in starts), dtype=np.int64)
-    at = 0
-    for start in starts:
-        f0, f1 = np.nonzero(stable(start))
-        out[at:at + len(f0)] = lower[start + f0] | upper[f1] << half
-        at += len(f0)
-    return _frozen(out)
+    blocks = []
+    for start in range(0, len(lower), MOORE_SCREEN_ROWS):
+        f0, f1 = np.nonzero((unstable[start:start + MOORE_SCREEN_ROWS, None] & narrow_upper) == 0)
+        blocks.append(lower[start + f0] | upper[f1] << half)
+    return _frozen(np.concatenate(blocks))
 
 
 @lru_cache(maxsize=None)
@@ -266,8 +258,6 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
             randint, randrange = rngs[i].randint, rngs[i].randrange
             families += [[randrange(size) for _ in range(randint(0, bound))] + [size - 1]
                          for _ in "pq"]
-        if n <= 5:  # as int64 family bitmasks
-            families = np.array([sum(1 << m for m in set(f)) for f in families], dtype=np.int64)
         tables = closures_from_fixed_points(n, families)
         ps, qs = tables[0::2], tables[1::2]
         ok = np.all(np.take_along_axis(ps, qs, 1) == np.take_along_axis(qs, ps, 1), axis=1)
