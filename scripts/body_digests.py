@@ -15,7 +15,7 @@ the same lines exactly when every listed command writes the same body
 with the same exit code: compare two runs with diff.  The list covers
 every verify suite as text and json, theorem2 over non-default sampled
 scopes, each search, and each dump target, with the largest dumps the
-benchmark makes.
+benchmark makes and a monoid dump cut short by --cap.
 """
 
 import hashlib
@@ -41,6 +41,7 @@ COMMANDS = (
                            ("counterexample", ("--eq", "pcqcpcq=pcq")),
                            ("witness14", ()))
        for fmt in ("text", "json")]
+    + [("search", "identities", "--n", "3", "--maxlen", "12", "--format", "json")]
     + [("dump", "model", "--name", "section4"),
        ("dump", "model", "--name", "section4", "--m", "8"),
        ("dump", "model", "--name", "example3-literal"),
@@ -48,6 +49,7 @@ COMMANDS = (
        ("dump", "monoid", "--model", "witness14"),
        ("dump", "monoid", "--model", "section4", "--m", "3", "--gens", "p,q,c"),
        ("dump", "monoid", *PQC_M6),
+       ("dump", "monoid", *PQC_M6, "--cap", "100"),
        ("dump", "hasse", "--model", "witness14"),
        ("dump", "hasse", *PQC_M6),
        ("dump", "orbit", "--model", "section4", "--word", "cpcpcqcq", "--start", "0,top"),

@@ -28,6 +28,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Union
 
 from . import idlab, models
@@ -69,22 +70,49 @@ def _encoder(depth: int):
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
 
 
+def _plain(text: str) -> bool:
+    """Whether the C encoder would write text between quotes as it is:
+    printable ASCII with no quote or backslash."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _json_key(key) -> str:
+    """A dict key's text, with the ": " that follows it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key) + ": "
+    return _encoder(0)({key: 0})[1:-2]
+
+
 def _json_text(obj, depth: int = 0) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\\n",
-    with each list of scalars written by one call to the C encoder; at
-    a depth past 0, obj's text as an item there, with no newline."""
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\\n";
+    at a depth past 0, obj's text as an item there, with no newline.
+    A str or an exact int, and a list of only those, is spelled here;
+    any other list of scalars is written by one call to the C encoder.
+    Each bracketed text is one f-string over its items' text, so the
+    items' text is not copied twice while it is alive."""
     pad = "\n" + "  " * (depth + 1)
+    end = "" if depth else "\n"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj) + end
+    if type(obj) is int:
+        return int.__repr__(obj) + end
     if isinstance(obj, dict) and obj:
-        # keys are sorted, then spelled by the C encoder: 8 before 10
-        text = "{" + ",".join(pad + _encoder(0)({key: 0})[1:-2] + _json_text(value, depth + 1)
-                              for key, value in sorted(obj.items())) + pad[:-2] + "}"
-    elif isinstance(obj, (list, tuple)) and obj and not _SCALARS.issuperset(map(type, obj)):
-        text = "[" + ",".join(pad + _json_text(value, depth + 1) for value in obj) + pad[:-2] + "]"
-    elif isinstance(obj, (list, tuple)) and obj:
-        text = "[" + pad + _encoder(depth + 1)(obj)[1:-1] + pad[:-2] + "]"
-    else:
-        text = _encoder(0)(obj)  # a scalar, [] or {}
-    return text if depth else text + "\n"
+        # keys are sorted, then spelled: 8 before 10
+        items = ("," + pad).join(_json_key(key) + _json_text(value, depth + 1)
+                                 for key, value in sorted(obj.items()))
+        return f"{{{pad}{items}{pad[:-2]}}}{end}"
+    if isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {str} and _plain("".join(obj)):
+            items = '"' + ('",' + pad + '"').join(obj) + '"'
+        elif kinds == {int}:
+            items = ("," + pad).join(map(int.__repr__, obj))
+        elif _SCALARS.issuperset(kinds):
+            items = _encoder(depth + 1)(obj)[1:-1]
+        else:
+            items = ("," + pad).join(_json_text(value, depth + 1) for value in obj)
+        return f"[{pad}{items}{pad[:-2]}]{end}"
+    return _encoder(0)(obj) + end  # another scalar, [] or {}
 
 
 def _meta_header(argv_echo: str, elapsed: float) -> str:
@@ -208,8 +236,10 @@ def cmd_search(args) -> int:
             # streamed, as json.dumps(payload, sort_keys=True, indent=2)
             entry = ('\n  {{\n    "lhs": {},\n    "rhs": {},\n    "scope": {},\n'
                      '    "status": "holds"\n  }}')
-            scope = json.dumps(scope_desc)
-            entries = (("," if i else "[") + entry.format(json.dumps(lhs), json.dumps(rhs), scope)
+            scope = encode_basestring_ascii(scope_desc)
+            entries = (("," if i else "[")
+                       + entry.format(encode_basestring_ascii(lhs), encode_basestring_ascii(rhs),
+                                      scope)
                        for i, (lhs, rhs) in enumerate(equations))
             _emit(chain(entries, ["\n]\n"]) if equations else "[]\n", args.out)
         else:

@@ -60,8 +60,8 @@ def _check_ground_size(n: int) -> None:
 def hex_rows(stack: np.ndarray) -> list[list[str]]:
     """Each row of a (k, 2**n) stack of tables as lowercase hex strings.
     The 2**n strings are built per call, not kept: 15 MB at n = 18."""
-    digits = ["%x" % a for a in range(stack.shape[-1])]
-    return [list(map(digits.__getitem__, row)) for row in stack.tolist()]
+    digits = np.array(["%x" % a for a in range(stack.shape[-1])], dtype=object)
+    return digits[stack].tolist()
 
 
 class OperatorTable:

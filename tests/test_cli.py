@@ -4,9 +4,12 @@ Everything runs in process through main(argv) so exit codes and
 output bytes are observable without spawning a subprocess.
 """
 
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurelab import cli, idlab, models
 from closurelab import monoid as monoid_mod
@@ -584,6 +587,11 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
 def _witness14_monoid():
     k, _ = models.kuratowski_witness()
     return monoid_mod.generate_monoid([complement_table(k.ground_size), k], names=("c", "k"))
@@ -603,6 +611,10 @@ def test_json_writer_writes_the_bytes_of_json_dumps():
         ['"quoted"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "\u00e9 \u4e2d \U0001f600",
          "\u2028", "</script>"],
         {'"k"': {"\\": "\n"}},
+        # the edges of the directly spelled keys, scalars and flat lists
+        {0.0: 1}, {-0.0: 1}, {1: 0}, {True: 0}, {_Level.HIGH: 0}, _Level.LOW,
+        [1, True], [2**100, -1], [-(2**64), _Level.HIGH], ["a", "\x7f"], ["a", "\u00e9"],
+        ["a", '"'], ["", ""], ["0", "1f", "\\", "ff"], ["0", "1f", "ff"], [[0, 1], [-1, 2]],
         SUITES["kuratowski14"]().data,
         idlab.search_counterexample("pq", "qp").to_json(),
         models.section4_model(3).to_json(),
@@ -615,6 +627,30 @@ def test_json_writer_writes_the_bytes_of_json_dumps():
         for write in (_dumps, cli._json_text):
             with pytest.raises(TypeError):
                 write(obj)
+
+
+_json_scalars = (
+    st.text() | st.sampled_from(["", "0", "1f", "\\", '"', "\x7f", "\u00e9", "\U0001f600"])
+    | st.integers() | st.sampled_from([2**100, -(2**64), _Level.LOW, _Level.HIGH])
+    | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+    | st.booleans() | st.none()
+)
+#: keys of one kind per dict, as json.dumps(sort_keys=True) needs keys that sort
+_json_keys = (st.text(), st.integers() | st.floats() | st.booleans() | st.sampled_from(_Level),
+              st.none())
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.lists(st.sampled_from(["0", "1f", "ff", "", "\\", '"', "\x7f", "\u00e9"])),
+        *(st.dictionaries(keys, children) for keys in _json_keys)),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_trees)
+def test_json_writer_matches_json_dumps_on_random_trees(obj):
+    assert cli._json_text(obj) == _dumps(obj)
 
 
 def _hasse_payload(mon):

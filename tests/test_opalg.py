@@ -97,6 +97,18 @@ def test_json_round_trip():
     assert back.key() == k.key()
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("n", range(9))
+def test_hex_rows_matches_the_per_row_spelling(n, dtype):
+    rng = np.random.default_rng(n)
+    digits = ["%x" % a for a in range(1 << n)]
+    for k in (0, 1, 37):
+        stack = rng.integers(0, 1 << n, size=(k, 1 << n)).astype(dtype)
+        rows = opalg.hex_rows(stack)
+        assert rows == [list(map(digits.__getitem__, row)) for row in stack.tolist()]
+        assert all(type(a) is str for row in rows for a in row)
+
+
 def test_closure_from_fixed_points_examples():
     # family {full} closes everything to the top
     k = closure_from_fixed_points(2, [3])
