@@ -14,7 +14,8 @@ Report bodies are deterministic for fixed flags, so two commits print
 the same lines exactly when every listed command writes the same body
 with the same exit code: compare two runs with diff.  The list covers
 every verify suite as text and json, theorem2 over non-default sampled
-scopes, each search, and each dump target, with the largest dumps the
+scopes (one of 2,000 seeds, whose long streams pin the sampler's
+draws), each search, and each dump target, with the largest dumps the
 benchmark makes and a monoid dump cut short by --cap.
 """
 
@@ -34,6 +35,7 @@ COMMANDS = (
     [("verify", name, "--format", fmt) for name in SUITES for fmt in ("text", "json")]
     + [("verify", "theorem2", "--samples", "200", "--seed", "7", "--format", fmt)
        for fmt in ("text", "json")]
+    + [("verify", "theorem2", "--samples", "2000", "--seed", "11", "--format", "json")]
     + [("verify", "theorem2", "--n", "1", "--seed", "-5")]
     + [("search", kind, *extra, "--format", fmt)
        for kind, extra in (("identities", ()),

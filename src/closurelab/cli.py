@@ -139,7 +139,8 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str, elapsed: float)
 #: flag or value as a usage error before the suite runs, and passes a
 #: flag that is set on to the suite, which has its own default for one
 #: left unset.  n is capped by the exhaustive enumeration a suite
-#: walks, samples by the seeds one lockstep draw holds; windows span
+#: walks, samples by the seeds one lockstep draw holds; a seed is 0 or
+#: more, as random.Random(-s) replays random.Random(s); windows span
 #: at least 2 elements, and the flagged cycle (ground size 2m + 2) and
 #: the segment {0..M} (ground size M + 1) must fit the table cap.
 _SUITE_RANGES = {
@@ -148,7 +149,7 @@ _SUITE_RANGES = {
     "theorem2": {
         "n": (0, idlab.PAIR_ENUMERATION_CAP),
         "samples": (1, idlab.SAMPLE_COUNT_CAP),
-        "seed": (None, None),
+        "seed": (0, None),
     },
     "fixtures": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
     "section4": {"m": (2, (MAX_GROUND_SIZE - 2) // 2)},

@@ -33,6 +33,7 @@ from .opalg import (
     FlatScope,
     OperatorTable,
     closures_from_fixed_points,
+    closures_from_masks,
     complement_table,
     elements_of,
     eval_word_on,
@@ -221,6 +222,31 @@ def enumerate_all_pairs(n: int) -> list[ClosurePairModel]:
     return list(_pair_run(n, False).models())
 
 
+def _family_mask(getrandbits: Callable[[int], int], low: int, high: int, size: int) -> int:
+    """The bitmask of a seeded fixed-point family: randint(low, high)
+    members, each randrange(size), plus the full set, size - 1.
+
+    Both draws are replayed as CPython's Random makes them: randrange(m)
+    (randint(a, b) being a + randrange(b - a + 1)) is getrandbits of
+    m.bit_length() bits, drawn again while it is m or more.  So the
+    words getrandbits consumes, and the members, are those of the calls
+    themselves, without their argument checks.
+    """
+    width = high - low + 1
+    bits = width.bit_length()
+    count = getrandbits(bits)
+    while count >= width:
+        count = getrandbits(bits)
+    mask = 1 << (size - 1)
+    bits = size.bit_length()
+    for _ in range(low + count):
+        member = getrandbits(bits)
+        while member >= size:
+            member = getrandbits(bits)
+        mask |= 1 << member
+    return mask
+
+
 def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) -> ModelRun:
     """Seeded rejection sampler for commuting closure pairs, one pair per
     seed, drawn for all seeds in lockstep.
@@ -231,21 +257,25 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
     positive probability, so long seed sweeps cover the whole space.
 
     Seed s draws from its own random.Random(s), a p family and then a q
-    family per try, until the pair commutes.  Each round makes one try
-    for every seed still pending: the tables of all their families are
-    built in one closures_from_fixed_points call and screened for pq =
-    qp at once.  A seed's stream is the same whatever other seeds are
-    drawn with it, so its pair is the one it would draw alone.  The run
-    keeps the tries each seed took.  If a seed finds no pair in
-    max_tries tries, RuntimeError names the first such seed in seed
-    order.
+    family per try, until the pair commutes: randint(0, min(2**n, 16))
+    members, each randrange(2**n), drawn as bitmasks by _family_mask on
+    the same stream.  Seeds must be nonnegative, as random.Random(-s)
+    is random.Random(s).  Each round makes one try for every seed still
+    pending: the tables of all their families are built in one
+    closures_from_masks call and screened for pq = qp at once.  A
+    seed's stream is the same whatever other seeds are drawn with it,
+    so its pair is the one it would draw alone.  The run keeps the
+    tries each seed took.  If a seed finds no pair in max_tries tries,
+    RuntimeError names the first such seed in seed order.
     """
     if not 0 <= n <= SAMPLING_CAP:
         raise ValueError(f"sampling supports n <= {SAMPLING_CAP}")
     seeds = list(seeds)
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds must be nonnegative, got {min(seeds)}")
     size = 1 << n
     bound = min(size, 16)
-    rngs = [random.Random(seed) for seed in seeds]
+    draws = [random.Random(seed).getrandbits for seed in seeds]
     p = np.empty((len(seeds), size), dtype=np.int64)
     q = np.empty_like(p)
     tries = np.zeros(len(seeds), dtype=np.int64)
@@ -253,12 +283,8 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
     for _ in range(max_tries):
         if not len(pending):
             break
-        families = []
-        for i in pending.tolist():
-            randint, randrange = rngs[i].randint, rngs[i].randrange
-            families += [[randrange(size) for _ in range(randint(0, bound))] + [size - 1]
-                         for _ in "pq"]
-        tables = closures_from_fixed_points(n, families)
+        masks = [_family_mask(draws[i], 0, bound, size) for i in pending.tolist() for _ in "pq"]
+        tables = closures_from_masks(n, masks)
         ps, qs = tables[0::2], tables[1::2]
         ok = np.all(np.take_along_axis(ps, qs, 1) == np.take_along_axis(qs, ps, 1), axis=1)
         tries[pending] += 1
@@ -586,14 +612,14 @@ WITNESS_SEARCH_BASE = 777000
 WITNESS_BLOCK_ENTRIES = 1 << 14
 
 
-def _witness_family(n: int, trial: int) -> list[int]:
-    """Fixed-point family of seeded witness-search trial number trial."""
-    rng = random.Random(WITNESS_SEARCH_BASE + trial)
+def _witness_family(n: int, trial: int) -> int:
+    """Fixed-point family of seeded witness-search trial number trial,
+    as a bitmask: random.Random(WITNESS_SEARCH_BASE + trial) draws
+    randint(1, min(2**n, 3n)) members, each randrange(2**n), through
+    _family_mask, and the full set is added."""
     size = 1 << n
-    count = rng.randint(1, min(size, 3 * n))
-    members = [rng.randrange(size) for _ in range(count)]
-    members.append(size - 1)
-    return members
+    getrandbits = random.Random(WITNESS_SEARCH_BASE + trial).getrandbits
+    return _family_mask(getrandbits, 1, min(size, 3 * n), size)
 
 
 def _witness_blocks(n: int, trials: int) -> Iterator[np.ndarray]:
@@ -607,7 +633,7 @@ def _witness_blocks(n: int, trials: int) -> Iterator[np.ndarray]:
     rows = max(1, WITNESS_BLOCK_ENTRIES >> n)
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
-        yield closures_from_fixed_points(
+        yield closures_from_masks(
             n, [_witness_family(n, trial) for trial in range(start, stop)]
         )
 

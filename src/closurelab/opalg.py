@@ -264,41 +264,67 @@ def closure_from_fixed_points(n: int, fixed: Iterable[Mask]) -> OperatorTable:
 def closures_from_fixed_points(n: int, families) -> np.ndarray:
     """Entries of the smallest-enclosing-member operator of each family.
 
-    families is a sequence of member lists, or (with no loop per family,
-    n <= 5) an int64 array of bitmasks, bit s set for member s.  Row i
-    of the (k, 2**n) result is the table of family i (see
-    closure_from_fixed_points).  Every family must contain the full
-    ground set, and members may repeat.
+    families is a sequence of member lists, or (n <= 5) an int64 array
+    of bitmasks, bit s set for member s.  Row i of the (k, 2**n) result
+    is the table of family i (see closure_from_fixed_points).  Every
+    family must contain the full ground set, and members may repeat.
+    Each member list is checked before it becomes a bitmask, so a
+    member outside the powerset is refused, never shifted; the tables
+    come from closures_from_masks.
     """
     _check_ground_size(n)
-    size = 1 << n
-    full = size - 1
+    full = (1 << n) - 1
     if isinstance(families, np.ndarray) and families.ndim == 1:
-        members = (families[:, None] >> np.arange(size)) & 1
-        if n > 5 or not members[:, full].all():
+        if n > 5 or not np.all(families >> full & 1):
             raise ValueError("family bitmasks need n <= 5 and the full ground set")
-        out = np.where(members, np.arange(size), full)
+        if np.any(families >> (full + 1)):
+            raise ValueError("family member outside the powerset")
+        return closures_from_masks(n, families)
+    masks = []
+    for fixed in families:
+        members = set(map(int, fixed))
+        if members and (min(members) < 0 or max(members) > full):
+            raise ValueError("family member outside the powerset")
+        if full not in members:
+            raise ValueError("family must contain the full ground set")
+        masks.append(sum(1 << m for m in members))
+    return closures_from_masks(n, masks)
+
+
+def closures_from_masks(n: int, masks) -> np.ndarray:
+    """The (k, 2**n) entries of the smallest-enclosing-member operator
+    of k families given as bitmasks, bit s of masks[i] set when subset
+    s is a member of family i.  masks is a sequence of Python ints below
+    2**(2**n), or (n <= 5) an int64 array; every mask must hold the full
+    ground set, bit 2**n - 1, which is not checked here.  Membership is
+    unpacked in one np.unpackbits call: each member s is its own entry,
+    every other subset starts at the full set, and the meet passes do
+    the rest."""
+    _check_ground_size(n)
+    size, k = 1 << n, len(masks)
+    if isinstance(masks, np.ndarray):
+        raw = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(k, 8)
     else:
-        out = np.empty((len(families), size), dtype=np.int64)
-        out.fill(full)
-        for row, fixed in zip(out, families):
-            members = list(set(map(int, fixed)))
-            if members and (min(members) < 0 or max(members) > full):
-                raise ValueError("family member outside the powerset")
-            if full not in members:
-                raise ValueError("family must contain the full ground set")
-            row[members] = members
-    # Meet over supersets, one element at a time: after pass i, out[r, A]
-    # is the meet of the members B >= A of family r that differ from A
-    # only in elements 0..i.  Each pass is O(k 2^n) however many members
-    # there are; 2**(i+1) divides a row, so no pair of halves straddles
-    # two rows.  The meet goes into the view in place, as
-    # halves[:, 0] &= ... would write it back through a second subscript.
+        width = (size + 7) // 8
+        raw = np.frombuffer(b"".join([m.to_bytes(width, "little") for m in masks]),
+                            dtype=np.uint8).reshape(k, width)
+    members = np.unpackbits(raw, axis=1, count=size, bitorder="little").view(bool)
+    # The meet runs subset-major, out[A, r] for family r, in the
+    # narrowest dtype that holds a mask, so each pass is one operation
+    # on contiguous runs of k << i entries.  Meet over supersets, one
+    # element at a time: after pass i, out[A, r] is the meet of the
+    # members B >= A of family r that differ from A only in elements
+    # 0..i.  Each pass is O(k 2^n) however many members there are.  The
+    # meet goes into the view in place, as halves[:, 0] &= ... would
+    # write it back through a second subscript.
+    dtype = np.min_scalar_type(size - 1)
+    out = np.full((size, k), size - 1, dtype=dtype)
+    np.copyto(out, np.arange(size, dtype=dtype)[:, None], where=members.T)
     for i in range(n):
-        halves = out.reshape(-1, 2, 1 << i)
+        halves = out.reshape(size >> (i + 1), 2, k << i)
         lacks = halves[:, 0]  # the subsets without element i
         lacks &= halves[:, 1]
-    return out
+    return np.ascontiguousarray(out.T, dtype=np.int64)
 
 
 def apply(f, a: Mask) -> Mask:

@@ -130,6 +130,25 @@ def test_verify_samples_cap_is_checked_before_the_suite_runs(capsys, monkeypatch
     assert calls == [1, cap]
 
 
+def test_verify_negative_seed_is_a_usage_error(capsys, monkeypatch):
+    # random.Random(-s) replays random.Random(s), so a negative seed
+    # would sample its absolute value's pairs again; it is refused
+    # before the suite draws anything, and seed 0 is accepted
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs["seed"])
+        return SuiteReport("theorem2", True, ["stub"], {})
+
+    monkeypatch.setitem(SUITES, "theorem2", stub)
+    code, out, err = run_cli(capsys, "verify", "theorem2", "--seed", "-12")
+    assert (code, out) == (2, "")
+    assert err == "usage error: verify theorem2 takes --seed 0 or more, got -12\n"
+    assert calls == []
+    assert run_cli(capsys, "verify", "theorem2", "--seed", "0")[0] == 0
+    assert calls == [0]
+
+
 def test_verify_passes_only_the_flags_that_are_set(capsys, monkeypatch):
     # a flag left unset takes the suite's own default
     calls = []
@@ -145,8 +164,8 @@ def test_verify_passes_only_the_flags_that_are_set(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "section4", "--m", "3")[0] == 0
     assert run_cli(capsys, "verify", "lemma6")[0] == 0
     assert run_cli(capsys, "verify", "theorem2", "--samples", "2")[0] == 0
-    assert run_cli(capsys, "verify", "theorem2", "--seed", "-5", "--n", "1")[0] == 0
-    assert calls == [{}, {"n": 3}, {"m": 3}, {}, {"samples": 2}, {"n": 1, "seed": -5}]
+    assert run_cli(capsys, "verify", "theorem2", "--seed", "5", "--n", "1")[0] == 0
+    assert calls == [{}, {"n": 3}, {"m": 3}, {}, {"samples": 2}, {"n": 1, "seed": 5}]
 
 
 @pytest.mark.parametrize("argv", [

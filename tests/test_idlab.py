@@ -186,6 +186,41 @@ def test_sampler_size_guard():
         idlab.sample_commuting_pairs(13, [0])
 
 
+def test_sampler_refuses_negative_seeds():
+    # random.Random(-s) replays random.Random(s): seed -12 would draw
+    # seed 12's pair again
+    assert random.Random(-12).random() == random.Random(12).random()
+    with pytest.raises(ValueError, match="nonnegative, got -12"):
+        idlab.sample_commuting_pairs(4, [3, -12, 12])
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_commuting_pair(4, seed=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(Scope.sampled(4, 3, seed=-2).runs())
+    assert len(idlab.sample_commuting_pairs(4, [0])) == 1
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_family_mask_replays_randint_and_randrange(n):
+    # _family_mask must draw the members randint(low, high) and then
+    # randrange(2**n) per member draw, plus the full set, and consume
+    # exactly the same words, which the generator state after the draw
+    # pins: both the sampler's and the witness search's count ranges,
+    # and randint(a, a), which still draws a word
+    size = 1 << n
+    ranges = [(0, min(size, 16)), (0, 0), (min(size, 16), min(size, 16))]
+    if n:
+        ranges += [(1, min(size, 3 * n)), (1, 1)]
+    for low, high in ranges:
+        for seed in range(200):
+            ref, rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                members = [ref.randrange(size) for _ in range(ref.randint(low, high))]
+                want = sum(1 << m for m in set(members) | {size - 1})
+                got = idlab._family_mask(rng.getrandbits, low, high, size)
+                assert got == want, (n, low, high, seed)
+            assert rng.getstate() == ref.getstate(), (n, low, high, seed)
+
+
 @pytest.mark.parametrize("n,seeds", [(n, range(100, 130)) for n in range(7)]
                          + [(12, range(100, 103))])
 def test_lockstep_sampler_matches_the_sequential_reference(n, seeds):

@@ -15,6 +15,7 @@ from closurelab.opalg import (
     check_interior,
     closure_from_fixed_points,
     closures_from_fixed_points,
+    closures_from_masks,
     commutes,
     commuting_witness,
     complement_table,
@@ -175,6 +176,35 @@ def test_closures_from_family_bitmasks_match_member_lists():
         closures_from_fixed_points(2, np.array([8, 7], dtype=np.int64))
     with pytest.raises(ValueError, match="n <= 5"):
         closures_from_fixed_points(6, np.array([1 << 62], dtype=np.int64))
+
+
+def test_closures_from_int_masks_match_member_lists():
+    # Python-int family masks, at every n <= 8 and past the 64 bits of
+    # an int64, against the member-list path and the oracle; the lists
+    # repeat members, the masks hold each once
+    rng = random.Random(17)
+    for n in range(9):
+        size = 1 << n
+        families = [[size - 1], [size - 1] * 3, list(range(size))]
+        for _ in range(20):
+            members = [rng.randrange(size) for _ in range(rng.randint(0, 2 * size))]
+            families.append(members + members[: len(members) // 2] + [size - 1])
+        masks = [sum(1 << m for m in set(members)) for members in families]
+        got = closures_from_masks(n, masks)
+        assert got.shape == (len(families), size) and got.dtype == np.int64
+        assert got.tolist() == closures_from_fixed_points(n, families).tolist()
+        assert [tuple(row) for row in got.tolist()] == [
+            closure_of_family(n, members) for members in families
+        ]
+        if n <= 5:
+            array = closures_from_masks(n, np.array(masks, dtype=np.int64))
+            assert array.tolist() == got.tolist()
+    assert closures_from_masks(4, []).shape == (0, 16)
+    # an int64 mask with a bit past the 2**n subsets, or a negative one,
+    # is refused, not read as its low bits
+    for mask in (8 | 1 << 40, -1):
+        with pytest.raises(ValueError, match="outside the powerset"):
+            closures_from_fixed_points(2, np.array([15, mask], dtype=np.int64))
 
 
 def test_flat_scope_suffixes_are_the_tables_of_the_suffixes():
