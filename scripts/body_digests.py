@@ -16,7 +16,8 @@ with the same exit code: compare two runs with diff.  The list covers
 every verify suite as text and json, theorem2 over non-default sampled
 scopes (one of 2,000 seeds, whose long streams pin the sampler's
 draws), each search, and each dump target, with the largest dumps the
-benchmark makes and a monoid dump cut short by --cap.
+benchmark makes, a monoid dump cut short by --cap, and orbits of the
+flagged cycle at m = 8 and at m = 12, past the table cap.
 """
 
 import hashlib
@@ -57,6 +58,8 @@ COMMANDS = (
        ("dump", "orbit", "--model", "section4", "--word", "cpcpcqcq", "--start", "0,top"),
        ("dump", "orbit", "--model", "section4", "--word", "cpcpcqcq", "--start", "0,top",
         "--format", "json")]
+    + [("dump", "orbit", "--model", "section4", "--m", m, "--word", "cpcpcqcq",
+        "--start", "0,top") for m in ("8", "12")]
 )
 
 

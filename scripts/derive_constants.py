@@ -57,7 +57,7 @@ def main():
 
     print("\n== max monoid size per ground size ==")
     for size in range(1, 5):
-        best = idlab._kc_monoid_sizes(idlab._closure_stack(size)).max()
+        best = idlab._kc_screen(idlab._closure_stack(size))[0].max()
         print(f"n={size}: max |monoid(k,c)| = {best}")
 
     print("\n== collapse fixture failing without commutativity ==")

@@ -40,23 +40,23 @@ from .words import parse_word
 OUT_DIR_ENV = "CLOSURELAB_OUT"
 
 
-def _resolve_out(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _writable(path: str) -> bool:
+    """Whether path names a file that can be written, checked without
+    creating it: an existing non-directory the process may write, or a
+    new name in a directory it may write."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(path) or "."
+    return os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
 
 
 def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
     """Write text, or each string it yields, to stdout or to out."""
     chunks = [text] if isinstance(text, str) else text
-    target = _resolve_out(out)
-    if target is None:
+    if out is None:
         sys.stdout.writelines(chunks)
     else:
-        with open(target, "w") as fh:
+        with open(out, "w") as fh:
             fh.writelines(chunks)
 
 
@@ -322,8 +322,8 @@ def _model_from_flags(name: str, args):
         return models.example3(M, variant=variant)
     m = args.m if args.m is not None else 4
     if name == "section4":
-        # only an orbit walks a flagged cycle past the cap as functions
-        return models.section4_model(m, materialize=None if args.what == "orbit" else True)
+        # an orbit reads no table, so it walks the cycle as functions
+        return models.section4_model(m, materialize=args.what != "orbit")
     if name.startswith("pij(") and name.endswith(")"):
         inner = name[4:-1].split(",")
         if len(inner) != 2:
@@ -505,6 +505,12 @@ def main(argv=None) -> int:
     elif args.format not in formats:
         print(f"{command} supports --format {' or '.join(formats)}", file=sys.stderr)
         return 2
+    if args.out is not None:
+        # a relative --out is taken in $CLOSURELAB_OUT when that is set
+        args.out = os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out)
+        if not _writable(args.out):
+            print(f"usage error: cannot write --out {args.out}", file=sys.stderr)
+            return 2
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "search":

@@ -32,7 +32,6 @@ from .monoid import generate_monoid
 from .opalg import (
     FlatScope,
     OperatorTable,
-    closures_from_fixed_points,
     closures_from_masks,
     complement_table,
     elements_of,
@@ -104,20 +103,29 @@ def _closure_stack(n: int) -> np.ndarray:
         raise ValueError(
             f"exhaustive closure enumeration supports n <= {ENUMERATION_CAP}"
         )
-    rows = closures_from_fixed_points(n, _moore_families(n))
+    rows = closures_from_masks(n, _moore_families(n))
     return _frozen(rows[np.lexsort(rows.T[::-1])])
 
 
-def _closure_blocks(n: int) -> Iterator[np.ndarray]:
-    """Every closure on n points: the canonical stack, or past n = 4
-    blocks of WITNESS_BLOCK_ENTRIES >> n rows in Moore-family order."""
+def _closure_blocks(n: int, trials: int = 0) -> Iterator[np.ndarray]:
+    """Closures on n points as (rows, 2**n) stacks, in order: the
+    canonical stack in one block at n <= ENUMERATION_CAP, every closure
+    in Moore-family order at n = BLOCKED_ENUMERATION_CAP, and past that
+    the witness search's seeded trials 0 .. trials-1, each family drawn
+    when its block is built.  Past the canonical stack a block holds
+    max(1, WITNESS_BLOCK_ENTRIES >> n) rows."""
     if n <= ENUMERATION_CAP:
         yield _closure_stack(n)
         return
-    masks = _moore_families(n)
-    rows = WITNESS_BLOCK_ENTRIES >> n
-    for start in range(0, len(masks), rows):
-        yield closures_from_fixed_points(n, masks[start:start + rows])
+    rows = max(1, WITNESS_BLOCK_ENTRIES >> n)
+    if n == BLOCKED_ENUMERATION_CAP:
+        masks = _moore_families(n)
+        blocks = (masks[start:start + rows] for start in range(0, len(masks), rows))
+    else:
+        blocks = ([_witness_family(n, t) for t in range(start, min(start + rows, trials))]
+                  for start in range(0, trials, rows))
+    for block in blocks:
+        yield closures_from_masks(n, block)
 
 
 @lru_cache(maxsize=None)
@@ -622,22 +630,6 @@ def _witness_family(n: int, trial: int) -> int:
     return _family_mask(getrandbits, 1, min(size, 3 * n), size)
 
 
-def _witness_blocks(n: int, trials: int) -> Iterator[np.ndarray]:
-    """The witness search's candidate closures at ground size n, in
-    search order, as (rows, 2**n) stacks: the canonical enumeration in
-    one block at n <= ENUMERATION_CAP, beyond that the seeded trials
-    0 .. trials-1 in runs of WITNESS_BLOCK_ENTRIES >> n."""
-    if n <= ENUMERATION_CAP:
-        yield _closure_stack(n)
-        return
-    rows = max(1, WITNESS_BLOCK_ENTRIES >> n)
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        yield closures_from_masks(
-            n, [_witness_family(n, trial) for trial in range(start, stop)]
-        )
-
-
 def _kc_screen(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each operator k of a (rows, 2**n) stack: the size of its
     monoid with complement, whether kckckck = kck fails, and the
@@ -672,14 +664,6 @@ def _kc_screen(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sizes, hammer_fails, seeds
 
 
-def _kc_monoid_sizes(ks: np.ndarray) -> np.ndarray:
-    return _kc_screen(ks)[0]
-
-
-def _first_separating_seeds(closures: np.ndarray) -> np.ndarray:
-    return _kc_screen(closures)[2]
-
-
 #: no closure on at most this many points has a separating seed, by the
 #: witness search's sweep at n <= 4 and by verify kuratowski14 --n 5
 WITNESS_FREE_CAP = 5
@@ -698,7 +682,7 @@ def find_kuratowski_witness(max_n: int = 8, trials: int = 30000):
     the seed being the smallest one for the first hit.  This is the
     regeneration path for the pinned fixture in the models module.
 
-    The candidates are screened a block at a time (see _witness_blocks):
+    The candidates are screened a block at a time (see _closure_blocks):
     the 14 words of KURATOWSKI_WORDS are evaluated over the whole block
     (_kc_screen), and a seed separates a closure when the 14 values
     there are pairwise distinct.  The screen is exact: every
@@ -709,8 +693,8 @@ def find_kuratowski_witness(max_n: int = 8, trials: int = 30000):
     with a seed of 14 distinct images, and the other way round.
     """
     for n in chain(range(1, ENUMERATION_CAP + 1), range(WITNESS_FREE_CAP + 1, max_n + 1)):
-        for block in _witness_blocks(n, trials):
-            seeds = _first_separating_seeds(block)
+        for block in _closure_blocks(n, trials):
+            seeds = _kc_screen(block)[2]
             hit = seeds >= 0
             if hit.any():
                 row = int(hit.argmax())

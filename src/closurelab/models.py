@@ -445,20 +445,19 @@ def _section4_fns(m: int):
     return make(False), make(True)
 
 
-def section4_model(window, materialize: Optional[bool] = None) -> ClosurePairModel:
+def section4_model(window, materialize: bool = True) -> ClosurePairModel:
     """The flagged-cycle pair: membership of top/bot in the argument
     dispatches to the four cycle flavors, p(A) = p_ij(A n Z) u flags
     with i = [top in A], j = [bot in A], q likewise with its flavors.
 
-    Materialized (default within the table cap) the pair is screened
-    for the closure axioms and commutation; past the cap the operators
-    are plain functions and only pointwise evaluation (orbits) applies.
+    Materialized (the default, within the table cap) the pair is
+    screened for the closure axioms and commutation; otherwise the
+    operators are plain functions at any size and only pointwise
+    evaluation (orbits) applies.
     """
     window = _coerce_window(window, "cycle")
     m = window.size
     n = 2 * m + 2
-    if materialize is None:
-        materialize = n <= MAX_GROUND_SIZE
     if materialize:
         if n > MAX_GROUND_SIZE:
             raise ValueError(f"ground size {n} exceeds the table cap")

@@ -254,41 +254,21 @@ def closure_from_fixed_points(n: int, fixed: Iterable[Mask]) -> OperatorTable:
 
     Maps A to the intersection of all family members containing A.  The
     family must contain the full ground set so the intersection is never
-    empty-ranged.  The result is always a closure operator; its fixed
-    points are the meet-closure of the input family.  This is
-    closures_from_fixed_points on a single family.
-    """
-    return OperatorTable(n, closures_from_fixed_points(n, [fixed])[0], _validate=False)
-
-
-def closures_from_fixed_points(n: int, families) -> np.ndarray:
-    """Entries of the smallest-enclosing-member operator of each family.
-
-    families is a sequence of member lists, or (n <= 5) an int64 array
-    of bitmasks, bit s set for member s.  Row i of the (k, 2**n) result
-    is the table of family i (see closure_from_fixed_points).  Every
-    family must contain the full ground set, and members may repeat.
-    Each member list is checked before it becomes a bitmask, so a
-    member outside the powerset is refused, never shifted; the tables
-    come from closures_from_masks.
+    empty-ranged, and members may repeat.  The result is always a
+    closure operator; its fixed points are the meet-closure of the input
+    family.  The members are checked before they become a bitmask, so a
+    member outside the powerset is refused, never shifted; the table
+    comes from closures_from_masks.
     """
     _check_ground_size(n)
     full = (1 << n) - 1
-    if isinstance(families, np.ndarray) and families.ndim == 1:
-        if n > 5 or not np.all(families >> full & 1):
-            raise ValueError("family bitmasks need n <= 5 and the full ground set")
-        if np.any(families >> (full + 1)):
-            raise ValueError("family member outside the powerset")
-        return closures_from_masks(n, families)
-    masks = []
-    for fixed in families:
-        members = set(map(int, fixed))
-        if members and (min(members) < 0 or max(members) > full):
-            raise ValueError("family member outside the powerset")
-        if full not in members:
-            raise ValueError("family must contain the full ground set")
-        masks.append(sum(1 << m for m in members))
-    return closures_from_masks(n, masks)
+    members = set(map(int, fixed))
+    if members and (min(members) < 0 or max(members) > full):
+        raise ValueError("family member outside the powerset")
+    if full not in members:
+        raise ValueError("family must contain the full ground set")
+    mask = sum(1 << m for m in members)
+    return OperatorTable(n, closures_from_masks(n, [mask])[0], _validate=False)
 
 
 def closures_from_masks(n: int, masks) -> np.ndarray:

@@ -753,3 +753,27 @@ def test_out_env_dir_resolves_relative_paths(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "lemma6", "--out", str(absolute))
     assert code == 0
     assert absolute.exists()
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["verify", "lemma6"], (SUITES, "lemma6")),
+    (["search", "identities"], (idlab, "search_identities")),
+    (["dump", "model", "--name", "section4"], (models, "section4_model")),
+], ids=["verify", "search", "dump"])
+def test_unwritable_out_is_a_usage_error_before_any_work(capsys, monkeypatch, tmp_path,
+                                                         argv, target):
+    # a missing directory, or a directory itself, is refused before the
+    # suite, search or model runs, and no file is created
+    calls = []
+    owner, name = target
+    if owner is SUITES:
+        monkeypatch.setitem(SUITES, name, lambda **kw: calls.append(kw))
+    else:
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append((a, kw)))
+    missing = tmp_path / "missing" / "x.txt"
+    for out in (missing, tmp_path):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"usage error: cannot write --out {out}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []

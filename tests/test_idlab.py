@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ from closurelab.opalg import (
     OperatorTable,
     check_closure,
     closure_from_fixed_points,
+    closures_from_masks,
     commutes,
     complement_table,
+    elements_of,
     eval_word,
     eval_word_on,
     full_mask,
@@ -73,6 +76,16 @@ def test_moore_family_recursion_gives_the_published_counts():
         idlab._moore_families(6)
 
 
+def test_moore_family_masks_hold_the_full_set_and_nothing_past_it():
+    # what closures_from_masks takes on trust from its callers: bit
+    # 2**n - 1 set, and no bit at or past 2**n
+    for n in range(6):
+        full = (1 << n) - 1
+        masks = idlab._moore_families(n)
+        assert np.all(masks >> full & 1), n
+        assert np.all(masks >= 0) and not np.any(masks >> (full + 1)), n
+
+
 def test_moore_family_screen_in_blocks_keeps_the_order(monkeypatch):
     # at n <= 4 the pair screen is one block; screened a few F0 rows at
     # a time, the families come out in the same order
@@ -109,6 +122,19 @@ def test_closure_blocks_past_the_canonical_stack_follow_the_families():
         fixed = (block == np.arange(32)) << np.arange(32)
         assert fixed.sum(axis=1).tolist() == (
             idlab._moore_families(5)[start:start + rows].tolist())
+
+
+def test_closure_blocks_past_n5_are_the_seeded_trials():
+    # the witness search's trials through the meet kernel, in runs of
+    # max(1, 2**14 >> n) rows, the last one short; no trials, no blocks
+    for n, trials in ((6, 600), (7, 300), (15, 3)):
+        rows = max(1, 2**14 >> n)
+        blocks = list(idlab._closure_blocks(n, trials))
+        assert [len(b) for b in blocks] == [
+            min(rows, trials - start) for start in range(0, trials, rows)]
+        want = closures_from_masks(n, [idlab._witness_family(n, t) for t in range(trials)])
+        assert np.array_equal(np.concatenate(blocks), want)
+    assert list(idlab._closure_blocks(6)) == []
 
 
 def test_enumeration_matches_function_filter_oracle():
@@ -669,38 +695,42 @@ def _seeded_trial_closure(n, trial):
     return closure_from_fixed_points(n, members)
 
 
-def test_kc_monoid_sizes_match_the_monoid_bfs():
+def test_kc_screen_sizes_match_the_monoid_bfs():
     # every closure at n <= 4, where the 14 words are closed under k and
     # c, then arbitrary maps at n = 2, where many rows are not and the
-    # helper falls back to the BFS
+    # screen falls back to the BFS
     for n in range(5):
         c = complement_table(n)
         want = [len(generate_monoid([k, c])) for k in enumerate_closures(n)]
-        assert idlab._kc_monoid_sizes(idlab._closure_stack(n)).tolist() == want, n
+        assert idlab._kc_screen(idlab._closure_stack(n))[0].tolist() == want, n
     rng = np.random.default_rng(5)
     maps = rng.integers(0, 4, size=(200, 4))
     want = [len(generate_monoid([OperatorTable(2, row), complement_table(2)]))
             for row in maps]
-    assert idlab._kc_monoid_sizes(maps).tolist() == want
+    assert idlab._kc_screen(maps)[0].tolist() == want
     assert max(want) > 14
 
 
 def test_witness_screen_matches_monoid_bfs_per_candidate():
-    # Every closure at n <= 4, then seeded trials at n = 5 and n = 6
-    # across block boundaries and past the hit at n = 6, trial 1273:
-    # the screen's blocks must hold the candidates in search order, and
-    # its seed for each must be the BFS reference's.
+    # Every closure at n <= 4, then the first four blocks of Moore
+    # families at n = 5 and seeded trials at n = 6, across block
+    # boundaries and past the hit at n = 6, trial 1273: the blocks must
+    # hold the candidates in order, and the screen's seed for each must
+    # be the BFS reference's.
     hits = []
-    for n, trials in ((1, 0), (2, 0), (3, 0), (4, 0), (5, 2100), (6, 1300)):
+    for n, trials in ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 1300)):
+        blocks = list(islice(idlab._closure_blocks(n, trials), 4 if n == 5 else None))
         if n <= idlab.ENUMERATION_CAP:
             candidates = enumerate_closures(n)
+        elif n == idlab.BLOCKED_ENUMERATION_CAP:
+            candidates = [closure_from_fixed_points(n, elements_of(m))
+                          for m in idlab._moore_families(n)[:2048].tolist()]
         else:
             candidates = [_seeded_trial_closure(n, t) for t in range(trials)]
-        blocks = list(idlab._witness_blocks(n, trials))
         if n > idlab.ENUMERATION_CAP:
-            assert len(blocks) >= 2  # the trials cross a block boundary
+            assert len(blocks) >= 2  # the candidates cross a block boundary
         assert np.concatenate(blocks).tolist() == [k.entries.tolist() for k in candidates]
-        got = np.concatenate([idlab._first_separating_seeds(b) for b in blocks])
+        got = np.concatenate([idlab._kc_screen(b)[2] for b in blocks])
         want = [_bfs_separating_seed(k) for k in candidates]
         assert got.tolist() == want, n
         hits += [(n, int(i), int(got[i])) for i in np.flatnonzero(got >= 0)]
