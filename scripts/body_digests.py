@@ -15,9 +15,11 @@ the same lines exactly when every listed command writes the same body
 with the same exit code: compare two runs with diff.  The list covers
 every verify suite as text and json, theorem2 over non-default sampled
 scopes (one of 2,000 seeds, whose long streams pin the sampler's
-draws), each search, and each dump target, with the largest dumps the
-benchmark makes, a monoid dump cut short by --cap, and orbits of the
-flagged cycle at m = 8 and at m = 12, past the table cap.
+draws), interior at n = 4, example3 at a featured M inside M = 2..12
+and past it, section4 at m = 6, each search, and each dump target,
+with the largest dumps the benchmark makes, a monoid dump cut short by
+--cap, and orbits of the flagged cycle at m = 8 and at m = 12, past the
+table cap.
 """
 
 import hashlib
@@ -38,6 +40,10 @@ COMMANDS = (
        for fmt in ("text", "json")]
     + [("verify", "theorem2", "--samples", "2000", "--seed", "11", "--format", "json")]
     + [("verify", "theorem2", "--n", "1", "--seed", "-5")]
+    + [("verify", name, flag, value, "--format", fmt)
+       for name, flag, value in (("interior", "--n", "4"), ("example3", "--M", "4"),
+                                 ("example3", "--M", "15"), ("section4", "--m", "6"))
+       for fmt in ("text", "json")]
     + [("search", kind, *extra, "--format", fmt)
        for kind, extra in (("identities", ()),
                            ("counterexample", ("--eq", "pq=qp")),

@@ -315,11 +315,20 @@ _DUMP_NEEDS = {"model": ("name",), "monoid": ("model",), "hasse": ("model",),
                "orbit": ("model", "word", "start")}
 
 
+def _reads_window(name: str, args, flag: Optional[str]) -> None:
+    """Refuse, before model name is built, a window flag it does not
+    read: it reads flag (M or m) or, when flag is None, neither."""
+    for unread in {"m", "M"} - {flag}:
+        if getattr(args, unread) is not None:
+            raise ValueError(f"model {name} does not take --{unread}")
+
+
 def _model_from_flags(name: str, args):
     if name in ("example3-literal", "example3-repaired", "example3"):
-        M = args.M if args.M is not None else 10
+        _reads_window(name, args, "M")
         variant = "literal" if name == "example3-literal" else "repaired"
-        return models.example3(M, variant=variant)
+        return models.example3(args.M if args.M is not None else 10, variant=variant)
+    _reads_window(name, args, "m")  # section4 and pij(i,j) read --m
     m = args.m if args.m is not None else 4
     if name == "section4":
         # an orbit reads no table, so it walks the cycle as functions
@@ -336,6 +345,7 @@ def _model_from_flags(name: str, args):
 def _named_generators(model_name: str, args) -> dict:
     """Letter -> operator table for monoid and hasse dumps."""
     if model_name == "witness14":
+        _reads_window(model_name, args, None)
         k, _seed = models.kuratowski_witness()
         return {"k": k, "c": complement_table(k.ground_size)}
     model = _model_from_flags(model_name, args)

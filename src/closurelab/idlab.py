@@ -33,6 +33,7 @@ from .opalg import (
     FlatScope,
     OperatorTable,
     closures_from_masks,
+    commuting_rows,
     complement_table,
     elements_of,
     eval_word_on,
@@ -194,29 +195,19 @@ def _pair_run(n: int, commuting: bool) -> ModelRun:
         )
     stack = _closure_stack(n)
     k = len(stack)
-    # pair i * k + j is (p#i, q#j)
-    pairs = np.flatnonzero(_commute_flags(n)) if commuting else np.arange(k * k)
+    # pair i * k + j is (p#i, q#j), screened for pq = qp all at once
+    p, q = np.repeat(stack, k, axis=0), np.tile(stack, (k, 1))
+    flags = commuting_rows(p, q)
+    pairs = np.flatnonzero(flags) if commuting else np.arange(k * k)
 
     def model_at(r: int) -> ClosurePairModel:
         i, j = divmod(int(pairs[r]), k)
         return ClosurePairModel(
             provenance="enumerated", p=_closures(n)[i], q=_closures(n)[j],
-            label=f"n={n} p#{i} q#{j}",
-            commuting=commuting or bool(_commute_flags(n)[pairs[r]]),
+            label=f"n={n} p#{i} q#{j}", commuting=commuting or bool(flags[pairs[r]]),
         )
 
-    return ModelRun(n, _frozen(stack[pairs // k]), _frozen(stack[pairs % k]), model_at)
-
-
-@lru_cache(maxsize=None)
-def _commute_flags(n: int) -> np.ndarray:
-    """Which ordered closure pairs at ground size n commute, pair
-    i * k + j being (p#i, q#j) of the k closures: one pq vs qp screen
-    over all of them, on stacks that are not kept."""
-    stack = _closure_stack(n)
-    k = len(stack)
-    flat = FlatScope(np.repeat(stack, k, axis=0), np.tile(stack, (k, 1)))
-    return _frozen(np.all(flat.eval("pq") == flat.eval("qp"), axis=1))
+    return ModelRun(n, _frozen(p[pairs]), _frozen(q[pairs]), model_at)
 
 
 def enumerate_commuting_pairs(n: int) -> list[ClosurePairModel]:
@@ -270,11 +261,12 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
     the same stream.  Seeds must be nonnegative, as random.Random(-s)
     is random.Random(s).  Each round makes one try for every seed still
     pending: the tables of all their families are built in one
-    closures_from_masks call and screened for pq = qp at once.  A
-    seed's stream is the same whatever other seeds are drawn with it,
-    so its pair is the one it would draw alone.  The run keeps the
-    tries each seed took.  If a seed finds no pair in max_tries tries,
-    RuntimeError names the first such seed in seed order.
+    closures_from_masks call and screened for pq = qp in one
+    commuting_rows call.  A seed's stream is the same whatever other
+    seeds are drawn with it, so its pair is the one it would draw
+    alone.  The run keeps the tries each seed took.  If a seed finds no
+    pair in max_tries tries, RuntimeError names the first such seed in
+    seed order.
     """
     if not 0 <= n <= SAMPLING_CAP:
         raise ValueError(f"sampling supports n <= {SAMPLING_CAP}")
@@ -294,7 +286,7 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
         masks = [_family_mask(draws[i], 0, bound, size) for i in pending.tolist() for _ in "pq"]
         tables = closures_from_masks(n, masks)
         ps, qs = tables[0::2], tables[1::2]
-        ok = np.all(np.take_along_axis(ps, qs, 1) == np.take_along_axis(qs, ps, 1), axis=1)
+        ok = commuting_rows(ps, qs)
         tries[pending] += 1
         p[pending[ok]], q[pending[ok]] = ps[ok], qs[ok]
         pending = pending[~ok]

@@ -76,6 +76,16 @@ class ModelConstructionError(ValueError):
     failed its own axiom screen; indicates a transcription bug."""
 
 
+def _commuting_closures(p: OperatorTable, q: OperatorTable, what: str) -> dict:
+    """The screened fields of a model built to be a commuting closure
+    pair: p, q, their closure reports and commuting.  A failed screen
+    raises ModelConstructionError naming what."""
+    p_report, q_report = check_closure(p), check_closure(q)
+    if not (p_report.ok and q_report.ok and commutes(p, q)):
+        raise ModelConstructionError(f"{what} failed the closure/commute screen")
+    return dict(p=p, q=q, p_report=p_report, q_report=q_report, commuting=True)
+
+
 @dataclass
 class ClosurePairModel:
     """A ground size with two operators p, q and their pedigree.
@@ -336,25 +346,13 @@ def pij_pair(i: int, j: int, window) -> ClosurePairModel:
     m = window.size
     if 2 * m > MAX_GROUND_SIZE:
         raise ValueError(f"cycle 2m = {2*m} exceeds the table cap")
-    p = _pij_table("p", i, j, m)
-    q = _pij_table("q", i, j, m)
-    p_report = check_closure(p)
-    q_report = check_closure(q)
-    comm = commutes(p, q)
-    if not (p_report.ok and q_report.ok and comm):
-        raise ModelConstructionError(
-            f"pij({i},{j}) at m={m} failed the closure/commute screen"
-        )
     return ClosurePairModel(
         provenance=f"pij({i},{j})",
-        p=p,
-        q=q,
         window=window,
         label=f"m={m}",
         names=_cycle_names(m),
-        p_report=p_report,
-        q_report=q_report,
-        commuting=True,
+        **_commuting_closures(_pij_table("p", i, j, m), _pij_table("q", i, j, m),
+                              f"pij({i},{j}) at m={m}"),
     )
 
 
@@ -461,24 +459,12 @@ def section4_model(window, materialize: bool = True) -> ClosurePairModel:
     if materialize:
         if n > MAX_GROUND_SIZE:
             raise ValueError(f"ground size {n} exceeds the table cap")
-        p, q = _section4_tables(m)
-        p_report = check_closure(p)
-        q_report = check_closure(q)
-        comm = commutes(p, q)
-        if not (p_report.ok and q_report.ok and comm):
-            raise ModelConstructionError(
-                f"flagged cycle at m={m} failed the closure/commute screen"
-            )
         return ClosurePairModel(
             provenance=f"section4({m})",
-            p=p,
-            q=q,
             window=window,
             label=f"m={m}",
             names=_flagged_names(m),
-            p_report=p_report,
-            q_report=q_report,
-            commuting=True,
+            **_commuting_closures(*_section4_tables(m), f"flagged cycle at m={m}"),
         )
     p_fn, q_fn = _section4_fns(m)
     return ClosurePairModel(

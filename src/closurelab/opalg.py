@@ -455,20 +455,30 @@ def check_closure(f: OperatorTable) -> AxiomReport:
     return _axiom_report(f, "expanding", masks & ~f.entries)
 
 
-def closure_rows(entries: np.ndarray, n: int) -> np.ndarray:
-    """Which rows of a (k, 2**n) stack of tables are closure operators
-    (expanding, monotone and idempotent); check_closure screens one
-    table and names witnesses."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    expanding = ~np.any(masks & ~entries, axis=-1)
-    idempotent = ~np.any(FlatScope(entries).eval("pp") != entries, axis=-1)
-    return expanding & idempotent & _monotone_fast(entries, n)
-
-
 def check_interior(f: OperatorTable) -> AxiomReport:
     """Screen the interior axioms (contracting, monotone, idempotent)."""
     masks = np.arange(1 << f.ground_size, dtype=np.int64)
     return _axiom_report(f, "contracting", f.entries & ~masks)
+
+
+def _axiom_rows(entries: np.ndarray, n: int, failing) -> np.ndarray:
+    """Which rows of a (k, 2**n) stack of tables pass the axiom that
+    fails where failing is nonzero, and are monotone and idempotent:
+    _axiom_report's screens, one row per table and no witnesses."""
+    idempotent = ~np.any(np.take_along_axis(entries, entries, -1) != entries, axis=-1)
+    return ~np.any(failing, axis=-1) & idempotent & _monotone_fast(entries, n)
+
+
+def closure_rows(entries: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of a (k, 2**n) stack of tables are closure operators;
+    check_closure screens one table and names witnesses."""
+    return _axiom_rows(entries, n, np.arange(1 << n) & ~entries)
+
+
+def interior_rows(entries: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of a (k, 2**n) stack of tables are interior operators;
+    check_interior screens one table and names witnesses."""
+    return _axiom_rows(entries, n, entries & ~np.arange(1 << n))
 
 
 def commuting_witness(f: OperatorTable, g: OperatorTable) -> Optional[Mask]:
@@ -476,6 +486,12 @@ def commuting_witness(f: OperatorTable, g: OperatorTable) -> Optional[Mask]:
     if f.ground_size != g.ground_size:
         raise ValueError("ground sizes differ")
     return _first_true(f.entries[g.entries] != g.entries[f.entries])
+
+
+def commuting_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Which rows i of two (k, 2**n) stacks have p[i] q[i] = q[i] p[i];
+    commuting_witness screens one pair and names a witness."""
+    return np.all(np.take_along_axis(p, q, -1) == np.take_along_axis(q, p, -1), axis=-1)
 
 
 def commutes(f: OperatorTable, g: OperatorTable) -> bool:

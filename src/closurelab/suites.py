@@ -9,7 +9,12 @@ byte after dropping that header.
 Every suite runs in one process.  Identities over closure pairs are
 checked on an opalg.FlatScope, built once over a whole stack of tables
 and then one gather per letter for every word, so there is one
-evaluation kernel rather than a loop per suite.  kuratowski14 counts
+evaluation kernel rather than a loop per suite.  Constructors screen,
+suites read: models.example3, pij_pair and section4_model screen each
+model once and attach p_report, q_report and commuting, and a suite
+reads those and does not screen the model again.  A stack of tables
+is screened in one call, by opalg.closure_rows or interior_rows.
+kuratowski14 counts
 each closure's monoid with k and c as the number of distinct tables
 among the 14 Kuratowski words, having checked that kk = k and
 kckckck = kck, so that k and c map those tables among themselves.
@@ -27,15 +32,13 @@ from . import idlab, models
 from . import monoid as monoid_mod
 from .opalg import (
     FlatScope,
-    check_closure,
-    check_interior,
     closure_rows,
     commutes,
     complement_table,
-    compose,
     conjugated_involution,
     elements_of,
     eval_word_on,
+    interior_rows,
     is_reversing_involution,
     leq_matrix,
     reversed_involution,
@@ -126,6 +129,8 @@ def suite_theorem1(n: int = 2) -> SuiteReport:
 
 
 def suite_kuratowski14(n: int = 4) -> SuiteReport:
+    if not 0 <= n <= idlab.BLOCKED_ENUMERATION_CAP:
+        raise ValueError(f"kuratowski14 screens n in 0..{idlab.BLOCKED_ENUMERATION_CAP}, got {n}")
     # blocks are folded in as they come; indices count in their order
     closures = separating = 0
     over, hammer_bad, histogram = [], [], Counter()
@@ -314,9 +319,7 @@ def suite_section4(m: int = 4) -> SuiteReport:
     lines = ["verify section4", f"m: {m}", f"ground size: {n}"]
     data = {"m": m, "ground_size": n}
 
-    p_rep = check_closure(model.p)
-    q_rep = check_closure(model.q)
-    comm = commutes(model.p, model.q)
+    p_rep, q_rep, comm = model.p_report, model.q_report, model.commuting
     report.passed &= p_rep.ok and q_rep.ok and comm
     lines.append(f"p closure axioms: {'PASS' if p_rep.ok else 'FAIL'}")
     lines.append(f"q closure axioms: {'PASS' if q_rep.ok else 'FAIL'}")
@@ -406,11 +409,9 @@ def suite_example3(M: int = 10) -> SuiteReport:
     lines = ["verify example3", f"featured M: {M}"]
     data = {"M": M}
 
-    axiom_fail = []
-    for size in range(2, 13):
-        model = models.example3(size)
-        if not (check_closure(model.p).ok and check_closure(model.q).ok):
-            axiom_fail.append(size)
+    repaired = {size: models.example3(size) for size in range(2, 13)}
+    axiom_fail = [size for size, model in repaired.items()
+                  if not (model.p_report.ok and model.q_report.ok)]
     report.passed &= not axiom_fail
     lines.append(
         f"repaired closure axioms M=2..12: "
@@ -420,8 +421,7 @@ def suite_example3(M: int = 10) -> SuiteReport:
 
     orbit_fail = []
     for size in range(2, 13, 2):
-        model = models.example3(size)
-        orb = monoid_mod.orbit("pq", model, 1)
+        orb = monoid_mod.orbit("pq", repaired[size], 1)
         want = size // 2 + 1
         prefixes_ok = all(
             img == (1 << (min(2 * i, size) + 1)) - 1
@@ -453,9 +453,9 @@ def suite_example3(M: int = 10) -> SuiteReport:
         lines.append(f"literal p monotonicity unexpectedly holds at M={M}")
     data["literal_witness"] = None if wit is None else [elements_of(wit[0]), elements_of(wit[1])]
 
-    repaired = models.example3(M)
-    pq0 = eval_word_on("pq", repaired.p, repaired.q, 1)
-    qp0 = eval_word_on("qp", repaired.p, repaired.q, 1)
+    model = repaired[M] if M in repaired else models.example3(M)
+    pq0 = eval_word_on("pq", model.p, model.q, 1)
+    qp0 = eval_word_on("qp", model.p, model.q, 1)
     lines.append(
         f"non-commuting at M={M}: pq({{0}}) = {_fmt_set(pq0)}, "
         f"qp({{0}}) = {_fmt_set(qp0)}"
@@ -507,11 +507,7 @@ def suite_lemma6() -> SuiteReport:
                 lines.append(f"m={m} (i,j)=({i},{j}): construction failed: {err}")
                 rows.append({"m": m, "i": i, "j": j, "ok": False})
                 continue
-            ok = (
-                check_closure(pair.p).ok
-                and check_closure(pair.q).ok
-                and commutes(pair.p, pair.q)
-            )
+            ok = pair.p_report.ok and pair.q_report.ok and pair.commuting
             report.passed &= ok
             lines.append(
                 f"m={m} (i,j)=({i},{j}): closures and commuting: "
@@ -532,12 +528,9 @@ def suite_interior(n: int = 3) -> SuiteReport:
     lines = ["verify interior", "property: ckc is an interior operator"]
     counts = []
     for size in range(n + 1):
-        c = complement_table(size)
-        bad = 0
-        for k in idlab.enumerate_closures(size):
-            if not check_interior(compose(c, k, c)).ok:
-                bad += 1
-        counts.append((size, len(idlab.enumerate_closures(size)), bad))
+        ks = idlab._closure_stack(size)
+        bad = int((~interior_rows(FlatScope(ks).eval("cpc"), size)).sum())
+        counts.append((size, len(ks), bad))
         report.passed &= bad == 0
         lines.append(
             f"n={size}: {counts[-1][1]} closures, interior failures: {bad}"

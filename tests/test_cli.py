@@ -484,6 +484,30 @@ def test_dump_refuses_a_flag_its_target_does_not_read(capsys, monkeypatch, argv,
     assert err == f"usage error: dump {argv[1]} does not take {flag}\n"
 
 
+@pytest.mark.parametrize("argv,model,flag", [
+    (["dump", "monoid", "--model", "witness14", "--m", "5"], "witness14", "--m"),
+    (["dump", "hasse", "--model", "witness14", "--M", "5"], "witness14", "--M"),
+    (["dump", "model", "--name", "example3-repaired", "--m", "5"], "example3-repaired", "--m"),
+    (["dump", "monoid", "--model", "example3", "--m", "3", "--gens", "p"], "example3", "--m"),
+    (["dump", "model", "--name", "section4", "--M", "5"], "section4", "--M"),
+    (["dump", "model", "--name", "pij(0,1)", "--M", "5"], "pij(0,1)", "--M"),
+    (["dump", "orbit", "--model", "example3-repaired", "--m", "3", "--word", "pq",
+      "--start", "0"], "example3-repaired", "--m"),
+])
+def test_dump_refuses_a_window_flag_its_model_does_not_read(capsys, monkeypatch, argv,
+                                                            model, flag):
+    # --M is for example3 only, --m for section4 and pij, and witness14
+    # takes neither: refused before any model is built
+    def never(*args, **kwargs):
+        raise AssertionError("built a model despite an unread window flag")
+
+    for name in ("section4_model", "example3", "pij_pair", "kuratowski_witness"):
+        monkeypatch.setattr(models, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: model {model} does not take {flag}\n"
+
+
 def test_dump_takes_the_flags_its_target_reads(capsys):
     # and the hidden --workers, which every command still accepts
     code, out, _ = run_cli(capsys, "dump", "monoid", "--model", "witness14", "--gens", "k",

@@ -182,6 +182,9 @@ def test_pair_models_have_pedigree():
     assert pairs[0].label == "n=2 p#0 q#0"
     flags = [m.commuting for m in enumerate_all_pairs(2)]
     assert sum(flags) == 41 and not all(flags)
+    # every pair's flag, commuting or not, is the single-pair screen's
+    for n in range(4):
+        assert all(m.commuting is commutes(m.p, m.q) for m in enumerate_all_pairs(n))
 
 
 # ---------------------------------------------------------------------------

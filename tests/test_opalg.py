@@ -475,6 +475,23 @@ def test_closure_rows_matches_check_closure_per_pair():
                                   (True, True, False)] + [(True, True, True)] * 3
     assert opalg.closure_rows(stack, 2).tolist() == [False] * 3 + [True] * 3
     assert opalg._monotone_fast(stack, 2).tolist() == [True, False] + [True] * 4
+    # the interior case: cpc over each closure stack, a row per closure,
+    # is an interior operator; the duals c t c of the six tables above
+    # each fail only contracting, only monotone or only idempotent, or
+    # are interior operators
+    for n in range(5):
+        cpc = FlatScope(idlab._closure_stack(n)).eval("cpc")
+        got = opalg.interior_rows(cpc, n)
+        assert got.tolist() == [check_interior(OperatorTable(n, row)).ok for row in cpc]
+        assert got.all()
+    duals = np.array([[0, 3, 3, 3], [0, 1, 2, 2], [0, 0, 0, 2],
+                      [0, 1, 2, 3], [0, 0, 0, 0], [0, 0, 0, 3]])
+    assert np.array_equal(duals, 3 ^ stack[:, ::-1])
+    reports = [check_interior(OperatorTable(2, r)) for r in duals]
+    assert [tuple(r.checks[name].passed for name in ("contracting", "monotone", "idempotent"))
+            for r in reports] == [(False, True, True), (True, False, True),
+                                  (True, True, False)] + [(True, True, True)] * 3
+    assert opalg.interior_rows(duals, 2).tolist() == [False] * 3 + [True] * 3
     # random stacks, most rows not monotone, mixed with monotone rows
     # A | r and A & r, against the brute-force oracle; a (2, k, 2**n)
     # stack screens row by row, a single table gives a 0-d result

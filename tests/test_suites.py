@@ -1,10 +1,12 @@
 """Tests for the verification suites behind the CLI."""
 
 import statistics
+from collections import Counter
 
 import numpy as np
+import pytest
 
-from closurelab import idlab, models, suites
+from closurelab import idlab, models, opalg, suites
 from closurelab.opalg import complement_table, reversed_involution
 from closurelab.suites import (
     FIXTURE_FAILURE,
@@ -162,13 +164,56 @@ def test_kuratowski_suite_checks_every_closure_at_n5():
 
 
 def test_kuratowski_suite_fails_on_a_separating_seed(monkeypatch):
+    # the pinned witness (ground size 6) stands in for the blocks of n = 5
     k, _ = models.kuratowski_witness()
     monkeypatch.setattr(idlab, "_closure_blocks", lambda n: iter([k.entries[None]]))
-    rep = suite_kuratowski14(6)
+    rep = suite_kuratowski14(5)
     assert not rep.passed
     assert "closures with a separating seed: 1" in rep.lines
     assert rep.data["separating_seeds"] == 1
     assert rep.data["monoid_sizes"] == {14: 1}
+
+
+@pytest.mark.parametrize("n", [6, -1])
+def test_kuratowski_suite_refuses_n_outside_its_range(monkeypatch, n):
+    def never(*args):
+        raise AssertionError("built a block for an n out of range")
+
+    monkeypatch.setattr(idlab, "_closure_blocks", never)
+    with pytest.raises(ValueError, match=rf"^kuratowski14 screens n in 0\.\.5, got {n}$"):
+        suite_kuratowski14(n)
+
+
+def test_suites_read_the_screens_their_models_carry(monkeypatch):
+    # constructors screen, suites read: check_closure runs once per table
+    # a constructor builds (example3 at M = 2..12, the featured M reused
+    # from them or built once more, plus the literal pair), and interior
+    # screens each size as one stack, with no per-closure call
+    calls = Counter()
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in ("check_closure", "check_interior"):
+        real = getattr(opalg, name)
+        for module in (opalg, models, idlab, suites):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, real))
+    monkeypatch.setattr(opalg.OperatorTable, "compose",
+                        spy("compose", opalg.OperatorTable.compose))
+    got = {}
+    for name, kwargs in (("lemma6", {}), ("section4", {}), ("example3", {}),
+                         ("example3", {"M": 15}), ("interior", {"n": 4})):
+        calls.clear()
+        assert SUITES[name](**kwargs).passed
+        got[name, tuple(kwargs.values())] = calls["check_closure"]
+        if name == "interior":
+            assert calls == {}
+    assert got == {("lemma6", ()): 32, ("section4", ()): 10, ("example3", ()): 24,
+                   ("example3", (15,)): 26, ("interior", (4,)): 0}
 
 
 def test_theorem2_suite_small():
