@@ -20,16 +20,25 @@ and past it, section4 at m = 6, each search, and each dump target,
 with the largest dumps the benchmark makes, a monoid dump cut short by
 --cap, and orbits of the flagged cycle at m = 8 and at m = 12, past the
 table cap.
+
+Three more lines pin the theory layer, which no command reaches: a
+digest of the term_universe tables at depths 1 to 3, of
+check_intended_model(m).as_dict(), and of eval_term on both sides of
+the 90 proposition5_equation instances (blocks of length 2 and 4),
+each over every pair at n <= 2 and every commuting pair at n = 3.
+Those lines read "lib" where a command's read its exit code.
 """
 
 import hashlib
 import io
+import json
 import sys
 from contextlib import redirect_stdout
+from itertools import product
 
 sys.path.insert(0, "src")
 
-from closurelab import cli
+from closurelab import cli, idlab, theory
 
 SUITES = ("theorem1", "kuratowski14", "theorem2", "fixtures", "section4", "example3",
           "lemma6", "interior", "pq-closure", "remark-involution")
@@ -80,10 +89,45 @@ def body_digest(argv) -> tuple[str, int]:
     return hashlib.sha256(body.encode()).hexdigest(), code
 
 
+def theory_models() -> list:
+    return ([m for n in range(3) for m in idlab.enumerate_all_pairs(n)]
+            + list(idlab.enumerate_commuting_pairs(3)))
+
+
+def universe_tables(models) -> bytes:
+    out = []
+    for m in models:
+        for depth in (1, 2, 3):
+            u = theory.term_universe(m, depth)
+            out += [len(u).to_bytes(4, "little")] + [t.key() for t in u]
+    return b"".join(out)
+
+
+def model_reports(models) -> bytes:
+    return json.dumps([theory.check_intended_model(m).as_dict() for m in models]).encode()
+
+
+def proposition5_tables(models) -> bytes:
+    sides = [side for k in (1, 2) for blocks in product(("p", "q", "pq"), repeat=2 * k)
+             for side in theory.proposition5_equation(blocks)]
+    return b"".join(theory.eval_term(t, m).key() for m in models for t in sides)
+
+
+LIBRARY = (
+    ("term_universe depths 1-3", universe_tables),
+    ("check_intended_model as_dict", model_reports),
+    ("eval_term proposition5 sides", proposition5_tables),
+)
+
+
 def main():
     for argv in COMMANDS:
         digest, code = body_digest(argv)
         print(f"{digest}  {code}  {' '.join(argv)}", flush=True)
+    models = theory_models()
+    for label, pin in LIBRARY:
+        digest = hashlib.sha256(pin(models)).hexdigest()
+        print(f"{digest}  lib  {label} (pairs n<=2, commuting pairs n=3)", flush=True)
 
 
 if __name__ == "__main__":

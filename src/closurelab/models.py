@@ -168,9 +168,10 @@ class ClosurePairModel:
             window=window,
             label=obj.get("label", ""),
             names=tuple(obj["names"]) if obj.get("names") else None,
-            commuting=obj.get("commuting"),
+            commuting=commutes(p, q),
         )
-        # reports are derived data; rebuild rather than trust the file
+        # reports and the commuting flag are derived data; rebuild
+        # rather than trust the file
         if "p_report" in obj:
             model.p_report = check_closure(p)
         if "q_report" in obj:

@@ -38,13 +38,6 @@ class GeneratedMonoid:
     def __len__(self):
         return len(self.elements)
 
-    def index_of(self, op) -> Optional[int]:
-        key = op.key()
-        for i, e in enumerate(self.elements):
-            if e.key() == key:
-                return i
-        return None
-
     def to_json(self) -> dict:
         if not all(isinstance(e, OperatorTable) for e in self.elements):
             raise ValueError("only table-backed monoids serialize to JSON")
@@ -211,10 +204,3 @@ def growth_study(
         rep = orbit(word, model, start, max_iter=max_iter)
         rows.append((size, rep.distinct_count))
     return rows
-
-
-def growth_csv(rows) -> str:
-    lines = ["size,distinct_count"]
-    for size, count in rows:
-        lines.append(f"{size},{count}")
-    return "\n".join(lines) + "\n"

@@ -69,30 +69,33 @@ class OperatorTable:
 
     entries[a] is the image of subset a.  The array is immutable;
     compose() and the word evaluators build new tables via indexing.
+    _validate=False is for an array the package has just built, such as
+    a gather's result: it trusts entries to be an int64 ndarray of 2**n
+    masks at a checked n, and only copies a view and freezes it.
     """
 
     __slots__ = ("ground_size", "entries")
 
     def __init__(self, ground_size: int, entries, _validate: bool = True):
-        _check_ground_size(ground_size)
-        arr = np.asarray(entries, dtype=np.int64)
         if _validate:
+            _check_ground_size(ground_size)
+            entries = np.asarray(entries, dtype=np.int64)
             size = 1 << ground_size
-            if arr.shape != (size,):
+            if entries.shape != (size,):
                 raise ValueError(
                     f"table for ground size {ground_size} needs {size} entries,"
-                    f" got shape {arr.shape}"
+                    f" got shape {entries.shape}"
                 )
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= size):
+            if entries.size and (int(entries.min()) < 0 or int(entries.max()) >= size):
                 raise ValueError("table entry outside the powerset")
         # An unvalidated array is one an internal gather just built and
         # hands over, so it is frozen in place; a caller's array, or any
         # view, may still change under us and is copied.
-        if arr.base is not None or (_validate and arr.flags.writeable):
-            arr = arr.copy()
-        arr.setflags(write=False)
+        if entries.base is not None or (_validate and entries.flags.writeable):
+            entries = entries.copy()
+        entries.setflags(write=False)
         object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorTable is immutable")
@@ -243,12 +246,6 @@ def _complement_entries(n: int) -> np.ndarray:
     return entries[:]
 
 
-def table_from_function(n: int, fn: Callable[[Mask], Mask]) -> OperatorTable:
-    """Materialize a mask function into a table (validates the range)."""
-    _check_ground_size(n)
-    return OperatorTable(n, [fn(a) for a in range(1 << n)])
-
-
 def closure_from_fixed_points(n: int, fixed: Iterable[Mask]) -> OperatorTable:
     """Smallest-enclosing-member operator of a subset family.
 
@@ -343,19 +340,23 @@ COVER_BLOCK_ENTRIES = 1 << 20
 def leq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (k, k') bool matrix of the pointwise order between a
     (k, 2**n) stack of tables a and a (k', 2**n) stack b: le[i, j] says
-    a[i](A) is a subset of b[j](A) for every A.  The mask axis is
-    screened a slice at a time, in the narrowest dtype that holds a
-    mask, so the (k, k', slice) temporary holds at most
-    ORDER_SCREEN_ENTRIES entries, or k * k' if one mask is more."""
-    (k, size), k2 = a.shape, len(b)
-    if b.shape[1:] != (size,):
+    a[i](A) is a subset of b[j](A) for every A.  Stacks of shape
+    (m, k, 2**n) and (m, k', 2**n) give the (m, k, k') matrices of their
+    m pairs of stacks, one screen for all.  The mask axis is screened a
+    slice at a time, in the narrowest dtype that holds a mask, so the
+    (m, k, k', slice) temporary holds at most ORDER_SCREEN_ENTRIES
+    entries, or m * k * k' if one mask is more."""
+    *batch, k, size = a.shape
+    if b.shape[-1] != size:
         raise ValueError("ground sizes differ")
+    if b.shape[:-2] != a.shape[:-2]:
+        raise ValueError("the stacks' leading axes differ")
     dtype = np.min_scalar_type(size - 1)
     a, b = a.astype(dtype), b.astype(dtype)
-    le = np.ones((k, k2), dtype=bool)
-    step = max(1, ORDER_SCREEN_ENTRIES // max(1, k * k2))
+    le = np.ones((*batch, k, b.shape[-2]), dtype=bool)
+    step = max(1, ORDER_SCREEN_ENTRIES // max(1, le.size))
     for start in range(0, size, step):
-        outside = a[:, None, start:start + step] & ~b[None, :, start:start + step]
+        outside = a[..., :, None, start:start + step] & ~b[..., None, :, start:start + step]
         le &= ~outside.any(axis=-1)
     return le
 
@@ -579,16 +580,20 @@ def eval_word(word, p: OperatorTable, q: OperatorTable,
     c defaults to the complement table; passing another table (for
     instance a different inclusion-reversing involution) substitutes it
     for every c letter.  This is FlatScope.eval on a single model,
-    whose one row needs no offset, so no scope is built; every letter,
-    c included, is one gather through its table (c's is cached per n).
+    whose one row needs no offset, so no scope is built: the last
+    letter's table is the start, and every other letter, c included, is
+    one gather through its table (c's is cached per n).  The empty word
+    is the identity table.
     """
     text = _word_letters(word)
     n = p.ground_size
     if q.ground_size != n or (c is not None and c.ground_size != n):
         raise ValueError("ground sizes differ")
+    if not text:
+        return identity_table(n)
     tables = {"p": p.entries, "q": q.entries,
               "c": _complement_entries(n) if c is None else c.entries}
-    v = _apply_letters(text, tables, np.arange(1 << n, dtype=np.int64), (1 << n) - 1)
+    v = _apply_letters(text[:-1], tables, tables[text[-1]], (1 << n) - 1)
     return OperatorTable(n, v, _validate=False)
 
 

@@ -21,6 +21,7 @@ equality, hashing and repr.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -623,30 +624,43 @@ def _check_universe_size(k: int, n: int) -> None:
         )
 
 
+def _products(s: np.ndarray) -> np.ndarray:
+    """The (k, k, 2**n) pairwise products of a (k, 2**n) stack of
+    tables: [i, j] is s[i] after s[j]."""
+    return s[np.arange(len(s))[:, None, None], s[None, :, :]]
+
+
+def _grown(u: np.ndarray, candidates: np.ndarray, n: int) -> np.ndarray:
+    """The stack u of distinct tables with each row of candidates it
+    lacks appended once, in order of first occurrence.  Raises the
+    universe-size ValueError, naming the first count past
+    SCREEN_ENTRIES_CAP, if the new rows carry it past that count."""
+    rows = np.concatenate([u, candidates])
+    # one bytes key per row, in the narrowest dtype that holds a mask
+    narrow = rows.astype(np.min_scalar_type((1 << n) - 1))
+    _, first = np.unique(narrow.view(f"V{narrow.itemsize << n}")[:, 0], return_index=True)
+    first.sort()
+    # k * k * 2**n exceeds the cap exactly when k exceeds
+    # isqrt(cap // 2**n), so that count plus one is the first too large
+    _check_universe_size(min(len(first), math.isqrt(SCREEN_ENTRIES_CAP >> n) + 1), n)
+    return rows[first]
+
+
 def term_universe(model, depth: int = 3) -> list[OperatorTable]:
     """Distinct tables of terms over 1, p, q up to the given nesting
-    depth of product/bar, in deterministic generation order.  Stops
-    with ValueError as soon as the universe grows past what
+    depth of product/bar, in generation order: 1, p, q, then per depth
+    the bars of the tables so far and their products f g, f outer, as
+    one gather each on the stacked tables and one row deduplication.
+    Stops with ValueError as soon as the universe grows past what
     check_intended_model can screen (SCREEN_ENTRIES_CAP)."""
     n = model.ground_size
-    c = complement_table(n)
-
-    universe: dict[bytes, OperatorTable] = {}
-
-    def add(t: OperatorTable) -> None:
-        if universe.setdefault(t.key(), t) is t:
-            _check_universe_size(len(universe), n)
-
-    for t in (identity_table(n), model.p, model.q):
-        add(t)
+    ce = complement_table(n).entries
+    u = _grown(np.empty((0, 1 << n), dtype=np.int64),
+               np.stack([identity_table(n).entries, model.p.entries, model.q.entries]), n)
     for _ in range(depth):
-        current = list(universe.values())
-        for f in current:
-            add(c.compose(f).compose(c))
-        for f in current:
-            for g in current:
-                add(f.compose(g))
-    return list(universe.values())
+        bars = ce[u[:, ce]]
+        u = _grown(u, np.concatenate([bars, _products(u).reshape(-1, 1 << n)]), n)
+    return [OperatorTable(n, row, _validate=False) for row in u]
 
 
 def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
@@ -658,24 +672,26 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     subset order).  Product monotonicity is checked one side at a time,
     which together with transitivity covers the two-sided rule.  A
     universe too large to screen raises ValueError while it is built.
+    Every screen runs on the stacked tables of the k elements: the unit
+    check is one gather a side, and associativity and product
+    monotonicity take blocks of the third element m, each (k, k, block,
+    2**n) temporary within SCREEN_ENTRIES_CAP, as all products are.
     """
     n = model.ground_size
     u = term_universe(model, depth)
     k = len(u)
     _check_universe_size(k, n)  # the screen's own precondition
-    c = complement_table(n)
-    ident = identity_table(n)
-
-    def products(s):
-        # products(s)[i, j] is s[i] after s[j], for a (k, 2**n) stack s
-        return s[np.arange(k)[:, None, None], s[None, :, :]]
+    size = 1 << n
+    ce = complement_table(n).entries
+    ident = np.arange(size, dtype=np.int64)
 
     # stacked entries: E[i] is the table of universe element i, and
     # P2 holds every pairwise product
     e_stack = np.stack([t.entries for t in u])
-    p2 = products(e_stack)
-    ce = c.entries
+    p2 = _products(e_stack)
     bar_stack = ce[e_stack[:, ce]]
+    block = SCREEN_ENTRIES_CAP // (k * k * size)
+    blocks = [slice(m, m + block) for m in range(0, k, block)]
 
     checks = []
 
@@ -683,17 +699,15 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
         checks.append(AxiomCheck(name, passed, detail))
 
     # composition of maps is associative by construction; record the
-    # exhaustive confirmation over the universe anyway, one slice of the
+    # exhaustive confirmation over the universe anyway, a block of the
     # third index at a time to bound memory: (u_i u_j) u_m = u_i (u_j u_m)
     add("product-associative", all(
-        np.array_equal(p2[:, :, e_stack[m]], e_stack[:, p2[:, m, :]]) for m in range(k)
+        np.array_equal(p2[:, :, e_stack[b]], e_stack[:, p2[:, b]]) for b in blocks
     ))
 
-    unit_ok = all(
-        np.array_equal(ident.entries[e], e) and np.array_equal(e[ident.entries], e)
-        for e in e_stack
-    )
-    add("unit-neutral", unit_ok)
+    add("unit-neutral", bool(
+        np.array_equal(ident[e_stack], e_stack) and np.array_equal(e_stack[:, ident], e_stack)
+    ))
 
     le = leq_matrix(e_stack, e_stack)
     add("order-reflexive", bool(le.diagonal().all()))
@@ -703,22 +717,20 @@ def check_intended_model(model, depth: int = 3) -> ModelCheckReport:
     add("order-transitive", not bool(np.any(implied & ~le)))
 
     # one-sided monotonicity of the product in each argument, u_x u_m
-    # and u_m u_x as x varies; with transitivity this yields the
-    # two-sided rule x<=y, u<=v => xu<=yv
+    # and u_m u_x as x varies, one order screen per side for a block of
+    # m; with transitivity this yields the two-sided rule
+    # x<=y, u<=v => xu<=yv
+    outer = p2.transpose(1, 0, 2)  # outer[m, x] is u_x u_m
     add("product-monotone", not any(
-        np.any(le & ~(leq_matrix(p2[:, m], p2[:, m]) & leq_matrix(p2[m], p2[m])))
-        for m in range(k)
+        np.any(le & ~(leq_matrix(outer[b], outer[b]) & leq_matrix(p2[b], p2[b])))
+        for b in blocks
     ))
 
-    add(
-        "bar-involutive",
-        bool(np.array_equal(ce[bar_stack[:, ce]], e_stack)),
-    )
-    bar_of_products = ce[p2[:, :, ce]]
-    add("bar-multiplicative", bool(np.array_equal(bar_of_products, products(bar_stack))))
+    add("bar-involutive", bool(np.array_equal(ce[bar_stack[:, ce]], e_stack)))
+    add("bar-multiplicative", bool(np.array_equal(ce[p2[:, :, ce]], _products(bar_stack))))
     le_bar = leq_matrix(bar_stack, bar_stack)
     add("bar-antitone", not bool(np.any(le & ~le_bar.T)))
-    add("bar-fixes-unit", c.compose(ident).compose(c) == ident)
+    add("bar-fixes-unit", bool(np.array_equal(ce[ident[ce]], ident)))
 
     p_closure = check_closure(model.p).ok
     add("p-closure", p_closure, "" if p_closure else "p fails a closure axiom")

@@ -55,17 +55,6 @@ def parse_word(text: str) -> Word:
     return Word(text)
 
 
-def print_word(w: Word) -> str:
-    return str(w)
-
-
-def power_word(w: Word, k: int) -> Word:
-    """k-fold repetition of w; k = 0 gives the empty word."""
-    if k < 0:
-        raise ValueError("negative power")
-    return Word(str(w) * k)
-
-
 BLOCK_CHOICES = ("p", "q", "pq")
 
 #: the fourteen canonical words of the complement-closure monoid, in

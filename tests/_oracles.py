@@ -3,10 +3,28 @@
 Everything here is deliberately naive: brute force over all functions
 or all subset families, no numpy, no shared code with the package
 beyond the bitmask conventions.  Slow above tiny sizes by design.
+
+The one exception closes the file: term_universe_by_compose and
+check_intended_model_by_element are the theory layer's axiom screen
+written one composition per pair and one screen per universe element,
+on the package's single-table operations.  They are the references
+for the stacked forms in closurelab.theory: the same tables in the
+same order, and the same report check by check.
 """
 
 import random
 from itertools import product
+
+import numpy as np
+
+from closurelab.opalg import (
+    check_closure,
+    commutes,
+    complement_table,
+    identity_table,
+    leq_matrix,
+)
+from closurelab.theory import AxiomCheck, ModelCheckReport, _check_universe_size
 
 
 def closures_by_filter(n):
@@ -170,3 +188,76 @@ def term_table(term, p, q, n):
     if kind == "Var":
         raise ValueError(f"open term (variable {term.name})")
     raise TypeError(f"not a term: {term!r}")
+
+
+def term_universe_by_compose(model, depth=3):
+    """The theory's term universe, one OperatorTable.compose call per
+    bar and per pair: 1, p, q, then at each depth the bars of the
+    tables so far and their products f g, f outer and g inner, each
+    table kept at its first occurrence.  Raises the universe-size
+    ValueError as soon as one table too many is added."""
+    n = model.ground_size
+    c = complement_table(n)
+    universe = {}
+
+    def add(t):
+        if universe.setdefault(t.key(), t) is t:
+            _check_universe_size(len(universe), n)
+
+    for t in (identity_table(n), model.p, model.q):
+        add(t)
+    for _ in range(depth):
+        current = list(universe.values())
+        for f in current:
+            add(c.compose(f).compose(c))
+        for f in current:
+            for g in current:
+                add(f.compose(g))
+    return list(universe.values())
+
+
+def check_intended_model_by_element(model, depth=3):
+    """The theory's intended-model report, with the associativity,
+    unit and product-monotone screens taken one universe element at a
+    time."""
+    n = model.ground_size
+    u = term_universe_by_compose(model, depth)
+    k = len(u)
+    _check_universe_size(k, n)
+    c = complement_table(n)
+    ident = identity_table(n)
+    e_stack = np.stack([t.entries for t in u])
+    p2 = e_stack[np.arange(k)[:, None, None], e_stack[None, :, :]]
+    ce = c.entries
+    bar_stack = ce[e_stack[:, ce]]
+    checks = []
+
+    def add(name, passed, detail=""):
+        checks.append(AxiomCheck(name, passed, detail))
+
+    add("product-associative", all(
+        np.array_equal(p2[:, :, e_stack[m]], e_stack[:, p2[:, m, :]]) for m in range(k)))
+    add("unit-neutral", all(
+        np.array_equal(ident.entries[e], e) and np.array_equal(e[ident.entries], e)
+        for e in e_stack))
+    le = leq_matrix(e_stack, e_stack)
+    add("order-reflexive", bool(le.diagonal().all()))
+    i, j = np.nonzero(le & le.T)
+    add("order-antisymmetric", bool(np.all(e_stack[i] == e_stack[j])))
+    implied = (le.astype(np.int32) @ le.astype(np.int32)) > 0
+    add("order-transitive", not bool(np.any(implied & ~le)))
+    add("product-monotone", not any(
+        np.any(le & ~(leq_matrix(p2[:, m], p2[:, m]) & leq_matrix(p2[m], p2[m])))
+        for m in range(k)))
+    add("bar-involutive", bool(np.array_equal(ce[bar_stack[:, ce]], e_stack)))
+    bar_products = bar_stack[np.arange(k)[:, None, None], bar_stack[None, :, :]]
+    add("bar-multiplicative", bool(np.array_equal(ce[p2[:, :, ce]], bar_products)))
+    add("bar-antitone", not bool(np.any(le & ~leq_matrix(bar_stack, bar_stack).T)))
+    add("bar-fixes-unit", c.compose(ident).compose(c) == ident)
+    p_closure = check_closure(model.p).ok
+    add("p-closure", p_closure, "" if p_closure else "p fails a closure axiom")
+    q_closure = check_closure(model.q).ok
+    add("q-closure", q_closure, "" if q_closure else "q fails a closure axiom")
+    comm = commutes(model.p, model.q)
+    add("pq-commute", comm, "" if comm else "p and q do not commute")
+    return ModelCheckReport(universe_size=k, checks=tuple(checks))

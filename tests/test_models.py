@@ -271,6 +271,16 @@ def test_model_json_round_trip_bit_exact():
         assert blob2 == blob
 
 
+def test_json_round_trip_screens_commuting_rather_than_reading_it():
+    # a dump whose commuting flag was edited reads back the flag its
+    # tables give, as the reports do
+    for model, tampered in ((pij_pair(1, 0, 2), False), (example3(6), True), (example3(6), None)):
+        blob = model.to_json()
+        blob["commuting"] = tampered
+        back = ClosurePairModel.from_json(json.loads(json.dumps(blob)))
+        assert back.commuting is commutes(model.p, model.q) is model.commuting
+
+
 def test_json_rejects_functional_models():
     m = section4_model(3, materialize=False)
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from closurelab import opalg
 from closurelab.models import example3, example3_additive, kuratowski_witness, pij_pair, section4_model
 from closurelab.monoid import (
     generate_monoid,
-    growth_csv,
     growth_study,
     hasse,
     orbit,
@@ -121,14 +120,6 @@ def test_monoid_json():
     assert blob["witnesses"] == list(mon.witnesses)
     assert len(blob["elements"]) == 14
     assert blob["cayley"] == [list(r) for r in mon.cayley]
-
-
-def test_index_of():
-    m = pij_pair(1, 0, 2)
-    mon = generate_monoid([m.p], names=("p",))
-    assert mon.index_of(m.p) == 1
-    assert mon.index_of(identity_table(m.ground_size)) == 0
-    assert mon.index_of(complement_table(m.ground_size)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +242,3 @@ def test_growth_study_flagged_cycle():
 def test_growth_study_validation():
     with pytest.raises(ValueError):
         growth_study(example3_additive, "pq", 1, [8, 4])
-
-
-def test_growth_csv():
-    text = growth_csv([(4, 4), (8, 8)])
-    assert text == "size,distinct_count\n4,4\n8,8\n"

@@ -30,7 +30,6 @@ from closurelab.opalg import (
     lift_permutation,
     mask_of,
     reversed_involution,
-    table_from_function,
 )
 
 from _oracles import closure_of_family, compose_tables, is_monotone, moore_families_brute
@@ -254,7 +253,7 @@ def test_monotone_witness_is_smallest():
             return a | (1 << (top + 1))
         return a
 
-    t = table_from_function(5, p)
+    t = OperatorTable(5, [p(a) for a in range(1 << 5)])
     rep = check_closure(t)
     assert not rep.checks["monotone"].passed
     a, b = rep.checks["monotone"].witness
@@ -296,8 +295,13 @@ def test_leq_matrix_matches_pairwise_leq_across_slices(monkeypatch):
         monkeypatch.setattr(opalg, "ORDER_SCREEN_ENTRIES", bound)
         assert opalg.leq_matrix(a, b).tolist() == want
         assert opalg.leq_matrix(ends, ends).tolist() == [[True, False], [True, True]]
+        # a leading batch axis screens each pair of stacks on its own
+        batched = opalg.leq_matrix(np.stack([a, a[::-1]]), np.stack([b, b[::-1]]))
+        assert batched.tolist() == [want, [row[::-1] for row in want[::-1]]]
     with pytest.raises(ValueError):
         opalg.leq_matrix(a, b[:, :512])
+    with pytest.raises(ValueError):
+        opalg.leq_matrix(np.stack([a, a]), b[None])
 
 
 def test_commutes_and_witness():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +13,8 @@ from closurelab.idlab import (
     enumerate_closures,
     enumerate_commuting_pairs,
 )
-from closurelab.models import pij_pair
-from closurelab.opalg import eval_word
+from closurelab.models import ClosurePairModel, pij_pair
+from closurelab.opalg import OperatorTable, check_closure, complement_table, eval_word
 from closurelab.theory import (
     AXIOM_SCHEMAS,
     Bar,
@@ -41,7 +42,7 @@ from closurelab.theory import (
 )
 from closurelab.words import Word, to_term
 
-from _oracles import term_table
+from _oracles import check_intended_model_by_element, term_table, term_universe_by_compose
 
 
 # ---------------------------------------------------------------------------
@@ -540,25 +541,26 @@ def test_term_universe_deterministic_and_closed():
 
 def test_term_universe_stops_as_soon_as_it_outgrows_the_screen(monkeypatch):
     from closurelab import theory
-    from closurelab.opalg import OperatorTable
 
     m = pij_pair(1, 0, 3)
-    calls = []
-    compose = OperatorTable.compose
+    composed, levels = [], []
+    grown = theory._grown
 
-    def counted(self, other):
-        calls.append(other)
-        return compose(self, other)
+    def counted(u, candidates, n):
+        levels.append(len(candidates))
+        return grown(u, candidates, n)
 
-    monkeypatch.setattr(OperatorTable, "compose", counted)
+    monkeypatch.setattr(OperatorTable, "compose", lambda *a: composed.append(a))
+    monkeypatch.setattr(theory, "_grown", counted)
     assert len(term_universe(m, depth=3)) == 11
-    whole = len(calls)
+    whole = len(levels)
+    assert whole == 4 and composed == []  # 1, p, q, then one level per depth
     # room for 7 tables at ground size 6: the 8th stops the build
     monkeypatch.setattr(theory, "SCREEN_ENTRIES_CAP", 7 * 7 * 64)
-    del calls[:]
+    del levels[:]
     with pytest.raises(ValueError, match="universe of 8 tables"):
         term_universe(m, depth=3)
-    assert 0 < len(calls) < whole
+    assert 0 < len(levels) < whole
     with pytest.raises(ValueError, match="universe of 8 tables"):
         check_intended_model(m, depth=3)
 
@@ -571,3 +573,86 @@ def test_universe_size_guard(monkeypatch):
     monkeypatch.setattr("closurelab.theory.term_universe", lambda *a, **k: fake)
     with pytest.raises(ValueError):
         check_intended_model(m, depth=3)
+
+
+# ---------------------------------------------------------------------------
+# the stacked universe and screens against their loop-per-element references
+
+
+def _screen_failing_models():
+    """Pairs built to fail the product-monotone screen: p the
+    complement table, or a seeded random table that is not monotone,
+    each beside a closure q."""
+    rng = np.random.default_rng(16)
+    out = []
+    for n in (1, 2, 3):
+        q = enumerate_closures(n)[-1]
+        out.append(ClosurePairModel("complement", complement_table(n), q))
+        while True:
+            p = OperatorTable(n, rng.integers(0, 1 << n, 1 << n))
+            if not check_closure(p).checks["monotone"].passed:
+                break
+        out.append(ClosurePairModel("random", p, q))
+    return out
+
+
+def _assert_matches_references(m, depth):
+    stacked = term_universe(m, depth)
+    assert [t.key() for t in stacked] == [t.key() for t in term_universe_by_compose(m, depth)]
+    report = check_intended_model(m, depth).as_dict()
+    assert json.dumps(report) == json.dumps(check_intended_model_by_element(m, depth).as_dict())
+    return report
+
+
+def test_stacked_universe_and_report_match_their_references(monkeypatch):
+    rng = random.Random(16)
+    models = [m for n in range(3) for m in enumerate_all_pairs(n)]
+    models += rng.sample(enumerate_commuting_pairs(3), 60)
+    for m in models:
+        for depth in (0, 1, 3):
+            _assert_matches_references(m, depth)
+    failed = set()
+    for m in _screen_failing_models():
+        report = _assert_matches_references(m, 2)
+        names = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert {"product-monotone", "p-closure"} <= names, m.provenance
+        failed |= names
+    assert "pq-commute" in failed
+    # both stop at the same count when the screen has room for 7 tables
+    from closurelab import theory
+
+    monkeypatch.setattr(theory, "SCREEN_ENTRIES_CAP", 7 * 7 * 64)
+    for build in (term_universe, term_universe_by_compose, check_intended_model,
+                  check_intended_model_by_element):
+        with pytest.raises(ValueError, match="universe of 8 tables"):
+            build(pij_pair(1, 0, 3), 3)
+
+
+def _index_order(related):
+    """A stand-in for leq_matrix that orders rows by index alone:
+    le[..., i, j] is related(j - i)."""
+    def fake(a, b):
+        d = np.arange(b.shape[-2]) - np.arange(a.shape[-2])[:, None]
+        return np.broadcast_to(related(d), a.shape[:-2] + d.shape)
+    return fake
+
+
+@pytest.mark.parametrize("related, fails", [
+    (lambda d: np.zeros(d.shape, bool), {"order-reflexive"}),
+    (lambda d: np.ones(d.shape, bool), {"order-antisymmetric"}),
+    (lambda d: (d == 0) | (d == 1), {"order-transitive", "bar-antitone"}),
+    (lambda d: d >= 0, {"bar-antitone"}),
+])
+def test_order_and_bar_screens_can_fail(monkeypatch, related, fails):
+    # the pointwise order is a partial order and conjugating by the
+    # complement reverses it on every model, so these screens fail only
+    # on an order that is not the pointwise one
+    import _oracles
+    from closurelab import theory
+
+    m = pij_pair(1, 0, 2)
+    assert len(term_universe(m)) >= 3
+    monkeypatch.setattr(theory, "leq_matrix", _index_order(related))
+    monkeypatch.setattr(_oracles, "leq_matrix", _index_order(related))
+    report = _assert_matches_references(m, 3)
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == fails

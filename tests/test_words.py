@@ -12,8 +12,6 @@ from closurelab.words import (
     Word,
     c_balanced,
     parse_word,
-    power_word,
-    print_word,
     theorem2_word,
     to_term,
 )
@@ -25,7 +23,6 @@ def test_word_basics():
     assert len(w) == 3
     assert list(w) == ["c", "p", "q"]
     assert str(w + parse_word("cc")) == "cpqcc"
-    assert print_word(w) == "cpq"
 
 
 def test_word_rejects_bad_letters():
@@ -33,14 +30,6 @@ def test_word_rejects_bad_letters():
         parse_word("cpk")
     with pytest.raises(ValueError):
         Word("abc")
-
-
-def test_power_word():
-    w = parse_word("cp")
-    assert str(power_word(w, 3)) == "cpcpcp"
-    assert str(power_word(w, 0)) == ""
-    with pytest.raises(ValueError):
-        power_word(w, -1)
 
 
 def test_c_balanced_accepts_strict_shapes():
