@@ -26,7 +26,7 @@ from .opalg import (
     leq,
     reversed_involution,
 )
-from .words import Word, c_balanced, parse_word, theorem2_word, to_term
+from .words import c_balanced, parse_word, theorem2_word, to_term
 from .theory import (
     Derivation,
     check_derivation,
@@ -56,9 +56,7 @@ from .idlab import (
     sample_commuting_pair,
     sample_commuting_pairs,
     search_identities,
-    sigma_probe,
     test_equation,
-    test_theorem2_family,
 )
 
 __version__ = "0.1.0"

@@ -259,7 +259,7 @@ def cmd_search(args) -> int:
             return 2
         # a word that does not parse is a usage error, and nothing else
         try:
-            lhs, rhs = (str(parse_word(side.strip())) for side in args.eq.split("=", 1))
+            lhs, rhs = (parse_word(side.strip()) for side in args.eq.split("=", 1))
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return 2
@@ -361,21 +361,23 @@ def cmd_dump(args) -> int:
     if not _in_ranges(f"dump {what}", _DUMP_RANGES[what], vars(args),
                       ("name", "model", "iters", "cap", "gens", "word", "start", "m", "M")):
         return 2
-    needs = _DUMP_NEEDS[what]
-    if not all(getattr(args, flag) for flag in needs):
-        print(f"dump {what} requires " + ", ".join(f"--{flag}" for flag in needs),
-              file=sys.stderr)
+    missing = [f"--{flag}" for flag in _DUMP_NEEDS[what] if getattr(args, flag) is None]
+    if missing:
+        print(f"dump {what} requires " + ", ".join(missing), file=sys.stderr)
         return 2
 
-    # A model name, window or --start that names nothing is a usage
-    # error; a model failing its own screen, or any later ValueError,
-    # is a bug and propagates.
+    # A --word that does not parse, or a model name, window or --start
+    # that names nothing, is a usage error; a model failing its own
+    # screen, or any later ValueError, is a bug and propagates.
     try:
         if what in ("monoid", "hasse"):
             named = _named_generators(args.model, args)
+        elif what == "model":
+            model = _model_from_flags(args.name, args)
         else:
-            model = _model_from_flags(args.name if what == "model" else args.model, args)
-            start = model.mask_of_names(args.start) if what == "orbit" else None
+            word = parse_word(args.word)
+            model = _model_from_flags(args.model, args)
+            start = model.mask_of_names(args.start)
     except models.ModelConstructionError:
         raise
     except ValueError as err:
@@ -387,7 +389,7 @@ def cmd_dump(args) -> int:
         return 0
 
     if what == "orbit":
-        rep = monoid_mod.orbit(args.word, model, start, max_iter=args.iters or 10)
+        rep = monoid_mod.orbit(word, model, start, max_iter=args.iters or 10)
         if args.format == "json":
             payload = {
                 "word": rep.word,

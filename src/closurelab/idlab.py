@@ -9,12 +9,13 @@ is the smallest-enclosing-member map.  The counts are cross-checked in
 the tests against a brute-force filter over every function at tiny
 sizes.
 
-Equations between words are tested over scopes: exhaustive pair
-enumerations at small ground sizes, seeded random samples beyond, or
-explicit fixture lists.  The outcome is always a certificate that
-names its evidence; "holds" never claims more than the scope it names,
-because the underlying membership problem (which equations are valid
-for every commuting closure pair) is open.
+Equations between words are tested over scopes of three kinds, each
+drawn when it is made: exhaustive pair enumerations at small ground
+sizes, seeded random samples beyond, or explicit fixture lists.  The
+outcome is always a certificate that names its evidence; "holds" never
+claims more than the scope it names, because the underlying membership
+problem (which equations are valid for every commuting closure pair)
+is open.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, groupby, product
+from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -38,7 +39,7 @@ from .opalg import (
     elements_of,
     eval_word_on,
 )
-from .words import BLOCK_CHOICES, KURATOWSKI_WORDS, theorem2_word
+from .words import KURATOWSKI_WORDS
 
 DEFAULT_SEED = 20250816
 
@@ -320,47 +321,27 @@ def sample_commuting_pair(n: int, seed: int, max_tries: int = 2000) -> ClosurePa
 
 
 class Scope:
-    """A named family of models in a fixed order.
+    """A named family of models in a fixed order, held as runs of one
+    ground size (see ModelRun) that are drawn when the scope is made.
+    Every walk replays those runs, so a sampled scope runs its lockstep
+    sampler once however many equations are tested over it."""
 
-    A scope draws its models the first time it is walked and keeps
-    them, so later walks replay the same models without drawing again:
-    a sampled scope runs its sampler once however many equations are
-    tested over it.  Models come in runs of one ground size (see
-    ModelRun).  A leaf scope draws all of its models at once, before
-    the first is tested, so one sampled part of count models is one
-    lockstep draw of its count seeds.  A sum of scopes walks its
-    parts in order and draws a part only when the walk reaches it, so
-    a test that stops early never draws the later parts.
-    """
-
-    def __init__(self, description: str,
-                 draw: Optional[Callable[[], Iterable[ModelRun]]] = None,
-                 parts: tuple["Scope", ...] = ()):
+    def __init__(self, description: str, runs: Iterable[ModelRun]):
         self.description = description
-        self._draw = draw
-        self._parts = parts
-        self._runs: Optional[tuple[ModelRun, ...]] = None
+        self._runs = tuple(runs)
 
     def runs(self) -> Iterator[ModelRun]:
-        if self._parts:
-            for part in self._parts:
-                yield from part.runs()
-            return
-        if self._runs is None:
-            self._runs = tuple(self._draw())
-        yield from self._runs
+        return iter(self._runs)
 
     def models(self) -> Iterator[ClosurePairModel]:
-        for run in self.runs():
+        for run in self._runs:
             yield from run.models()
 
     @staticmethod
     def exhaustive(max_n: int, commuting: bool = True) -> "Scope":
         kind = "commuting" if commuting else "all"
-        return Scope(
-            f"exhaustive-{kind}-n<={max_n}",
-            lambda: [_pair_run(n, commuting) for n in range(max_n + 1)],
-        )
+        return Scope(f"exhaustive-{kind}-n<={max_n}",
+                     [_pair_run(n, commuting) for n in range(max_n + 1)])
 
     @staticmethod
     def sampled(n: int, count: int, seed: int = DEFAULT_SEED) -> "Scope":
@@ -371,21 +352,12 @@ class Scope:
         seed that finds none fails the draw, the first such seed named."""
         if count < 0:
             raise ValueError(f"sample count must be nonnegative, got {count}")
-        return Scope(
-            f"sampled(n={n},count={count},seed={seed})",
-            lambda: [sample_commuting_pairs(n, range(seed, seed + count))] if count else [],
-        )
+        return Scope(f"sampled(n={n},count={count},seed={seed})",
+                     [sample_commuting_pairs(n, range(seed, seed + count))] if count else [])
 
     @staticmethod
     def fixtures(models: Iterable[ClosurePairModel], label: str = "fixtures") -> "Scope":
-        models = list(models)
-        return Scope(f"fixtures({label})", lambda: _runs_of(models))
-
-    def __add__(self, other: "Scope") -> "Scope":
-        return Scope(
-            f"{self.description} + {other.description}",
-            parts=(self._parts or (self,)) + (other._parts or (other,)),
-        )
+        return Scope(f"fixtures({label})", _runs_of(models))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +407,6 @@ def test_equation(lhs, rhs, family: Scope) -> EquationCertificate:
     """Evaluate both words on every model in the family; stop at the
     first disagreement.  The witness is the smallest differing subset
     (mask order) on the first refuting model in scope order."""
-    lhs, rhs = str(lhs), str(rhs)
     checked = 0
     for run in family.runs():
         diff = run.flat.eval(lhs) != run.flat.eval(rhs)
@@ -459,8 +430,7 @@ def replay_certificate(cert: EquationCertificate, family: Optional[Scope] = None
 
     counterexample: the witness subset must still separate the words on
     the stored model.  holds: re-evaluate on the first sample models of
-    the (re-supplied) family and expect agreement.  Walking the family
-    draws each of its parts that those models reach (see Scope).
+    the (re-supplied) family and expect agreement.
     """
     if not cert.holds:
         a = eval_word_on(cert.lhs, cert.model.p, cert.model.q, cert.witness)
@@ -476,33 +446,6 @@ def replay_certificate(cert: EquationCertificate, family: Optional[Scope] = None
         if not left:
             break
     return True
-
-
-def test_theorem2_family(n_max: int, family: Scope) -> list[EquationCertificate]:
-    """Certificates for the whole collapse family up to n_max inner
-    block pairs: every tuple in {p,q,pq}^(2n) for n = 1..n_max against
-    the short form pqcpq."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    certs = []
-    for n in range(1, n_max + 1):
-        for tup in product(BLOCK_CHOICES, repeat=2 * n):
-            w = theorem2_word(tup)
-            certs.append(test_equation(w, "pqcpq", family))
-    return certs
-
-
-def sigma_probe(equations, samples: int = 25, seed: int = DEFAULT_SEED):
-    """Batch-test formal equations over the standard evidence scope:
-    exhaustive commuting pairs at n <= 3 plus seeded samples at n = 4
-    and n = 5.  Purely empirical; a "holds" outcome means no
-    counterexample found in scope, nothing more."""
-    scope = (
-        Scope.exhaustive(3, commuting=True)
-        + Scope.sampled(4, samples, seed)
-        + Scope.sampled(5, samples, seed + 1000)
-    )
-    return [test_equation(lhs, rhs, scope) for lhs, rhs in equations]
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,6 @@ def orbit(word, model, start: int, max_iter: int = 1000) -> OrbitReport:
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    word = str(word)
     seen = {start: 0}
     images = [start]
     a = start

@@ -564,19 +564,17 @@ def is_reversing_involution(f: OperatorTable) -> bool:
 _WORD_LETTERS = frozenset("cpq")
 
 
-def _word_letters(word) -> str:
-    text = str(word)
-    if not _WORD_LETTERS.issuperset(text):
-        i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in _WORD_LETTERS)
+def _word_letters(word: str) -> str:
+    if not _WORD_LETTERS.issuperset(word):
+        i, ch = next((i, ch) for i, ch in enumerate(word) if ch not in _WORD_LETTERS)
         raise ValueError(f"unknown letter {ch!r} at position {i}")
-    return text
+    return word
 
 
 def eval_word(word, p: OperatorTable, q: OperatorTable,
               c: Optional[OperatorTable] = None) -> OperatorTable:
     """Table of a cpq-word, letters acting right-to-left as usual.
 
-    word may be a str or anything whose str() is the letter sequence.
     c defaults to the complement table; passing another table (for
     instance a different inclusion-reversing involution) substitutes it
     for every c letter.  This is FlatScope.eval on a single model,

@@ -230,7 +230,7 @@ def suite_theorem2(
     ]
     for n_blocks, scope, sampled_n in parts:
         certs = [
-            idlab.test_equation(str(theorem2_word(t)), "pqcpq", scope)
+            idlab.test_equation(theorem2_word(t), "pqcpq", scope)
             for t in product(BLOCK_CHOICES, repeat=2 * n_blocks)
         ]
         held = sum(1 for cert in certs if cert.holds)

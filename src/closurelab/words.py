@@ -1,4 +1,6 @@
-"""Words over the three-letter alphabet c, p, q.
+"""Words over the three-letter alphabet c, p, q, held as plain strings:
+parse_word checks a string's letters (through opalg's one alphabet
+check) and returns it as it is.
 
 A word denotes a composite powerset operator, letters acting right to
 left (the rightmost letter is applied first), with c standing for
@@ -18,41 +20,13 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import theory
-
-ALPHABET = "cpq"
-
-
-@dataclass(frozen=True)
-class Word:
-    letters: str = ""
-
-    def __post_init__(self):
-        for i, ch in enumerate(self.letters):
-            if ch not in ALPHABET:
-                raise ValueError(f"unknown letter {ch!r} at position {i}")
-
-    def __str__(self):
-        return self.letters
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __add__(self, other):
-        if isinstance(other, Word):
-            return Word(self.letters + other.letters)
-        return NotImplemented
+from .opalg import _word_letters
 
 
-EMPTY = Word("")
-
-
-def parse_word(text: str) -> Word:
-    """Validate a letter string into a Word; empty input is the empty
-    word.  Rejects anything outside {c, p, q} with its position."""
-    return Word(text)
+def parse_word(text: str) -> str:
+    """text itself, once its letters are checked; empty input is the
+    empty word.  Rejects anything outside {c, p, q} with its position."""
+    return _word_letters(text)
 
 
 BLOCK_CHOICES = ("p", "q", "pq")
@@ -77,8 +51,8 @@ class Balanced:
         """The n with 2n+2 blocks."""
         return len(self.blocks) // 2 - 1
 
-    def reassemble(self) -> Word:
-        return Word("".join("c" + b for b in self.blocks))
+    def reassemble(self) -> str:
+        return "".join("c" + b for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -87,7 +61,7 @@ class NotBalanced:
     reason: str
 
 
-def c_balanced(w: Word) -> Union[Balanced, NotBalanced]:
+def c_balanced(text: str) -> Union[Balanced, NotBalanced]:
     """Split w as c a0 c a1 ... c a(2n+1) if possible.
 
     The shape is strict: a leading c, after every c a block that is
@@ -97,7 +71,6 @@ def c_balanced(w: Word) -> Union[Balanced, NotBalanced]:
     the evaluator's business, not the parser's.  Failures report the
     first offending position.
     """
-    text = str(w)
     if not text:
         return NotBalanced(0, "empty word")
     if text[0] != "c":
@@ -121,7 +94,7 @@ def c_balanced(w: Word) -> Union[Balanced, NotBalanced]:
     return Balanced(tuple(blocks))
 
 
-def to_term(w: Word) -> theory.Term:
+def to_term(w: str) -> theory.Term:
     """Term of a balanced word: bars on the even-position blocks.
 
     Evaluating the result over any model gives exactly the same table
@@ -139,7 +112,7 @@ def to_term(w: Word) -> theory.Term:
     return theory.prod(*factors)
 
 
-def theorem2_word(blocks) -> Word:
+def theorem2_word(blocks) -> str:
     """The collapse family word pq c b1 c b2 ... c b(2n) c pq.
 
     blocks is the even-length nonempty tuple of inner factors, each one
@@ -151,7 +124,4 @@ def theorem2_word(blocks) -> Word:
     for b in blocks:
         if b not in BLOCK_CHOICES:
             raise ValueError(f"block must be one of {BLOCK_CHOICES}, got {b!r}")
-    return Word("pq" + "".join("c" + b for b in blocks) + "cpq")
-
-
-COLLAPSED = Word("pqcpq")
+    return "pq" + "".join("c" + b for b in blocks) + "cpq"

@@ -428,6 +428,10 @@ def test_dump_model_flag_errors(capsys):
     assert code == 2
     assert err.startswith("usage error:")
 
+    # an empty name is given, and names no model
+    code, _, err = run_cli(capsys, "dump", "model", "--name", "")
+    assert (code, err) == (2, "usage error: unknown model name ''\n")
+
     code, _, err = run_cli(capsys, "dump", "model", "--name", "pij(1)")
     assert code == 2
     assert "pij" in err
@@ -617,9 +621,35 @@ def test_dump_orbit_json_matches_library(capsys):
 
 
 def test_dump_orbit_missing_flags(capsys):
-    code, _, err = run_cli(capsys, "dump", "orbit", "--model", "section4")
-    assert code == 2
-    assert "--word" in err
+    code, out, err = run_cli(capsys, "dump", "orbit", "--model", "section4")
+    assert (code, out) == (2, "")
+    assert err == "dump orbit requires --word, --start\n"
+
+
+def test_dump_orbit_takes_an_empty_start_or_word(capsys):
+    # a flag is missing only when it is absent: "" is the empty set to
+    # --start and the identity word to --word, and both have orbits
+    model = models.section4_model(4)
+    for word, start in (("cpcpcqcq", ""), ("", "0,top"), ("", "")):
+        code, out, err = run_cli(capsys, "dump", "orbit", "--model", "section4",
+                                 "--word", word, "--start", start, "--format", "json")
+        rep = monoid_mod.orbit(word, model, model.mask_of_names(start), max_iter=10)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["images"] == [model.format_mask(a) for a in rep.images]
+    code, out, _ = run_cli(capsys, "dump", "orbit", "--model", "section4",
+                           "--word", "cpcpcqcq", "--start", "")
+    assert (code, out) == (0, "step,image\r\n0,{}\r\n")
+
+
+def test_dump_orbit_word_that_does_not_parse_is_a_usage_error(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built a model for a word that does not parse")
+
+    monkeypatch.setattr(models, "section4_model", never)
+    code, out, err = run_cli(capsys, "dump", "orbit", "--model", "section4",
+                             "--word", "cxq", "--start", "0")
+    assert (code, out) == (2, "")
+    assert err == "usage error: unknown letter 'x' at position 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import islice
+from itertools import chain, islice, product
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from closurelab.idlab import (
     sample_commuting_pair,
     search_counterexample,
     search_identities,
-    sigma_probe,
 )
 from closurelab.models import ClosurePairModel, kuratowski_witness
 from closurelab.monoid import generate_monoid
@@ -38,6 +37,7 @@ from closurelab.opalg import (
     eval_word_on,
     full_mask,
 )
+from closurelab.words import BLOCK_CHOICES, theorem2_word
 
 from _oracles import (
     closure_of_family,
@@ -324,8 +324,6 @@ def test_scope_descriptions():
     assert Scope.sampled(4, 25).description == (
         f"sampled(n=4,count=25,seed={DEFAULT_SEED})"
     )
-    combo = Scope.exhaustive(2) + Scope.sampled(4, 5)
-    assert " + " in combo.description
 
 
 def test_scope_streams_are_replayable():
@@ -337,6 +335,9 @@ def test_scope_streams_are_replayable():
 
 
 def test_sampled_scope_draws_once(monkeypatch):
+    # a sampled scope draws its seeds once, when it is made: walking its
+    # models twice, twelve equations and a replay draw nothing more, and
+    # a scope of no seeds never calls the sampler
     calls = []
     real = idlab.sample_commuting_pairs
 
@@ -345,41 +346,25 @@ def test_sampled_scope_draws_once(monkeypatch):
         return real(n, seeds, *args)
 
     monkeypatch.setattr(idlab, "sample_commuting_pairs", counting)
-    scope = Scope.sampled(4, 5, seed=40)
+    scope = Scope.sampled(4, 25, seed=40)
+    assert calls == [(4, list(range(40, 65)))]
     first = [m.label for m in scope.models()]
     second = [m.label for m in scope.models()]
-    for word in ("pq", "qp", "pqcpq"):
-        idlab.test_equation(word, "pqcpq", scope)
     assert first == second
-    assert calls == [(4, [40, 41, 42, 43, 44])]
-
-
-def test_scope_sum_draws_a_part_only_when_reached(monkeypatch):
-    calls = []
-    real = idlab.sample_commuting_pairs
-
-    def counting(n, seeds, *args):
-        calls.append((n, list(seeds)))
-        return real(n, seeds, *args)
-
-    monkeypatch.setattr(idlab, "sample_commuting_pairs", counting)
-    scope = Scope.exhaustive(2) + Scope.sampled(4, 3, seed=7) + Scope.sampled(5, 2, seed=9)
-    # pcq = qcp is refuted inside the exhaustive part, and the first
-    # ten models all lie there too
-    assert not idlab.test_equation("pcq", "qcp", scope).holds
-    held = idlab.test_equation("pcqcpcq", "pcq", Scope.exhaustive(2))
-    assert replay_certificate(held, family=scope, sample=10)
-    assert calls == []
-    assert idlab.test_equation("pcqcpcq", "pcq", scope).holds
-    assert calls == [(4, [7, 8, 9]), (5, [9, 10])]
-    assert len(list(scope.models())) == 1 + 4 + 41 + 3 + 2
-    assert len(calls) == 2
+    words = [theorem2_word(blocks) for blocks in product(BLOCK_CHOICES, repeat=2)][:6]
+    equations = list(FIXTURE_EQUATIONS) + [(w, "pqcpq") for w in words]
+    certs = [idlab.test_equation(lhs, rhs, scope) for lhs, rhs in equations]
+    assert len(certs) == 12 and all(cert.holds for cert in certs)
+    assert replay_certificate(certs[0], family=scope, sample=25)
+    Scope.sampled(4, 0)
+    assert calls == [(4, list(range(40, 65)))]
 
 
 def test_each_run_builds_its_flat_scope_once(monkeypatch):
-    # a scope of three runs (n = 1 and n = 2 fixtures, n = 4 samples)
-    # walked by many test_equation and replay calls: each run shifts its
-    # stacks into a flat scope once, however many words it evaluates
+    # a fixture scope of two runs (n = 1 and n = 2) and a sampled scope
+    # of one (n = 4), each walked by many test_equation and replay
+    # calls: each run shifts its stacks into a flat scope once, however
+    # many words it evaluates
     built = []
 
     class Counted(idlab.FlatScope):
@@ -389,11 +374,11 @@ def test_each_run_builds_its_flat_scope_once(monkeypatch):
 
     monkeypatch.setattr(idlab, "FlatScope", Counted)
     fixtures = enumerate_commuting_pairs(1) + enumerate_commuting_pairs(2)
-    scope = Scope.fixtures(fixtures) + Scope.sampled(4, 3, seed=11)
-    certs = [idlab.test_equation(lhs, rhs, scope) for lhs, rhs in FIXTURE_EQUATIONS]
-    assert all(cert.holds for cert in certs)
-    assert replay_certificate(certs[0], family=scope, sample=len(fixtures) + 2)
-    assert not idlab.test_equation("pcq", "qcp", scope).holds
+    for scope in (Scope.fixtures(fixtures), Scope.sampled(4, 3, seed=11)):
+        certs = [idlab.test_equation(lhs, rhs, scope) for lhs, rhs in FIXTURE_EQUATIONS]
+        assert all(cert.holds for cert in certs)
+        assert replay_certificate(certs[0], family=scope, sample=len(fixtures) + 2)
+        idlab.test_equation("pcq", "qcp", scope)
     assert built == [(4, 2), (41, 4), (3, 16)]
 
 
@@ -484,10 +469,14 @@ def test_batched_certificates_match_model_by_model_reference(seed):
     cases = [
         (Scope.sampled(4, 25, seed), sampled4),
         (Scope.exhaustive(2, commuting=False), _oracle_pairs(2, commuting=False)),
-        (Scope.exhaustive(2) + Scope.sampled(4, 5),
+        (Scope.fixtures(chain(Scope.exhaustive(2).models(), Scope.sampled(4, 5).models())),
          _oracle_pairs(2, commuting=True) + sampled4_small),
         (Scope.fixtures([]), []),
     ]
+    # the fixture scope of exhaustive and sampled models holds the runs
+    # of the scopes it was read from: one per ground size
+    assert [(run.ground_size, len(run)) for run in cases[2][0].runs()] == [
+        (0, 1), (1, 4), (2, 41), (4, 5)]
     # the last two are refuted only after several agreeing models
     equations = [("pcq", "qcp"), ("pcqcpcq", "pcq"), ("pq", "qp"),
                  ("pcpcp", "pcp"), FIXTURE_EQUATIONS[0], ("", "p"),
@@ -533,20 +522,6 @@ def test_replay_certificate():
     assert not replay_certificate(lying, family=scope, sample=100)
 
 
-def test_theorem2_family_certificates():
-    scope = Scope.exhaustive(2)
-    certs = idlab.test_theorem2_family(1, scope)
-    assert len(certs) == 9
-    assert all(c.holds for c in certs)
-    assert all(c.rhs == "pqcpq" for c in certs)
-    assert all(c.models_checked == 46 for c in certs)
-    certs2 = idlab.test_theorem2_family(2, scope)
-    assert len(certs2) == 9 + 81
-    assert all(c.holds for c in certs2)
-    with pytest.raises(ValueError):
-        idlab.test_theorem2_family(0, scope)
-
-
 def test_fixture_equations_hold_and_need_commutation():
     assert len(FIXTURE_EQUATIONS) == 6
     assert all(rhs == "pqcpq" for _, rhs in FIXTURE_EQUATIONS)
@@ -558,18 +533,6 @@ def test_fixture_equations_hold_and_need_commutation():
         cert = search_counterexample(lhs, rhs, max_n=3, commuting=False)
         assert not cert.holds, lhs
         assert replay_certificate(cert)
-
-
-def test_sigma_probe():
-    reports = sigma_probe(
-        [("pcq", "qcp"), (FIXTURE_EQUATIONS[0])], samples=2,
-    )
-    assert len(reports) == 2
-    refuted, held = reports
-    assert not refuted.holds
-    assert held.holds
-    assert "exhaustive-commuting-n<=3" in held.scope
-    assert "sampled(n=4" in held.scope and "sampled(n=5" in held.scope
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from closurelab.theory import (
     term_word,
     TermSyntaxError,
 )
-from closurelab.words import Word, to_term
+from closurelab.words import parse_word, to_term
 
 from _oracles import check_intended_model_by_element, term_table, term_universe_by_compose
 
@@ -228,19 +228,19 @@ def test_translation_matches_word_evaluation_exhaustive():
     words = []
     for n_blocks in (2, 4):
         for blocks in product(("p", "q", "pq"), repeat=n_blocks):
-            w = Word("".join("c" + b for b in blocks))
+            w = parse_word("".join("c" + b for b in blocks))
             words.append(w)
     for m in models:
         for w in words:
             direct = eval_word(w, m.p, m.q)
             translated = eval_term(to_term(w), m)
-            assert direct == translated, str(w)
+            assert direct == translated, w
 
 
 @given(st.lists(st.sampled_from(["p", "q", "pq"]), min_size=2,
                 max_size=6).filter(lambda bs: len(bs) % 2 == 0))
 def test_translation_matches_word_evaluation_random_blocks(blocks):
-    w = Word("".join("c" + b for b in blocks))
+    w = parse_word("".join("c" + b for b in blocks))
     m = pij_pair(1, 0, 3)
     assert eval_word(w, m.p, m.q) == eval_term(to_term(w), m)
 
@@ -268,12 +268,12 @@ def test_proposition5_equation_matches_word_form():
     # translation is exactly the collapse term, so the two formulations
     # agree up to an outer complement
     from closurelab.opalg import complement_table
-    from closurelab.words import parse_word, theorem2_word
+    from closurelab.words import theorem2_word
 
     blocks = ("p", "pq")
     lhs, rhs = proposition5_equation(blocks)
     w = theorem2_word(blocks)
-    assert to_term(parse_word("c" + str(w))) == lhs
+    assert to_term(parse_word("c" + w)) == lhs
     assert to_term(parse_word("cpqcpq")) == rhs
     for m in _small_models()[:4]:
         c = complement_table(m.ground_size)

@@ -9,7 +9,6 @@ from closurelab.words import (
     BLOCK_CHOICES,
     Balanced,
     NotBalanced,
-    Word,
     c_balanced,
     parse_word,
     theorem2_word,
@@ -18,18 +17,19 @@ from closurelab.words import (
 
 
 def test_word_basics():
+    # a word is the checked string itself
     w = parse_word("cpq")
-    assert str(w) == "cpq"
+    assert type(w) is str and w == "cpq"
     assert len(w) == 3
     assert list(w) == ["c", "p", "q"]
-    assert str(w + parse_word("cc")) == "cpqcc"
+    assert w + parse_word("cc") == "cpqcc"
 
 
 def test_word_rejects_bad_letters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown letter 'k' at position 2$"):
         parse_word("cpk")
-    with pytest.raises(ValueError):
-        Word("abc")
+    with pytest.raises(ValueError, match="^unknown letter 'a' at position 0$"):
+        parse_word("abc")
 
 
 def test_c_balanced_accepts_strict_shapes():
@@ -37,7 +37,7 @@ def test_c_balanced_accepts_strict_shapes():
     assert isinstance(b, Balanced)
     assert b.blocks == ("p", "q")
     assert b.half_count == 0  # shape c a0 c a1 has 2n+2 blocks, n = 0
-    assert str(b.reassemble()) == "cpcq"
+    assert b.reassemble() == "cpcq"
 
     b2 = c_balanced(parse_word("cpqcpcqcq"))
     assert b2.blocks == ("pq", "p", "q", "q")
@@ -93,7 +93,7 @@ def test_round_trip_exhaustive_up_to_12():
         got = c_balanced(parse_word(text))
         assert isinstance(got, Balanced), text
         assert got.blocks == blocks
-        assert str(got.reassemble()) == text
+        assert got.reassemble() == text
         seen += 1
     assert seen > 50
 
@@ -123,8 +123,8 @@ def test_to_term_rejects_unbalanced():
 
 
 def test_theorem2_word_examples():
-    assert str(theorem2_word(("p", "q"))) == "pqcpcqcpq"
-    assert str(theorem2_word(("pq", "pq"))) == "pqcpqcpqcpq"
+    assert theorem2_word(("p", "q")) == "pqcpcqcpq"
+    assert theorem2_word(("pq", "pq")) == "pqcpqcpqcpq"
 
 
 def test_theorem2_word_validation():
@@ -138,6 +138,6 @@ def test_theorem2_word_validation():
 
 def test_theorem2_word_structure():
     blocks = ("q", "pq", "p", "p")
-    w = str(theorem2_word(blocks))
+    w = theorem2_word(blocks)
     assert w == "pq" + "".join("c" + b for b in blocks) + "cpq"
     assert w.startswith("pq") and w.endswith("cpq")
