@@ -24,7 +24,7 @@ def main():
     print()
 
     lhs, rhs = idlab.FIXTURE_EQUATIONS[0]
-    cert = idlab.search_counterexample(lhs, rhs, max_n=2, commuting=False)
+    cert = idlab.search_counterexample(lhs, rhs, max_n=2)
     print("dropping the commuting hypothesis:")
     print(f"  {cert.summary()}")
     if cert.model is not None:

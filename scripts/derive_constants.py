@@ -106,7 +106,7 @@ def main():
 
     print("\n== flagged cycle orbit growth ==")
     rows = monoid.growth_study(
-        lambda m: models.section4_model(models.WindowSpec("cycle", m), materialize=False),
+        lambda m: models.section4_model(m, materialize=False),
         "cpcpcqcq",
         lambda m: 1 | (1 << (2 * m)),
         [4, 8, 16],

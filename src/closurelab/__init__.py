@@ -18,7 +18,6 @@ from .opalg import (
     closure_from_fixed_points,
     commutes,
     complement_table,
-    compose,
     conjugated_involution,
     eval_word,
     eval_word_on,

@@ -263,7 +263,7 @@ def cmd_search(args) -> int:
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return 2
-        cert = idlab.search_counterexample(lhs, rhs, max_n=n, commuting=False)
+        cert = idlab.search_counterexample(lhs, rhs, max_n=n)
         if args.format == "json":
             _emit(_json_text(cert.to_json()), args.out)
         else:
@@ -310,6 +310,13 @@ _DUMP_RANGES = {
     "orbit": dict(_WINDOW, model=_ANY, word=_ANY, start=_ANY, iters=(1, None)),
 }
 
+#: the most table entries, --cap elements of 2**n masks each, that a
+#: monoid or hasse dump may hold: its peak memory grows with them, at
+#: about 0.19 MB per element at n = 11, so 2**22 entries keep a dump
+#: under about 400 MB.  An unset --cap is DEFAULT_CAP, or less where
+#: that many elements would pass this bound.
+DUMP_ENTRIES_CAP = 1 << 22
+
 #: the flags each dump target cannot do without
 _DUMP_NEEDS = {"model": ("name",), "monoid": ("model",), "hasse": ("model",),
                "orbit": ("model", "word", "start")}
@@ -338,7 +345,7 @@ def _model_from_flags(name: str, args):
         if len(inner) != 2:
             raise ValueError(f"bad pij name {name!r}, expected pij(i,j)")
         i, j = (int(part) for part in inner)
-        return models.pij_pair(i, j, models.WindowSpec("cycle", m))
+        return models.pij_pair(i, j, m)
     raise ValueError(f"unknown model name {name!r}")
 
 
@@ -418,7 +425,13 @@ def cmd_dump(args) -> int:
             file=sys.stderr,
         )
         return 2
-    cap = args.cap or monoid_mod.DEFAULT_CAP  # a --cap given is at least 1
+    n = named[letters[0]].ground_size
+    most = DUMP_ENTRIES_CAP >> n
+    cap = args.cap or min(monoid_mod.DEFAULT_CAP, most)  # a --cap given is at least 1
+    if cap > most:
+        print(f"usage error: dump {what} takes --cap 1..{most} at ground size {n},"
+              f" got {cap}", file=sys.stderr)
+        return 2
     mon = monoid_mod.generate_monoid([named[g] for g in letters], cap=cap,
                                      names=tuple(letters))
     if what == "monoid":

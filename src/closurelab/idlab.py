@@ -424,28 +424,24 @@ def test_equation(lhs, rhs, family: Scope) -> EquationCertificate:
     )
 
 
-def replay_certificate(cert: EquationCertificate, family: Optional[Scope] = None,
-                       sample: int = 10) -> bool:
+def replay_certificate(cert: EquationCertificate, family: Optional[Scope] = None) -> bool:
     """Re-check what a certificate asserts.
 
     counterexample: the witness subset must still separate the words on
-    the stored model.  holds: re-evaluate on the first sample models of
-    the (re-supplied) family and expect agreement.
+    the stored model.  holds: test_equation over the re-supplied family
+    must hold again, naming the certificate's scope and models_checked;
+    a holds certificate given no family raises ValueError, as nothing
+    else can check it.
     """
     if not cert.holds:
         a = eval_word_on(cert.lhs, cert.model.p, cert.model.q, cert.witness)
         b = eval_word_on(cert.rhs, cert.model.p, cert.model.q, cert.witness)
         return a != b
-    if family is None or sample <= 0:
-        return True
-    left = sample
-    for run in family.runs():
-        if np.any((run.flat.eval(cert.lhs) != run.flat.eval(cert.rhs))[:left]):
-            return False
-        left -= min(left, len(run))
-        if not left:
-            break
-    return True
+    if family is None:
+        raise ValueError("a holds certificate replays only over its family")
+    again = test_equation(cert.lhs, cert.rhs, family)
+    return again.holds and (again.scope, again.models_checked) == (
+        cert.scope, cert.models_checked)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +527,11 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     return equations, f"exhaustive-commuting-n<={n}", examined
 
 
-def search_counterexample(lhs, rhs, max_n: int = 2,
-                          commuting: bool = False) -> EquationCertificate:
-    """Hunt for a model refuting lhs = rhs over the exhaustive pair
-    enumeration (all pairs by default, so commutation failures are in
-    scope)."""
-    return test_equation(lhs, rhs, Scope.exhaustive(max_n, commuting=commuting))
+def search_counterexample(lhs, rhs, max_n: int = 2) -> EquationCertificate:
+    """Hunt for a model refuting lhs = rhs over every ordered closure
+    pair at sizes <= max_n, commuting or not, so commutation failures
+    are in scope."""
+    return test_equation(lhs, rhs, Scope.exhaustive(max_n, commuting=False))
 
 
 # ---------------------------------------------------------------------------

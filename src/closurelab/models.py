@@ -44,7 +44,8 @@ from .opalg import (
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Finite truncation parameter: segment {0..size} or cycle Z/(2*size)."""
+    """The window a model records: segment {0..size} or cycle
+    Z/(2*size).  Constructors take the size as an int and build it."""
 
     kind: str  # "segment" | "cycle"
     size: int  # segment: top element M; cycle: half-length m
@@ -61,14 +62,6 @@ class WindowSpec:
     @classmethod
     def from_json(cls, obj) -> "WindowSpec":
         return cls(obj["kind"], obj["size"])
-
-
-def _coerce_window(window, kind: str) -> WindowSpec:
-    if isinstance(window, WindowSpec):
-        if window.kind != kind:
-            raise ValueError(f"expected a {kind} window, got {window.kind}")
-        return window
-    return WindowSpec(kind, int(window))
 
 
 class ModelConstructionError(ValueError):
@@ -218,7 +211,7 @@ def _staircase_images(M: int, odd: bool) -> tuple[int, ...]:
     return tuple(images)
 
 
-def example3(window, variant: str = "repaired") -> ClosurePairModel:
+def example3(M: int, variant: str = "repaired") -> ClosurePairModel:
     """Staircase pair on the segment {0..M}.
 
     literal: p(A) = A + {sup A + 1} if sup A is odd and below M, else A;
@@ -226,9 +219,9 @@ def example3(window, variant: str = "repaired") -> ClosurePairModel:
     a < M}, q with even a.  Both variants walk (pq)^n({0}) up to
     {0..2n}; only the repaired one passes the closure screen, and the
     literal tables ship with their failing monotonicity report attached.
+    M is at least 2, and M + 1 fits the table cap.
     """
-    window = _coerce_window(window, "segment")
-    M = window.size
+    window = WindowSpec("segment", M)
     n = M + 1
     if n > MAX_GROUND_SIZE:
         raise ValueError(
@@ -259,7 +252,7 @@ def example3(window, variant: str = "repaired") -> ClosurePairModel:
     )
 
 
-def example3_additive(window) -> ClosurePairModel:
+def example3_additive(M: int) -> ClosurePairModel:
     """Repaired staircase as exact additive operators.
 
     The repaired maps preserve unions, so their singleton images
@@ -267,8 +260,7 @@ def example3_additive(window) -> ClosurePairModel:
     table cap and composes exactly, which is what the monoid growth
     study at large windows runs on.
     """
-    window = _coerce_window(window, "segment")
-    M = window.size
+    window = WindowSpec("segment", M)
     n = M + 1
     p = AdditiveOperator(n, _staircase_images(M, odd=True))
     q = AdditiveOperator(n, _staircase_images(M, odd=False))
@@ -298,19 +290,11 @@ def _parity_mask(m: int, odd: bool) -> int:
 def _block_closure_table(m: int, q_blocks: bool) -> OperatorTable:
     """Closure whose proper closed sets are two-element blocks tiling
     the cycle: {2k+1, 2k+2} for the p flavor, {2k, 2k+1} for q (mod 2m).
-    Everything not inside a single block closes to the whole cycle."""
+    Everything not inside a single block closes to the whole cycle: the
+    closed sets are the empty set, the m blocks and the cycle."""
     n = 2 * m
-    full = (1 << n) - 1
-    entries = np.full(1 << n, full, dtype=np.int64)
-    entries[0] = 0
-    start = 0 if q_blocks else 1
-    for k in range(m):
-        a = (2 * k + start) % n
-        b = (2 * k + start + 1) % n
-        block = (1 << a) | (1 << b)
-        for sub in (1 << a, 1 << b, block):
-            entries[sub] = block
-    return OperatorTable(n, entries, _validate=False)
+    blocks = [(1 << i) | (1 << (i + 1) % n) for i in range(0 if q_blocks else 1, n, 2)]
+    return closure_from_fixed_points(n, [0, *blocks, (1 << n) - 1])
 
 
 def _parity_add_table(m: int, odd: bool) -> OperatorTable:
@@ -333,8 +317,8 @@ def _pij_table(which: str, i: int, j: int, m: int) -> OperatorTable:
     raise ValueError(f"pij indices must be 0 or 1, got ({i},{j})")
 
 
-def pij_pair(i: int, j: int, window) -> ClosurePairModel:
-    """The (i, j) flavor pair on the cycle Z/(2m).
+def pij_pair(i: int, j: int, m: int) -> ClosurePairModel:
+    """The (i, j) flavor pair on the cycle Z/(2m), m at least 2.
 
     (0,0) identity / identity, (1,0) the two block closures, (0,1) the
     parity saturations (p adds Odd, q adds Even), (1,1) constant full.
@@ -343,8 +327,7 @@ def pij_pair(i: int, j: int, window) -> ClosurePairModel:
     """
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError(f"pij indices must be 0 or 1, got ({i},{j})")
-    window = _coerce_window(window, "cycle")
-    m = window.size
+    window = WindowSpec("cycle", m)
     if 2 * m > MAX_GROUND_SIZE:
         raise ValueError(f"cycle 2m = {2*m} exceeds the table cap")
     return ClosurePairModel(
@@ -444,7 +427,7 @@ def _section4_fns(m: int):
     return make(False), make(True)
 
 
-def section4_model(window, materialize: bool = True) -> ClosurePairModel:
+def section4_model(m: int, materialize: bool = True) -> ClosurePairModel:
     """The flagged-cycle pair: membership of top/bot in the argument
     dispatches to the four cycle flavors, p(A) = p_ij(A n Z) u flags
     with i = [top in A], j = [bot in A], q likewise with its flavors.
@@ -454,8 +437,7 @@ def section4_model(window, materialize: bool = True) -> ClosurePairModel:
     operators are plain functions at any size and only pointwise
     evaluation (orbits) applies.
     """
-    window = _coerce_window(window, "cycle")
-    m = window.size
+    window = WindowSpec("cycle", m)
     n = 2 * m + 2
     if materialize:
         if n > MAX_GROUND_SIZE:

@@ -304,25 +304,6 @@ def closures_from_masks(n: int, masks) -> np.ndarray:
     return np.ascontiguousarray(out.T, dtype=np.int64)
 
 
-def apply(f, a: Mask) -> Mask:
-    """Image of subset a under operator f (table, functional, additive)."""
-    return f.apply(a)
-
-
-def compose(*ops):
-    """Left-to-right pipeline read as usual function composition.
-
-    compose(f, g, h)(a) == f(g(h(a))).  Accepts any operators sharing a
-    compose() method and ground size.
-    """
-    if not ops:
-        raise ValueError("compose() needs at least one operator")
-    out = ops[0]
-    for g in ops[1:]:
-        out = out.compose(g)
-    return out
-
-
 def leq(f: OperatorTable, g: OperatorTable) -> bool:
     """Pointwise order: f(A) a subset of g(A) for every A."""
     if f.ground_size != g.ground_size:
@@ -571,26 +552,24 @@ def _word_letters(word: str) -> str:
     return word
 
 
-def eval_word(word, p: OperatorTable, q: OperatorTable,
-              c: Optional[OperatorTable] = None) -> OperatorTable:
-    """Table of a cpq-word, letters acting right-to-left as usual.
+def eval_word(word, p: OperatorTable, q: OperatorTable) -> OperatorTable:
+    """Table of a cpq-word, letters acting right-to-left as usual, c
+    being complementation.
 
-    c defaults to the complement table; passing another table (for
-    instance a different inclusion-reversing involution) substitutes it
-    for every c letter.  This is FlatScope.eval on a single model,
-    whose one row needs no offset, so no scope is built: the last
-    letter's table is the start, and every other letter, c included, is
-    one gather through its table (c's is cached per n).  The empty word
-    is the identity table.
+    This is FlatScope.eval on a single model, whose one row needs no
+    offset, so no scope is built: the last letter's table is the start,
+    and every other letter, c included, is one gather through its table
+    (c's is cached per n).  The empty word is the identity table.  A
+    FlatScope given a c stack substitutes another table, such as a
+    different inclusion-reversing involution, for every c letter.
     """
     text = _word_letters(word)
     n = p.ground_size
-    if q.ground_size != n or (c is not None and c.ground_size != n):
+    if q.ground_size != n:
         raise ValueError("ground sizes differ")
     if not text:
         return identity_table(n)
-    tables = {"p": p.entries, "q": q.entries,
-              "c": _complement_entries(n) if c is None else c.entries}
+    tables = {"p": p.entries, "q": q.entries, "c": _complement_entries(n)}
     v = _apply_letters(text[:-1], tables, tables[text[-1]], (1 << n) - 1)
     return OperatorTable(n, v, _validate=False)
 

@@ -339,8 +339,7 @@ def suite_section4(m: int = 4) -> SuiteReport:
     lines.append(f"flag preservation: {'PASS' if flags_ok else 'FAIL'}")
     data["flag_preservation"] = flags_ok
 
-    pij = [models.pij_pair(i, j, models.WindowSpec("cycle", m))
-           for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    pij = [models.pij_pair(i, j, m) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))]
     sandwich = {}
     for which in "pq":
         t = np.stack([getattr(pair, which).entries for pair in pij])
@@ -386,7 +385,7 @@ def suite_section4(m: int = 4) -> SuiteReport:
 
     growth = []
     for mm in (4, 8, 16):
-        fam = models.section4_model(models.WindowSpec("cycle", mm), materialize=False)
+        fam = models.section4_model(mm, materialize=False)
         o = monoid_mod.orbit("cpcpcqcq", fam, 1 | (1 << (2 * mm)))
         growth.append((mm, o.distinct_count))
         lines.append(f"growth m={mm}: {o.distinct_count} distinct images")
@@ -501,7 +500,7 @@ def suite_lemma6() -> SuiteReport:
     for m in (2, 3, 4, 5):
         for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
             try:
-                pair = models.pij_pair(i, j, models.WindowSpec("cycle", m))
+                pair = models.pij_pair(i, j, m)
             except models.ModelConstructionError as err:
                 report.passed = False
                 lines.append(f"m={m} (i,j)=({i},{j}): construction failed: {err}")

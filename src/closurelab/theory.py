@@ -101,10 +101,6 @@ Q = Const("q")
 _ATOMS = {"1": ONE, "p": P, "q": Q}
 
 
-def bar(t: Term) -> Bar:
-    return Bar(t)
-
-
 def prod(*factors: Term) -> Term:
     """Left-associated product of one or more factors."""
     if not factors:

@@ -75,6 +75,24 @@ def closure_of_family(n, members):
     return tuple(entries)
 
 
+def block_closure_table(m, q_blocks):
+    """The block closure on the cycle Z/(2m) entry by entry: the empty
+    set stays empty, each nonempty subset of a two-element block, {2k+1,
+    2k+2} for the p flavor or {2k, 2k+1} for q (mod 2m), closes to that
+    block, and every other subset to the whole cycle."""
+    n = 2 * m
+    entries = [(1 << n) - 1] * (1 << n)
+    entries[0] = 0
+    start = 0 if q_blocks else 1
+    for k in range(m):
+        a = (2 * k + start) % n
+        b = (2 * k + start + 1) % n
+        block = (1 << a) | (1 << b)
+        for sub in (1 << a, 1 << b, block):
+            entries[sub] = block
+    return tuple(entries)
+
+
 def sample_commuting_pair(n, seed, max_tries=2000):
     """(p, q, tries) of the seeded rejection sampler, one try at a time:
     random.Random(seed) draws a p family and then a q family per try,

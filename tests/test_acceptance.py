@@ -92,8 +92,7 @@ def test_criterion_05_fixture_identities():
     assert tuple(fail["equation"]) == idlab.FIXTURE_EQUATIONS[FIXTURE_FAILURE[0]]
     assert fail["lhs_value"] != fail["rhs_value"]
     # the same refutation is reproducible outside the suite
-    cert = idlab.search_counterexample(
-        *idlab.FIXTURE_EQUATIONS[FIXTURE_FAILURE[0]], max_n=3, commuting=False)
+    cert = idlab.search_counterexample(*idlab.FIXTURE_EQUATIONS[FIXTURE_FAILURE[0]], max_n=3)
     assert not cert.holds
     print("criterion 5 PASS: six fixture identities hold on commuting pairs "
           "n<=3 and one fails without the hypothesis")

@@ -292,7 +292,7 @@ def test_search_flags_are_checked_before_any_work(
         calls.append((maxlen, n, limit))
         return [], "stub", 1
 
-    def stub_counterexample(lhs, rhs, max_n=2, commuting=False):
+    def stub_counterexample(lhs, rhs, max_n=2):
         calls.append(max_n)
         return idlab.EquationCertificate(lhs, rhs, "stub", "holds")
 
@@ -343,7 +343,7 @@ def test_search_counterexample_parses_both_words_before_the_search(capsys, monke
 
 def test_search_counterexample_internal_value_error_is_not_a_usage_error(
         capsys, monkeypatch):
-    def broken(lhs, rhs, max_n=2, commuting=False):
+    def broken(lhs, rhs, max_n=2):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(idlab, "search_counterexample", broken)
@@ -413,7 +413,7 @@ def test_dump_model_names_select_variants(capsys):
     assert json.loads(out) == models.example3(6, variant="literal").to_json()
 
     _, out, _ = run_cli(capsys, "dump", "model", "--name", "pij(1,0)", "--m", "3")
-    assert json.loads(out) == models.pij_pair(1, 0, models.WindowSpec("cycle", 3)).to_json()
+    assert json.loads(out) == models.pij_pair(1, 0, 3).to_json()
 
     _, out, _ = run_cli(capsys, "dump", "model", "--name", "section4", "--m", "3")
     assert json.loads(out) == models.section4_model(3).to_json()
@@ -543,6 +543,43 @@ def test_dump_hasse_of_a_truncated_monoid_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "dump", "hasse", "--model", "witness14", "--cap", "5")
     assert (code, out) == (2, "")
     assert err.startswith("usage error: dump hasse") and "--cap 5" in err
+
+
+def test_dump_cap_is_bounded_by_table_entries(capsys, monkeypatch):
+    # --cap elements of 2**n entries each may not pass DUMP_ENTRIES_CAP:
+    # at M = 12 (n = 13) --cap 10000 would hold about 82 million
+    # entries, refused before the BFS allocates any
+    def never(*args, **kwargs):
+        raise AssertionError("generated a monoid despite a --cap past the entry bound")
+
+    monkeypatch.setattr(monoid_mod, "generate_monoid", never)
+    for what in ("monoid", "hasse"):
+        for cap in ("10000", "513"):
+            code, out, err = run_cli(capsys, "dump", what, "--model", "example3-repaired",
+                                     "--M", "12", "--gens", "p,q,c", "--cap", cap)
+            assert (code, out) == (2, "")
+            assert err == (f"usage error: dump {what} takes --cap 1..512 at ground"
+                           f" size 13, got {cap}\n")
+    assert cli.DUMP_ENTRIES_CAP >> 13 == 512
+
+
+def test_dump_default_cap_fits_the_entry_bound(capsys, monkeypatch):
+    # an unset --cap is DEFAULT_CAP, cut to DUMP_ENTRIES_CAP >> n where
+    # that is less; a --cap within the bound is taken as given
+    caps = []
+    real = monoid_mod.generate_monoid
+
+    def spy(generators, cap, names):
+        caps.append((generators[0].ground_size, cap))
+        return real(generators, cap=3, names=names)
+
+    monkeypatch.setattr(monoid_mod, "generate_monoid", spy)
+    for argv in (("--M", "12"), ("--M", "12", "--cap", "512"), ("--M", "6"),
+                 ("--M", "6", "--cap", "32768")):
+        code, _, _ = run_cli(capsys, "dump", "monoid", "--model", "example3-repaired",
+                             *argv, "--gens", "p,q,c")
+        assert code == 0
+    assert caps == [(13, 512), (13, 512), (7, monoid_mod.DEFAULT_CAP), (7, 32768)]
 
 
 def test_dump_has_no_n_flag(capsys):

@@ -355,7 +355,7 @@ def test_sampled_scope_draws_once(monkeypatch):
     equations = list(FIXTURE_EQUATIONS) + [(w, "pqcpq") for w in words]
     certs = [idlab.test_equation(lhs, rhs, scope) for lhs, rhs in equations]
     assert len(certs) == 12 and all(cert.holds for cert in certs)
-    assert replay_certificate(certs[0], family=scope, sample=25)
+    assert replay_certificate(certs[0], family=scope)
     Scope.sampled(4, 0)
     assert calls == [(4, list(range(40, 65)))]
 
@@ -377,7 +377,7 @@ def test_each_run_builds_its_flat_scope_once(monkeypatch):
     for scope in (Scope.fixtures(fixtures), Scope.sampled(4, 3, seed=11)):
         certs = [idlab.test_equation(lhs, rhs, scope) for lhs, rhs in FIXTURE_EQUATIONS]
         assert all(cert.holds for cert in certs)
-        assert replay_certificate(certs[0], family=scope, sample=len(fixtures) + 2)
+        assert replay_certificate(certs[0], family=scope)
         idlab.test_equation("pcq", "qcp", scope)
     assert built == [(4, 2), (41, 4), (3, 16)]
 
@@ -514,12 +514,30 @@ def test_replay_certificate():
     )
     assert not replay_certificate(tampered)
 
+    # a holds certificate replays only over its family, where it must
+    # hold again with the same scope and model count
     held = idlab.test_equation("pcqcpcq", "pcq", scope)
-    assert replay_certificate(held)
+    with pytest.raises(ValueError, match="family"):
+        replay_certificate(held)
     assert replay_certificate(held, family=scope)
+    assert not replay_certificate(held, family=Scope.exhaustive(1, commuting=False))
+    miscounted = EquationCertificate(held.lhs, held.rhs, held.scope, "holds",
+                                     models_checked=held.models_checked - 1)
+    assert not replay_certificate(miscounted, family=scope)
 
     lying = EquationCertificate("pq", "qp", scope.description, "holds")
-    assert not replay_certificate(lying, family=scope, sample=100)
+    assert not replay_certificate(lying, family=scope)
+
+
+def test_replay_refutes_a_forged_holds_certificate():
+    # pq = qp fails only past the first models of the scope, so a holds
+    # certificate is checked over all 3,775 of them, not a prefix
+    scope = Scope.exhaustive(3, commuting=False)
+    forged = EquationCertificate("pq", "qp", scope.description, "holds",
+                                 models_checked=3775)
+    assert forged.scope == "exhaustive-all-n<=3"
+    assert sum(1 for _ in scope.models()) == 3775
+    assert not replay_certificate(forged, family=scope)
 
 
 def test_fixture_equations_hold_and_need_commutation():
@@ -530,7 +548,7 @@ def test_fixture_equations_hold_and_need_commutation():
         assert idlab.test_equation(lhs, rhs, scope).holds, lhs
     # each fixture is refuted once commutation is dropped
     for lhs, rhs in FIXTURE_EQUATIONS:
-        cert = search_counterexample(lhs, rhs, max_n=3, commuting=False)
+        cert = search_counterexample(lhs, rhs, max_n=3)
         assert not cert.holds, lhs
         assert replay_certificate(cert)
 
@@ -597,8 +615,10 @@ def test_search_rediscovers_the_long_fixture():
 
 
 def test_search_counterexample_modes():
-    assert not search_counterexample("pq", "qp").holds
-    assert search_counterexample("pq", "qp", commuting=True).holds
+    # every ordered pair is in scope, commuting or not
+    cert = search_counterexample("pq", "qp")
+    assert not cert.holds and cert.scope == "exhaustive-all-n<=2"
+    assert cert.model.commuting is False
 
 
 def test_witness_search_regenerates_the_pinned_fixture():

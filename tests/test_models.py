@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from closurelab import models
 from closurelab.models import (
     ClosurePairModel,
     ModelConstructionError,
@@ -17,13 +18,14 @@ from closurelab.models import (
 from closurelab.opalg import (
     AdditiveOperator,
     FnOperator,
-    apply,
     check_closure,
     commutes,
     eval_word,
     full_mask,
     mask_of,
 )
+
+from _oracles import block_closure_table
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +43,14 @@ def test_window_spec_validation():
 
 
 def test_window_coercion():
-    m = example3(6)
-    assert m.window == WindowSpec("segment", 6)
-    m2 = example3(WindowSpec("segment", 6))
-    assert m2.window == m.window
+    # each constructor takes its size as an int and records its window
+    assert example3(6).window == WindowSpec("segment", 6)
+    assert example3_additive(6).window == WindowSpec("segment", 6)
+    assert pij_pair(1, 0, 4).window == WindowSpec("cycle", 4)
+    assert section4_model(3).window == WindowSpec("cycle", 3)
+    assert section4_model(3, materialize=False).window == WindowSpec("cycle", 3)
     with pytest.raises(ValueError):
-        example3(WindowSpec("cycle", 6))
-    with pytest.raises(ValueError):
-        pij_pair(1, 0, WindowSpec("segment", 4))
+        example3(1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +165,13 @@ def test_pij_block_closure_values():
     m = pij_pair(1, 0, 3)
     n = m.ground_size
     assert n == 6
-    assert apply(m.p, mask_of([1], n)) == mask_of([1, 2], n)
-    assert apply(m.p, mask_of([1, 4], n)) == full_mask(n)
-    assert apply(m.p, 0) == 0
+    assert m.p.apply(mask_of([1], n)) == mask_of([1, 2], n)
+    assert m.p.apply(mask_of([1, 4], n)) == full_mask(n)
+    assert m.p.apply(0) == 0
     # q blocks are offset by one
-    assert apply(m.q, mask_of([0], n)) == mask_of([0, 1], n)
+    assert m.q.apply(mask_of([0], n)) == mask_of([0, 1], n)
     # p blocks wrap around the cycle
-    assert apply(m.p, mask_of([5], n)) == mask_of([5, 0], n)
+    assert m.p.apply(mask_of([5], n)) == mask_of([5, 0], n)
 
 
 def test_pij_parity_saturation_values():
@@ -177,10 +179,18 @@ def test_pij_parity_saturation_values():
     n = m.ground_size
     odd = mask_of([1, 3, 5], n)
     even = mask_of([0, 2, 4], n)
-    assert apply(m.p, mask_of([0], n)) == mask_of([0], n) | odd
-    assert apply(m.q, mask_of([1], n)) == mask_of([1], n) | even
-    assert apply(m.p, 0) == odd
-    assert apply(m.q, 0) == even
+    assert m.p.apply(mask_of([0], n)) == mask_of([0], n) | odd
+    assert m.q.apply(mask_of([1], n)) == mask_of([1], n) | even
+    assert m.p.apply(0) == odd
+    assert m.q.apply(0) == even
+
+
+def test_block_closure_table_matches_hand_built_reference():
+    for m in range(2, 10):
+        for q_blocks in (False, True):
+            table = models._block_closure_table(m, q_blocks)
+            assert table.ground_size == 2 * m
+            assert tuple(table.entries.tolist()) == block_closure_table(m, q_blocks), (m, q_blocks)
 
 
 def test_pij_validation():
@@ -208,14 +218,14 @@ def test_section4_dispatch():
     bot = 1 << 7
     one = mask_of([1], n)
     # no flags: identity on the cyclic part
-    assert apply(m.p, one) == one
+    assert m.p.apply(one) == one
     # top flag: block closure flavor
-    assert apply(m.p, one | top) == mask_of([1, 2], n) | top
-    assert apply(m.q, one | top) == mask_of([0, 1], n) | top
+    assert m.p.apply(one | top) == mask_of([1, 2], n) | top
+    assert m.q.apply(one | top) == mask_of([0, 1], n) | top
     # bot flag: parity saturation flavor
-    assert apply(m.p, one | bot) == one | mask_of([1, 3, 5], n) | bot
+    assert m.p.apply(one | bot) == one | mask_of([1, 3, 5], n) | bot
     # both flags: constant full
-    assert apply(m.p, one | top | bot) == full_mask(n)
+    assert m.p.apply(one | top | bot) == full_mask(n)
 
 
 def test_section4_functional_matches_tables():

@@ -18,7 +18,6 @@ from closurelab.opalg import (
     commutes,
     commuting_witness,
     complement_table,
-    compose,
     conjugated_involution,
     elements_of,
     eval_word,
@@ -263,7 +262,7 @@ def test_monotone_witness_is_smallest():
 def test_check_interior():
     k = closure_from_fixed_points(3, [0, 1, 3, 7])
     c = complement_table(3)
-    assert check_interior(compose(c, k, c)).ok
+    assert check_interior(c.compose(k).compose(c)).ok
     assert not check_interior(k).ok  # a closure is not contracting
 
 
@@ -438,13 +437,14 @@ def test_flat_word_kernel_matches_per_row_composition():
             assert [tuple(r) for r in subst.tolist()] == [
                 reference(word, *abc) for abc in zip(ps[:k], qs[:k], cs[:k])]
             assert np.array_equal(narrow, subst)
-    # one row through the single-model wrapper, with and without theta
+    # one row through the single-model wrapper, and with theta through
+    # a one-row flat scope
     a, b = OperatorTable(n, ps[5]), OperatorTable(n, qs[5])
-    theta = OperatorTable(n, thetas[1])
+    one_row = FlatScope(a.entries[None], b.entries[None], np.array([thetas[1]]))
     for word in words:
         assert eval_word(word, a, b).entries.tolist() == list(
             reference(word, ps[5], qs[5], thetas[0]))
-        assert eval_word(word, a, b, theta).entries.tolist() == list(
+        assert one_row.eval(word)[0].tolist() == list(
             reference(word, ps[5], qs[5], thetas[1]))
 
 
@@ -523,12 +523,13 @@ def test_eval_word_gathers_every_letter_like_the_flat_scope():
             p = OperatorTable(n, rng.integers(0, size, size))
             q = OperatorTable(n, rng.integers(0, size, size))
             scope = FlatScope(p.entries[None], q.entries[None])
+            c_scope = FlatScope(p.entries[None], q.entries[None], c.entries[None])
             words = ["", "c", "p", "q", "cc", "ccc"]
             words += ["".join(rng.choice(list("cpq"), int(rng.integers(1, 9))))
                       for _ in range(8)]
             for word in words:
                 got = eval_word(word, p, q)
-                assert got == eval_word(word, p, q, c), word
+                assert got.entries.tolist() == c_scope.eval(word)[0].tolist(), word
                 assert got.entries.tolist() == scope.eval(word)[0].tolist(), word
                 assert not got.entries.flags.writeable
         # the cached complement entries cannot be made writable, and no
@@ -565,9 +566,9 @@ def test_eval_word_with_substitute_involution():
     p = closure_from_fixed_points(2, [1, 3])
     q = closure_from_fixed_points(2, [3])
     theta = reversed_involution([1, 0])
-    t = eval_word("pcq", p, q, c=theta)
+    t = FlatScope(p.entries[None], q.entries[None], theta.entries[None]).eval("pcq")[0]
     for a in range(4):
-        assert t.apply(a) == p.apply(theta.apply(q.apply(a)))
+        assert t[a] == p.apply(theta.apply(q.apply(a)))
 
 
 def test_eval_word_rejects_bad_letters():
