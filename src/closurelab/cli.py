@@ -10,9 +10,10 @@ Reports are deterministic for fixed flags.  Wall-clock facts go on
 comment lines starting with "# " so byte comparison after dropping
 that header is stable across runs.  Every command runs in one
 process; --workers is still accepted (at least 1) but changes nothing.
-A flag the command does not read is a usage error, and so is a bounded
-flag out of its range; verify passes a suite only the flags that are
-given, so an unset one takes the suite's own default.
+A flag the command does not read, a flag out of its bounds and a
+needed flag left out are usage errors, found in one table before any
+work; verify passes a suite only the flags that are given, so an unset
+one takes the suite's own default.
 Exit codes: 0 pass, 1 check failure, 2 usage error.
 """
 
@@ -29,7 +30,7 @@ import time
 from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import idlab, models
 from . import monoid as monoid_mod
@@ -131,64 +132,86 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str, elapsed: float)
 
 
 # ---------------------------------------------------------------------------
-# verify
+# flags
 
 
-#: the flags each suite reads, with the values it accepts as inclusive
-#: (low, high) bounds, None for no bound; cmd_verify rejects any other
-#: flag or value as a usage error before the suite runs, and passes a
-#: flag that is set on to the suite, which has its own default for one
-#: left unset.  n is capped by the exhaustive enumeration a suite
-#: walks, samples by the seeds one lockstep draw holds; a seed is 0 or
-#: more, as random.Random(-s) replays random.Random(s); windows span
-#: at least 2 elements, and the flagged cycle (ground size 2m + 2) and
-#: the segment {0..M} (ground size M + 1) must fit the table cap.
-_SUITE_RANGES = {
-    "theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
-    "kuratowski14": {"n": (0, idlab.BLOCKED_ENUMERATION_CAP)},
-    "theorem2": {
+#: every flag each command reads, with the values it accepts as
+#: inclusive (low, high) bounds, None for no bound; main refuses any
+#: other flag or value as a usage error before any work starts.  --n is
+#: capped by the exhaustive enumeration a command walks, --samples by
+#: the seeds one lockstep draw holds, and --maxlen by the identity
+#: search's word budget (see the README for its cost); a seed is 0 or
+#: more, as random.Random(-s) replays random.Random(s).  Windows span
+#: at least 2 elements, and verify's flagged cycle (ground size 2m + 2)
+#: and each segment {0..M} (ground size M + 1) fit the table cap.  A
+#: dump's cycle is capped lower by its model, except in dump orbit
+#: --model section4, which walks it as functions: there --m 1024 and
+#: --iters 4096 take about 0.3 s and 31 MB, and --m 4096 about 10 s.
+_ANY, _WINDOW = (None, None), {"m": (2, 1024), "M": (2, MAX_GROUND_SIZE - 1)}
+_FLAGS = {
+    "verify theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
+    "verify kuratowski14": {"n": (0, idlab.BLOCKED_ENUMERATION_CAP)},
+    "verify theorem2": {
         "n": (0, idlab.PAIR_ENUMERATION_CAP),
         "samples": (1, idlab.SAMPLE_COUNT_CAP),
         "seed": (0, None),
     },
-    "fixtures": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
-    "section4": {"m": (2, (MAX_GROUND_SIZE - 2) // 2)},
-    "example3": {"M": (2, MAX_GROUND_SIZE - 1)},
-    "lemma6": {},
-    "interior": {"n": (0, idlab.ENUMERATION_CAP)},
-    "pq-closure": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
-    "remark-involution": {"n": (0, idlab.ENUMERATION_CAP)},
+    "verify fixtures": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "verify section4": {"m": (2, (MAX_GROUND_SIZE - 2) // 2)},
+    "verify example3": {"M": (2, MAX_GROUND_SIZE - 1)},
+    "verify lemma6": {},
+    "verify interior": {"n": (0, idlab.ENUMERATION_CAP)},
+    "verify pq-closure": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "verify remark-involution": {"n": (0, idlab.ENUMERATION_CAP)},
+    "search identities": {
+        "n": (0, idlab.PAIR_ENUMERATION_CAP),
+        "maxlen": (0, idlab.MAXLEN_CAP),
+        "limit": (0, None),
+    },
+    "search counterexample": {"n": (0, idlab.PAIR_ENUMERATION_CAP), "eq": _ANY},
+    "search witness14": {},
+    "dump model": dict(_WINDOW, name=_ANY),
+    "dump monoid": dict(_WINDOW, model=_ANY, gens=_ANY, cap=(1, None)),
+    "dump orbit": dict(_WINDOW, model=_ANY, word=_ANY, start=_ANY, iters=(1, 4096)),
+    "dump hasse": dict(_WINDOW, model=_ANY, gens=_ANY, cap=(1, None)),
 }
 
+#: the flags a command cannot do without
+_NEEDS = {"search counterexample": ("eq",), "dump model": ("name",),
+          "dump monoid": ("model",), "dump hasse": ("model",),
+          "dump orbit": ("model", "word", "start")}
 
-def _in_ranges(command: str, ranges: dict, values: dict, flags) -> bool:
-    """Whether each of flags that is set (not None) is one that ranges
-    names, with a value within its inclusive (low, high) bounds there,
-    a None bound meaning none.  Prints the usage error for the first
-    flag that is not."""
-    for flag in flags:
-        value = values[flag]
-        if value is None:
+_SHARED = ("command", "target", "out", "format", "workers")  # checked apart from _FLAGS
+
+
+def _flag_error(command: str, args) -> Optional[str]:
+    """The usage error for the first flag given that command does not
+    read or that is out of its bounds, else for the flags it needs and
+    lacks; None when there is none."""
+    bounds = _FLAGS[command]
+    for flag, value in vars(args).items():
+        if value is None or flag in _SHARED:
             continue
-        if flag not in ranges:
-            print(f"usage error: {command} does not take --{flag}", file=sys.stderr)
-            return False
-        low, high = ranges[flag]
+        if flag not in bounds:
+            return f"usage error: {command} does not take --{flag}"
+        low, high = bounds[flag]
         if (low is None or low <= value) and (high is None or value <= high):
             continue
-        bounds = f"{low} or more" if high is None else f"{low}..{high}"
-        print(f"usage error: {command} takes --{flag} {bounds}, got {value}",
-              file=sys.stderr)
-        return False
-    return True
+        span = f"{low} or more" if high is None else f"{low}..{high}"
+        return f"usage error: {command} takes --{flag} {span}, got {value}"
+    missing = [f"--{flag}" for flag in _NEEDS.get(command, ()) if getattr(args, flag) is None]
+    return f"{command} requires " + ", ".join(missing) if missing else None
+
+
+# ---------------------------------------------------------------------------
+# verify
 
 
 def cmd_verify(args) -> int:
-    name = args.name
-    flags, values = ("n", "m", "M", "samples", "seed"), vars(args)
-    if not _in_ranges(f"verify {name}", _SUITE_RANGES[name], values, flags):
-        return 2
-    kwargs = {flag: values[flag] for flag in flags if values[flag] is not None}
+    name = args.target
+    # a flag left unset takes the suite's own default
+    kwargs = {flag: getattr(args, flag) for flag in _FLAGS[f"verify {name}"]
+              if getattr(args, flag) is not None}
 
     # A ValueError raised inside a suite is a bug, not a usage error,
     # and propagates.
@@ -208,27 +231,9 @@ def cmd_verify(args) -> int:
 # search
 
 
-#: the flags each search reads and the values it accepts, checked like
-#: _SUITE_RANGES before any work starts.  --n is capped by the
-#: exhaustive pair enumeration, --maxlen by the identity search's word
-#: budget (see the README for its cost).
-_SEARCH_RANGES = {
-    "identities": {
-        "n": (0, idlab.PAIR_ENUMERATION_CAP),
-        "maxlen": (0, idlab.MAXLEN_CAP),
-        "limit": (0, None),
-    },
-    "counterexample": {"n": (0, idlab.PAIR_ENUMERATION_CAP), "eq": (None, None)},
-    "witness14": {},
-}
-
-
 def cmd_search(args) -> int:
-    if not _in_ranges(f"search {args.kind}", _SEARCH_RANGES[args.kind], vars(args),
-                      ("n", "maxlen", "limit", "eq")):
-        return 2
     n = 2 if args.n is None else args.n
-    if args.kind == "identities":
+    if args.target == "identities":
         maxlen = 13 if args.maxlen is None else args.maxlen
         equations, scope_desc, examined = idlab.search_identities(
             maxlen, n=n, limit=args.limit
@@ -253,8 +258,8 @@ def cmd_search(args) -> int:
             _emit("\n".join(lines) + "\n", args.out)
         return 0
 
-    if args.kind == "counterexample":
-        if not args.eq or "=" not in args.eq:
+    if args.target == "counterexample":
+        if "=" not in args.eq:
             print("--eq LHS=RHS is required for counterexample search", file=sys.stderr)
             return 2
         # a word that does not parse is a usage error, and nothing else
@@ -299,27 +304,12 @@ def cmd_search(args) -> int:
 # dump
 
 
-#: the flags each dump target reads, checked like _SUITE_RANGES before
-#: any model is built: a window spans at least 2 elements, and the
-#: segment {0..M} (ground size M + 1) fits the table cap
-_ANY, _WINDOW = (None, None), {"m": (2, None), "M": (2, MAX_GROUND_SIZE - 1)}
-_DUMP_RANGES = {
-    "model": dict(_WINDOW, name=_ANY),
-    "monoid": dict(_WINDOW, model=_ANY, gens=_ANY, cap=(1, None)),
-    "hasse": dict(_WINDOW, model=_ANY, gens=_ANY, cap=(1, None)),
-    "orbit": dict(_WINDOW, model=_ANY, word=_ANY, start=_ANY, iters=(1, None)),
-}
-
 #: the most table entries, --cap elements of 2**n masks each, that a
 #: monoid or hasse dump may hold: its peak memory grows with them, at
 #: about 0.19 MB per element at n = 11, so 2**22 entries keep a dump
 #: under about 400 MB.  An unset --cap is DEFAULT_CAP, or less where
 #: that many elements would pass this bound.
 DUMP_ENTRIES_CAP = 1 << 22
-
-#: the flags each dump target cannot do without
-_DUMP_NEEDS = {"model": ("name",), "monoid": ("model",), "hasse": ("model",),
-               "orbit": ("model", "word", "start")}
 
 
 def _reads_window(name: str, args, flag: Optional[str]) -> None:
@@ -330,22 +320,27 @@ def _reads_window(name: str, args, flag: Optional[str]) -> None:
             raise ValueError(f"model {name} does not take --{unread}")
 
 
-def _model_from_flags(name: str, args):
+def _model_from_flags(name: str, args) -> tuple[int, Callable]:
+    """The ground size of model name under the window flags, and a call
+    that builds it; a name or window flag that names nothing is refused
+    before anything is built."""
     if name in ("example3-literal", "example3-repaired", "example3"):
         _reads_window(name, args, "M")
         variant = "literal" if name == "example3-literal" else "repaired"
-        return models.example3(args.M if args.M is not None else 10, variant=variant)
+        M = args.M if args.M is not None else 10
+        return M + 1, functools.partial(models.example3, M, variant=variant)
     _reads_window(name, args, "m")  # section4 and pij(i,j) read --m
     m = args.m if args.m is not None else 4
     if name == "section4":
         # an orbit reads no table, so it walks the cycle as functions
-        return models.section4_model(m, materialize=args.what != "orbit")
+        return 2 * m + 2, functools.partial(models.section4_model, m,
+                                            materialize=args.target != "orbit")
     if name.startswith("pij(") and name.endswith(")"):
         inner = name[4:-1].split(",")
         if len(inner) != 2:
             raise ValueError(f"bad pij name {name!r}, expected pij(i,j)")
         i, j = (int(part) for part in inner)
-        return models.pij_pair(i, j, m)
+        return 2 * m, functools.partial(models.pij_pair, i, j, m)
     raise ValueError(f"unknown model name {name!r}")
 
 
@@ -355,7 +350,7 @@ def _named_generators(model_name: str, args) -> dict:
         _reads_window(model_name, args, None)
         k, _seed = models.kuratowski_witness()
         return {"k": k, "c": complement_table(k.ground_size)}
-    model = _model_from_flags(model_name, args)
+    model = _model_from_flags(model_name, args)[1]()
     return {
         "p": model.p,
         "q": model.q,
@@ -364,26 +359,28 @@ def _named_generators(model_name: str, args) -> dict:
 
 
 def cmd_dump(args) -> int:
-    what = args.what
-    if not _in_ranges(f"dump {what}", _DUMP_RANGES[what], vars(args),
-                      ("name", "model", "iters", "cap", "gens", "word", "start", "m", "M")):
-        return 2
-    missing = [f"--{flag}" for flag in _DUMP_NEEDS[what] if getattr(args, flag) is None]
-    if missing:
-        print(f"dump {what} requires " + ", ".join(missing), file=sys.stderr)
-        return 2
-
+    what = args.target
     # A --word that does not parse, or a model name, window or --start
     # that names nothing, is a usage error; a model failing its own
     # screen, or any later ValueError, is a bug and propagates.
     try:
         if what in ("monoid", "hasse"):
+            n = (models.KURATOWSKI_GROUND if args.model == "witness14"
+                 else _model_from_flags(args.model, args)[0])
+            most = DUMP_ENTRIES_CAP >> n
+            cap = args.cap or min(monoid_mod.DEFAULT_CAP, most)  # a --cap given is at least 1
+            # a model past the table cap is refused by its constructor,
+            # before it builds anything
+            if cap > most and n <= MAX_GROUND_SIZE:
+                print(f"usage error: dump {what} takes --cap 1..{most} at ground size {n},"
+                      f" got {cap}", file=sys.stderr)
+                return 2
             named = _named_generators(args.model, args)
         elif what == "model":
-            model = _model_from_flags(args.name, args)
+            model = _model_from_flags(args.name, args)[1]()
         else:
             word = parse_word(args.word)
-            model = _model_from_flags(args.model, args)
+            model = _model_from_flags(args.model, args)[1]()
             start = model.mask_of_names(args.start)
     except models.ModelConstructionError:
         raise
@@ -424,13 +421,6 @@ def cmd_dump(args) -> int:
             f"(available: {sorted(named)})",
             file=sys.stderr,
         )
-        return 2
-    n = named[letters[0]].ground_size
-    most = DUMP_ENTRIES_CAP >> n
-    cap = args.cap or min(monoid_mod.DEFAULT_CAP, most)  # a --cap given is at least 1
-    if cap > most:
-        print(f"usage error: dump {what} takes --cap 1..{most} at ground size {n},"
-              f" got {cap}", file=sys.stderr)
         return 2
     mon = monoid_mod.generate_monoid([named[g] for g in letters], cap=cap,
                                      names=tuple(letters))
@@ -481,17 +471,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help=argparse.SUPPRESS)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("name", choices=sorted(SUITES))
+    v.add_argument("target", choices=sorted(SUITES), metavar="name", help="%(choices)s")
     v.add_argument("--n", type=int, default=None, help="ground size scope")
     v.add_argument("--m", type=int, default=None, help="cycle half-length")
     v.add_argument("--M", type=int, default=None, help="segment endpoint")
-    v.add_argument("--samples", type=_positive_int, default=None,
+    v.add_argument("--samples", type=int, default=None,
                    help="sampled pairs per size for theorem2")
     v.add_argument("--seed", type=int, default=None, help="sampling seed for theorem2")
     common(v)
 
     s = sub.add_parser("search", help="identity survey or counterexample hunt")
-    s.add_argument("kind", choices=["identities", "counterexample", "witness14"])
+    s.add_argument("target", choices=["identities", "counterexample", "witness14"],
+                   metavar="kind", help="%(choices)s")
     s.add_argument("--n", type=int, default=None, help="exhaustive scope bound")
     s.add_argument("--maxlen", type=int, default=None)
     s.add_argument("--limit", type=int, default=None)
@@ -501,14 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
     # no prefix matching, or a stray --n would be taken for --name
     d = sub.add_parser("dump", help="serialize models and derived artifacts",
                        allow_abbrev=False)
-    d.add_argument("what", choices=["model", "monoid", "orbit", "hasse"])
+    d.add_argument("target", choices=["model", "monoid", "orbit", "hasse"], metavar="what",
+                   help="%(choices)s")
     d.add_argument("--name", default=None, help="model name for dump model")
     d.add_argument("--model", default=None, help="model name for monoid/orbit/hasse")
+    d.add_argument("--iters", type=int, default=None, help="orbit steps (default 10)")
+    d.add_argument("--cap", type=int, default=None, help="monoid size cap")
     d.add_argument("--gens", default=None, help="generator letters (default c,k)")
     d.add_argument("--word", default=None)
     d.add_argument("--start", default=None, help="comma list of element names")
-    d.add_argument("--iters", type=int, default=None, help="orbit steps (default 10)")
-    d.add_argument("--cap", type=int, default=None, help="monoid size cap")
     d.add_argument("--m", type=int, default=None)
     d.add_argument("--M", type=int, default=None)
     common(d)
@@ -523,12 +515,13 @@ _FORMATS = {"verify": ("text", "json"), "search": ("text", "json"), "dump model"
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = f"dump {args.what}" if args.command == "dump" else args.command
-    formats = _FORMATS[command]
+    command = f"{args.command} {args.target}"
+    rendered = command if args.command == "dump" else args.command
+    formats = _FORMATS[rendered]
     if args.format is None:
         args.format = formats[0]
     elif args.format not in formats:
-        print(f"{command} supports --format {' or '.join(formats)}", file=sys.stderr)
+        print(f"{rendered} supports --format {' or '.join(formats)}", file=sys.stderr)
         return 2
     if args.out is not None:
         # a relative --out is taken in $CLOSURELAB_OUT when that is set
@@ -536,6 +529,10 @@ def main(argv=None) -> int:
         if not _writable(args.out):
             print(f"usage error: cannot write --out {args.out}", file=sys.stderr)
             return 2
+    error = _flag_error(command, args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "search":

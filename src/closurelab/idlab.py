@@ -597,9 +597,13 @@ def _kc_screen(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 #: no closure on at most this many points has a separating seed, by the
 #: witness search's sweep at n <= 4 and by verify kuratowski14 --n 5
 WITNESS_FREE_CAP = 5
+#: the largest ground size the witness search walks, and the seeded
+#: trials it draws at each size past WITNESS_FREE_CAP
+WITNESS_MAX_N = 8
+WITNESS_TRIALS = 30_000
 
 
-def find_kuratowski_witness(max_n: int = 8, trials: int = 30000):
+def find_kuratowski_witness():
     """Search for a closure whose monoid with complement has exactly 14
     elements together with a seed subset taking 14 pairwise distinct
     images, smallest ground size first.
@@ -622,12 +626,12 @@ def find_kuratowski_witness(max_n: int = 8, trials: int = 30000):
     values, and 14 distinct values there mean a monoid of 14 elements
     with a seed of 14 distinct images, and the other way round.
     """
-    for n in chain(range(1, ENUMERATION_CAP + 1), range(WITNESS_FREE_CAP + 1, max_n + 1)):
-        for block in _closure_blocks(n, trials):
+    for n in chain(range(1, ENUMERATION_CAP + 1), range(WITNESS_FREE_CAP + 1, WITNESS_MAX_N + 1)):
+        for block in _closure_blocks(n, WITNESS_TRIALS):
             seeds = _kc_screen(block)[2]
             hit = seeds >= 0
             if hit.any():
                 row = int(hit.argmax())
                 fixed = np.flatnonzero(block[row] == np.arange(1 << n))
                 return n, tuple(fixed.tolist()), int(seeds[row])
-    raise RuntimeError(f"no separating 14-element witness found at n <= {max_n}")
+    raise RuntimeError(f"no separating 14-element witness found at n <= {WITNESS_MAX_N}")

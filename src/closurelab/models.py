@@ -474,7 +474,7 @@ def section4_model(m: int, materialize: bool = True) -> ClosurePairModel:
 # sizes <= 4, where monoid size 14 occurs but no seed separates all 14
 # operators; at ground size 5 verify kuratowski14 --n 5 checks every
 # closure and finds no separating seed either.
-_KURATOWSKI_GROUND = 6
+KURATOWSKI_GROUND = 6
 _KURATOWSKI_FIXED_POINTS = (
     0, 1, 2, 3, 5, 7, 11, 15, 32, 33, 34, 35,
     37, 39, 43, 47, 49, 53, 55, 63,
@@ -485,5 +485,5 @@ _KURATOWSKI_SEED = 18  # the subset {1, 4}
 def kuratowski_witness() -> tuple[OperatorTable, int]:
     """The pinned closure table and seed subset attaining the
     14-element monoid ceiling with complement."""
-    k = closure_from_fixed_points(_KURATOWSKI_GROUND, _KURATOWSKI_FIXED_POINTS)
+    k = closure_from_fixed_points(KURATOWSKI_GROUND, _KURATOWSKI_FIXED_POINTS)
     return k, _KURATOWSKI_SEED

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations, product
 
 import numpy as np
@@ -383,12 +384,9 @@ def suite_section4(m: int = 4) -> SuiteReport:
     )
     data["intermediates"] = inter_ok
 
-    growth = []
-    for mm in (4, 8, 16):
-        fam = models.section4_model(mm, materialize=False)
-        o = monoid_mod.orbit("cpcpcqcq", fam, 1 | (1 << (2 * mm)))
-        growth.append((mm, o.distinct_count))
-        lines.append(f"growth m={mm}: {o.distinct_count} distinct images")
+    growth = monoid_mod.growth_study(partial(models.section4_model, materialize=False),
+                                     "cpcpcqcq", lambda mm: 1 | (1 << (2 * mm)), (4, 8, 16))
+    lines += [f"growth m={mm}: {count} distinct images" for mm, count in growth]
     growth_ok = [g for _, g in growth] == [4, 8, 16]
     report.passed &= growth_ok
     lines.append(f"growth pattern 4/8/16: {'PASS' if growth_ok else 'FAIL'}")

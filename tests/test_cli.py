@@ -4,6 +4,7 @@ Everything runs in process through main(argv) so exit codes and
 output bytes are observable without spawning a subprocess.
 """
 
+import argparse
 import enum
 import json
 
@@ -109,9 +110,8 @@ def test_verify_scope_flags_are_checked_before_the_suite_runs(
 
 
 def test_verify_samples_cap_is_checked_before_the_suite_runs(capsys, monkeypatch):
-    # the scope-flag check above for --samples: its low bound is
-    # refused while parsing (test_counts_below_one_are_usage_errors),
-    # and a count over the cap before the suite draws a seed
+    # the scope-flag check above for --samples: a count below 1 or over
+    # the cap is refused before the suite draws a seed
     cap = idlab.SAMPLE_COUNT_CAP
     assert cap == 10_000
     calls = []
@@ -121,9 +121,10 @@ def test_verify_samples_cap_is_checked_before_the_suite_runs(capsys, monkeypatch
         return SuiteReport("theorem2", True, ["stub"], {})
 
     monkeypatch.setitem(SUITES, "theorem2", stub)
-    code, out, err = run_cli(capsys, "verify", "theorem2", "--samples", str(cap + 1))
-    assert (code, out) == (2, "")
-    assert err == f"usage error: verify theorem2 takes --samples 1..{cap}, got {cap + 1}\n"
+    for value in (0, cap + 1):
+        code, out, err = run_cli(capsys, "verify", "theorem2", "--samples", str(value))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: verify theorem2 takes --samples 1..{cap}, got {value}\n"
     assert calls == []
     for value in (1, cap):
         assert run_cli(capsys, "verify", "theorem2", "--samples", str(value))[0] == 0
@@ -234,10 +235,22 @@ def test_verify_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
 @pytest.mark.parametrize("flag,value", [
     ("--samples", "0"), ("--samples", "-3"), ("--workers", "0"), ("--workers", "-2"),
 ])
-def test_counts_below_one_are_usage_errors(capsys, flag, value):
-    # rejected while parsing, before any suite runs or pool starts
+def test_counts_below_one_are_usage_errors(capsys, monkeypatch, flag, value):
+    # --workers is rejected while parsing and --samples by its flag
+    # bounds, both before any suite runs
+    def never(**kwargs):
+        raise AssertionError("ran despite a count below 1")
+
+    monkeypatch.setitem(SUITES, "theorem2", never)
+    argv = ["verify", "theorem2", "--n", "1", flag, value]
+    if flag == "--samples":
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: verify theorem2 takes --samples"
+                       f" 1..{idlab.SAMPLE_COUNT_CAP}, got {value}\n")
+        return
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "theorem2", "--n", "1", flag, value])
+        cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -248,6 +261,25 @@ def test_unknown_suite_name_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_each_command_the_parser_accepts_has_one_flag_table_entry():
+    # every (verb, target) the parser accepts has its entry in the flag
+    # table, each flag an entry names is a flag of that verb's parser,
+    # and each flag a command needs is one its entry reads
+    parser = cli.build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = []
+    for verb, sub in verbs.choices.items():
+        flags = {a.dest for a in sub._actions if a.option_strings}
+        targets = next(a for a in sub._actions if a.dest == "target").choices
+        for target in targets:
+            command = f"{verb} {target}"
+            commands.append(command)
+            assert set(cli._FLAGS[command]) <= flags - set(cli._SHARED), command
+            assert set(cli._NEEDS.get(command, ())) <= set(cli._FLAGS[command]), command
+    assert sorted(commands) == sorted(cli._FLAGS)
+    assert set(cli._NEEDS) <= set(commands)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +403,8 @@ def test_search_identities_json_streams_the_bytes_of_json_dumps(
 
 
 def test_search_counterexample_flag_errors(capsys):
-    code, _, err = run_cli(capsys, "search", "counterexample")
-    assert code == 2
-    assert "--eq" in err
+    code, out, err = run_cli(capsys, "search", "counterexample")
+    assert (code, out, err) == (2, "", "search counterexample requires --eq\n")
 
     code, _, err = run_cli(capsys, "search", "counterexample", "--eq", "pqqp")
     assert code == 2
@@ -438,14 +469,20 @@ def test_dump_model_flag_errors(capsys):
 
 
 @pytest.mark.parametrize("argv,flag,bounds", [
-    (["dump", "model", "--name", "section4", "--m", "1"], "--m", "2 or more"),
+    (["dump", "model", "--name", "section4", "--m", "1"], "--m", "2..1024"),
     (["dump", "orbit", "--model", "section4", "--m", "0", "--word", "p", "--start", "0"],
-     "--m", "2 or more"),
+     "--m", "2..1024"),
     (["dump", "model", "--name", "example3", "--M", "20"], "--M", "2..19"),
     (["dump", "monoid", "--model", "example3", "--M", "1", "--gens", "p"], "--M", "2..19"),
     (["dump", "hasse", "--model", "witness14", "--cap", "0"], "--cap", "1 or more"),
     (["dump", "orbit", "--model", "section4", "--word", "p", "--start", "0",
-      "--iters", "0"], "--iters", "1 or more"),
+      "--iters", "0"], "--iters", "1..4096"),
+    # an orbit of the flagged cycle walks it as functions at any size,
+    # so the window and the walk are bounded
+    (["dump", "orbit", "--model", "section4", "--m", "1025", "--word", "cpcpcqcq",
+      "--start", "0,top"], "--m", "2..1024"),
+    (["dump", "orbit", "--model", "section4", "--m", "8", "--word", "cpcpcqcq",
+      "--start", "0,top", "--iters", "4097"], "--iters", "1..4096"),
 ])
 def test_dump_flags_are_checked_before_any_work(capsys, monkeypatch, argv, flag, bounds):
     def never(*args, **kwargs):
@@ -548,18 +585,28 @@ def test_dump_hasse_of_a_truncated_monoid_is_a_usage_error(capsys):
 def test_dump_cap_is_bounded_by_table_entries(capsys, monkeypatch):
     # --cap elements of 2**n entries each may not pass DUMP_ENTRIES_CAP:
     # at M = 12 (n = 13) --cap 10000 would hold about 82 million
-    # entries, refused before the BFS allocates any
+    # entries, refused before any model is built or the BFS allocates
+    # anything; the ground size follows from the model name and window
     def never(*args, **kwargs):
-        raise AssertionError("generated a monoid despite a --cap past the entry bound")
+        raise AssertionError("built a model or monoid despite a --cap past the entry bound")
 
     monkeypatch.setattr(monoid_mod, "generate_monoid", never)
+    for name in ("section4_model", "example3", "pij_pair", "kuratowski_witness"):
+        monkeypatch.setattr(models, name, never)
     for what in ("monoid", "hasse"):
-        for cap in ("10000", "513"):
+        for window, cap, n in ((("--M", "12"), "10000", 13), (("--M", "12"), "513", 13),
+                               (("--M", "19"), "100000", 20)):
             code, out, err = run_cli(capsys, "dump", what, "--model", "example3-repaired",
-                                     "--M", "12", "--gens", "p,q,c", "--cap", cap)
+                                     *window, "--gens", "p,q,c", "--cap", cap)
             assert (code, out) == (2, "")
-            assert err == (f"usage error: dump {what} takes --cap 1..512 at ground"
-                           f" size 13, got {cap}\n")
+            assert err == (f"usage error: dump {what} takes --cap"
+                           f" 1..{cli.DUMP_ENTRIES_CAP >> n} at ground size {n}, got {cap}\n")
+    for model, window, n in (("section4", ("--m", "9"), 20), ("pij(1,0)", ("--m", "5"), 10),
+                             ("witness14", (), 6)):
+        code, out, err = run_cli(capsys, "dump", "monoid", "--model", model, *window,
+                                 "--cap", "100000")
+        assert (code, out) == (2, "")
+        assert err.endswith(f" at ground size {n}, got 100000\n")
     assert cli.DUMP_ENTRIES_CAP >> 13 == 512
 
 
