@@ -45,6 +45,8 @@ KEPT = frozenset({
     "opalg.OperatorTable.from_json", "opalg.OperatorTable.to_json",
     # reached only with --out
     "cli._writable",
+    # the tests' composition reference, and the data model
+    "opalg.OperatorTable.compose",
     # the data model, and errors on input no exercised path gives
     "opalg.OperatorTable.__hash__", "opalg.OperatorTable.__repr__",
     "opalg.OperatorTable.__setattr__", "opalg.AdditiveOperator.__hash__",

@@ -30,7 +30,7 @@ import time
 from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import idlab, models
 from . import monoid as monoid_mod
@@ -84,36 +84,59 @@ def _json_key(key) -> str:
     return _encoder(0)({key: 0})[1:-2]
 
 
-def _json_text(obj, depth: int = 0) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\\n";
-    at a depth past 0, obj's text as an item there, with no newline.
+def _json_chunks(obj, depth: int = 0) -> Iterator[str]:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\\n",
+    in chunks; at a depth past 0, obj's text as an item there, with no
+    newline.  A dict or a list of anything but scalars is written a key
+    or an item at a time, so no text longer than one flat item is built.
     A str or an exact int, and a list of only those, is spelled here;
-    any other list of scalars is written by one call to the C encoder.
-    Each bracketed text is one f-string over its items' text, so the
-    items' text is not copied twice while it is alive."""
+    any other list of scalars is written by one call to the C encoder."""
     pad = "\n" + "  " * (depth + 1)
     end = "" if depth else "\n"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj) + end
-    if type(obj) is int:
-        return int.__repr__(obj) + end
     if isinstance(obj, dict) and obj:
         # keys are sorted, then spelled: 8 before 10
-        items = ("," + pad).join(_json_key(key) + _json_text(value, depth + 1)
-                                 for key, value in sorted(obj.items()))
-        return f"{{{pad}{items}{pad[:-2]}}}{end}"
-    if isinstance(obj, (list, tuple)) and obj:
-        kinds = set(map(type, obj))
-        if kinds == {str} and _plain("".join(obj)):
-            items = '"' + ('",' + pad + '"').join(obj) + '"'
-        elif kinds == {int}:
-            items = ("," + pad).join(map(int.__repr__, obj))
-        elif _SCALARS.issuperset(kinds):
-            items = _encoder(depth + 1)(obj)[1:-1]
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield ("," if i else "{") + pad + _json_key(key)
+            yield from _json_chunks(value, depth + 1)
+        yield pad[:-2] + "}" + end
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = _flat_items(obj, pad, depth)
+        if items is None:
+            for i, value in enumerate(obj):
+                yield ("," if i else "[") + pad
+                yield from _json_chunks(value, depth + 1)
+            yield pad[:-2] + "]" + end
         else:
-            items = ("," + pad).join(_json_text(value, depth + 1) for value in obj)
-        return f"[{pad}{items}{pad[:-2]}]{end}"
-    return _encoder(0)(obj) + end  # another scalar, [] or {}
+            yield f"[{pad}{items}{pad[:-2]}]{end}"
+    elif isinstance(obj, str):
+        yield encode_basestring_ascii(obj) + end
+    elif type(obj) is int:
+        yield int.__repr__(obj) + end
+    else:
+        yield _encoder(0)(obj) + end  # another scalar, [] or {}
+
+
+def _flat_items(items, pad: str, depth: int) -> Optional[str]:
+    """The text between the brackets of a list of only scalars, its
+    items joined by "," + pad; None for a list holding anything else.
+    A list that starts with a str is classified by one join, which
+    fails on any item that is not a str; the types are looked at only
+    when it fails or the list starts with something else."""
+    if isinstance(items[0], str):
+        try:
+            text = "".join(items)
+        except TypeError:
+            pass
+        else:
+            if _plain(text):
+                return '"' + ('",' + pad + '"').join(items) + '"'
+            return _encoder(depth + 1)(items)[1:-1]
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return ("," + pad).join(map(int.__repr__, items))
+    if _SCALARS.issuperset(kinds):
+        return _encoder(depth + 1)(items)[1:-1]
+    return None
 
 
 def _meta_header(argv_echo: str, elapsed: float) -> str:
@@ -124,9 +147,10 @@ def _meta_header(argv_echo: str, elapsed: float) -> str:
     )
 
 
-def _render_suite(report: SuiteReport, fmt: str, argv_echo: str, elapsed: float) -> str:
+def _render_suite(report: SuiteReport, fmt: str, argv_echo: str,
+                  elapsed: float) -> Union[str, Iterable[str]]:
     if fmt == "json":
-        return _json_text(report.data)
+        return _json_chunks(report.data)
     body = "\n".join(report.lines) + "\n"
     return _meta_header(argv_echo, elapsed) + body
 
@@ -270,7 +294,7 @@ def cmd_search(args) -> int:
             return 2
         cert = idlab.search_counterexample(lhs, rhs, max_n=n)
         if args.format == "json":
-            _emit(_json_text(cert.to_json()), args.out)
+            _emit(_json_chunks(cert.to_json()), args.out)
         else:
             _emit(f"search counterexample {lhs} = {rhs}\n{cert.summary()}\n", args.out)
         return 0 if not cert.holds else 1
@@ -287,7 +311,7 @@ def cmd_search(args) -> int:
         "seed": elements_of(seed),
     }
     if args.format == "json":
-        _emit(_json_text(payload), args.out)
+        _emit(_json_chunks(payload), args.out)
     else:
         lines = [
             "search witness14",
@@ -305,10 +329,10 @@ def cmd_search(args) -> int:
 
 
 #: the most table entries, --cap elements of 2**n masks each, that a
-#: monoid or hasse dump may hold: its peak memory grows with them, at
-#: about 0.19 MB per element at n = 11, so 2**22 entries keep a dump
-#: under about 400 MB.  An unset --cap is DEFAULT_CAP, or less where
-#: that many elements would pass this bound.
+#: monoid or hasse dump may hold: its peak memory grows with them, and
+#: a monoid dump of 2**22 entries (--M 8, 10 or 12 with p,q,c) peaks at
+#: about 100 MB in a fresh process.  An unset --cap is DEFAULT_CAP, or
+#: less where that many elements would pass this bound.
 DUMP_ENTRIES_CAP = 1 << 22
 
 
@@ -345,9 +369,9 @@ def _model_from_flags(name: str, args) -> tuple[int, Callable]:
 
 
 def _named_generators(model_name: str, args) -> dict:
-    """Letter -> operator table for monoid and hasse dumps."""
+    """Letter -> operator table for monoid and hasse dumps: k and c for
+    witness14, p, q and c for any other model."""
     if model_name == "witness14":
-        _reads_window(model_name, args, None)
         k, _seed = models.kuratowski_witness()
         return {"k": k, "c": complement_table(k.ground_size)}
     model = _model_from_flags(model_name, args)[1]()
@@ -375,6 +399,19 @@ def cmd_dump(args) -> int:
                 print(f"usage error: dump {what} takes --cap 1..{most} at ground size {n},"
                       f" got {cap}", file=sys.stderr)
                 return 2
+            # the letters a model offers follow from its name, so they
+            # are checked before it is built
+            offered = ("p", "q", "c")
+            if args.model == "witness14":
+                _reads_window(args.model, args, None)
+                offered = ("k", "c")
+            gens = "c,k" if args.gens is None else args.gens
+            letters = [part.strip() for part in gens.split(",") if part.strip()]
+            missing = [g for g in letters if g not in offered]
+            if missing or not letters:
+                print(f"generators {missing} not available for model {args.model}"
+                      f" (available: {sorted(offered)})", file=sys.stderr)
+                return 2
             named = _named_generators(args.model, args)
         elif what == "model":
             model = _model_from_flags(args.name, args)[1]()
@@ -389,7 +426,7 @@ def cmd_dump(args) -> int:
         return 2
 
     if what == "model":
-        _emit(_json_text(model.to_json()), args.out)
+        _emit(_json_chunks(model.to_json()), args.out)
         return 0
 
     if what == "orbit":
@@ -402,7 +439,7 @@ def cmd_dump(args) -> int:
                 "cycle_entry": rep.cycle_entry,
                 "truncated": rep.truncated,
             }
-            _emit(_json_text(payload), args.out)
+            _emit(_json_chunks(payload), args.out)
         else:
             buf = io.StringIO()
             writer = csv.writer(buf)
@@ -412,20 +449,10 @@ def cmd_dump(args) -> int:
             _emit(buf.getvalue(), args.out)
         return 0
 
-    gens = "c,k" if args.gens is None else args.gens
-    letters = [part.strip() for part in gens.split(",") if part.strip()]
-    missing = [g for g in letters if g not in named]
-    if missing or not letters:
-        print(
-            f"generators {missing} not available for model {args.model} "
-            f"(available: {sorted(named)})",
-            file=sys.stderr,
-        )
-        return 2
     mon = monoid_mod.generate_monoid([named[g] for g in letters], cap=cap,
                                      names=tuple(letters))
     if what == "monoid":
-        _emit(_json_text(mon.to_json()), args.out)
+        _emit(_json_chunks(mon.to_json()), args.out)
         return 0
     if mon.truncated:
         print(f"usage error: dump hasse orders the whole monoid, which has more"
@@ -437,7 +464,7 @@ def cmd_dump(args) -> int:
         "nodes": nodes,
         "edges": [[nodes[lo], nodes[hi]] for lo, hi in edges],
     }
-    _emit(_json_text(payload), args.out)
+    _emit(_json_chunks(payload), args.out)
     return 0
 
 
@@ -454,7 +481,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state
+    from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="closurelab",
         description="verification and search workbench for complement "

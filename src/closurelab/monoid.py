@@ -7,14 +7,18 @@ c first, matching word semantics).  Elements are deduplicated by exact
 table equality; witness words come out shortest-first with ties broken
 by generator order, which makes every result canonical and replayable.
 
-The engine is generic over the operator representation: anything with
-identity(), compose(), key() and ground_size works, so the same BFS
-runs on materialized tables and on the exact additive representation
-used past the table cap.
+The BFS has two paths with the same output.  When every generator is an
+OperatorTable, it runs a level at a time over one stack of tables: one
+gather gives every (element, generator) product of a block of the
+level, and the new rows are found by their bytes in the narrowest dtype
+that holds a mask.  Any other operator representation, such as the
+exact additive one used past the table cap, is composed an edge at a
+time through its identity(), compose() and key().
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,23 +34,37 @@ DEFAULT_CAP = 10000
 class GeneratedMonoid:
     generators: tuple
     generator_names: tuple[str, ...]
-    elements: list
     witnesses: list[str]
     cayley: list[list[int]]  # cayley[e][g] = index of elements[e] . gen[g]
     truncated: bool
+    #: the elements' tables, one read-only (k, 2**n) stack in the
+    #: narrowest dtype that holds a mask; None when the generators
+    #: are not tables
+    tables: Optional[np.ndarray] = None
+    #: the elements, when the generators are not tables
+    operators: Optional[list] = None
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.witnesses)
+
+    @functools.cached_property
+    def elements(self) -> list:
+        """The elements in BFS order: the operators composed, or an
+        OperatorTable per row of tables, built on first use."""
+        if self.tables is None:
+            return self.operators
+        n = self.generators[0].ground_size
+        return [OperatorTable(n, row.astype(np.int64), _validate=False) for row in self.tables]
 
     def to_json(self) -> dict:
-        if not all(isinstance(e, OperatorTable) for e in self.elements):
+        if self.tables is None:
             raise ValueError("only table-backed monoids serialize to JSON")
+        n = self.generators[0].ground_size
         return {
             "generator_names": list(self.generator_names),
-            "size": len(self.elements),
+            "size": len(self),
             "truncated": self.truncated,
-            "elements": [{"n": self.elements[0].ground_size, "entries": row} for row in
-                         hex_rows(np.stack([e.entries for e in self.elements]))],
+            "elements": [{"n": n, "entries": row} for row in hex_rows(self.tables)],
             "witnesses": list(self.witnesses),
             "cayley": [list(row) for row in self.cayley],
         }
@@ -76,44 +94,90 @@ def generate_monoid(generators, cap: int = DEFAULT_CAP, names=None) -> Generated
     if len(names) != len(generators):
         raise ValueError("one name per generator")
 
-    ident = generators[0].identity()
-    elements = [ident]
-    witnesses = [""]
-    index = {ident.key(): 0}
-    cayley: list[list[int]] = [[-1] * len(generators)]
-    truncated = False
+    if all(isinstance(g, OperatorTable) for g in generators):
+        tables, witnesses, edges, truncated = _table_bfs(generators, n, cap, names)
+        operators = None
+    else:
+        operators, witnesses, edges, truncated = _operator_bfs(generators, cap, names)
+        tables = None
+    # the edges no head reached before the cap are -1
+    width = len(generators)
+    edges += [-1] * (len(witnesses) * width - len(edges))
+    return GeneratedMonoid(
+        generators=tuple(generators),
+        generator_names=names,
+        witnesses=witnesses,
+        cayley=[edges[at:at + width] for at in range(0, len(edges), width)],
+        truncated=truncated,
+        tables=tables,
+        operators=operators,
+    )
 
+
+def _table_bfs(generators, n: int, cap: int, names: tuple):
+    """The BFS over tables, a level at a time: (the read-only stack of
+    element tables, witnesses, the Cayley entry of each edge expanded
+    in (head, generator) order, truncated).  Each level is gathered in
+    blocks of rows whose products hold at most COVER_BLOCK_ENTRIES
+    entries; a row is keyed by its bytes in the narrowest dtype."""
+    width = len(generators)
+    gens = np.stack([g.entries for g in generators])
+    front = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))[None]
+    levels = [front]
+    witnesses = [""]
+    index = {front[0].tobytes(): 0}
+    edges: list[int] = []
+    step = max(1, opalg.COVER_BLOCK_ENTRIES // (width << n))
     head = 0
-    while head < len(elements):
-        e = elements[head]
-        for gi, g in enumerate(generators):
+    truncated = False
+    while len(front) and not truncated:
+        fresh = []
+        for start in range(0, len(front), step):
+            products = front[start:start + step][:, gens].reshape(-1, 1 << n)
+            keys = products.view(np.dtype((np.void, products.strides[0])))[:, 0].tolist()
+            new = []
+            for j, key in enumerate(keys):
+                at = index.get(key)
+                if at is None:
+                    if len(witnesses) >= cap:
+                        truncated = True
+                        break
+                    at = index[key] = len(witnesses)
+                    row, gi = divmod(j, width)
+                    witnesses.append(witnesses[head + row] + names[gi])
+                    new.append(j)
+                edges.append(at)
+            fresh.append(products[new])
+            head += len(keys) // width
             if truncated:
                 break
+        front = np.concatenate(fresh)
+        levels.append(front)
+    tables = np.concatenate(levels)
+    tables.setflags(write=False)
+    return tables, witnesses, edges, truncated
+
+
+def _operator_bfs(generators, cap: int, names: tuple):
+    """The BFS an edge at a time, for operators without tables:
+    (elements, witnesses, edges, truncated) as in _table_bfs."""
+    elements = [generators[0].identity()]
+    witnesses = [""]
+    index = {elements[0].key(): 0}
+    edges: list[int] = []
+    for head, e in enumerate(elements):
+        for gi, g in enumerate(generators):
             new = e.compose(g)
             key = new.key()
             at = index.get(key)
             if at is None:
                 if len(elements) >= cap:
-                    truncated = True
-                    break
-                at = len(elements)
-                index[key] = at
+                    return elements, witnesses, edges, True
+                at = index[key] = len(elements)
                 elements.append(new)
                 witnesses.append(witnesses[head] + names[gi])
-                cayley.append([-1] * len(generators))
-            cayley[head][gi] = at
-        if truncated:
-            break
-        head += 1
-
-    return GeneratedMonoid(
-        generators=tuple(generators),
-        generator_names=names,
-        elements=elements,
-        witnesses=witnesses,
-        cayley=cayley,
-        truncated=truncated,
-    )
+            edges.append(at)
+    return elements, witnesses, edges, False
 
 
 def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
@@ -128,8 +192,9 @@ def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
     """
     if monoid.truncated:
         raise ValueError("refusing to order a truncated monoid")
-    tables = np.stack([e.entries for e in monoid.elements])
-    strict = leq_matrix(tables, tables)
+    if monoid.tables is None:
+        raise ValueError("only table-backed monoids are ordered")
+    strict = leq_matrix(monoid.tables, monoid.tables)
     np.fill_diagonal(strict, False)
     counts = strict.astype(np.float32)
     step = max(1, opalg.COVER_BLOCK_ENTRIES // len(counts))

@@ -111,9 +111,6 @@ class OperatorTable:
             self.ground_size, self.entries[other.entries], _validate=False
         )
 
-    def identity(self) -> "OperatorTable":
-        return identity_table(self.ground_size)
-
     def key(self) -> bytes:
         """Hashable exact fingerprint of the table."""
         return self.entries.tobytes()
@@ -314,7 +311,8 @@ def leq(f: OperatorTable, g: OperatorTable) -> bool:
 #: the most entries leq_matrix's temporary holds at once
 ORDER_SCREEN_ENTRIES = 1 << 20
 
-#: the most entries of one row block of monoid.hasse's cover test
+#: the most entries of one row block of the monoid module's table BFS
+#: gather and of monoid.hasse's cover test
 COVER_BLOCK_ENTRIES = 1 << 20
 
 

@@ -126,23 +126,31 @@ def compose_tables(outer, inner):
     return tuple(outer[x] for x in inner)
 
 
-def monoid_size_brute(tables):
-    """Size of the composition closure of the given tuple-coded tables,
-    identity included."""
-    size = len(tables[0])
-    ident = tuple(range(size))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in tables:
-                h = compose_tables(e, g)
-                if h not in seen:
-                    seen.add(h)
-                    new.append(h)
-        frontier = new
-    return len(seen)
+def monoid_bfs(tables, names, cap=float("inf")):
+    """The monoid the tuple-coded tables generate under right-
+    composition, identity included, one element at a time: a FIFO from
+    the identity, each head composed with the generators in the given
+    order, stopped at the first new element past cap.  Returns
+    (elements, witness words, Cayley rows, truncated), an edge no head
+    reached being -1."""
+    elements = [tuple(range(len(tables[0])))]
+    witnesses = [""]
+    index = {elements[0]: 0}
+    cayley = []
+    for head, e in enumerate(elements):
+        row = [-1] * len(tables)
+        cayley.append(row)
+        for gi, g in enumerate(tables):
+            h = compose_tables(e, g)
+            if h not in index:
+                if len(elements) == cap:
+                    cayley += [[-1] * len(tables) for _ in elements[len(cayley):]]
+                    return elements, witnesses, cayley, True
+                index[h] = len(elements)
+                elements.append(h)
+                witnesses.append(witnesses[head] + names[gi])
+            row[gi] = index[h]
+    return elements, witnesses, cayley, False
 
 
 def commuting_closure_pairs(n):

@@ -282,6 +282,33 @@ def test_each_command_the_parser_accepts_has_one_flag_table_entry():
     assert set(cli._NEEDS) <= set(commands)
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    # a dump with --cap, one without it, a usage error and a verify give
+    # in one sequence the exit codes and bodies each gives alone
+    calls = [
+        ["dump", "monoid", "--model", "witness14", "--cap", "3"],
+        ["dump", "monoid", "--model", "witness14"],
+        ["dump", "hasse", "--model", "witness14", "--n", "3"],  # refused by the parser
+        ["verify", "lemma6"],
+    ]
+
+    def run(argv):
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except SystemExit as stop:
+            code, out, err = stop.code, *capsys.readouterr()
+        return code, drop_comment_lines(out), err
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [run(argv) for argv in calls] == alone
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+    assert json.loads(alone[0][1])["truncated"] and not json.loads(alone[1][1])["truncated"]
+
+
 # ---------------------------------------------------------------------------
 # search
 
@@ -658,6 +685,28 @@ def test_dump_monoid_gens_validation(capsys):
     assert "--model" in err
 
 
+@pytest.mark.parametrize("argv,err", [
+    # the default c,k on a model that offers p, q and c: at M = 19 the
+    # model alone would take about 0.3 s and 70 MB
+    (["dump", "monoid", "--model", "example3", "--M", "19"],
+     "generators ['k'] not available for model example3 (available: ['c', 'p', 'q'])"),
+    (["dump", "hasse", "--model", "section4", "--m", "3", "--gens", "p,k,c"],
+     "generators ['k'] not available for model section4 (available: ['c', 'p', 'q'])"),
+    (["dump", "monoid", "--model", "pij(1,0)", "--gens", ","],
+     "generators [] not available for model pij(1,0) (available: ['c', 'p', 'q'])"),
+    (["dump", "hasse", "--model", "witness14", "--gens", "k,p,q"],
+     "generators ['p', 'q'] not available for model witness14 (available: ['c', 'k'])"),
+])
+def test_dump_gens_are_checked_before_the_model_is_built(capsys, monkeypatch, argv, err):
+    def never(*args, **kwargs):
+        raise AssertionError("built a model for generators it does not offer")
+
+    for name in ("section4_model", "example3", "pij_pair", "kuratowski_witness"):
+        monkeypatch.setattr(models, name, never)
+    monkeypatch.setattr(monoid_mod, "generate_monoid", never)
+    assert run_cli(capsys, *argv) == (2, "", err + "\n")
+
+
 def test_dump_monoid_example3_closure_pair(capsys):
     code, out, _ = run_cli(capsys, "dump", "monoid", "--model", "example3",
                            "--M", "8", "--gens", "p,q")
@@ -749,6 +798,13 @@ class _Level(enum.IntEnum):
     HIGH = 7
 
 
+class _Name(str):
+    """A str subclass: written as the str it holds."""
+
+    def __str__(self):
+        return "not this"
+
+
 def _witness14_monoid():
     k, _ = models.kuratowski_witness()
     return monoid_mod.generate_monoid([complement_table(k.ground_size), k], names=("c", "k"))
@@ -772,22 +828,26 @@ def test_json_writer_writes_the_bytes_of_json_dumps():
         {0.0: 1}, {-0.0: 1}, {1: 0}, {True: 0}, {_Level.HIGH: 0}, _Level.LOW,
         [1, True], [2**100, -1], [-(2**64), _Level.HIGH], ["a", "\x7f"], ["a", "\u00e9"],
         ["a", '"'], ["", ""], ["0", "1f", "\\", "ff"], ["0", "1f", "ff"], [[0, 1], [-1, 2]],
+        # lists that start with a str: all strings by one join, or not
+        [_Name("a"), "b"], ["a", _Name('"')], _Name("x"), {_Name("k"): _Name("v")},
+        ["a", 1, None], ["a", ["b"], {"c": "d"}], ["\u00e9", 2.5], ["a", True],
         SUITES["kuratowski14"]().data,
         idlab.search_counterexample("pq", "qp").to_json(),
         models.section4_model(3).to_json(),
         _witness14_monoid().to_json(),
     ]
     for obj in corpus:
-        assert cli._json_text(obj) == _dumps(obj), obj
+        assert "".join(cli._json_chunks(obj)) == _dumps(obj), obj
     # a key of another type, or keys that do not sort: TypeError from both
     for obj in ({(1, 2): 0}, {1: 0, "a": 1}, [{1: 0, None: 1}]):
-        for write in (_dumps, cli._json_text):
+        for write in (_dumps, lambda obj: "".join(cli._json_chunks(obj))):
             with pytest.raises(TypeError):
                 write(obj)
 
 
 _json_scalars = (
     st.text() | st.sampled_from(["", "0", "1f", "\\", '"', "\x7f", "\u00e9", "\U0001f600"])
+    | st.sampled_from(["", "a", "1f", '"', "\u00e9"]).map(_Name)
     | st.integers() | st.sampled_from([2**100, -(2**64), _Level.LOW, _Level.HIGH])
     | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
     | st.booleans() | st.none()
@@ -800,6 +860,9 @@ _json_trees = st.recursive(
     lambda children: st.one_of(
         st.lists(children), st.lists(children).map(tuple),
         st.lists(st.sampled_from(["0", "1f", "ff", "", "\\", '"', "\x7f", "\u00e9"])),
+        # a list that starts with a plain str, then anything
+        st.tuples(st.sampled_from(["", "0", "ff", '"']), st.lists(children)).map(
+            lambda parts: [parts[0], *parts[1]]),
         *(st.dictionaries(keys, children) for keys in _json_keys)),
     max_leaves=40)
 
@@ -807,7 +870,7 @@ _json_trees = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(_json_trees)
 def test_json_writer_matches_json_dumps_on_random_trees(obj):
-    assert cli._json_text(obj) == _dumps(obj)
+    assert "".join(cli._json_chunks(obj)) == _dumps(obj)
 
 
 def _hasse_payload(mon):

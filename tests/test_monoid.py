@@ -15,7 +15,7 @@ from closurelab.monoid import (
 from closurelab.opalg import complement_table, eval_word, identity_table, leq, mask_of
 from closurelab.suites import KURATOWSKI_WORDS
 
-from _oracles import monoid_size_brute
+from _oracles import monoid_bfs
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_monoid_size_matches_brute_force():
     c = complement_table(m.ground_size)
     mon = generate_monoid([m.p, m.q, c])
     tables = [tuple(int(v) for v in g.entries) for g in (m.p, m.q, c)]
-    assert len(mon) == monoid_size_brute(tables)
+    assert len(mon) == len(monoid_bfs(tables, "pqc")[0])
 
 
 def test_generation_is_representation_independent():
@@ -86,6 +86,47 @@ def test_generation_is_representation_independent():
     mon_a = generate_monoid([big.p, big.q], names=("p", "q"))
     assert len(mon_t) == len(mon_a) == 17
     assert mon_t.witnesses == mon_a.witnesses
+    assert mon_t.cayley == mon_a.cayley
+    assert mon_t.elements == [e.to_table() for e in mon_a.elements]
+
+
+def _pqc(model):
+    return [model.p, model.q, complement_table(model.ground_size)], ("p", "q", "c")
+
+
+def _witness14_kc():
+    k, _ = kuratowski_witness()
+    return [k, complement_table(k.ground_size)], ("k", "c")
+
+
+_BFS_CASES = {
+    **{f"pij({i},{j}) m={m}": (lambda i=i, j=j, m=m: _pqc(pij_pair(i, j, m)))
+       for m in (2, 3) for i in (0, 1) for j in (0, 1)},
+    "witness14": _witness14_kc,
+    **{f"example3 M={M}": (lambda M=M: _pqc(example3(M))) for M in range(2, 7)},
+    **{f"section4 m={m}": (lambda m=m: _pqc(section4_model(m))) for m in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", list(_BFS_CASES))
+def test_table_bfs_matches_the_one_edge_at_a_time_oracle(case, monkeypatch):
+    # the same elements, witnesses, Cayley rows and truncation as a
+    # tuple-table BFS, with the levels gathered whole and a row at a
+    # time; a monoid of at most 64 elements is cut at every cap, so
+    # the cut falls at each position of a Cayley row
+    gens, names = _BFS_CASES[case]()
+    tables = [tuple(int(v) for v in g.entries) for g in gens]
+    full = monoid_bfs(tables, names)[0]
+    caps = range(1, len(full) + 1) if len(full) <= 64 else [len(full)]
+    for block_entries in (opalg.COVER_BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(opalg, "COVER_BLOCK_ENTRIES", block_entries)
+        for cap in caps:
+            elements, witnesses, cayley, truncated = monoid_bfs(tables, names, cap)
+            mon = generate_monoid(gens, cap=cap, names=names)
+            assert [tuple(row) for row in mon.tables.tolist()] == elements, cap
+            assert (mon.witnesses, mon.cayley, mon.truncated) == (witnesses, cayley, truncated)
+            assert [tuple(e.entries.tolist()) for e in mon.elements] == elements
+            assert not mon.tables.flags.writeable
 
 
 def test_generator_validation():
