@@ -26,7 +26,10 @@ digest of the term_universe tables at depths 1 to 3, of
 check_intended_model(m).as_dict(), and of eval_term on both sides of
 the 90 proposition5_equation instances (blocks of length 2 and 4),
 each over every pair at n <= 2 and every commuting pair at n = 3.
-Those lines read "lib" where a command's read its exit code.
+A last one pins the additive monoids <p, q> of example3_additive at
+M = 8, 16 and 32, whose sizes alone the example3 report prints: their
+witnesses, Cayley rows and elements' singleton images.  Those lines
+read "lib" where a command's read its exit code.
 """
 
 import hashlib
@@ -38,7 +41,7 @@ from itertools import product
 
 sys.path.insert(0, "src")
 
-from closurelab import cli, idlab, theory
+from closurelab import cli, idlab, models, monoid, theory
 
 SUITES = ("theorem1", "kuratowski14", "theorem2", "fixtures", "section4", "example3",
           "lemma6", "interior", "pq-closure", "remark-involution")
@@ -113,6 +116,15 @@ def proposition5_tables(models) -> bytes:
     return b"".join(theory.eval_term(t, m).key() for m in models for t in sides)
 
 
+def additive_monoids() -> bytes:
+    out = []
+    for M in (8, 16, 32):
+        fam = models.example3_additive(M)
+        mon = monoid.generate_monoid([fam.p, fam.q], names=("p", "q"))
+        out.append([mon.witnesses, mon.cayley, [list(e.images) for e in mon.elements]])
+    return json.dumps(out).encode()
+
+
 LIBRARY = (
     ("term_universe depths 1-3", universe_tables),
     ("check_intended_model as_dict", model_reports),
@@ -128,6 +140,8 @@ def main():
     for label, pin in LIBRARY:
         digest = hashlib.sha256(pin(models)).hexdigest()
         print(f"{digest}  lib  {label} (pairs n<=2, commuting pairs n=3)", flush=True)
+    digest = hashlib.sha256(additive_monoids()).hexdigest()
+    print(f"{digest}  lib  generate_monoid additive <p,q> at M=8,16,32", flush=True)
 
 
 if __name__ == "__main__":

@@ -257,8 +257,9 @@ def example3_additive(M: int) -> ClosurePairModel:
 
     The repaired maps preserve unions, so their singleton images
     determine them completely; this constructor works far beyond the
-    table cap and composes exactly, which is what the monoid growth
-    study at large windows runs on.
+    table cap and composes exactly.  generate_monoid takes the pair up
+    to M = 63 (64 points), with each element a row of singleton images,
+    which is what the monoid growth of verify example3 at M = 32 runs on.
     """
     window = WindowSpec("segment", M)
     n = M + 1

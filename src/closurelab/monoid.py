@@ -4,16 +4,17 @@ the pointwise order, orbit iteration, and growth studies.
 Generation is breadth-first from the identity, appending generators on
 the right (so a witness word like "kc" names the element that applies
 c first, matching word semantics).  Elements are deduplicated by exact
-table equality; witness words come out shortest-first with ties broken
-by generator order, which makes every result canonical and replayable.
+equality; witness words come out shortest-first with ties broken by
+generator order, which makes every result canonical and replayable.
 
-The BFS has two paths with the same output.  When every generator is an
-OperatorTable, it runs a level at a time over one stack of tables: one
-gather gives every (element, generator) product of a block of the
-level, and the new rows are found by their bytes in the narrowest dtype
-that holds a mask.  Any other operator representation, such as the
-exact additive one used past the table cap, is composed an edge at a
-time through its identity(), compose() and key().
+There is one BFS and two product kernels.  It runs a level at a time
+over one stack of element rows: one product call gives every
+(element, generator) product of a block of the level, and the new rows
+are found by their bytes in the narrowest dtype that holds a mask.  An
+OperatorTable's row is its table, and a product is one gather.  An
+AdditiveOperator's row is its singleton images, which is what takes
+the growth study past the table cap, and a product ORs the images of
+each singleton's image.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import opalg
-from .opalg import OperatorTable, eval_word_on, hex_rows, leq_matrix
+from .opalg import AdditiveOperator, OperatorTable, eval_word_on, hex_rows, leq_matrix
 
 DEFAULT_CAP = 10000
 
@@ -37,34 +38,33 @@ class GeneratedMonoid:
     witnesses: list[str]
     cayley: list[list[int]]  # cayley[e][g] = index of elements[e] . gen[g]
     truncated: bool
-    #: the elements' tables, one read-only (k, 2**n) stack in the
-    #: narrowest dtype that holds a mask; None when the generators
-    #: are not tables
-    tables: Optional[np.ndarray] = None
-    #: the elements, when the generators are not tables
-    operators: Optional[list] = None
+    #: the elements, one read-only stack of rows in the narrowest dtype
+    #: that holds a mask: (k, 2**n) tables when the generators are
+    #: OperatorTables, (k, n) singleton images when they are
+    #: AdditiveOperators
+    rows: np.ndarray
 
     def __len__(self):
         return len(self.witnesses)
 
     @functools.cached_property
     def elements(self) -> list:
-        """The elements in BFS order: the operators composed, or an
-        OperatorTable per row of tables, built on first use."""
-        if self.tables is None:
-            return self.operators
+        """The elements in BFS order, one operator of the generators'
+        kind per row, built on first use."""
         n = self.generators[0].ground_size
-        return [OperatorTable(n, row.astype(np.int64), _validate=False) for row in self.tables]
+        if isinstance(self.generators[0], OperatorTable):
+            return [OperatorTable(n, row.astype(np.int64), _validate=False) for row in self.rows]
+        return [AdditiveOperator(n, row.tolist()) for row in self.rows]
 
     def to_json(self) -> dict:
-        if self.tables is None:
+        if not isinstance(self.generators[0], OperatorTable):
             raise ValueError("only table-backed monoids serialize to JSON")
         n = self.generators[0].ground_size
         return {
             "generator_names": list(self.generator_names),
             "size": len(self),
             "truncated": self.truncated,
-            "elements": [{"n": n, "entries": row} for row in hex_rows(self.tables)],
+            "elements": [{"n": n, "entries": row} for row in hex_rows(self.rows)],
             "witnesses": list(self.witnesses),
             "cayley": [list(row) for row in self.cayley],
         }
@@ -73,17 +73,22 @@ class GeneratedMonoid:
 def generate_monoid(generators, cap: int = DEFAULT_CAP, names=None) -> GeneratedMonoid:
     """BFS closure of the generators under right-composition.
 
-    Starts from the identity (witness: the empty word).  Deterministic:
-    FIFO frontier, generators expanded in the given order, so witnesses
-    are shortest words with lexicographic-in-generator-order ties.
-    Stops early and sets truncated when the element count would pass
-    cap; the Cayley rows of unexpanded elements are marked -1.
+    The generators are all OperatorTables or all AdditiveOperators on
+    at most 64 points.  Starts from the identity (witness: the empty
+    word).  Deterministic: FIFO frontier, generators expanded in the
+    given order, so witnesses are shortest words with
+    lexicographic-in-generator-order ties.  Stops early and sets
+    truncated when the element count would pass cap; the Cayley rows
+    of unexpanded elements are marked -1.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
         raise ValueError("cap must be positive")
+    if not any(all(isinstance(g, kind) for g in generators)
+               for kind in (OperatorTable, AdditiveOperator)):
+        raise ValueError("generators must be all OperatorTables or all AdditiveOperators")
     n = generators[0].ground_size
     for g in generators:
         if g.ground_size != n:
@@ -93,15 +98,12 @@ def generate_monoid(generators, cap: int = DEFAULT_CAP, names=None) -> Generated
     names = tuple(names)
     if len(names) != len(generators):
         raise ValueError("one name per generator")
+    if isinstance(generators[0], AdditiveOperator) and n > 64:
+        raise ValueError("additive generators are taken on at most 64 points")
 
-    if all(isinstance(g, OperatorTable) for g in generators):
-        tables, witnesses, edges, truncated = _table_bfs(generators, n, cap, names)
-        operators = None
-    else:
-        operators, witnesses, edges, truncated = _operator_bfs(generators, cap, names)
-        tables = None
-    # the edges no head reached before the cap are -1
     width = len(generators)
+    rows, witnesses, edges, truncated = _bfs(*_kernel(generators, n), width, cap, names)
+    # the edges no head reached before the cap are -1
     edges += [-1] * (len(witnesses) * width - len(edges))
     return GeneratedMonoid(
         generators=tuple(generators),
@@ -109,32 +111,49 @@ def generate_monoid(generators, cap: int = DEFAULT_CAP, names=None) -> Generated
         witnesses=witnesses,
         cayley=[edges[at:at + width] for at in range(0, len(edges), width)],
         truncated=truncated,
-        tables=tables,
-        operators=operators,
+        rows=rows,
     )
 
 
-def _table_bfs(generators, n: int, cap: int, names: tuple):
-    """The BFS over tables, a level at a time: (the read-only stack of
-    element tables, witnesses, the Cayley entry of each edge expanded
-    in (head, generator) order, truncated).  Each level is gathered in
-    blocks of rows whose products hold at most COVER_BLOCK_ENTRIES
-    entries; a row is keyed by its bytes in the narrowest dtype."""
-    width = len(generators)
-    gens = np.stack([g.entries for g in generators])
-    front = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))[None]
+def _kernel(generators, n: int):
+    """(the identity row, the block product, the entries the product
+    builds per (row, generator)) for the generators' kind.  The product
+    maps a (k, w) block of rows to the (k, len(generators), w) rows of
+    each row times each generator."""
+    dtype = np.min_scalar_type((1 << n) - 1)
+    if isinstance(generators[0], OperatorTable):
+        gens = np.stack([g.entries for g in generators])
+        return np.arange(1 << n, dtype=dtype), lambda block: block[:, gens], 1 << n
+    # member[g, i, j]: j is in generator g's image of singleton i, so
+    # (e . g)'s image of i is the OR of e's images over those j
+    images = np.array([g.images for g in generators], dtype=dtype).reshape(len(generators), n)
+    member = ((images[:, :, None] >> np.arange(n, dtype=dtype)) & 1).astype(bool)
+    return (np.array([1 << i for i in range(n)], dtype=dtype),
+            lambda block: np.bitwise_or.reduce(np.where(member, block[:, None, None], 0), axis=3),
+            n * n)
+
+
+def _bfs(identity, product, temporary: int, width: int, cap: int, names: tuple):
+    """The BFS a level at a time: (the read-only stack of element rows,
+    witnesses, the Cayley entry of each edge expanded in (head,
+    generator) order, truncated).  Each level goes through the product
+    in blocks of rows whose temporaries hold at most
+    COVER_BLOCK_ENTRIES entries; a row is keyed by its bytes."""
+    front = identity[None]
     levels = [front]
     witnesses = [""]
-    index = {front[0].tobytes(): 0}
+    index = {front.tobytes(): 0}
     edges: list[int] = []
-    step = max(1, opalg.COVER_BLOCK_ENTRIES // (width << n))
+    step = max(1, opalg.COVER_BLOCK_ENTRIES // (width * max(1, temporary)))
     head = 0
     truncated = False
     while len(front) and not truncated:
         fresh = []
         for start in range(0, len(front), step):
-            products = front[start:start + step][:, gens].reshape(-1, 1 << n)
-            keys = products.view(np.dtype((np.void, products.strides[0])))[:, 0].tolist()
+            block = front[start:start + step]
+            products = product(block).reshape(len(block) * width, len(identity))
+            keys = (products.view(np.dtype((np.void, products.strides[0])))[:, 0].tolist()
+                    if len(identity) else [b""] * len(products))
             new = []
             for j, key in enumerate(keys):
                 at = index.get(key)
@@ -148,36 +167,14 @@ def _table_bfs(generators, n: int, cap: int, names: tuple):
                     new.append(j)
                 edges.append(at)
             fresh.append(products[new])
-            head += len(keys) // width
+            head += len(block)
             if truncated:
                 break
         front = np.concatenate(fresh)
         levels.append(front)
-    tables = np.concatenate(levels)
-    tables.setflags(write=False)
-    return tables, witnesses, edges, truncated
-
-
-def _operator_bfs(generators, cap: int, names: tuple):
-    """The BFS an edge at a time, for operators without tables:
-    (elements, witnesses, edges, truncated) as in _table_bfs."""
-    elements = [generators[0].identity()]
-    witnesses = [""]
-    index = {elements[0].key(): 0}
-    edges: list[int] = []
-    for head, e in enumerate(elements):
-        for gi, g in enumerate(generators):
-            new = e.compose(g)
-            key = new.key()
-            at = index.get(key)
-            if at is None:
-                if len(elements) >= cap:
-                    return elements, witnesses, edges, True
-                at = index[key] = len(elements)
-                elements.append(new)
-                witnesses.append(witnesses[head] + names[gi])
-            edges.append(at)
-    return elements, witnesses, edges, False
+    rows = np.concatenate(levels)
+    rows.setflags(write=False)
+    return rows, witnesses, edges, truncated
 
 
 def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
@@ -192,9 +189,9 @@ def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
     """
     if monoid.truncated:
         raise ValueError("refusing to order a truncated monoid")
-    if monoid.tables is None:
+    if not isinstance(monoid.generators[0], OperatorTable):
         raise ValueError("only table-backed monoids are ordered")
-    strict = leq_matrix(monoid.tables, monoid.tables)
+    strict = leq_matrix(monoid.rows, monoid.rows)
     np.fill_diagonal(strict, False)
     counts = strict.astype(np.float32)
     step = max(1, opalg.COVER_BLOCK_ENTRIES // len(counts))
@@ -247,24 +244,22 @@ def orbit(word, model, start: int, max_iter: int = 1000) -> OrbitReport:
 def growth_study(
     model_family: Callable[[int], object],
     word,
-    start_rule,
+    start_rule: Callable[[int], int],
     sizes,
-    max_iter: int = 10000,
 ) -> list[tuple[int, int]]:
     """Distinct-orbit-count trend across window sizes.
 
-    model_family(size) builds the model; start_rule is a mask or a
-    callable size -> mask.  An increasing count across sizes is the
-    finite-window witness for an infinitude claim: whatever bound a
-    fixed window imposes, a larger window exceeds it.
+    model_family(size) builds the model and start_rule(size) the mask
+    the orbit starts from; each orbit runs at most 10,000 steps.  An
+    increasing count across sizes is the finite-window witness for an
+    infinitude claim: whatever bound a fixed window imposes, a larger
+    window exceeds it.
     """
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise ValueError("sizes must be ascending")
     rows = []
     for size in sizes:
-        model = model_family(size)
-        start = start_rule(size) if callable(start_rule) else start_rule
-        rep = orbit(word, model, start, max_iter=max_iter)
+        rep = orbit(word, model_family(size), start_rule(size), max_iter=10000)
         rows.append((size, rep.distinct_count))
     return rows

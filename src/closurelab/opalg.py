@@ -196,13 +196,6 @@ class AdditiveOperator:
             self.ground_size, tuple(self.apply(m) for m in other.images)
         )
 
-    def identity(self) -> "AdditiveOperator":
-        n = self.ground_size
-        return AdditiveOperator(n, tuple(1 << i for i in range(n)))
-
-    def key(self):
-        return self.images
-
     def to_table(self) -> OperatorTable:
         n = self.ground_size
         _check_ground_size(n)

@@ -126,14 +126,31 @@ def compose_tables(outer, inner):
     return tuple(outer[x] for x in inner)
 
 
-def monoid_bfs(tables, names, cap=float("inf")):
+def compose_images(outer, inner):
+    """outer after inner, both union-preserving maps given by their
+    tuples of singleton images: inner's image of singleton i with each
+    member j replaced by outer's image of j."""
+    out = []
+    for m in inner:
+        image = 0
+        for j, o in enumerate(outer):
+            if m >> j & 1:
+                image |= o
+        out.append(image)
+    return tuple(out)
+
+
+def monoid_bfs(tables, names, cap=float("inf"), additive=False):
     """The monoid the tuple-coded tables generate under right-
     composition, identity included, one element at a time: a FIFO from
     the identity, each head composed with the generators in the given
     order, stopped at the first new element past cap.  Returns
     (elements, witness words, Cayley rows, truncated), an edge no head
-    reached being -1."""
-    elements = [tuple(range(len(tables[0])))]
+    reached being -1.  With additive set, each generator and element is
+    its tuple of singleton images instead of its table."""
+    size = len(tables[0])
+    compose = compose_images if additive else compose_tables
+    elements = [tuple(1 << i for i in range(size)) if additive else tuple(range(size))]
     witnesses = [""]
     index = {elements[0]: 0}
     cayley = []
@@ -141,7 +158,7 @@ def monoid_bfs(tables, names, cap=float("inf")):
         row = [-1] * len(tables)
         cayley.append(row)
         for gi, g in enumerate(tables):
-            h = compose_tables(e, g)
+            h = compose(e, g)
             if h not in index:
                 if len(elements) == cap:
                     cayley += [[-1] * len(tables) for _ in elements[len(cayley):]]

@@ -1,6 +1,7 @@
 """Tests for monoid generation, the Cayley table, Hasse edges and orbits."""
 
 import json
+import random
 
 import pytest
 
@@ -12,7 +13,15 @@ from closurelab.monoid import (
     hasse,
     orbit,
 )
-from closurelab.opalg import complement_table, eval_word, identity_table, leq, mask_of
+from closurelab.opalg import (
+    AdditiveOperator,
+    check_closure,
+    complement_table,
+    eval_word,
+    identity_table,
+    leq,
+    mask_of,
+)
 from closurelab.suites import KURATOWSKI_WORDS
 
 from _oracles import monoid_bfs
@@ -99,34 +108,64 @@ def _witness14_kc():
     return [k, complement_table(k.ground_size)], ("k", "c")
 
 
+def _staircase(M):
+    fam = example3_additive(M)
+    return [fam.p, fam.q], ("p", "q")
+
+
+def _seeded_additive(n, seed):
+    # two union-preserving maps drawn from one seed; singleton 0 leaves
+    # its own image, so neither map is a closure
+    rng = random.Random(f"additive {n} {seed}")
+    gens = [AdditiveOperator(n, [rng.getrandbits(n) & ~(i == 0) for i in range(n)])
+            for _ in range(2)]
+    assert not any(check_closure(g.to_table()).ok for g in gens)
+    return gens, ("a", "b")
+
+
 _BFS_CASES = {
     **{f"pij({i},{j}) m={m}": (lambda i=i, j=j, m=m: _pqc(pij_pair(i, j, m)))
        for m in (2, 3) for i in (0, 1) for j in (0, 1)},
     "witness14": _witness14_kc,
     **{f"example3 M={M}": (lambda M=M: _pqc(example3(M))) for M in range(2, 7)},
     **{f"section4 m={m}": (lambda m=m: _pqc(section4_model(m))) for m in (2, 3)},
+    **{f"example3_additive M={M}": (lambda M=M: _staircase(M)) for M in (*range(2, 9), 32)},
+    **{f"seeded additive n={n} #{seed}": (lambda n=n, seed=seed: _seeded_additive(n, seed))
+       for n in range(1, 7) for seed in (0, 1)},
+    # dropping point 0 at the bounds of the row width: the identity alone
+    # at n = 0, and the top bit of a uint64 row at n = 64
+    **{f"drop point 0 n={n}": (lambda n=n: ([AdditiveOperator(n, [1 << i if i else 0 for i in range(n)])],
+                                            ("d",)))
+       for n in (0, 1, 64)},
+    "cyclic shift n=64": lambda: ([AdditiveOperator(64, [1 << (i + 1) % 64 for i in range(64)])], ("s",)),
 }
 
 
 @pytest.mark.parametrize("case", list(_BFS_CASES))
 def test_table_bfs_matches_the_one_edge_at_a_time_oracle(case, monkeypatch):
     # the same elements, witnesses, Cayley rows and truncation as a
-    # tuple-table BFS, with the levels gathered whole and a row at a
-    # time; a monoid of at most 64 elements is cut at every cap, so
-    # the cut falls at each position of a Cayley row
+    # tuple BFS composing tables or singleton images, with the levels
+    # taken whole and a row at a time; a monoid of at most 64 elements
+    # is cut at every cap, so the cut falls at each position of a
+    # Cayley row
     gens, names = _BFS_CASES[case]()
-    tables = [tuple(int(v) for v in g.entries) for g in gens]
-    full = monoid_bfs(tables, names)[0]
+    additive = isinstance(gens[0], AdditiveOperator)
+
+    def row(op):
+        return op.images if additive else tuple(op.entries.tolist())
+
+    rows = [row(g) for g in gens]
+    full = monoid_bfs(rows, names, additive=additive)[0]
     caps = range(1, len(full) + 1) if len(full) <= 64 else [len(full)]
     for block_entries in (opalg.COVER_BLOCK_ENTRIES, 1):
         monkeypatch.setattr(opalg, "COVER_BLOCK_ENTRIES", block_entries)
         for cap in caps:
-            elements, witnesses, cayley, truncated = monoid_bfs(tables, names, cap)
+            elements, witnesses, cayley, truncated = monoid_bfs(rows, names, cap, additive)
             mon = generate_monoid(gens, cap=cap, names=names)
-            assert [tuple(row) for row in mon.tables.tolist()] == elements, cap
+            assert [tuple(r) for r in mon.rows.tolist()] == elements, cap
             assert (mon.witnesses, mon.cayley, mon.truncated) == (witnesses, cayley, truncated)
-            assert [tuple(e.entries.tolist()) for e in mon.elements] == elements
-            assert not mon.tables.flags.writeable
+            assert [row(e) for e in mon.elements] == elements
+            assert not mon.rows.flags.writeable
 
 
 def test_generator_validation():
@@ -139,6 +178,12 @@ def test_generator_validation():
         generate_monoid([m.p], names=("p", "q"))
     with pytest.raises(ValueError):
         generate_monoid([m.p, complement_table(5)])
+    for gens in ([example3(4).p, example3_additive(4).q], [example3_additive(4).p, example3(4).q],
+                 [section4_model(2, materialize=False).p]):
+        with pytest.raises(ValueError, match="all OperatorTables or all AdditiveOperators"):
+            generate_monoid(gens)
+    with pytest.raises(ValueError, match="at most 64 points"):
+        generate_monoid([AdditiveOperator(65, [1 << i for i in range(65)])])
 
 
 def test_truncation():
@@ -266,8 +311,6 @@ def test_growth_study_staircase():
         [8, 16, 32],
     )
     assert rows == [(8, 5), (16, 9), (32, 17)]
-    # a plain mask is accepted too when the start does not depend on size
-    assert growth_study(example3_additive, "pq", 1, [8]) == [(8, 5)]
 
 
 def test_growth_study_flagged_cycle():
@@ -282,4 +325,4 @@ def test_growth_study_flagged_cycle():
 
 def test_growth_study_validation():
     with pytest.raises(ValueError):
-        growth_study(example3_additive, "pq", 1, [8, 4])
+        growth_study(example3_additive, "pq", lambda M: 1, [8, 4])

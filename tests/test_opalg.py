@@ -596,10 +596,3 @@ def test_additive_compose_agrees_with_table_compose(imgs1, imgs2):
     f = AdditiveOperator(4, tuple(imgs1))
     g = AdditiveOperator(4, tuple(imgs2))
     assert f.compose(g).to_table() == f.to_table().compose(g.to_table())
-
-
-def test_additive_identity_and_key():
-    f = AdditiveOperator(4, (1, 2, 4, 8))
-    assert f.identity().to_table() == identity_table(4)
-    g = AdditiveOperator(4, (1, 2, 4, 8))
-    assert f.key() == g.key()
