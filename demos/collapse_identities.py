@@ -7,7 +7,7 @@ hypothesis is doing real work.
 """
 
 from closurelab import idlab
-from closurelab.words import theorem2_word
+from closurelab.theory import theorem2_word
 
 
 def main():

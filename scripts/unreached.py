@@ -36,10 +36,6 @@ KEPT = frozenset({
     # references in the tests: the pointwise order, the interior screen
     # and the validated mask helper
     "opalg.leq", "opalg.check_interior", "opalg.mask_of",
-    # the paper's balanced-word translation, pinned by the word and
-    # theory tests
-    "words.c_balanced", "words.to_term", "words.Balanced.half_count",
-    "words.Balanced.reassemble",
     # reading dumps back
     "models.ClosurePairModel.from_json", "models.WindowSpec.from_json",
     "opalg.OperatorTable.from_json", "opalg.OperatorTable.to_json",

@@ -2,8 +2,9 @@
 complementation plus one or two closure operators on finite ground
 sets.
 
-Operators live as lookup tables over powerset bitmasks (opalg), words
-over {c, p, q} parse and translate into bar-terms (words, theory),
+Operators live as lookup tables over powerset bitmasks, and words over
+{c, p, q} are checked and evaluated on them (opalg); balanced words
+translate into bar-terms and the collapse family is built (theory);
 the worked models ship as constructors (models), generated monoids and
 orbits come from monoid, exhaustive enumeration and equation testing
 from idlab, and the cli module binds everything into batch commands.
@@ -23,11 +24,12 @@ from .opalg import (
     eval_word_on,
     identity_table,
     leq,
+    parse_word,
     reversed_involution,
 )
-from .words import c_balanced, parse_word, theorem2_word, to_term
 from .theory import (
     Derivation,
+    c_balanced,
     check_derivation,
     check_intended_model,
     collapse_derivation,
@@ -35,6 +37,8 @@ from .theory import (
     eval_term,
     parse_term,
     print_term,
+    theorem2_word,
+    to_term,
 )
 from .models import (
     ClosurePairModel,

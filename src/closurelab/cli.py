@@ -34,9 +34,8 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import idlab, models
 from . import monoid as monoid_mod
-from .opalg import MAX_GROUND_SIZE, complement_table, elements_of
+from .opalg import MAX_GROUND_SIZE, complement_table, elements_of, parse_word
 from .suites import SUITES, SuiteReport
-from .words import parse_word
 
 OUT_DIR_ENV = "CLOSURELAB_OUT"
 
@@ -284,7 +283,8 @@ def cmd_search(args) -> int:
 
     if args.target == "counterexample":
         if "=" not in args.eq:
-            print("--eq LHS=RHS is required for counterexample search", file=sys.stderr)
+            print(f"usage error: search counterexample takes --eq LHS=RHS, got {args.eq!r}",
+                  file=sys.stderr)
             return 2
         # a word that does not parse is a usage error, and nothing else
         try:

@@ -39,7 +39,6 @@ from .opalg import (
     elements_of,
     eval_word_on,
 )
-from .words import KURATOWSKI_WORDS
 
 DEFAULT_SEED = 20250816
 
@@ -558,6 +557,14 @@ def _witness_family(n: int, trial: int) -> int:
     size = 1 << n
     getrandbits = random.Random(WITNESS_SEARCH_BASE + trial).getrandbits
     return _family_mask(getrandbits, 1, min(size, 3 * n), size)
+
+
+#: the fourteen canonical words of the complement-closure monoid, in
+#: breadth-first order (identity written "1")
+KURATOWSKI_WORDS = (
+    "1", "k", "c", "kc", "ck", "kck", "ckc", "kckc", "ckck",
+    "kckck", "ckckc", "kckckc", "ckckck", "ckckckc",
+)
 
 
 def _kc_screen(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

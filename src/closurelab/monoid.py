@@ -138,13 +138,13 @@ def _bfs(identity, product, temporary: int, width: int, cap: int, names: tuple):
     witnesses, the Cayley entry of each edge expanded in (head,
     generator) order, truncated).  Each level goes through the product
     in blocks of rows whose temporaries hold at most
-    COVER_BLOCK_ENTRIES entries; a row is keyed by its bytes."""
+    TEMPORARY_ENTRIES entries; a row is keyed by its bytes."""
     front = identity[None]
     levels = [front]
     witnesses = [""]
     index = {front.tobytes(): 0}
     edges: list[int] = []
-    step = max(1, opalg.COVER_BLOCK_ENTRIES // (width * max(1, temporary)))
+    step = max(1, opalg.TEMPORARY_ENTRIES // (width * max(1, temporary)))
     head = 0
     truncated = False
     while len(front) and not truncated:
@@ -194,7 +194,7 @@ def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
     strict = leq_matrix(monoid.rows, monoid.rows)
     np.fill_diagonal(strict, False)
     counts = strict.astype(np.float32)
-    step = max(1, opalg.COVER_BLOCK_ENTRIES // len(counts))
+    step = max(1, opalg.TEMPORARY_ENTRIES // len(counts))
     edges = [(start + int(i), int(j)) for start in range(0, len(counts), step)
              for i, j in zip(*np.nonzero(strict[start:start + step]
                                          & (counts[start:start + step] @ counts == 0)))]

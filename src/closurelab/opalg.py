@@ -12,6 +12,12 @@ escape hatches exist for larger ground sets: FnOperator wraps a plain
 mask function, and AdditiveOperator represents a union-preserving map
 by its images on singletons, which composes exactly without ever
 touching the full powerset.
+
+Words over the three-letter alphabet c, p, q are plain strings, checked
+by parse_word, the one alphabet check.  A word denotes a composite
+operator, letters acting right to left (the rightmost letter is applied
+first), with c standing for complementation and p, q for the two
+closure operators of whatever model evaluates the word.
 """
 
 from __future__ import annotations
@@ -301,12 +307,10 @@ def leq(f: OperatorTable, g: OperatorTable) -> bool:
     return not np.any(f.entries & ~g.entries)
 
 
-#: the most entries leq_matrix's temporary holds at once
-ORDER_SCREEN_ENTRIES = 1 << 20
-
-#: the most entries of one row block of the monoid module's table BFS
-#: gather and of monoid.hasse's cover test
-COVER_BLOCK_ENTRIES = 1 << 20
+#: the most entries one numpy temporary holds at once: leq_matrix's
+#: screen, a row block of the monoid module's table BFS gather and of
+#: monoid.hasse's cover test
+TEMPORARY_ENTRIES = 1 << 20
 
 
 def leq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,7 +320,7 @@ def leq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, k, 2**n) and (m, k', 2**n) give the (m, k, k') matrices of their
     m pairs of stacks, one screen for all.  The mask axis is screened a
     slice at a time, in the narrowest dtype that holds a mask, so the
-    (m, k, k', slice) temporary holds at most ORDER_SCREEN_ENTRIES
+    (m, k, k', slice) temporary holds at most TEMPORARY_ENTRIES
     entries, or m * k * k' if one mask is more."""
     *batch, k, size = a.shape
     if b.shape[-1] != size:
@@ -326,7 +330,7 @@ def leq_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dtype = np.min_scalar_type(size - 1)
     a, b = a.astype(dtype), b.astype(dtype)
     le = np.ones((*batch, k, b.shape[-2]), dtype=bool)
-    step = max(1, ORDER_SCREEN_ENTRIES // max(1, le.size))
+    step = max(1, TEMPORARY_ENTRIES // max(1, le.size))
     for start in range(0, size, step):
         outside = a[..., :, None, start:start + step] & ~b[..., None, :, start:start + step]
         le &= ~outside.any(axis=-1)
@@ -536,11 +540,13 @@ def is_reversing_involution(f: OperatorTable) -> bool:
 _WORD_LETTERS = frozenset("cpq")
 
 
-def _word_letters(word: str) -> str:
-    if not _WORD_LETTERS.issuperset(word):
-        i, ch = next((i, ch) for i, ch in enumerate(word) if ch not in _WORD_LETTERS)
+def parse_word(text: str) -> str:
+    """text itself, once its letters are checked; empty input is the
+    empty word.  Rejects anything outside {c, p, q} with its position."""
+    if not _WORD_LETTERS.issuperset(text):
+        i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in _WORD_LETTERS)
         raise ValueError(f"unknown letter {ch!r} at position {i}")
-    return word
+    return text
 
 
 def eval_word(word, p: OperatorTable, q: OperatorTable) -> OperatorTable:
@@ -554,7 +560,7 @@ def eval_word(word, p: OperatorTable, q: OperatorTable) -> OperatorTable:
     FlatScope given a c stack substitutes another table, such as a
     different inclusion-reversing involution, for every c letter.
     """
-    text = _word_letters(word)
+    text = parse_word(word)
     n = p.ground_size
     if q.ground_size != n:
         raise ValueError("ground sizes differ")
@@ -593,7 +599,7 @@ class FlatScope:
     def eval(self, word) -> np.ndarray:
         """The (k, 2**n) int64 tables of a cpq-word, letters acting
         right-to-left as usual, row i on model i."""
-        text = _word_letters(word)
+        text = parse_word(word)
         k, size = self.shape
         v = _apply_letters(text, self.tables, np.arange(k * size, dtype=np.int64), size - 1)
         v &= size - 1
@@ -604,7 +610,7 @@ class FlatScope:
         cpq-word, shortest first, at one gather per letter in all."""
         k, size = self.shape
         v = np.arange(k * size, dtype=np.int64)
-        for letter in reversed(_word_letters(word)):
+        for letter in reversed(parse_word(word)):
             v = _apply_letters(letter, self.tables, v, size - 1)
             yield (v & (size - 1)).reshape(k, size)
 
@@ -631,7 +637,7 @@ def eval_word_on(word, p, q, a: Mask) -> Mask:
     this is the evaluator of choice beyond the table cap.  c acts as
     complementation against the shared ground set.
     """
-    text = _word_letters(word)
+    text = parse_word(word)
     n = p.ground_size
     if q.ground_size != n:
         raise ValueError("ground sizes differ")

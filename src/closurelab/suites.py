@@ -44,7 +44,8 @@ from .opalg import (
     leq_matrix,
     reversed_involution,
 )
-from .words import BLOCK_CHOICES, KURATOWSKI_WORDS, theorem2_word
+from .idlab import KURATOWSKI_WORDS
+from .theory import BLOCK_CHOICES, theorem2_word
 
 #: pinned demonstration that the collapse fixtures need commutativity:
 #: fixture equation index, ground size, closure indices into the

@@ -1,11 +1,15 @@
 """First-order theory of an ordered monoid with an antitone involution
 and two commuting closure constants, made executable.
 
-Three layers live here:
+Four layers live here:
 
 * a term language over the constants 1, p, q with product and bar,
   where bar is interpreted as conjugation by complement (bar(g) = c g c
   on powerset operators);
+* the translation between it and cpq-words: a ground term's word
+  (term_word), and the term of a balanced word (to_term), which builds
+  the term form of the collapse family (proposition5_equation) from
+  its one word form (theorem2_word);
 * a model checker that screens every theory axiom over the operator
   tables generated from a concrete (p, q) pair up to a given term
   depth;
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -255,34 +259,95 @@ def eval_term(term: Term, model) -> OperatorTable:
 
 
 # ---------------------------------------------------------------------------
-# the collapse equation and its derivation fixture
+# balanced words and the collapse family
+
+BLOCK_CHOICES = ("p", "q", "pq")
 
 
-def proposition5_equation(blocks) -> tuple[Term, Term]:
-    """Term form of the two-closure collapse identity.
+@dataclass(frozen=True)
+class Balanced:
+    """Decomposition c blocks[0] c blocks[1] ... c blocks[-1], each
+    block one of p, q, pq."""
 
-    blocks is the even-length tuple of inner factors (each "p", "q" or
-    "pq").  Left side: bar(pq) b1 bar(b2) b3 ... bar(b_2n) (pq), bars on
-    the even positions; right side: bar(pq) (pq).  Both sides are
-    left-associated with each block kept as a unit factor.
+    blocks: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class NotBalanced:
+    position: int
+    reason: str
+
+
+def c_balanced(text: str) -> Union[Balanced, NotBalanced]:
+    """Split a word as c a0 c a1 ... c a(2n+1) if possible: the balanced
+    shape, an even number of c's separating nonempty c-free blocks.
+
+    The shape is strict: a leading c, after every c a block that is
+    exactly p, q or pq, and an even number of c's (at least two).  Runs
+    such as qp or ppq do not count as blocks, even though they denote
+    the same operator for commuting pairs; equivalence of that kind is
+    the evaluator's business, not the parser's.  Failures report the
+    first offending position.
+    """
+    if not text:
+        return NotBalanced(0, "empty word")
+    if text[0] != "c":
+        return NotBalanced(0, "must start with c")
+    blocks = tuple(text[1:].split("c"))
+    i = 0  # the position of the c before each block
+    for block in blocks:
+        if not block:
+            return NotBalanced(i, "c not followed by a block")
+        if block not in BLOCK_CHOICES:
+            return NotBalanced(i + 1, f"block {block!r} is not one of p, q, pq")
+        i += len(block) + 1
+    if len(blocks) % 2:
+        return NotBalanced(len(text), f"odd number of c's ({len(blocks)})")
+    return Balanced(blocks)
+
+
+def to_term(w: str) -> Term:
+    """Term of a balanced word, the inverse of term_word there:
+    to_term(w).word == w.
+
+    Block a0 gets a bar, a1 stays plain, and so on alternating, each
+    block a product of its letters; since bar(g) is c g c, the bars
+    reproduce exactly the original letter sequence, so evaluating the
+    term over any model gives the same table as evaluating w itself.
+    """
+    dec = c_balanced(w)
+    if isinstance(dec, NotBalanced):
+        raise ValueError(f"word is not c-balanced at position {dec.position}: {dec.reason}")
+    factors = [prod(*map(_ATOMS.__getitem__, block)) for block in dec.blocks]
+    return prod(*[Bar(t) if i % 2 == 0 else t for i, t in enumerate(factors)])
+
+
+def theorem2_word(blocks) -> str:
+    """The collapse family word pq c b1 c b2 ... c b(2n) c pq.
+
+    blocks is the even-length nonempty tuple of inner factors, each one
+    of p, q, pq.
     """
     blocks = tuple(blocks)
     if not blocks or len(blocks) % 2:
         raise ValueError("need a nonempty even-length block tuple")
-    factors = [Bar(Prod(P, Q))]
-    for i, b in enumerate(blocks):
-        t = _block_term(b)
-        factors.append(t if i % 2 == 0 else Bar(t))
-    factors.append(Prod(P, Q))
-    lhs = prod(*factors)
-    rhs = Prod(Bar(Prod(P, Q)), Prod(P, Q))
-    return lhs, rhs
+    for b in blocks:
+        if b not in BLOCK_CHOICES:
+            raise ValueError(f"block must be one of {BLOCK_CHOICES}, got {b!r}")
+    return "pq" + "".join("c" + b for b in blocks) + "cpq"
 
 
-def _block_term(b: str) -> Term:
-    if b not in ("p", "q", "pq"):
-        raise ValueError(f"block must be p, q or pq, got {b!r}")
-    return prod(*[_ATOMS[ch] for ch in b])
+def proposition5_equation(blocks) -> tuple[Term, Term]:
+    """Term form of the two-closure collapse identity: the terms of the
+    balanced words c theorem2_word(blocks) and c pqcpq.  A tuple that
+    theorem2_word refuses is refused with its message.
+
+    Left side: bar(pq) b1 bar(b2) b3 ... bar(b_2n) (pq), bars on the
+    even positions; right side: bar(pq) (pq).  Both sides are
+    left-associated with each block kept as a unit factor.  Each side
+    evaluates to the complement of its word's table.
+    """
+    return to_term("c" + theorem2_word(blocks)), to_term("cpqcpq")
 
 
 # ---------------------------------------------------------------------------

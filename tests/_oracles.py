@@ -4,12 +4,15 @@ Everything here is deliberately naive: brute force over all functions
 or all subset families, no numpy, no shared code with the package
 beyond the bitmask conventions.  Slow above tiny sizes by design.
 
-The one exception closes the file: term_universe_by_compose and
+The exceptions close the file.  term_universe_by_compose and
 check_intended_model_by_element are the theory layer's axiom screen
 written one composition per pair and one screen per universe element,
 on the package's single-table operations.  They are the references
 for the stacked forms in closurelab.theory: the same tables in the
-same order, and the same report check by check.
+same order, and the same report check by check.  proposition5_by_hand
+builds the collapse equation's term form factor by factor from the
+term classes, the reference for theory.proposition5_equation, which
+derives it from the word form.
 """
 
 import random
@@ -24,7 +27,16 @@ from closurelab.opalg import (
     identity_table,
     leq_matrix,
 )
-from closurelab.theory import AxiomCheck, ModelCheckReport, _check_universe_size
+from closurelab.theory import (
+    P,
+    Q,
+    AxiomCheck,
+    Bar,
+    ModelCheckReport,
+    Prod,
+    _check_universe_size,
+    prod,
+)
 
 
 def closures_by_filter(n):
@@ -304,3 +316,17 @@ def check_intended_model_by_element(model, depth=3):
     comm = commutes(model.p, model.q)
     add("pq-commute", comm, "" if comm else "p and q do not commute")
     return ModelCheckReport(universe_size=k, checks=tuple(checks))
+
+
+def proposition5_by_hand(blocks):
+    """The collapse equation's term form, built factor by factor: left
+    side bar(pq) b1 bar(b2) b3 ... bar(b_2n) (pq), bars on the even
+    positions, each block the left-associated product of its letters
+    and the factors left-associated; right side bar(pq) (pq)."""
+    letters = {"p": P, "q": Q}
+    factors = [Bar(Prod(P, Q))]
+    for i, b in enumerate(blocks):
+        t = prod(*[letters[ch] for ch in b])
+        factors.append(t if i % 2 == 0 else Bar(t))
+    factors.append(Prod(P, Q))
+    return prod(*factors), Prod(Bar(Prod(P, Q)), Prod(P, Q))

@@ -433,8 +433,9 @@ def test_search_counterexample_flag_errors(capsys):
     code, out, err = run_cli(capsys, "search", "counterexample")
     assert (code, out, err) == (2, "", "search counterexample requires --eq\n")
 
-    code, _, err = run_cli(capsys, "search", "counterexample", "--eq", "pqqp")
-    assert code == 2
+    code, out, err = run_cli(capsys, "search", "counterexample", "--eq", "pqqp")
+    assert (code, out, err) == (
+        2, "", "usage error: search counterexample takes --eq LHS=RHS, got 'pqqp'\n")
 
     code, _, err = run_cli(capsys, "search", "counterexample", "--eq", "px=p")
     assert code == 2

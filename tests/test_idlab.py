@@ -37,7 +37,7 @@ from closurelab.opalg import (
     eval_word_on,
     full_mask,
 )
-from closurelab.words import BLOCK_CHOICES, theorem2_word
+from closurelab.theory import BLOCK_CHOICES, theorem2_word
 
 from _oracles import (
     closure_of_family,

@@ -157,8 +157,8 @@ def test_table_bfs_matches_the_one_edge_at_a_time_oracle(case, monkeypatch):
     rows = [row(g) for g in gens]
     full = monoid_bfs(rows, names, additive=additive)[0]
     caps = range(1, len(full) + 1) if len(full) <= 64 else [len(full)]
-    for block_entries in (opalg.COVER_BLOCK_ENTRIES, 1):
-        monkeypatch.setattr(opalg, "COVER_BLOCK_ENTRIES", block_entries)
+    for block_entries in (opalg.TEMPORARY_ENTRIES, 1):
+        monkeypatch.setattr(opalg, "TEMPORARY_ENTRIES", block_entries)
         for cap in caps:
             elements, witnesses, cayley, truncated = monoid_bfs(rows, names, cap, additive)
             mon = generate_monoid(gens, cap=cap, names=names)
@@ -250,7 +250,7 @@ def test_hasse_edges_are_the_covering_pairs(model, gens, monkeypatch):
     assert set(edges) == _covering_pairs(mon) and len(set(edges)) == len(edges)
     assert edges  # a nontrivial order
     # the cover test in blocks of 7 rows, the last one short
-    monkeypatch.setattr(opalg, "COVER_BLOCK_ENTRIES", 7 * len(mon) + 6)
+    monkeypatch.setattr(opalg, "TEMPORARY_ENTRIES", 7 * len(mon) + 6)
     assert len(mon) % 7 and hasse(mon) == edges
 
 

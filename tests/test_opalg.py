@@ -274,7 +274,7 @@ def test_leq_is_pointwise():
 
 
 def test_leq_matrix_matches_pairwise_leq_across_slices(monkeypatch):
-    # 40 x 30 tables at n = 10 pass ORDER_SCREEN_ENTRIES, so the mask
+    # 40 x 30 tables at n = 10 pass TEMPORARY_ENTRIES, so the mask
     # axis is screened in more than one slice; b's rows contain some of
     # a's, so the order holds for some pairs and fails for the rest
     n, size = 10, 1 << 10
@@ -282,7 +282,7 @@ def test_leq_matrix_matches_pairwise_leq_across_slices(monkeypatch):
     a = rng.integers(0, size, (40, size)) & rng.integers(0, size, (40, size))
     b = a[rng.integers(0, 40, 30)] | (rng.integers(0, size, (30, size))
                                       & rng.integers(0, 2, (30, 1)) * (size - 1))
-    assert len(a) * len(b) * size > opalg.ORDER_SCREEN_ENTRIES
+    assert len(a) * len(b) * size > opalg.TEMPORARY_ENTRIES
     want = [[leq(OperatorTable(n, x), OperatorTable(n, y)) for y in b] for x in a]
     assert 0 < np.sum(want) < a.shape[0] * len(b)
     assert opalg.leq_matrix(a, b).tolist() == want
@@ -291,7 +291,7 @@ def test_leq_matrix_matches_pairwise_leq_across_slices(monkeypatch):
     ends[1, -1] = 0
     # slices that do not divide the mask axis, down to one mask each
     for bound in (7 * 40 * 30, 1):
-        monkeypatch.setattr(opalg, "ORDER_SCREEN_ENTRIES", bound)
+        monkeypatch.setattr(opalg, "TEMPORARY_ENTRIES", bound)
         assert opalg.leq_matrix(a, b).tolist() == want
         assert opalg.leq_matrix(ends, ends).tolist() == [[True, False], [True, True]]
         # a leading batch axis screens each pair of stacks on its own

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import random
+import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +16,13 @@ from closurelab.idlab import (
     enumerate_commuting_pairs,
 )
 from closurelab.models import ClosurePairModel, pij_pair
-from closurelab.opalg import OperatorTable, check_closure, complement_table, eval_word
+from closurelab.opalg import (
+    OperatorTable,
+    check_closure,
+    complement_table,
+    eval_word,
+    parse_word,
+)
 from closurelab.theory import (
     AXIOM_SCHEMAS,
     Bar,
@@ -39,10 +47,16 @@ from closurelab.theory import (
     term_variables,
     term_word,
     TermSyntaxError,
+    theorem2_word,
+    to_term,
 )
-from closurelab.words import parse_word, to_term
 
-from _oracles import check_intended_model_by_element, term_table, term_universe_by_compose
+from _oracles import (
+    check_intended_model_by_element,
+    proposition5_by_hand,
+    term_table,
+    term_universe_by_compose,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +236,6 @@ def test_eval_term_rejects_non_terms():
 def test_translation_matches_word_evaluation_exhaustive():
     # every c-balanced word up to length 8 evaluates the same through
     # its term translation, on a few commuting models
-    from itertools import product
-
     models = _small_models()[:3]
     words = []
     for n_blocks in (2, 4):
@@ -249,12 +261,25 @@ def test_proposition5_equation_terms():
     lhs, rhs = proposition5_equation(("p", "q"))
     assert print_term(rhs) == "bar(pq)(pq)"
     assert print_term(lhs) == "bar(pq)pbar(q)(pq)"
-    with pytest.raises(ValueError):
-        proposition5_equation(())
-    with pytest.raises(ValueError):
-        proposition5_equation(("p",))
-    with pytest.raises(ValueError):
-        proposition5_equation(("p", "x"))
+
+
+def test_proposition5_equation_refuses_with_theorem2_word_messages():
+    shape = "need a nonempty even-length block tuple"
+    for blocks, message in (((), shape), (("p",), shape), (("p", "q", "pq"), shape),
+                            (("p", "x"), "block must be one of ('p', 'q', 'pq'), got 'x'"),
+                            (("qp", "q"), "block must be one of ('p', 'q', 'pq'), got 'qp'")):
+        for build in (proposition5_equation, theorem2_word):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(blocks)
+
+
+def test_proposition5_equation_matches_the_hand_built_tree():
+    # every block tuple of length 2, 4 and 6
+    tuples = [blocks for length in (2, 4, 6)
+              for blocks in product(("p", "q", "pq"), repeat=length)]
+    assert len(tuples) == 9 + 81 + 729
+    for blocks in tuples:
+        assert proposition5_equation(blocks) == proposition5_by_hand(blocks), blocks
 
 
 def test_proposition5_equation_holds_on_commuting_models():
@@ -267,9 +292,6 @@ def test_proposition5_equation_matches_word_form():
     # prefixing a single c turns the word into a balanced one whose
     # translation is exactly the collapse term, so the two formulations
     # agree up to an outer complement
-    from closurelab.opalg import complement_table
-    from closurelab.words import theorem2_word
-
     blocks = ("p", "pq")
     lhs, rhs = proposition5_equation(blocks)
     w = theorem2_word(blocks)

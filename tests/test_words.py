@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closurelab import theory
-from closurelab.words import (
+from closurelab.opalg import parse_word
+from closurelab.theory import (
     BLOCK_CHOICES,
     Balanced,
     NotBalanced,
     c_balanced,
-    parse_word,
     theorem2_word,
     to_term,
 )
@@ -36,12 +36,10 @@ def test_c_balanced_accepts_strict_shapes():
     b = c_balanced(parse_word("cpcq"))
     assert isinstance(b, Balanced)
     assert b.blocks == ("p", "q")
-    assert b.half_count == 0  # shape c a0 c a1 has 2n+2 blocks, n = 0
-    assert b.reassemble() == "cpcq"
+    assert to_term("cpcq").word == "cpcq"
 
     b2 = c_balanced(parse_word("cpqcpcqcq"))
     assert b2.blocks == ("pq", "p", "q", "q")
-    assert b2.half_count == 1
 
 
 def test_c_balanced_rejections_with_positions():
@@ -93,7 +91,7 @@ def test_round_trip_exhaustive_up_to_12():
         got = c_balanced(parse_word(text))
         assert isinstance(got, Balanced), text
         assert got.blocks == blocks
-        assert got.reassemble() == text
+        assert to_term(text).word == text
         seen += 1
     assert seen > 50
 
@@ -109,6 +107,7 @@ def test_round_trip_random_blocks(blocks):
     got = c_balanced(parse_word(text))
     assert isinstance(got, Balanced)
     assert got.blocks == tuple(blocks)
+    assert to_term(text).word == text
 
 
 def test_to_term_bars_even_positions():
