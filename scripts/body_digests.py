@@ -18,7 +18,9 @@ scopes (one of 2,000 seeds, whose long streams pin the sampler's
 draws), theorem1 at n = 4 as text (about 3 s), interior at n = 4,
 example3 at a featured M inside M = 2..12 and past it, section4 at
 m = 6, each search, and each dump target, with the largest dumps the
-benchmark makes, a monoid dump cut short by --cap, and orbits of the
+benchmark makes, a monoid dump cut short by --cap, the largest monoid
+dump at the default cap (--M 12, 63 MB), one whose tables are wider
+than a chunk of the JSON writer (--M 15 --cap 4), and orbits of the
 flagged cycle at m = 8 and at m = 12, past the table cap.
 
 Three more lines pin the theory layer, which no command reaches: a
@@ -72,6 +74,9 @@ COMMANDS = (
        ("dump", "monoid", "--model", "section4", "--m", "3", "--gens", "p,q,c"),
        ("dump", "monoid", *PQC_M6),
        ("dump", "monoid", *PQC_M6, "--cap", "100"),
+       ("dump", "monoid", "--model", "example3-repaired", "--M", "12", "--gens", "p,q,c"),
+       ("dump", "monoid", "--model", "example3-repaired", "--M", "15", "--cap", "4",
+        "--gens", "p,q,c"),
        ("dump", "hasse", "--model", "witness14"),
        ("dump", "hasse", *PQC_M6),
        ("dump", "orbit", "--model", "section4", "--word", "cpcpcqcq", "--start", "0,top"),

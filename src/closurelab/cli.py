@@ -8,8 +8,11 @@ Three verbs:
 
 Reports are deterministic for fixed flags.  Wall-clock facts go on
 comment lines starting with "# " so byte comparison after dropping
-that header is stable across runs.  Every command runs in one
-process; --workers is still accepted (at least 1) but changes nothing.
+that header is stable across runs.  JSON is written in chunks and
+never held whole: any payload a dict key or a list item at a time,
+and a monoid dump's tables and Cayley rows from their arrays, a block
+of rows at a time.  Every command runs in one process; --workers is
+still accepted (at least 1) but changes nothing.
 A flag the command does not read, a flag out of its bounds and a
 needed flag left out are usage errors, found in one table before any
 work; verify passes a suite only the flags that are given, so an unset
@@ -31,6 +34,8 @@ from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from . import idlab, models
 from . import monoid as monoid_mod
@@ -331,9 +336,58 @@ def cmd_search(args) -> int:
 #: the most table entries, --cap elements of 2**n masks each, that a
 #: monoid or hasse dump may hold: its peak memory grows with them, and
 #: a monoid dump of 2**22 entries (--M 8, 10 or 12 with p,q,c) peaks at
-#: about 100 MB in a fresh process.  An unset --cap is DEFAULT_CAP, or
-#: less where that many elements would pass this bound.
+#: about 60 MB in a fresh process, and one of 4 tables at --M 19, where
+#: the text of each of the 2**20 masks is built, at about 160 MB.  An
+#: unset --cap is DEFAULT_CAP, or less where that many elements would
+#: pass this bound.
 DUMP_ENTRIES_CAP = 1 << 22
+
+
+#: the most values one chunk of a monoid dump spells: about 200 KB of
+#: table entries
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _spelled_rows(rows: np.ndarray, texts: np.ndarray, head: str, sep: str,
+                  tail: str) -> Iterator[str]:
+    """The items of a JSON list, in chunks: each row of rows, indices
+    into the strings texts, is spelled head, its texts joined by sep,
+    then tail, and the items are joined by ",".  A chunk is one gather
+    of texts and one join per row, over a block of rows of at most
+    _BLOCK_ENTRIES values, or over that many values of one wider row."""
+    k, w = rows.shape
+    step, piece = max(1, _BLOCK_ENTRIES // w), min(w, _BLOCK_ENTRIES)
+    for start in range(0, k, step):
+        for at in range(0, w, piece):
+            block = texts[rows[start:start + step, at:at + piece]].tolist()
+            yield ((sep if at else ("," if start else "") + head)
+                   + (tail + "," + head).join(map(sep.join, block))
+                   + (tail if at + piece >= w else ""))
+
+
+def _monoid_chunks(mon: monoid_mod.GeneratedMonoid) -> Iterator[str]:
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2) + "\\n"
+    for a monoid of tables, whose payload holds its generator names,
+    size, truncated flag, witnesses, Cayley rows and elements, each
+    {"n": n, "entries": its table as "%x" strings}.  The tables and
+    Cayley rows are spelled from arrays by _spelled_rows, each value's
+    text built once per dump; the rest goes through _json_chunks."""
+    n = mon.generators[0].ground_size
+    # an edge the cap cut short is -1, which picks the last text
+    numbers = np.array([*map(str, range(len(mon))), "-1"], dtype=object)
+    yield '{\n  "cayley": ['
+    yield from _spelled_rows(np.array(mon.cayley, dtype=np.intp), numbers,
+                             "\n    [\n      ", ",\n      ", "\n    ]")
+    yield '\n  ],\n  "elements": ['
+    digits = np.array(['"%x"' % a for a in range(1 << n)], dtype=object)
+    yield from _spelled_rows(mon.rows, digits, '\n    {\n      "entries": [\n        ',
+                             ",\n        ", f'\n      ],\n      "n": {n}\n    }}')
+    yield "\n  ]"
+    for key, value in (("generator_names", list(mon.generator_names)), ("size", len(mon)),
+                       ("truncated", mon.truncated), ("witnesses", mon.witnesses)):
+        yield ",\n  " + _json_key(key)
+        yield from _json_chunks(value, 1)
+    yield "\n}\n"
 
 
 def _reads_window(name: str, args, flag: Optional[str]) -> None:
@@ -452,7 +506,7 @@ def cmd_dump(args) -> int:
     mon = monoid_mod.generate_monoid([named[g] for g in letters], cap=cap,
                                      names=tuple(letters))
     if what == "monoid":
-        _emit(_json_chunks(mon.to_json()), args.out)
+        _emit(_monoid_chunks(mon), args.out)
         return 0
     if mon.truncated:
         print(f"usage error: dump hasse orders the whole monoid, which has more"

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import opalg
-from .opalg import AdditiveOperator, OperatorTable, eval_word_on, hex_rows, leq_matrix
+from .opalg import AdditiveOperator, OperatorTable, eval_word_on, leq_matrix
 
 DEFAULT_CAP = 10000
 
@@ -55,19 +55,6 @@ class GeneratedMonoid:
         if isinstance(self.generators[0], OperatorTable):
             return [OperatorTable(n, row.astype(np.int64), _validate=False) for row in self.rows]
         return [AdditiveOperator(n, row.tolist()) for row in self.rows]
-
-    def to_json(self) -> dict:
-        if not isinstance(self.generators[0], OperatorTable):
-            raise ValueError("only table-backed monoids serialize to JSON")
-        n = self.generators[0].ground_size
-        return {
-            "generator_names": list(self.generator_names),
-            "size": len(self),
-            "truncated": self.truncated,
-            "elements": [{"n": n, "entries": row} for row in hex_rows(self.rows)],
-            "witnesses": list(self.witnesses),
-            "cayley": [list(row) for row in self.cayley],
-        }
 
 
 def generate_monoid(generators, cap: int = DEFAULT_CAP, names=None) -> GeneratedMonoid:

@@ -12,7 +12,9 @@ for the stacked forms in closurelab.theory: the same tables in the
 same order, and the same report check by check.  proposition5_by_hand
 builds the collapse equation's term form factor by factor from the
 term classes, the reference for theory.proposition5_equation, which
-derives it from the word form.
+derives it from the word form.  monoid_payload is a generated monoid as
+plain lists, the reference for the JSON that `dump monoid` spells from
+its arrays.
 """
 
 import random
@@ -330,3 +332,18 @@ def proposition5_by_hand(blocks):
         factors.append(t if i % 2 == 0 else Bar(t))
     factors.append(Prod(P, Q))
     return prod(*factors), Prod(Bar(Prod(P, Q)), Prod(P, Q))
+
+
+def monoid_payload(mon):
+    """The JSON payload of a monoid of tables: its generator names,
+    size, truncated flag, witnesses, Cayley rows and elements, each
+    {"n": n, "entries": its table, one "%x" string per entry}."""
+    n = mon.generators[0].ground_size
+    return {
+        "generator_names": list(mon.generator_names),
+        "size": len(mon),
+        "truncated": mon.truncated,
+        "elements": [{"n": n, "entries": ["%x" % a for a in row.tolist()]} for row in mon.rows],
+        "witnesses": list(mon.witnesses),
+        "cayley": [list(row) for row in mon.cayley],
+    }

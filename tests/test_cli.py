@@ -17,6 +17,8 @@ from closurelab import monoid as monoid_mod
 from closurelab.opalg import complement_table, elements_of
 from closurelab.suites import KURATOWSKI_WORDS, SUITES, SuiteReport
 
+from _oracles import monoid_payload
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -806,9 +808,16 @@ class _Name(str):
         return "not this"
 
 
-def _witness14_monoid():
-    k, _ = models.kuratowski_witness()
-    return monoid_mod.generate_monoid([complement_table(k.ground_size), k], names=("c", "k"))
+def _monoid(letters, model=None, cap=monoid_mod.DEFAULT_CAP):
+    """The monoid a dump names: the letters among p, q and c of model,
+    or among k and c of the pinned witness when model is None."""
+    if model is None:
+        k, _ = models.kuratowski_witness()
+        named = {"k": k, "c": complement_table(k.ground_size)}
+    else:
+        named = {"p": model.p, "q": model.q, "c": complement_table(model.ground_size)}
+    return monoid_mod.generate_monoid([named[g] for g in letters], cap=cap,
+                                      names=tuple(letters))
 
 
 def test_json_writer_writes_the_bytes_of_json_dumps():
@@ -835,7 +844,7 @@ def test_json_writer_writes_the_bytes_of_json_dumps():
         SUITES["kuratowski14"]().data,
         idlab.search_counterexample("pq", "qp").to_json(),
         models.section4_model(3).to_json(),
-        _witness14_monoid().to_json(),
+        monoid_payload(_monoid("ck")),
     ]
     for obj in corpus:
         assert "".join(cli._json_chunks(obj)) == _dumps(obj), obj
@@ -893,12 +902,6 @@ def _orbit_payload():
             "cycle_entry": rep.cycle_entry, "truncated": rep.truncated}
 
 
-def _section4_monoid():
-    model = models.section4_model(2)
-    return monoid_mod.generate_monoid(
-        [model.p, model.q, complement_table(model.ground_size)], names=("p", "q", "c"))
-
-
 #: every command with --format json but the streamed identities list,
 #: with the library payload it writes
 _JSON_COMMANDS = [
@@ -911,12 +914,12 @@ _JSON_COMMANDS = [
     (["dump", "model", "--name", "section4"], lambda: models.section4_model(4).to_json()),
     (["dump", "model", "--name", "example3-literal"],
      lambda: models.example3(10, variant="literal").to_json()),
-    (["dump", "monoid", "--model", "witness14"], lambda: _witness14_monoid().to_json()),
+    (["dump", "monoid", "--model", "witness14"], lambda: monoid_payload(_monoid("ck"))),
     (["dump", "monoid", "--model", "section4", "--m", "2", "--gens", "p,q,c"],
-     lambda: _section4_monoid().to_json()),
-    (["dump", "hasse", "--model", "witness14"], lambda: _hasse_payload(_witness14_monoid())),
+     lambda: monoid_payload(_monoid("pqc", models.section4_model(2)))),
+    (["dump", "hasse", "--model", "witness14"], lambda: _hasse_payload(_monoid("ck"))),
     (["dump", "hasse", "--model", "section4", "--m", "2", "--gens", "p,q,c"],
-     lambda: _hasse_payload(_section4_monoid())),
+     lambda: _hasse_payload(_monoid("pqc", models.section4_model(2)))),
     (["dump", "orbit", "--model", "section4", "--word", "cpcpcqcq", "--start", "0,top"],
      _orbit_payload),
 ]
@@ -928,6 +931,52 @@ def test_json_output_is_the_bytes_of_json_dumps(capsys, argv, payload):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert code in (0, 1) and err == ""
     assert out == _dumps(payload())
+
+
+#: monoid dumps cut at the first and second element and inside a BFS
+#: level (--cap 7 ends the Cayley rows [3, -1], [-1, -1]), of 1 to 3
+#: generators in more than one order, and of rows wider than one chunk,
+#: with the library monoid each names
+_MONOID_DUMPS = [
+    (["--model", "witness14", "--cap", "1"], lambda: _monoid("ck", cap=1)),
+    (["--model", "witness14", "--cap", "2"], lambda: _monoid("ck", cap=2)),
+    (["--model", "witness14", "--cap", "7"], lambda: _monoid("ck", cap=7)),
+    (["--model", "witness14", "--gens", "c"], lambda: _monoid("c")),
+    (["--model", "witness14", "--gens", "k,c"], lambda: _monoid("kc")),
+    (["--model", "example3-repaired", "--M", "6", "--gens", "p,q"],
+     lambda: _monoid("pq", models.example3(6))),
+    (["--model", "example3-repaired", "--M", "6", "--gens", "q,p"],
+     lambda: _monoid("qp", models.example3(6))),
+    (["--model", "example3-repaired", "--M", "4", "--gens", "p,q,c"],
+     lambda: _monoid("pqc", models.example3(4))),
+    (["--model", "example3-repaired", "--M", "4", "--gens", "c,q,p", "--cap", "30"],
+     lambda: _monoid("cqp", models.example3(4), cap=30)),
+    (["--model", "example3-repaired", "--M", "15", "--cap", "4", "--gens", "p,q,c"],
+     lambda: _monoid("pqc", models.example3(15), cap=4)),
+]
+
+
+@pytest.mark.parametrize("argv,build", _MONOID_DUMPS,
+                         ids=[" ".join(argv) for argv, _ in _MONOID_DUMPS])
+def test_dump_monoid_writes_the_bytes_of_json_dumps(capsys, tmp_path, argv, build):
+    mon = build()
+    code, out, err = run_cli(capsys, "dump", "monoid", *argv)
+    assert (code, err) == (0, "")
+    assert out == _dumps(monoid_payload(mon))
+    target = tmp_path / "monoid.json"
+    assert run_cli(capsys, "dump", "monoid", *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_dump_monoid_is_written_a_block_of_values_at_a_time(capsys, monkeypatch):
+    chunks = []
+    monkeypatch.setattr(cli, "_emit", lambda text, out: chunks.extend(text))
+    argv = ["dump", "monoid", "--model", "example3-repaired", "--M", "15", "--cap", "4",
+            "--gens", "p,q,c"]
+    assert run_cli(capsys, *argv) == (0, "", "")
+    # 4 rows of 2**16 entries, each spelled in 4 chunks of 2**14
+    assert sum(len(chunk) > 100_000 for chunk in chunks) == 16
+    assert max(map(len, chunks)) < cli._BLOCK_ENTRIES * len(',\n        "ffff"') + 100
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from closurelab.opalg import (
 )
 from closurelab.suites import KURATOWSKI_WORDS
 
-from _oracles import monoid_bfs
+from _oracles import monoid_bfs, monoid_payload
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +200,13 @@ def test_monoid_json():
     k, _ = kuratowski_witness()
     c = complement_table(k.ground_size)
     mon = generate_monoid([k, c], names=("k", "c"))
-    blob = json.loads(json.dumps(mon.to_json()))
+    blob = json.loads(json.dumps(monoid_payload(mon)))
     assert blob["size"] == 14
     assert blob["truncated"] is False
     assert blob["witnesses"] == list(mon.witnesses)
-    assert len(blob["elements"]) == 14
+    assert [[int(a, 16) for a in e["entries"]] for e in blob["elements"]] == [
+        list(e.entries) for e in mon.elements]
+    assert {e["n"] for e in blob["elements"]} == {k.ground_size}
     assert blob["cayley"] == [list(r) for r in mon.cayley]
 
 
