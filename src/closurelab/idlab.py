@@ -60,6 +60,15 @@ SAMPLING_CAP = 12
 #: the most seeds a sampled scope of verify theorem2 draws: lockstep
 #: sampling holds a generator state (about 2.5 KB) per seed
 SAMPLE_COUNT_CAP = 10_000
+#: the tries a round of sample_commuting_pairs aims to draw: each
+#: pending seed draws ceil(SAMPLER_ROUND_TRIES / pending) in a row.
+#: Measured in one process on a 2-vCPU VM (min of 7): the 80 scopes of
+#: 25 seeds that the collapse-sampled benchmark draws at seeds 1-5 took
+#: 80 ms at one try per seed and round, and 67 ms at 16, drawing 7,439
+#: tries to use 5,923; at n = 5 with 1,000 and 10,000 seeds, 16 was as
+#: fast and drew 0.5 % and 0.07 % more tries than used.  32 was no
+#: faster and drew 1.1 % more at 1,000 seeds.
+SAMPLER_ROUND_TRIES = 16
 #: F0 families screened at a time against every F1 in _moore_families
 MOORE_SCREEN_ROWS = 256
 
@@ -146,14 +155,18 @@ class ModelRun:
     their p and q tables stacked into read-only (k, 2**n) arrays.  Its
     flat scope, built on first use and kept, evaluates a word on all k
     models at once.  model_at(i) returns the i-th model; exhaustive and
-    sampled runs build it only when asked.  A sampled run also keeps the
-    tries each model's seed took, read-only."""
+    sampled runs build it only when asked.  A sampled run also keeps,
+    read-only, the tries each model's seed used and the tries it drew
+    (drawn - tries were drawn in the same round after its pair and
+    discarded), and the lockstep rounds the sampler made."""
 
     ground_size: int
     p: np.ndarray
     q: np.ndarray
     model_at: Callable[[int], ClosurePairModel]
     tries: Optional[np.ndarray] = None  # per model, in a sampled run
+    drawn: Optional[np.ndarray] = None  # per model, in a sampled run
+    rounds: int = 0
 
     def __len__(self) -> int:
         return len(self.p)
@@ -164,6 +177,20 @@ class ModelRun:
     @cached_property
     def flat(self) -> FlatScope:
         return FlatScope(self.p, self.q)
+
+    def shared_eval(self, word) -> np.ndarray:
+        """flat.eval(word), read-only, kept in a one-entry slot keyed by
+        the word: evaluating the word of the last call again is a
+        lookup.  test_equation reads its right-hand side through it, as
+        a family of equations tends to share one, like theorem2's
+        pqcpq.  On the cached exhaustive runs the slot lasts as long as
+        the process: one table per run, 238 KB at most (the 3,721 pairs
+        at n = 3)."""
+        slot = self.__dict__.get("_shared")
+        if slot is None or slot[0] != word:
+            slot = (word, _frozen(self.flat.eval(word)))
+            self.__dict__["_shared"] = slot
+        return slot[1]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -259,14 +286,19 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
     family per try, until the pair commutes: randint(0, min(2**n, 16))
     members, each randrange(2**n), drawn as bitmasks by _family_mask on
     the same stream.  Seeds must be nonnegative, as random.Random(-s)
-    is random.Random(s).  Each round makes one try for every seed still
-    pending: the tables of all their families are built in one
-    closures_from_masks call and screened for pq = qp in one
-    commuting_rows call.  A seed's stream is the same whatever other
-    seeds are drawn with it, so its pair is the one it would draw
-    alone.  The run keeps the tries each seed took.  If a seed finds no
-    pair in max_tries tries, RuntimeError names the first such seed in
-    seed order.
+    is random.Random(s).  A round draws about SAMPLER_ROUND_TRIES tries
+    over the seeds still pending: each draws ceil(SAMPLER_ROUND_TRIES /
+    pending) consecutive tries, one while many seeds are pending, and
+    never past max_tries in all.  The tables of every family in the
+    round are built in one closures_from_masks call and screened for
+    pq = qp in one commuting_rows call.  A seed keeps its first
+    commuting try and discards the rest of its round, so its pair and
+    its tries are those of drawing one try at a time.  A seed's stream
+    is the same whatever other seeds are drawn with it, so its pair is
+    the one it would draw alone.  The run keeps the tries each seed
+    used and drew, and the rounds made.  If a seed finds no pair in
+    max_tries tries, RuntimeError names the first such seed in seed
+    order.
     """
     if not 0 <= n <= SAMPLING_CAP:
         raise ValueError(f"sampling supports n <= {SAMPLING_CAP}")
@@ -279,17 +311,25 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
     p = np.empty((len(seeds), size), dtype=np.int64)
     q = np.empty_like(p)
     tries = np.zeros(len(seeds), dtype=np.int64)
+    drawn = np.zeros_like(tries)
     pending = np.arange(len(seeds))
-    for _ in range(max_tries):
-        if not len(pending):
-            break
-        masks = [_family_mask(draws[i], 0, bound, size) for i in pending.tolist() for _ in "pq"]
+    done = rounds = 0  # every pending seed has drawn done tries
+    while len(pending) and done < max_tries:
+        batch = min(-(-SAMPLER_ROUND_TRIES // len(pending)), max_tries - done)
+        masks = [_family_mask(draws[i], 0, bound, size)
+                 for i in pending.tolist() for _ in range(2 * batch)]
         tables = closures_from_masks(n, masks)
         ps, qs = tables[0::2], tables[1::2]
-        ok = commuting_rows(ps, qs)
-        tries[pending] += 1
-        p[pending[ok]], q[pending[ok]] = ps[ok], qs[ok]
-        pending = pending[~ok]
+        ok = commuting_rows(ps, qs).reshape(len(pending), batch)
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)[hit]
+        kept = np.flatnonzero(hit) * batch + first
+        p[pending[hit]], q[pending[hit]] = ps[kept], qs[kept]
+        tries[pending[hit]] = done + first + 1
+        done += batch
+        rounds += 1
+        drawn[pending] = done
+        pending = pending[~hit]
     if len(pending):
         raise RuntimeError(
             f"no commuting pair found in {max_tries} tries (seed {seeds[pending[0]]})"
@@ -304,7 +344,7 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
             commuting=True,
         )
 
-    return ModelRun(n, _frozen(p), _frozen(q), model_at, _frozen(tries))
+    return ModelRun(n, _frozen(p), _frozen(q), model_at, _frozen(tries), _frozen(drawn), rounds)
 
 
 def sample_commuting_pair(n: int, seed: int, max_tries: int = 2000) -> ClosurePairModel:
@@ -405,10 +445,12 @@ class EquationCertificate:
 def test_equation(lhs, rhs, family: Scope) -> EquationCertificate:
     """Evaluate both words on every model in the family; stop at the
     first disagreement.  The witness is the smallest differing subset
-    (mask order) on the first refuting model in scope order."""
+    (mask order) on the first refuting model in scope order.  Each run
+    keeps the tables of rhs until another right-hand side replaces them
+    (ModelRun.shared_eval)."""
     checked = 0
     for run in family.runs():
-        diff = run.flat.eval(lhs) != run.flat.eval(rhs)
+        diff = run.flat.eval(lhs) != run.shared_eval(rhs)
         refuting = diff.any(axis=1)
         if refuting.any():
             k = int(refuting.argmax())

@@ -467,8 +467,11 @@ def commuting_witness(f: OperatorTable, g: OperatorTable) -> Optional[Mask]:
 
 def commuting_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Which rows i of two (k, 2**n) stacks have p[i] q[i] = q[i] p[i];
-    commuting_witness screens one pair and names a witness."""
-    return np.all(np.take_along_axis(p, q, -1) == np.take_along_axis(q, p, -1), axis=-1)
+    commuting_witness screens one pair and names a witness.  Each side
+    is one 1-D gather over FlatScope's shifted tables: both composites
+    carry row i's offset, so they are equal exactly where pq = qp."""
+    tables = FlatScope(p, q).tables
+    return (tables["p"][tables["q"]] == tables["q"][tables["p"]]).reshape(p.shape).all(axis=-1)
 
 
 def commutes(f: OperatorTable, g: OperatorTable) -> bool:
@@ -590,19 +593,36 @@ class FlatScope:
         k, size = p.shape
         if any(t is not None and t.shape != p.shape for t in (q, c)):
             raise ValueError("ground sizes differ")
-        offsets = np.arange(0, k * size, size, dtype=np.int64)[:, None]
         self.shape = (k, size)
-        self.tables = {letter: (stack + offsets).reshape(-1)
-                       for letter, stack in (("c", c), ("p", p), ("q", q))
-                       if stack is not None}
+        self._offsets = np.arange(0, k * size, size, dtype=np.int64)[:, None]
+        self.tables = {}
+        for letter, stack in (("c", c), ("p", p), ("q", q)):
+            if stack is not None:
+                self.set_table(letter, stack)
+
+    def set_table(self, letter: str, stack: np.ndarray) -> None:
+        """Make a (k, 2**n) stack, or one 2**n row that every model
+        shares, the table of letter, shifted by the rows' offsets; the
+        other letters' shifted tables are kept as they are."""
+        self.tables[letter] = (stack + self._offsets).reshape(-1)
 
     def eval(self, word) -> np.ndarray:
         """The (k, 2**n) int64 tables of a cpq-word, letters acting
-        right-to-left as usual, row i on model i."""
+        right-to-left as usual, row i on model i.  The last letter's
+        shifted table is the start, as in eval_word; a c with no table,
+        and the empty word, start from the identity.  The result is a
+        fresh array, never a view of the scope's tables."""
         text = parse_word(word)
         k, size = self.shape
-        v = _apply_letters(text, self.tables, np.arange(k * size, dtype=np.int64), size - 1)
-        v &= size - 1
+        start = self.tables.get(text[-1:])
+        if start is None:
+            v = _apply_letters(text, self.tables, np.arange(k * size, dtype=np.int64), size - 1)
+        else:
+            v = _apply_letters(text[:-1], self.tables, start, size - 1)
+        if v is start:
+            v = v & (size - 1)
+        else:
+            v &= size - 1
         return v.reshape(k, size)
 
     def suffixes(self, word) -> Iterator[np.ndarray]:

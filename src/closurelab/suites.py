@@ -82,7 +82,9 @@ def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
     place of c (plain complement and t = 0 when thetas is None).  The
     failures come in (i, j, t) order and mask is the smallest subset on
     which the two words differ.  Rows of thetas that repeat a table
-    are evaluated once and share its failures."""
+    are evaluated once and share its failures.  The q and theta stacks
+    are shifted into one flat scope once; each p row only replaces p's
+    table there."""
     closures = idlab._closure_stack(n)
     if thetas is None:
         thetas = complement_table(n).entries[None]
@@ -90,9 +92,10 @@ def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
     inverse = inverse.reshape(-1)
     q = np.repeat(closures, len(distinct), axis=0)
     c = np.tile(distinct, (len(closures), 1))
+    flat = FlatScope(q, q, c)  # p's table is set per row below
     failures = []
     for i, row in enumerate(closures):
-        flat = FlatScope(np.broadcast_to(row, q.shape), q, c)
+        flat.set_table("p", row)
         diff = flat.eval(lhs) != flat.eval(rhs)
         diff = diff.reshape(len(closures), len(distinct), -1)
         for j, t in zip(*np.nonzero(diff.any(axis=2)[:, inverse])):
@@ -204,12 +207,15 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
 def _sampler_comment(n: int, scope: idlab.Scope) -> str:
     """A "# " line on the tries the seeds of a sampled scope took: the
     counts are deterministic, but a comment line leaves the report body
-    as it was before they were printed."""
-    tries = [t for run in scope.runs() for t in run.tries.tolist()]
+    as it was before they were printed.  Tries are those the seeds'
+    pairs used; drawn adds those discarded after a pair in its round."""
+    runs = list(scope.runs())
+    tries = [t for run in runs for t in run.tries.tolist()]
     line = f"# sampler n={n}: {len(tries)} seeds, {sum(tries)} tries"
     if tries:
         line += f" (min/median/max {min(tries)}/{np.median(tries):g}/{max(tries)})"
-    return line
+    drawn = sum(int(run.drawn.sum()) for run in runs)
+    return line + f", {drawn} drawn in {sum(run.rounds for run in runs)} rounds"
 
 
 def suite_theorem2(

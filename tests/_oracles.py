@@ -128,6 +128,24 @@ def sample_commuting_pair(n, seed, max_tries=2000):
     return None
 
 
+def lockstep_schedule(tries, fill, max_tries=2000):
+    """(tries drawn per seed, rounds) of a lockstep sampler whose round
+    gives each of its P pending seeds min(ceil(fill / P), tries left
+    before max_tries) consecutive tries, given the tries each seed needs
+    (None for a seed that finds no pair): a seed stays pending until a
+    round takes it to its tries."""
+    drawn = [0] * len(tries)
+    pending = list(range(len(tries)))
+    done = rounds = 0
+    while pending and done < max_tries:
+        done += min(-(-fill // len(pending)), max_tries - done)
+        rounds += 1
+        for i in pending:
+            drawn[i] = done
+        pending = [i for i in pending if tries[i] is None or tries[i] > done]
+    return drawn, rounds
+
+
 def is_monotone(entries):
     """Whether A <= B implies entries[A] <= entries[B], over every pair
     of subsets."""

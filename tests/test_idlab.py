@@ -44,6 +44,7 @@ from _oracles import (
     closures_by_filter,
     compose_tables,
     identity_survey,
+    lockstep_schedule,
     moore_families_brute,
 )
 from _oracles import sample_commuting_pair as reference_pair
@@ -250,21 +251,70 @@ def test_family_mask_replays_randint_and_randrange(n):
             assert rng.getstate() == ref.getstate(), (n, low, high, seed)
 
 
-@pytest.mark.parametrize("n,seeds", [(n, range(100, 130)) for n in range(7)]
-                         + [(12, range(100, 103))])
-def test_lockstep_sampler_matches_the_sequential_reference(n, seeds):
-    # drawing every seed in lockstep gives each seed the pair, and the
-    # try count, of the one-at-a-time rejection sampler on its stream
-    run = idlab.sample_commuting_pairs(n, seeds)
-    want = [reference_pair(n, seed) for seed in seeds]
+def _assert_sampler_matches_the_reference(n, seeds, max_tries=2000):
+    """sample_commuting_pairs against the one-try-at-a-time reference:
+    every seed's pair and tries, the tries drawn and the rounds of the
+    round schedule, or else the error naming the first failing seed.
+    Whether every seed found a pair."""
+    want = [reference_pair(n, seed, max_tries) for seed in seeds]
+    failing = [seed for seed, pair in zip(seeds, want) if pair is None]
+    if failing:
+        message = rf"^no commuting pair found in {max_tries} tries \(seed {failing[0]}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            idlab.sample_commuting_pairs(n, seeds, max_tries)
+        return False
+    run = idlab.sample_commuting_pairs(n, seeds, max_tries)
     assert run.ground_size == n and len(run) == len(seeds)
     assert [tuple(row) for row in run.p.tolist()] == [p for p, _, _ in want]
     assert [tuple(row) for row in run.q.tolist()] == [q for _, q, _ in want]
-    assert run.tries.tolist() == [tries for _, _, tries in want]
+    tries = [t for _, _, t in want]
+    assert run.tries.tolist() == tries
+    drawn, rounds = lockstep_schedule(tries, idlab.SAMPLER_ROUND_TRIES, max_tries)
+    assert (run.drawn.tolist(), run.rounds) == (drawn, rounds)
+    assert all(t <= d <= max_tries for t, d in zip(tries, drawn))
+    return True
+
+
+# seeds 150 at n = 5 and 152 at n = 6 need 21 and 40 tries, more than
+# one round drawn for a seed alone (SAMPLER_ROUND_TRIES)
+@pytest.mark.parametrize("n,seeds", [(n, range(100, 130)) for n in range(7)]
+                         + [(12, range(100, 103)), (5, [150]), (5, [151, 150, 152]),
+                            (6, [152]), (6, range(140, 160))])
+def test_lockstep_sampler_matches_the_sequential_reference(n, seeds):
+    # drawing every seed in lockstep gives each seed the pair, and the
+    # try count, of the one-at-a-time rejection sampler on its stream
+    _assert_sampler_matches_the_reference(n, list(seeds))
     # and drawing a seed alone gives the same pair
+    run = idlab.sample_commuting_pairs(n, seeds)
     alone = sample_commuting_pair(n, seeds[-1])
     assert alone.p.entries.tolist() == run.p[-1].tolist()
     assert alone.q.entries.tolist() == run.q[-1].tolist()
+
+
+def test_sampler_rounds_are_fewer_than_the_largest_try_count(monkeypatch):
+    # a 25-seed scope draws each round's tables in one
+    # closures_from_masks call, and a few pending seeds draw several
+    # tries in a round: fewer calls than the most tries a seed needs
+    calls = []
+    real = idlab.closures_from_masks
+
+    def counting(n, masks):
+        calls.append(len(masks))
+        return real(n, masks)
+
+    monkeypatch.setattr(idlab, "closures_from_masks", counting)
+    run = next(Scope.sampled(5, 25, seed=140).runs())
+    assert len(calls) == run.rounds < int(run.tries.max())
+    # two families per try drawn
+    assert sum(calls) == 2 * int(run.drawn.sum())
+
+
+def test_sampler_draws_few_tries_past_those_it_uses():
+    # with many seeds pending a round draws one try per seed, so the
+    # tries discarded after a seed's pair stay a small share
+    run = idlab.sample_commuting_pairs(5, range(DEFAULT_SEED, DEFAULT_SEED + 2000))
+    assert run.tries.sum() <= run.drawn.sum() <= 1.01 * run.tries.sum()
+    assert not run.drawn.flags.writeable
 
 
 def test_sampled_run_models_and_stacks():
@@ -312,6 +362,17 @@ def test_sampler_exhaustion_names_the_first_failing_seed():
     assert idlab.sample_commuting_pairs(4, ok, max_tries=1).tries.tolist() == [1] * len(ok)
     with pytest.raises(RuntimeError, match=r"in 0 tries \(seed 5\)$"):
         idlab.sample_commuting_pairs(4, [5, 6], max_tries=0)
+    # a filled round would give a few pending seeds more tries than
+    # max_tries allows: one seed alone, a few, and many, at each
+    # max_tries some groups finding every pair and some not (at n = 5
+    # seed 105 needs 2 tries, 101 needs 3 and 150 needs 21; at n = 4
+    # seeds 103, 105 and 117 need 2, 3 and 5)
+    groups = ((5, [105]), (5, [101]), (5, [150]), (5, [101, 105, 104]),
+              (4, [103, 117, 105]), (4, range(100, 130)), (5, range(100, 130)))
+    for max_tries in (2, 3, 5):
+        found = {_assert_sampler_matches_the_reference(n, list(group)[::step], max_tries)
+                 for n, group in groups for step in (1, -1)}
+        assert found == {True, False}, max_tries
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +550,55 @@ def test_batched_certificates_match_model_by_model_reference(seed):
             assert (cert.status, label, cert.witness, cert.models_checked) == (
                 _reference_certificate(lhs, rhs, reference)
             ), (scope.description, lhs, rhs)
+
+
+def _fresh_scope_certificate(lhs, rhs, scope):
+    """test_equation's outcome with both sides evaluated on a fresh
+    FlatScope of each run's stacks, no table kept between calls."""
+    checked = 0
+    for run in scope.runs():
+        flat = FlatScope(run.p, run.q)
+        diff = flat.eval(lhs) != flat.eval(rhs)
+        refuting = diff.any(axis=1)
+        if refuting.any():
+            k = int(refuting.argmax())
+            return "counterexample", run.model_at(k).label, int(diff[k].argmax()), checked + k + 1
+        checked += len(run)
+    return "holds", None, None, checked
+
+
+def test_shared_right_sides_give_the_certificates_of_fresh_scopes(monkeypatch):
+    # right sides alternate, pqcpq, qp, pqcpq, then one that commuting
+    # pairs refute, so each run's kept right side is filled, replaced
+    # and filled again; every certificate equals the fresh-scope one
+    evals = []
+    real = FlatScope.eval
+    monkeypatch.setattr(FlatScope, "eval", lambda self, word: evals.append(word) or real(self, word))
+    equations = [(FIXTURE_EQUATIONS[1][0], "pqcpq"), ("pq", "qp"),
+                 (theorem2_word(("pq", "p", "q", "pq")), "pqcpq"), ("qcpcq", "pcq")]
+    scopes = [Scope.exhaustive(2, commuting=False), Scope.exhaustive(3),
+              Scope.sampled(4, 25, seed=77), Scope.sampled(5, 25, seed=9),
+              Scope.fixtures(chain(Scope.exhaustive(1).models(), Scope.sampled(4, 5).models()))]
+    for scope in scopes:
+        for lhs, rhs in equations + equations[:1]:
+            cert = idlab.test_equation(lhs, rhs, scope)
+            label = None if cert.holds else cert.model.label
+            assert (cert.status, label, cert.witness, cert.models_checked) == (
+                _fresh_scope_certificate(lhs, rhs, scope)), (scope.description, lhs, rhs)
+    statuses = [idlab.test_equation(lhs, rhs, scopes[1]).status for lhs, rhs in equations]
+    assert statuses == ["holds", "holds", "holds", "counterexample"]
+    assert idlab.test_equation("pq", "qp", scopes[0]).status == "counterexample"
+    # the kept tables are read-only, and a right side repeated on a run
+    # is evaluated once: twelve equations against pqcpq over a new
+    # sampled run make thirteen evaluations
+    run = next(scopes[2].runs())
+    with pytest.raises(ValueError):
+        run.shared_eval("pqcpq")[0, 0] = 0
+    evals.clear()
+    words = [theorem2_word(blocks) for blocks in product(BLOCK_CHOICES, repeat=4)][:12]
+    scope = Scope.sampled(4, 25, seed=78)
+    assert all(idlab.test_equation(w, "pqcpq", scope).holds for w in words)
+    assert sorted(evals) == sorted(words + ["pqcpq"])
 
 
 def test_counterexample_json_schema():

@@ -315,6 +315,47 @@ def test_commutes_and_witness():
         assert p.apply(q.apply(w)) != q.apply(p.apply(w))
 
 
+def test_commuting_rows_matches_per_pair_commutes():
+    # every ordered closure pair at n <= 3, sampled families at n = 5
+    # (commuting and not), no rows at all, and the one-subset ground
+    from closurelab import idlab
+
+    stacks = []
+    for n in range(4):
+        closures = idlab._closure_stack(n)
+        k = len(closures)
+        stacks.append((n, np.repeat(closures, k, axis=0), np.tile(closures, (k, 1))))
+    getrandbits = random.Random(5).getrandbits
+    tables = closures_from_masks(5, [idlab._family_mask(getrandbits, 0, 16, 32) for _ in range(600)])
+    stacks.append((5, tables[0::2], tables[1::2]))
+    for n in (0, 3):
+        stacks.append((n, np.empty((0, 1 << n), dtype=np.int64), np.empty((0, 1 << n), dtype=np.int64)))
+    stacks.append((0, np.zeros((2, 1), dtype=np.int64), np.zeros((2, 1), dtype=np.int64)))
+    for n, p, q in stacks:
+        got = opalg.commuting_rows(p, q)
+        want = [commutes(OperatorTable(n, a), OperatorTable(n, b)) for a, b in zip(p, q)]
+        assert got.dtype == bool and got.tolist() == want, n
+    for n in (2, 3, 5):
+        flags = opalg.commuting_rows(*[s for m, *s in stacks if m == n][0])
+        assert flags.any() and not flags.all(), n
+
+
+def test_flat_scope_eval_returns_a_fresh_array():
+    # a word of one letter, one ending in c (with and without a c
+    # table) and the empty word: the result shares no memory with the
+    # scope's tables, and writing to it leaves them as they were
+    ks = np.stack([closure_from_fixed_points(3, fam).entries
+                   for fam in ([7], [1, 7], [0, 3, 7], [2, 5, 7])])
+    thetas = np.stack([complement_table(3).entries, reversed_involution([1, 0, 2]).entries] * 2)
+    for scope in (FlatScope(ks, ks[::-1].copy()), FlatScope(ks, ks[::-1].copy(), thetas)):
+        before = {letter: table.copy() for letter, table in scope.tables.items()}
+        for word in ("p", "q", "c", "pc", "qcpc", ""):
+            got = scope.eval(word)
+            assert not any(np.shares_memory(got, t) for t in scope.tables.values()), word
+            got[...] = 0
+            assert all(np.array_equal(scope.tables[k], v) for k, v in before.items()), word
+
+
 def test_lift_permutation_and_involutions():
     perm = [1, 2, 0]
     lift = lift_permutation(perm)

@@ -25,7 +25,7 @@ from closurelab.suites import (
     suite_theorem2,
 )
 
-from _oracles import compose_tables
+from _oracles import compose_tables, lockstep_schedule
 from _oracles import sample_commuting_pair as reference_pair
 
 
@@ -102,12 +102,16 @@ def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
     # holds the table, in (p, q, theta) order
     comp, theta = complement_table(2), reversed_involution([1, 0])
     stack = np.stack([t.entries for t in (comp, theta, comp, theta, comp)])
-    scopes, words = [], []
+    scopes, tables, words = [], [], []
 
     class Counted(suites.FlatScope):
         def __init__(self, p, q, c=None):
             scopes.append((len(c), sorted({tuple(row) for row in c.tolist()})))
             super().__init__(p, q, c)
+
+        def set_table(self, letter, stack):
+            tables.append(letter)
+            super().set_table(letter, stack)
 
         def eval(self, word):
             words.append(word)
@@ -118,10 +122,12 @@ def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
     assert got == _pair_failures_by_hand(
         "pcq", "qcp", 2, [tuple(row.tolist()) for row in stack])
     assert {t for _, _, t, _ in got} == {0, 1, 2, 3, 4}
-    # one scope per p of the 7 closures, each over 7 q times the 2
-    # distinct tables, and the 2 words evaluated on it
+    # one scope over 7 q times the 2 distinct tables, shifted once, and
+    # per p of the 7 closures only p's table replaced and the 2 words
+    # evaluated on it
     distinct = sorted({tuple(comp.entries.tolist()), tuple(theta.entries.tolist())})
-    assert scopes == [(7 * 2, distinct)] * 7
+    assert scopes == [(7 * 2, distinct)]
+    assert tables == ["c", "p", "q"] + ["p"] * 7
     assert words == ["pcq", "qcp"] * 7
 
 
@@ -249,14 +255,17 @@ def test_theorem2_draws_each_sampled_scope_once(monkeypatch):
 
 def test_theorem2_prints_sampler_tries_on_comment_lines():
     # one "# " line per sampled part, right after the part's line, with
-    # the tries the reference sampler takes on each seed
+    # the tries the reference sampler takes on each seed, and the tries
+    # drawn and rounds made by the lockstep schedule
     samples, seed = 6, 300
     rep = suite_theorem2(n=1, samples=samples, seed=seed)
     want = []
     for n, first in ((4, seed), (5, seed + 1000)):
         tries = [reference_pair(n, s)[2] for s in range(first, first + samples)]
+        drawn, rounds = lockstep_schedule(tries, idlab.SAMPLER_ROUND_TRIES)
         want.append(f"# sampler n={n}: {samples} seeds, {sum(tries)} tries "
-                    f"(min/median/max {min(tries)}/{statistics.median(tries):g}/{max(tries)})")
+                    f"(min/median/max {min(tries)}/{statistics.median(tries):g}/{max(tries)}), "
+                    f"{sum(drawn)} drawn in {rounds} rounds")
     comments = [i for i, ln in enumerate(rep.lines) if ln.startswith("# ")]
     assert [rep.lines[i] for i in comments] == want
     assert [rep.lines[i - 1].split(":")[0] for i in comments] == [
@@ -266,7 +275,8 @@ def test_theorem2_prints_sampler_tries_on_comment_lines():
     assert "# " not in str(rep.data)
     empty = suite_theorem2(n=1, samples=0)
     assert [ln for ln in empty.lines if ln.startswith("# ")] == [
-        "# sampler n=4: 0 seeds, 0 tries", "# sampler n=5: 0 seeds, 0 tries"]
+        "# sampler n=4: 0 seeds, 0 tries, 0 drawn in 0 rounds",
+        "# sampler n=5: 0 seeds, 0 tries, 0 drawn in 0 rounds"]
 
 
 def test_fixtures_suite():
