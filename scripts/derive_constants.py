@@ -20,8 +20,6 @@ Everything here is deterministic; no flags, no environment.
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, "src")
 
 from closurelab import idlab, models, monoid, opalg, suites, theory
@@ -63,28 +61,19 @@ def main():
     print("\n== collapse fixture failing without commutativity ==")
     found = None
     for idx, (lhs, rhs) in enumerate(idlab.FIXTURE_EQUATIONS):
-        for size in range(3 + 1):
-            k = len(idlab.enumerate_closures(size))
-            hit = None
-            # all ordered pairs in (p index, q index) order
-            for r, m in enumerate(idlab.enumerate_all_pairs(size)):
-                if m.commuting:
-                    continue
-                a = opalg.eval_word(lhs, m.p, m.q)
-                b = opalg.eval_word(rhs, m.p, m.q)
-                if a != b:
-                    w = int(np.flatnonzero(a.entries != b.entries)[0])
-                    hit = (idx, size, *divmod(r, k), w)
-                    break
-            if hit:
-                print(f"fixture {idx}: {lhs} = {rhs}")
-                print(f"  fails at n={hit[1]} p#{hit[2]} q#{hit[3]} "
-                      f"witness mask {hit[4]} set {opalg.elements_of(hit[4])}")
-                if found is None:
-                    found = hit
-                break
-        else:
+        # the first refuting pair in (p index, q index) order at the
+        # smallest size, and its smallest separating mask
+        cert = idlab.search_counterexample(lhs, rhs, max_n=3)
+        if cert.holds:
             print(f"fixture {idx}: {lhs} = {rhs}: no failure at n <= 3")
+            continue
+        size, w = cert.model.ground_size, cert.witness
+        closures = idlab._closures(size)
+        pi, qi = closures.index(cert.model.p), closures.index(cert.model.q)
+        print(f"fixture {idx}: {lhs} = {rhs}")
+        print(f"  fails at n={size} p#{pi} q#{qi} witness mask {w} set {opalg.elements_of(w)}")
+        if found is None:
+            found = (idx, size, pi, qi, w)
     print(f"pin FIXTURE_FAILURE = {found}")
 
     print("\n== staircase monoid growth ==")

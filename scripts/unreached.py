@@ -15,7 +15,8 @@ module.qualified_name.  A name listed is a candidate for deletion
 unless something these paths do not reach, such as a test reference or
 a documented entry point, is meant to keep it.  Those names are KEPT,
 each with the reason it stays; any other name printed is also named on
-standard error, and the script exits 1.
+standard error, as is a KEPT name that no longer names a function, and
+the script then exits 1.
 """
 
 import contextlib
@@ -31,14 +32,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 #: the functions no exercised path calls that stay on purpose
 KEPT = frozenset({
-    # the third scope kind of the idlab docstring, and what builds its runs
-    "idlab.Scope.fixtures", "idlab._runs_of",
     # references in the tests: the pointwise order, the interior screen
     # and the validated mask helper
     "opalg.leq", "opalg.check_interior", "opalg.mask_of",
-    # reading dumps back
-    "models.ClosurePairModel.from_json", "models.WindowSpec.from_json",
-    "opalg.OperatorTable.from_json", "opalg.OperatorTable.to_json",
     # reached only with --out
     "cli._writable",
     # the tests' composition reference, and the data model
@@ -100,13 +96,17 @@ def main() -> int:
     for line in failed:
         print(f"check failed: {line}", file=sys.stderr)
     called = {(os.path.realpath(file), line) for file, line in called}
-    unreached = sorted(name for key, name in defined().items() if key not in called)
+    names = defined()
+    unreached = sorted(name for key, name in names.items() if key not in called)
     for name in unreached:
         print(name)
     unexpected = [name for name in unreached if name not in KEPT]
     for name in unexpected:
         print(f"unreached and not kept: {name}", file=sys.stderr)
-    return 1 if unexpected else 0
+    stale = sorted(KEPT - set(names.values()))
+    for name in stale:
+        print(f"kept but not defined: {name}", file=sys.stderr)
+    return 1 if unexpected or stale else 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .opalg import (
 )
 from .theory import (
     Derivation,
-    c_balanced,
     check_derivation,
     check_intended_model,
     collapse_derivation,

@@ -13,10 +13,11 @@ never held whole: any payload a dict key or a list item at a time,
 and a monoid dump's tables and Cayley rows from their arrays, a block
 of rows at a time.  Every command runs in one process; --workers is
 still accepted (at least 1) but changes nothing.
-A flag the command does not read, a flag out of its bounds and a
-needed flag left out are usage errors, found in one table before any
-work; verify passes a suite only the flags that are given, so an unset
-one takes the suite's own default.
+One table, _FLAGS, declares each command and the flags it reads; the
+parser is built from it.  A flag the command does not read, a flag
+out of its bounds, a needed flag left out and an abbreviated flag are
+usage errors, found before any work; verify passes a suite only the
+flags that are given, so an unset one takes the suite's own default.
 Exit codes: 0 pass, 1 check failure, 2 usage error.
 """
 
@@ -163,8 +164,10 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str,
 # flags
 
 
-#: every flag each command reads, with the values it accepts as
-#: inclusive (low, high) bounds, None for no bound; main refuses any
+#: the command surface: every command, and every flag it reads with
+#: the values it accepts as inclusive (low, high) bounds, None for no
+#: bound, or _ANY for any text and _NEEDED for text it cannot do
+#: without.  The parser is built from this table, and main refuses any
 #: other flag or value as a usage error before any work starts.  --n is
 #: capped by the exhaustive enumeration a command walks, --samples by
 #: the seeds one lockstep draw holds, and --maxlen by the identity
@@ -175,39 +178,55 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str,
 #: dump's cycle is capped lower by its model, except in dump orbit
 #: --model section4, which walks it as functions: there --m 1024 and
 #: --iters 4096 take about 0.3 s and 31 MB, and --m 4096 about 10 s.
-_ANY, _WINDOW = (None, None), {"m": (2, 1024), "M": (2, MAX_GROUND_SIZE - 1)}
+_ANY, _NEEDED = "any", "needed"
+_WINDOW = {"m": (2, 1024), "M": (2, MAX_GROUND_SIZE - 1)}
 _FLAGS = {
-    "verify theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
+    "verify example3": {"M": (2, MAX_GROUND_SIZE - 1)},
+    "verify fixtures": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "verify interior": {"n": (0, idlab.ENUMERATION_CAP)},
     "verify kuratowski14": {"n": (0, idlab.BLOCKED_ENUMERATION_CAP)},
+    "verify lemma6": {},
+    "verify pq-closure": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
+    "verify remark-involution": {"n": (0, idlab.ENUMERATION_CAP)},
+    "verify section4": {"m": (2, (MAX_GROUND_SIZE - 2) // 2)},
+    "verify theorem1": {"n": (0, idlab.ENUMERATION_CAP)},
     "verify theorem2": {
         "n": (0, idlab.PAIR_ENUMERATION_CAP),
         "samples": (1, idlab.SAMPLE_COUNT_CAP),
         "seed": (0, None),
     },
-    "verify fixtures": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
-    "verify section4": {"m": (2, (MAX_GROUND_SIZE - 2) // 2)},
-    "verify example3": {"M": (2, MAX_GROUND_SIZE - 1)},
-    "verify lemma6": {},
-    "verify interior": {"n": (0, idlab.ENUMERATION_CAP)},
-    "verify pq-closure": {"n": (0, idlab.PAIR_ENUMERATION_CAP)},
-    "verify remark-involution": {"n": (0, idlab.ENUMERATION_CAP)},
     "search identities": {
         "n": (0, idlab.PAIR_ENUMERATION_CAP),
         "maxlen": (0, idlab.MAXLEN_CAP),
         "limit": (0, None),
     },
-    "search counterexample": {"n": (0, idlab.PAIR_ENUMERATION_CAP), "eq": _ANY},
+    "search counterexample": {"n": (0, idlab.PAIR_ENUMERATION_CAP), "eq": _NEEDED},
     "search witness14": {},
-    "dump model": dict(_WINDOW, name=_ANY),
-    "dump monoid": dict(_WINDOW, model=_ANY, gens=_ANY, cap=(1, None)),
-    "dump orbit": dict(_WINDOW, model=_ANY, word=_ANY, start=_ANY, iters=(1, 4096)),
-    "dump hasse": dict(_WINDOW, model=_ANY, gens=_ANY, cap=(1, None)),
+    "dump model": dict(_WINDOW, name=_NEEDED),
+    "dump monoid": dict(_WINDOW, model=_NEEDED, gens=_ANY, cap=(1, None)),
+    "dump orbit": dict(_WINDOW, model=_NEEDED, word=_NEEDED, start=_NEEDED, iters=(1, 4096)),
+    "dump hasse": dict(_WINDOW, model=_NEEDED, gens=_ANY, cap=(1, None)),
 }
 
-#: the flags a command cannot do without
-_NEEDS = {"search counterexample": ("eq",), "dump model": ("name",),
-          "dump monoid": ("model",), "dump hasse": ("model",),
-          "dump orbit": ("model", "word", "start")}
+#: each flag's help text, in the order the parser declares the flags,
+#: which is the order a usage error looks at the flags given in
+_HELP = {
+    "n": "ground size scope",
+    "maxlen": "longest word the identity search examines",
+    "limit": "most equations the identity search reports",
+    "eq": 'equation "LHS=RHS" to refute',
+    "name": "model name for dump model",
+    "model": "model name for dump monoid, orbit or hasse",
+    "iters": "orbit steps (default 10)",
+    "cap": "monoid size cap",
+    "gens": "generator letters (default c,k)",
+    "word": "word whose orbit is walked",
+    "start": "comma list of element names",
+    "m": "cycle half-length",
+    "M": "segment endpoint",
+    "samples": "sampled pairs per size for theorem2",
+    "seed": "sampling seed for theorem2",
+}
 
 _SHARED = ("command", "target", "out", "format", "workers")  # checked apart from _FLAGS
 
@@ -222,12 +241,15 @@ def _flag_error(command: str, args) -> Optional[str]:
             continue
         if flag not in bounds:
             return f"usage error: {command} does not take --{flag}"
+        if bounds[flag] in (_ANY, _NEEDED):
+            continue
         low, high = bounds[flag]
         if (low is None or low <= value) and (high is None or value <= high):
             continue
         span = f"{low} or more" if high is None else f"{low}..{high}"
         return f"usage error: {command} takes --{flag} {span}, got {value}"
-    missing = [f"--{flag}" for flag in _NEEDS.get(command, ()) if getattr(args, flag) is None]
+    missing = [f"--{flag}" for flag, bound in bounds.items()
+               if bound == _NEEDED and getattr(args, flag) is None]
     return f"{command} requires " + ", ".join(missing) if missing else None
 
 
@@ -535,60 +557,38 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: each verb's help, and the name its target goes by in usage lines
+_VERBS = {"verify": ("run a named verification suite", "name"),
+          "search": ("identity survey or counterexample hunt", "kind"),
+          "dump": ("serialize models and derived artifacts", "what")}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state
-    from one call to the next."""
+    """The parser, built once per process from _FLAGS: each verb takes
+    its commands' targets and the flags they read, an int for a bounded
+    flag and text otherwise, and no abbreviation of a flag.  parse_args
+    keeps no state from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="closurelab",
         description="verification and search workbench for complement "
         "plus closure operator algebras on finite ground sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--format", default=None,
-                       help="output format (default depends on the verb)")
+    for verb, (summary, metavar) in _VERBS.items():
+        p = sub.add_parser(verb, help=summary, allow_abbrev=False)
+        commands = [command for command in _FLAGS if command.startswith(verb + " ")]
+        p.add_argument("target", choices=[command.split(" ")[1] for command in commands],
+                       metavar=metavar, help="%(choices)s")
+        read = {flag: bound for command in commands for flag, bound in _FLAGS[command].items()}
+        for flag in _HELP:
+            if flag in read:
+                p.add_argument(f"--{flag}", type=str if read[flag] in (_ANY, _NEEDED) else int,
+                               help=_HELP[flag])
+        p.add_argument("--out", help="write output to this path")
+        p.add_argument("--format", help="output format (default depends on the verb)")
         # accepted for old command lines, checked, and otherwise unused
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help=argparse.SUPPRESS)
-
-    v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("target", choices=sorted(SUITES), metavar="name", help="%(choices)s")
-    v.add_argument("--n", type=int, default=None, help="ground size scope")
-    v.add_argument("--m", type=int, default=None, help="cycle half-length")
-    v.add_argument("--M", type=int, default=None, help="segment endpoint")
-    v.add_argument("--samples", type=int, default=None,
-                   help="sampled pairs per size for theorem2")
-    v.add_argument("--seed", type=int, default=None, help="sampling seed for theorem2")
-    common(v)
-
-    s = sub.add_parser("search", help="identity survey or counterexample hunt")
-    s.add_argument("target", choices=["identities", "counterexample", "witness14"],
-                   metavar="kind", help="%(choices)s")
-    s.add_argument("--n", type=int, default=None, help="exhaustive scope bound")
-    s.add_argument("--maxlen", type=int, default=None)
-    s.add_argument("--limit", type=int, default=None)
-    s.add_argument("--eq", default=None, help='equation "LHS=RHS" to refute')
-    common(s)
-
-    # no prefix matching, or a stray --n would be taken for --name
-    d = sub.add_parser("dump", help="serialize models and derived artifacts",
-                       allow_abbrev=False)
-    d.add_argument("target", choices=["model", "monoid", "orbit", "hasse"], metavar="what",
-                   help="%(choices)s")
-    d.add_argument("--name", default=None, help="model name for dump model")
-    d.add_argument("--model", default=None, help="model name for monoid/orbit/hasse")
-    d.add_argument("--iters", type=int, default=None, help="orbit steps (default 10)")
-    d.add_argument("--cap", type=int, default=None, help="monoid size cap")
-    d.add_argument("--gens", default=None, help="generator letters (default c,k)")
-    d.add_argument("--word", default=None)
-    d.add_argument("--start", default=None, help="comma list of element names")
-    d.add_argument("--m", type=int, default=None)
-    d.add_argument("--M", type=int, default=None)
-    common(d)
-
+        p.add_argument("--workers", type=_positive_int, default=1, help=argparse.SUPPRESS)
     return parser
 
 

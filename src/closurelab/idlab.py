@@ -9,13 +9,12 @@ is the smallest-enclosing-member map.  The counts are cross-checked in
 the tests against a brute-force filter over every function at tiny
 sizes.
 
-Equations between words are tested over scopes of three kinds, each
+Equations between words are tested over scopes of two kinds, each
 drawn when it is made: exhaustive pair enumerations at small ground
-sizes, seeded random samples beyond, or explicit fixture lists.  The
-outcome is always a certificate that names its evidence; "holds" never
-claims more than the scope it names, because the underlying membership
-problem (which equations are valid for every commuting closure pair)
-is open.
+sizes, and seeded random samples beyond.  The outcome is always a
+certificate that names its evidence; "holds" never claims more than
+the scope it names, because the underlying membership problem (which
+equations are valid for every commuting closure pair) is open.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -196,20 +195,6 @@ class ModelRun:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _runs_of(models: Iterable[ClosurePairModel]) -> list[ModelRun]:
-    """Split a model sequence into runs of equal ground size."""
-    runs = []
-    for n, group in groupby(models, key=lambda m: m.ground_size):
-        group = list(group)
-        runs.append(ModelRun(
-            n,
-            _frozen(np.stack([m.p.entries for m in group])),
-            _frozen(np.stack([m.q.entries for m in group])),
-            group.__getitem__,
-        ))
-    return runs
 
 
 @lru_cache(maxsize=None)
@@ -393,10 +378,6 @@ class Scope:
             raise ValueError(f"sample count must be nonnegative, got {count}")
         return Scope(f"sampled(n={n},count={count},seed={seed})",
                      [sample_commuting_pairs(n, range(seed, seed + count))] if count else [])
-
-    @staticmethod
-    def fixtures(models: Iterable[ClosurePairModel], label: str = "fixtures") -> "Scope":
-        return Scope(f"fixtures({label})", _runs_of(models))
 
 
 # ---------------------------------------------------------------------------

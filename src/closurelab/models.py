@@ -59,10 +59,6 @@ class WindowSpec:
     def to_json(self) -> dict:
         return {"kind": self.kind, "size": self.size}
 
-    @classmethod
-    def from_json(cls, obj) -> "WindowSpec":
-        return cls(obj["kind"], obj["size"])
-
 
 class ModelConstructionError(ValueError):
     """A construction that is supposed to yield commuting closures
@@ -148,28 +144,6 @@ class ClosurePairModel:
         if self.q_report is not None:
             out["q_report"] = self.q_report.as_dict()
         return out
-
-    @classmethod
-    def from_json(cls, obj) -> "ClosurePairModel":
-        p = OperatorTable.from_json(obj["p"])
-        q = OperatorTable.from_json(obj["q"])
-        window = WindowSpec.from_json(obj["window"]) if obj.get("window") else None
-        model = cls(
-            provenance=obj["provenance"],
-            p=p,
-            q=q,
-            window=window,
-            label=obj.get("label", ""),
-            names=tuple(obj["names"]) if obj.get("names") else None,
-            commuting=commutes(p, q),
-        )
-        # reports and the commuting flag are derived data; rebuild
-        # rather than trust the file
-        if "p_report" in obj:
-            model.p_report = check_closure(p)
-        if "q_report" in obj:
-            model.q_report = check_closure(q)
-        return model
 
 
 # ---------------------------------------------------------------------------

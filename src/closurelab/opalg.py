@@ -133,14 +133,6 @@ class OperatorTable:
     def __repr__(self):
         return f"OperatorTable(n={self.ground_size})"
 
-    def to_json(self) -> dict:
-        return {"n": self.ground_size, "entries": hex_rows(self.entries[None])[0]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OperatorTable":
-        entries = [int(e, 16) for e in obj["entries"]]
-        return cls(obj["n"], entries)
-
 
 @dataclass(frozen=True)
 class FnOperator:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -264,61 +264,37 @@ def eval_term(term: Term, model) -> OperatorTable:
 BLOCK_CHOICES = ("p", "q", "pq")
 
 
-@dataclass(frozen=True)
-class Balanced:
-    """Decomposition c blocks[0] c blocks[1] ... c blocks[-1], each
-    block one of p, q, pq."""
-
-    blocks: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class NotBalanced:
-    position: int
-    reason: str
-
-
-def c_balanced(text: str) -> Union[Balanced, NotBalanced]:
-    """Split a word as c a0 c a1 ... c a(2n+1) if possible: the balanced
-    shape, an even number of c's separating nonempty c-free blocks.
-
-    The shape is strict: a leading c, after every c a block that is
-    exactly p, q or pq, and an even number of c's (at least two).  Runs
-    such as qp or ppq do not count as blocks, even though they denote
-    the same operator for commuting pairs; equivalence of that kind is
-    the evaluator's business, not the parser's.  Failures report the
-    first offending position.
-    """
-    if not text:
-        return NotBalanced(0, "empty word")
-    if text[0] != "c":
-        return NotBalanced(0, "must start with c")
-    blocks = tuple(text[1:].split("c"))
-    i = 0  # the position of the c before each block
-    for block in blocks:
-        if not block:
-            return NotBalanced(i, "c not followed by a block")
-        if block not in BLOCK_CHOICES:
-            return NotBalanced(i + 1, f"block {block!r} is not one of p, q, pq")
-        i += len(block) + 1
-    if len(blocks) % 2:
-        return NotBalanced(len(text), f"odd number of c's ({len(blocks)})")
-    return Balanced(blocks)
-
-
 def to_term(w: str) -> Term:
     """Term of a balanced word, the inverse of term_word there:
     to_term(w).word == w.
+
+    The balanced shape is c a0 c a1 ... c a(2n+1): a leading c, after
+    every c a block that is exactly p, q or pq, and an even number of
+    c's (at least two).  Runs such as qp or ppq do not count as blocks,
+    even though they denote the same operator for commuting pairs;
+    equivalence of that kind is the evaluator's business, not the
+    parser's.  A word of any other shape raises ValueError naming the
+    first offending position and why.
 
     Block a0 gets a bar, a1 stays plain, and so on alternating, each
     block a product of its letters; since bar(g) is c g c, the bars
     reproduce exactly the original letter sequence, so evaluating the
     term over any model gives the same table as evaluating w itself.
     """
-    dec = c_balanced(w)
-    if isinstance(dec, NotBalanced):
-        raise ValueError(f"word is not c-balanced at position {dec.position}: {dec.reason}")
-    factors = [prod(*map(_ATOMS.__getitem__, block)) for block in dec.blocks]
+    refused = "word is not c-balanced at position {}: {}"
+    if not w.startswith("c"):
+        raise ValueError(refused.format(0, "must start with c" if w else "empty word"))
+    blocks = w[1:].split("c")
+    i = 0  # the position of the c before each block
+    for block in blocks:
+        if not block:
+            raise ValueError(refused.format(i, "c not followed by a block"))
+        if block not in BLOCK_CHOICES:
+            raise ValueError(refused.format(i + 1, f"block {block!r} is not one of p, q, pq"))
+        i += len(block) + 1
+    if len(blocks) % 2:
+        raise ValueError(refused.format(len(w), f"odd number of c's ({len(blocks)})"))
+    factors = [prod(*map(_ATOMS.__getitem__, block)) for block in blocks]
     return prod(*[Bar(t) if i % 2 == 0 else t for i, t in enumerate(factors)])
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from itertools import chain, islice, product
 
 import numpy as np
@@ -422,10 +423,10 @@ def test_sampled_scope_draws_once(monkeypatch):
 
 
 def test_each_run_builds_its_flat_scope_once(monkeypatch):
-    # a fixture scope of two runs (n = 1 and n = 2) and a sampled scope
-    # of one (n = 4), each walked by many test_equation and replay
-    # calls: each run shifts its stacks into a flat scope once, however
-    # many words it evaluates
+    # a scope of two new runs (n = 1 and n = 2) and a sampled scope of
+    # one (n = 4), each walked by many test_equation and replay calls:
+    # each run shifts its stacks into a flat scope once, however many
+    # words it evaluates
     built = []
 
     class Counted(idlab.FlatScope):
@@ -434,8 +435,8 @@ def test_each_run_builds_its_flat_scope_once(monkeypatch):
             super().__init__(p, q, c)
 
     monkeypatch.setattr(idlab, "FlatScope", Counted)
-    fixtures = enumerate_commuting_pairs(1) + enumerate_commuting_pairs(2)
-    for scope in (Scope.fixtures(fixtures), Scope.sampled(4, 3, seed=11)):
+    runs = [replace(run) for run in Scope.exhaustive(2).runs() if run.ground_size]
+    for scope in (Scope("n=1,2", runs), Scope.sampled(4, 3, seed=11)):
         certs = [idlab.test_equation(lhs, rhs, scope) for lhs, rhs in FIXTURE_EQUATIONS]
         assert all(cert.holds for cert in certs)
         assert replay_certificate(certs[0], family=scope)
@@ -451,10 +452,12 @@ def test_sampled_scope_rejects_negative_count():
 
 
 def test_fixture_scope():
-    models = enumerate_commuting_pairs(1)
-    scope = Scope.fixtures(models, label="tiny")
-    assert scope.description == "fixtures(tiny)"
-    assert [m.label for m in scope.models()] == [m.label for m in models]
+    # a scope made of the runs of others walks their models in order
+    scope = Scope("tiny", chain(Scope.exhaustive(1).runs(), Scope.sampled(4, 2, seed=5).runs()))
+    assert scope.description == "tiny"
+    assert [m.label for m in scope.models()] == (
+        [m.label for m in enumerate_commuting_pairs(0) + enumerate_commuting_pairs(1)]
+        + ["sampled n=4 seed=5", "sampled n=4 seed=6"])
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +533,12 @@ def test_batched_certificates_match_model_by_model_reference(seed):
     cases = [
         (Scope.sampled(4, 25, seed), sampled4),
         (Scope.exhaustive(2, commuting=False), _oracle_pairs(2, commuting=False)),
-        (Scope.fixtures(chain(Scope.exhaustive(2).models(), Scope.sampled(4, 5).models())),
+        (Scope("mixed", chain(Scope.exhaustive(2).runs(), Scope.sampled(4, 5).runs())),
          _oracle_pairs(2, commuting=True) + sampled4_small),
-        (Scope.fixtures([]), []),
+        (Scope("empty", []), []),
     ]
-    # the fixture scope of exhaustive and sampled models holds the runs
-    # of the scopes it was read from: one per ground size
+    # the mixed scope holds the runs of the scopes it was made from:
+    # one per ground size
     assert [(run.ground_size, len(run)) for run in cases[2][0].runs()] == [
         (0, 1), (1, 4), (2, 41), (4, 5)]
     # the last two are refuted only after several agreeing models
@@ -578,7 +581,7 @@ def test_shared_right_sides_give_the_certificates_of_fresh_scopes(monkeypatch):
                  (theorem2_word(("pq", "p", "q", "pq")), "pqcpq"), ("qcpcq", "pcq")]
     scopes = [Scope.exhaustive(2, commuting=False), Scope.exhaustive(3),
               Scope.sampled(4, 25, seed=77), Scope.sampled(5, 25, seed=9),
-              Scope.fixtures(chain(Scope.exhaustive(1).models(), Scope.sampled(4, 5).models()))]
+              Scope("mixed", chain(Scope.exhaustive(1).runs(), Scope.sampled(4, 5).runs()))]
     for scope in scopes:
         for lhs, rhs in equations + equations[:1]:
             cert = idlab.test_equation(lhs, rhs, scope)

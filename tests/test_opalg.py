@@ -1,4 +1,3 @@
-import json
 import random
 
 import numpy as np
@@ -85,14 +84,6 @@ def test_internal_tables_freeze_in_place_and_caller_arrays_are_copied():
     t = OperatorTable(2, mine)
     mine[0] = 3
     assert t.apply(0) == 0 and mine.flags.writeable
-
-
-def test_json_round_trip():
-    k = closure_from_fixed_points(3, [7, 5, 1])
-    blob = json.dumps(k.to_json())
-    back = OperatorTable.from_json(json.loads(blob))
-    assert back == k
-    assert back.key() == k.key()
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -6,14 +7,7 @@ from hypothesis import strategies as st
 
 from closurelab import theory
 from closurelab.opalg import parse_word
-from closurelab.theory import (
-    BLOCK_CHOICES,
-    Balanced,
-    NotBalanced,
-    c_balanced,
-    theorem2_word,
-    to_term,
-)
+from closurelab.theory import BLOCK_CHOICES, parse_term, print_term, theorem2_word, to_term
 
 
 def test_word_basics():
@@ -32,46 +26,38 @@ def test_word_rejects_bad_letters():
         parse_word("abc")
 
 
-def test_c_balanced_accepts_strict_shapes():
-    b = c_balanced(parse_word("cpcq"))
-    assert isinstance(b, Balanced)
-    assert b.blocks == ("p", "q")
-    assert to_term("cpcq").word == "cpcq"
+def _refusal(text):
+    """The position and reason to_term gives for a word it refuses."""
+    with pytest.raises(ValueError) as err:
+        to_term(parse_word(text))
+    position, reason = re.fullmatch(r"word is not c-balanced at position (\d+): (.*)",
+                                    str(err.value)).groups()
+    return int(position), reason
 
-    b2 = c_balanced(parse_word("cpqcpcqcq"))
-    assert b2.blocks == ("pq", "p", "q", "q")
+
+def test_c_balanced_accepts_strict_shapes():
+    assert to_term("cpcq").word == "cpcq"
+    assert print_term(to_term("cpcq")) == "bar(p)q"
+    assert print_term(to_term(parse_word("cpqcpcqcq"))) == "bar(pq)pbar(q)q"
 
 
 def test_c_balanced_rejections_with_positions():
     # does not start with c
-    r = c_balanced(parse_word("pcq"))
-    assert isinstance(r, NotBalanced)
-    assert r.position == 0
+    assert _refusal("pcq") == (0, "must start with c")
     # bad block: qp is not one of p, q, pq
-    r2 = c_balanced(parse_word("cqpcq"))
-    assert isinstance(r2, NotBalanced)
-    assert r2.position == 1
-    assert "qp" in r2.reason
+    assert _refusal("cqpcq") == (1, "block 'qp' is not one of p, q, pq")
     # bad block: ppq
-    r3 = c_balanced(parse_word("cpcppq"))
-    assert isinstance(r3, NotBalanced)
-    assert r3.position == 3
+    assert _refusal("cpcppq") == (3, "block 'ppq' is not one of p, q, pq")
     # two adjacent c's: empty block
-    r4 = c_balanced(parse_word("ccp"))
-    assert isinstance(r4, NotBalanced)
-    assert r4.position == 0
+    assert _refusal("ccp") == (0, "c not followed by a block")
     # odd number of blocks
-    r5 = c_balanced(parse_word("cp"))
-    assert isinstance(r5, NotBalanced)
-    assert r5.position == len("cp")
+    assert _refusal("cp") == (len("cp"), "odd number of c's (1)")
     # trailing c with no block
-    r6 = c_balanced(parse_word("cpc"))
-    assert isinstance(r6, NotBalanced)
+    assert _refusal("cpc") == (2, "c not followed by a block")
 
 
 def test_c_balanced_empty_word():
-    r = c_balanced(parse_word(""))
-    assert isinstance(r, NotBalanced)
+    assert _refusal("") == (0, "empty word")
 
 
 def _all_balanced_words(max_len):
@@ -85,12 +71,17 @@ def _all_balanced_words(max_len):
     return words
 
 
+def _block_term(blocks):
+    """The term of c blocks[0] c blocks[1] ..., parsed from its blocks:
+    a bar on each even one."""
+    return parse_term("".join(f"bar({b})" if i % 2 == 0 else f"({b})"
+                              for i, b in enumerate(blocks)))
+
+
 def test_round_trip_exhaustive_up_to_12():
     seen = 0
     for text, blocks in _all_balanced_words(12):
-        got = c_balanced(parse_word(text))
-        assert isinstance(got, Balanced), text
-        assert got.blocks == blocks
+        assert to_term(parse_word(text)) == _block_term(blocks), text
         assert to_term(text).word == text
         seen += 1
     assert seen > 50
@@ -104,9 +95,7 @@ def test_round_trip_exhaustive_up_to_12():
 )
 def test_round_trip_random_blocks(blocks):
     text = "".join("c" + b for b in blocks)
-    got = c_balanced(parse_word(text))
-    assert isinstance(got, Balanced)
-    assert got.blocks == tuple(blocks)
+    assert to_term(parse_word(text)) == _block_term(blocks)
     assert to_term(text).word == text
 
 
