@@ -17,7 +17,9 @@ every verify suite as text and json, theorem2 over non-default sampled
 scopes (one of 2,000 seeds, whose long streams pin the sampler's
 draws), theorem1 at n = 4 as text (about 3 s), interior at n = 4,
 example3 at a featured M inside M = 2..12 and past it, section4 at
-m = 6, each search, and each dump target, with the largest dumps the
+m = 6, each search, the identity search at its caps (--n 3
+--maxlen 16, where the level cap on the monoid BFS under it binds
+hardest), and each dump target, with the largest dumps the
 benchmark makes, a monoid dump cut short by --cap, the largest monoid
 dump at the default cap (--M 12, 63 MB), one whose tables are wider
 than a chunk of the JSON writer (--M 15 --cap 4), and orbits of the
@@ -65,7 +67,8 @@ COMMANDS = (
                            ("counterexample", ("--eq", "pcqcpcq=pcq")),
                            ("witness14", ()))
        for fmt in ("text", "json")]
-    + [("search", "identities", "--n", "3", "--maxlen", "12", "--format", "json")]
+    + [("search", "identities", "--n", "3", "--maxlen", "12", "--format", "json"),
+       ("search", "identities", "--n", "3", "--maxlen", "16")]
     + [("dump", "model", "--name", "section4"),
        ("dump", "model", "--name", "section4", "--m", "8"),
        ("dump", "model", "--name", "example3-literal"),

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .models import ClosurePairModel
-from .monoid import generate_monoid
+from .monoid import _bfs, _gather, generate_monoid
 from .opalg import (
     FlatScope,
     OperatorTable,
@@ -471,8 +471,8 @@ def replay_certificate(cert: EquationCertificate, family: Optional[Scope] = None
 
 
 #: the longest word search_identities examines: 3 * 2**(L-1) words of
-#: length L, so the word count doubles with each letter while the
-#: distinct states stay few (see the README for the cost at the cap)
+#: length L, so the word count doubles with each letter while the BFS
+#: capped at L levels finds few states (see the README for the cost)
 MAXLEN_CAP = 16
 
 
@@ -494,12 +494,12 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     separates any two words the small one does.  (At size 0 every word
     is the identity.)
 
-    The search walks the word automaton of the scope: a state is the
-    flat vector of a word's tables over all models (the flat layout of
-    FlatScope, with c as a table), each distinct state gets an id the
-    first time a word reaches it, and each (state, letter) step is one
-    gather, made once and then looked up.  The frontier holds (word,
-    state id) pairs.
+    A bucket is a state of the word automaton: the flat vector of a
+    word's tables over all models (FlatScope's layout, c as a table).
+    The monoid BFS, capped at maxlen levels, gives each state's
+    shortlex-least word, which is reduced, and the Cayley edges; the
+    reduced words are walked over them a level at a time, a state's
+    first arrival being that word.
     """
     if not 0 <= maxlen <= MAXLEN_CAP:
         raise ValueError(f"maxlen must be in 0..{MAXLEN_CAP}, got {maxlen}")
@@ -509,44 +509,30 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
         raise ValueError(f"limit must be nonnegative, got {limit}")
     flat = _pair_run(n, True).flat
     width = flat.shape[0] * flat.shape[1]
-    letters = dict(flat.tables, c=np.arange(width) ^ (flat.shape[1] - 1))
-    # a state's entries are positions in the flat vector, kept in the
-    # narrowest dtype; its array is a view of its key's bytes
-    start = np.arange(width, dtype=np.min_scalar_type(width - 1))
-    states = [start]                  # state id -> flat tables
-    ids = {start.tobytes(): 0}        # flat tables -> state id
-    canon = [""]                      # state id -> canonical word
-    steps: dict[tuple[int, str], int] = {}
+    tables = np.stack([np.arange(width) ^ (flat.shape[1] - 1), flat.tables["p"], flat.tables["q"]])
+    # appending a letter on the right applies it first: one gather
+    _, canon, edges, _ = _bfs(np.arange(width, dtype=np.min_scalar_type(width - 1)),
+                              _gather(tables), width, "cpq", depth=maxlen)
+    cayley = np.array(edges, dtype=np.intp).reshape(-1, 3)
+    canon = np.array(canon, dtype=object)
+    letters = np.array(list("cpq"), dtype=object)
+    seen = np.arange(len(canon)) == 0
+    words, states, last = np.array([""], dtype=object), np.zeros(1, dtype=np.intp), np.array([3])
     equations: list[tuple[str, str]] = []
-    examined = 1
-
-    frontier = [("", 0)]
     for _ in range(maxlen):
-        new_frontier = []
-        for word, state in frontier:
-            last = word[-1:]
-            for ch in "cpq":
-                if ch == last:
-                    continue
-                new_word = word + ch
-                examined += 1
-                target = steps.get((state, ch))
-                if target is None:
-                    # appending a letter on the right applies it first
-                    key = states[state][letters[ch]].tobytes()
-                    target = ids.setdefault(key, len(states))
-                    if target == len(states):
-                        states.append(np.frombuffer(key, dtype=start.dtype))
-                        canon.append(new_word)
-                    steps[state, ch] = target
-                if canon[target] != new_word:
-                    equations.append((new_word, canon[target]))
-                new_frontier.append((new_word, target))
-        frontier = new_frontier
-
+        # each word's children in letter order, skipping its last (3: none)
+        parent, last = np.nonzero(np.arange(3) != last[:, None])
+        words, states = words[parent] + letters[last], cayley[states[parent], last]
+        # the first arrival at each state no shorter word reached
+        first = np.flatnonzero(~seen[states])
+        first = first[np.unique(states[first], return_index=True)[1]]
+        seen[states[first]] = True
+        repeat = np.delete(np.arange(len(states)), first)
+        equations += zip(words[repeat].tolist(), canon[states[repeat]].tolist())
     if limit is not None:
         equations = equations[:limit]
-    return equations, f"exhaustive-commuting-n<={n}", examined
+    # examined: the empty word, then 3 * 2**(L-1) words of each length L
+    return equations, f"exhaustive-commuting-n<={n}", 1 + 3 * (2**maxlen - 1)
 
 
 def search_counterexample(lhs, rhs, max_n: int = 2) -> EquationCertificate:

@@ -89,7 +89,10 @@ def generate_monoid(generators, cap: int = DEFAULT_CAP, names=None) -> Generated
         raise ValueError("additive generators are taken on at most 64 points")
 
     width = len(generators)
-    rows, witnesses, edges, truncated = _bfs(*_kernel(generators, n), width, cap, names)
+    identity, product, temporary = _kernel(generators, n)
+    index, witnesses, edges, truncated = _bfs(identity, product, temporary, names, cap)
+    # the keys are the rows in index order; joining them is the one copy
+    rows = np.frombuffer(b"".join(index), dtype=identity.dtype).reshape(len(index), len(identity))
     # the edges no head reached before the cap are -1
     edges += [-1] * (len(witnesses) * width - len(edges))
     return GeneratedMonoid(
@@ -110,7 +113,7 @@ def _kernel(generators, n: int):
     dtype = np.min_scalar_type((1 << n) - 1)
     if isinstance(generators[0], OperatorTable):
         gens = np.stack([g.entries for g in generators])
-        return np.arange(1 << n, dtype=dtype), lambda block: block[:, gens], 1 << n
+        return np.arange(1 << n, dtype=dtype), _gather(gens), 1 << n
     # member[g, i, j]: j is in generator g's image of singleton i, so
     # (e . g)'s image of i is the OR of e's images over those j
     images = np.array([g.images for g in generators], dtype=dtype).reshape(len(generators), n)
@@ -120,48 +123,53 @@ def _kernel(generators, n: int):
             n * n)
 
 
-def _bfs(identity, product, temporary: int, width: int, cap: int, names: tuple):
-    """The BFS a level at a time: (the read-only stack of element rows,
-    witnesses, the Cayley entry of each edge expanded in (head,
-    generator) order, truncated).  Each level goes through the product
-    in blocks of rows whose temporaries hold at most
-    TEMPORARY_ENTRIES entries; a row is keyed by its bytes."""
-    front = identity[None]
-    levels = [front]
+def _gather(tables: np.ndarray):
+    """The block product of table rows, row e times table g being e[g]:
+    contiguous, so the BFS reshapes it without a copy."""
+    return lambda block: np.take(block, tables, axis=1)
+
+
+def _bfs(identity, product, temporary: int, names: tuple, cap: Optional[int] = None,
+         depth: Optional[int] = None):
+    """The BFS a level at a time from the identity row, stopped past cap
+    elements or after depth levels (neither when None): (the rows'
+    bytes, each keyed to its index, witnesses, the Cayley entry of each
+    edge expanded in (head, generator) order, truncated).  Each level
+    goes through the product in blocks of rows whose temporaries hold
+    at most TEMPORARY_ENTRIES entries.  A row is held only as its key."""
+    width = len(names)
+    front = [identity.tobytes()]  # the level's rows, as their keys
     witnesses = [""]
-    index = {front.tobytes(): 0}
+    index = {front[0]: 0}
     edges: list[int] = []
     step = max(1, opalg.TEMPORARY_ENTRIES // (width * max(1, temporary)))
-    head = 0
+    head = level = 0
     truncated = False
-    while len(front) and not truncated:
+    while front and not truncated and (depth is None or level < depth):
         fresh = []
         for start in range(0, len(front), step):
             block = front[start:start + step]
+            block = np.frombuffer(b"".join(block), identity.dtype).reshape(len(block), -1)
             products = product(block).reshape(len(block) * width, len(identity))
             keys = (products.view(np.dtype((np.void, products.strides[0])))[:, 0].tolist()
                     if len(identity) else [b""] * len(products))
-            new = []
             for j, key in enumerate(keys):
                 at = index.get(key)
                 if at is None:
-                    if len(witnesses) >= cap:
+                    if cap is not None and len(witnesses) >= cap:
                         truncated = True
                         break
                     at = index[key] = len(witnesses)
                     row, gi = divmod(j, width)
                     witnesses.append(witnesses[head + row] + names[gi])
-                    new.append(j)
+                    fresh.append(key)
                 edges.append(at)
-            fresh.append(products[new])
             head += len(block)
             if truncated:
                 break
-        front = np.concatenate(fresh)
-        levels.append(front)
-    rows = np.concatenate(levels)
-    rows.setflags(write=False)
-    return rows, witnesses, edges, truncated
+        front = fresh
+        level += 1
+    return index, witnesses, edges, truncated
 
 
 def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:

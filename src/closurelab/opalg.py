@@ -598,24 +598,24 @@ class FlatScope:
         other letters' shifted tables are kept as they are."""
         self.tables[letter] = (stack + self._offsets).reshape(-1)
 
-    def eval(self, word) -> np.ndarray:
+    def eval(self, word, start: Optional[np.ndarray] = None) -> np.ndarray:
         """The (k, 2**n) int64 tables of a cpq-word, letters acting
         right-to-left as usual, row i on model i.  The last letter's
         shifted table is the start, as in eval_word; a c with no table,
-        and the empty word, start from the identity.  The result is a
-        fresh array, never a view of the scope's tables."""
+        and the empty word, start from the identity; a given (k, 2**n)
+        start acts first instead: eval(u, eval(w)) == eval(u + w).  The
+        result is a fresh array, never a view of the scope's tables."""
         text = parse_word(word)
         k, size = self.shape
-        start = self.tables.get(text[-1:])
-        if start is None:
-            v = _apply_letters(text, self.tables, np.arange(k * size, dtype=np.int64), size - 1)
+        table = self.tables.get(text[-1:])
+        if start is not None:
+            out = _apply_letters(text, self.tables, (start + self._offsets).reshape(-1), size - 1)
+        elif table is not None:
+            out = _apply_letters(text[:-1], self.tables, table, size - 1)
         else:
-            v = _apply_letters(text[:-1], self.tables, start, size - 1)
-        if v is start:
-            v = v & (size - 1)
-        else:
-            v &= size - 1
-        return v.reshape(k, size)
+            out = _apply_letters(text, self.tables, np.arange(k * size, dtype=np.int64), size - 1)
+        # in place, unless out is the scope's table itself
+        return np.bitwise_and(out, size - 1, out=None if out is table else out).reshape(k, size)
 
     def suffixes(self, word) -> Iterator[np.ndarray]:
         """The (k, 2**n) int64 tables of the nonempty suffixes of a

@@ -84,7 +84,8 @@ def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
     which the two words differ.  Rows of thetas that repeat a table
     are evaluated once and share its failures.  The q and theta stacks
     are shifted into one flat scope once; each p row only replaces p's
-    table there."""
+    table there, rhs's p-free suffix is evaluated once, and an lhs that
+    ends in rhs continues from rhs's tables (pcqcpcq: 5 gathers per p)."""
     closures = idlab._closure_stack(n)
     if thetas is None:
         thetas = complement_table(n).entries[None]
@@ -93,11 +94,16 @@ def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
     q = np.repeat(closures, len(distinct), axis=0)
     c = np.tile(distinct, (len(closures), 1))
     flat = FlatScope(q, q, c)  # p's table is set per row below
+    head, rest = rhs.rstrip("cq"), lhs.removesuffix(rhs)
+    # the p-free suffix's tables, entries below 2**n <= 16 held in uint8
+    tail = flat.eval(rhs[len(head):]).astype(np.uint8) if head != rhs else None
     failures = []
     for i, row in enumerate(closures):
         flat.set_table("p", row)
-        diff = flat.eval(lhs) != flat.eval(rhs)
-        diff = diff.reshape(len(closures), len(distinct), -1)
+        right = flat.eval(head, tail)
+        left = flat.eval(rest, right) if rest != lhs else flat.eval(lhs)
+        diff = (left != right).reshape(len(closures), len(distinct), -1)
+        del left  # freed now, the next row's tables reuse its memory
         for j, t in zip(*np.nonzero(diff.any(axis=2)[:, inverse])):
             failures.append((i, int(j), int(t), int(diff[j, inverse[t]].argmax())))
     return failures

@@ -696,19 +696,21 @@ def test_search_identities_limit_and_degenerate():
         search_identities(-1)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_search_identities_matches_the_word_by_word_oracle(n):
     # the oracle evaluates every reduced word from scratch in pure
     # Python; its equations for a shorter maxlen are those of its
-    # shorter words, as shortlex order puts them first
-    equations, words = identity_survey(8, n)
-    for maxlen in range(9):
+    # shorter words, as shortlex order puts them first.  At n = 3 its
+    # 2,075 pairs take it to length 6 only.
+    longest = 6 if n == 3 else 8
+    equations, words = identity_survey(longest, n)
+    for maxlen in range(longest + 1):
         eqs, scope, examined = search_identities(maxlen, n=n)
         assert scope == f"exhaustive-commuting-n<={n}"
         assert examined == sum(1 for w in words if len(w) <= maxlen)
         assert eqs == [(lhs, rhs) for lhs, rhs in equations if len(lhs) <= maxlen]
-    assert search_identities(8, n=n, limit=5)[0] == equations[:5]
-    assert search_identities(8, n=n, limit=0)[0] == []
+    assert search_identities(longest, n=n, limit=5)[0] == equations[:5]
+    assert search_identities(longest, n=n, limit=0)[0] == []
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -3,9 +3,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
-from closurelab import opalg
+from closurelab import monoid, opalg
 from closurelab.models import example3, example3_additive, kuratowski_witness, pij_pair, section4_model
 from closurelab.monoid import (
     generate_monoid,
@@ -166,6 +167,36 @@ def test_table_bfs_matches_the_one_edge_at_a_time_oracle(case, monkeypatch):
             assert (mon.witnesses, mon.cayley, mon.truncated) == (witnesses, cayley, truncated)
             assert [row(e) for e in mon.elements] == elements
             assert not mon.rows.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["witness14", "example3 M=5", "section4 m=3",
+                                  "example3_additive M=8", "seeded additive n=5 #1"])
+def test_capped_bfs_gives_the_first_levels_of_the_full_run(case, monkeypatch):
+    # a run capped at depth levels finds the elements whose witnesses
+    # are at most depth letters long, with the full run's witnesses,
+    # keys and Cayley entries, and passes the product only the heads
+    # below the cap, at every block size
+    gens, names = _BFS_CASES[case]()
+    identity, product, temporary = monoid._kernel(gens, gens[0].ground_size)
+    index, witnesses, edges, _ = monoid._bfs(identity, product, temporary, names)
+    rows = np.frombuffer(b"".join(index), dtype=identity.dtype).reshape(len(index), -1)
+    levels = len(witnesses[-1])
+    assert levels >= 3
+    for block_entries in (opalg.TEMPORARY_ENTRIES, 1):
+        monkeypatch.setattr(opalg, "TEMPORARY_ENTRIES", block_entries)
+        for depth in range(levels + 2):
+            heads = []
+
+            def counted(block):
+                heads.extend(block.tolist())
+                return product(block)
+
+            got = monoid._bfs(identity, counted, temporary, names, depth=depth)
+            reached = sum(len(w) <= depth for w in witnesses)
+            below = sum(len(w) < depth for w in witnesses)
+            assert list(got[0].items()) == list(index.items())[:reached]
+            assert got[1:] == (witnesses[:reached], edges[:below * len(names)], False)
+            assert heads == rows[:below].tolist()
 
 
 def test_generator_validation():

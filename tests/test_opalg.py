@@ -333,18 +333,23 @@ def test_commuting_rows_matches_per_pair_commutes():
 
 def test_flat_scope_eval_returns_a_fresh_array():
     # a word of one letter, one ending in c (with and without a c
-    # table) and the empty word: the result shares no memory with the
-    # scope's tables, and writing to it leaves them as they were
+    # table) and the empty word, from the identity and from the tables
+    # of another word: the result shares no memory with the scope's
+    # tables or the start, and writing to it leaves them as they were
     ks = np.stack([closure_from_fixed_points(3, fam).entries
                    for fam in ([7], [1, 7], [0, 3, 7], [2, 5, 7])])
     thetas = np.stack([complement_table(3).entries, reversed_involution([1, 0, 2]).entries] * 2)
     for scope in (FlatScope(ks, ks[::-1].copy()), FlatScope(ks, ks[::-1].copy(), thetas)):
         before = {letter: table.copy() for letter, table in scope.tables.items()}
+        start = scope.eval("qc")
+        kept = start.copy()
         for word in ("p", "q", "c", "pc", "qcpc", ""):
-            got = scope.eval(word)
-            assert not any(np.shares_memory(got, t) for t in scope.tables.values()), word
-            got[...] = 0
-            assert all(np.array_equal(scope.tables[k], v) for k, v in before.items()), word
+            for got in (scope.eval(word), scope.eval(word, start)):
+                assert not any(np.shares_memory(got, t)
+                               for t in (start, *scope.tables.values())), word
+                got[...] = 0
+                assert all(np.array_equal(scope.tables[k], v) for k, v in before.items()), word
+                assert np.array_equal(start, kept), word
 
 
 def test_lift_permutation_and_involutions():
@@ -469,6 +474,10 @@ def test_flat_word_kernel_matches_per_row_composition():
             assert [tuple(r) for r in subst.tolist()] == [
                 reference(word, *abc) for abc in zip(ps[:k], qs[:k], cs[:k])]
             assert np.array_equal(narrow, subst)
+            # continued from the tables of a suffix, at every cut
+            for cut in range(len(word) + 1):
+                for scope, whole in zip(scopes, (plain, subst, narrow)):
+                    assert np.array_equal(scope.eval(word[:cut], scope.eval(word[cut:])), whole)
     # one row through the single-model wrapper, and with theta through
     # a one-row flat scope
     a, b = OperatorTable(n, ps[5]), OperatorTable(n, qs[5])

@@ -113,9 +113,9 @@ def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
             tables.append(letter)
             super().set_table(letter, stack)
 
-        def eval(self, word):
+        def eval(self, word, start=None):
             words.append(word)
-            return super().eval(word)
+            return super().eval(word, start)
 
     monkeypatch.setattr(suites, "FlatScope", Counted)
     got = _pair_failures("pcq", "qcp", 2, stack)
@@ -128,7 +128,28 @@ def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
     distinct = sorted({tuple(comp.entries.tolist()), tuple(theta.entries.tolist())})
     assert scopes == [(7 * 2, distinct)]
     assert tables == ["c", "p", "q"] + ["p"] * 7
-    assert words == ["pcq", "qcp"] * 7
+    assert words == ["qcp", "pcq"] * 7
+
+
+def test_pair_failures_continue_the_left_side_from_the_right(monkeypatch):
+    # pcqcpcq ends in pcq, whose p-free suffix cq is evaluated once per
+    # call: each p row applies p to cq's tables, then pcqc to pcq's, 5
+    # gathers in all.  Thetas that are no involutions refute it, at the
+    # pairs and masks of the word by word evaluation.
+    stack = np.stack([complement_table(2).entries, [1, 2, 3, 0], [3, 3, 0, 0]])
+    words = []
+
+    class Counted(suites.FlatScope):
+        def eval(self, word, start=None):
+            words.append((word, start is not None))
+            return super().eval(word, start)
+
+    monkeypatch.setattr(suites, "FlatScope", Counted)
+    got = _pair_failures("pcqcpcq", "pcq", 2, stack)
+    assert got == _pair_failures_by_hand(
+        "pcqcpcq", "pcq", 2, [tuple(row) for row in stack.tolist()])
+    assert {t for _, _, t, _ in got} == {1, 2}
+    assert words == [("cq", False)] + [("p", True), ("pcqc", True)] * 7
 
 
 def test_kuratowski_suite():
