@@ -19,7 +19,9 @@ draws), theorem1 at n = 4 as text (about 3 s), interior at n = 4,
 example3 at a featured M inside M = 2..12 and past it, section4 at
 m = 6, each search, the identity search at its caps (--n 3
 --maxlen 16, where the level cap on the monoid BFS under it binds
-hardest), and each dump target, with the largest dumps the
+hardest), and each dump target, with a monoid or orbit dump of each
+model kind (a pij pair, the literal and repaired staircases, the
+flagged cycle and witness14, on one letter too), the largest dumps the
 benchmark makes, a monoid dump cut short by --cap, the largest monoid
 dump at the default cap (--M 12, 63 MB), one whose tables are wider
 than a chunk of the JSON writer (--M 15 --cap 4), and orbits of the
@@ -76,15 +78,20 @@ COMMANDS = (
        ("dump", "monoid", "--model", "witness14"),
        ("dump", "monoid", "--model", "section4", "--m", "3", "--gens", "p,q,c"),
        ("dump", "monoid", *PQC_M6),
+       ("dump", "monoid", "--model", "pij(1,0)", "--m", "3", "--gens", "p,q,c"),
+       ("dump", "monoid", "--model", "example3-literal", "--M", "4", "--gens", "p,q"),
        ("dump", "monoid", *PQC_M6, "--cap", "100"),
        ("dump", "monoid", "--model", "example3-repaired", "--M", "12", "--gens", "p,q,c"),
        ("dump", "monoid", "--model", "example3-repaired", "--M", "15", "--cap", "4",
         "--gens", "p,q,c"),
        ("dump", "hasse", "--model", "witness14"),
+       ("dump", "hasse", "--model", "witness14", "--gens", "k"),
        ("dump", "hasse", *PQC_M6),
        ("dump", "orbit", "--model", "section4", "--word", "cpcpcqcq", "--start", "0,top"),
        ("dump", "orbit", "--model", "section4", "--word", "cpcpcqcq", "--start", "0,top",
-        "--format", "json")]
+        "--format", "json"),
+       ("dump", "orbit", "--model", "example3-repaired", "--M", "6", "--word", "pq",
+        "--start", "0")]
     + [("dump", "orbit", "--model", "section4", "--m", m, "--word", "cpcpcqcq",
         "--start", "0,top") for m in ("8", "12")]
 )

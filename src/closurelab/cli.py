@@ -18,6 +18,9 @@ parser is built from it.  A flag the command does not read, a flag
 out of its bounds, a needed flag left out and an abbreviated flag are
 usage errors, found before any work; verify passes a suite only the
 flags that are given, so an unset one takes the suite's own default.
+A dump resolves its model's name once, to the ground size, generator
+letters and builder that its --cap and --gens checks and its build
+all read.
 Exit codes: 0 pass, 1 check failure, 2 usage error.
 """
 
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import idlab, models
 from . import monoid as monoid_mod
-from .opalg import MAX_GROUND_SIZE, complement_table, elements_of, parse_word
+from .opalg import MAX_GROUND_SIZE, complement_table, elements_of, format_set, parse_word
 from .suites import SUITES, SuiteReport
 
 OUT_DIR_ENV = "CLOSURELAB_OUT"
@@ -219,7 +222,7 @@ _HELP = {
     "model": "model name for dump monoid, orbit or hasse",
     "iters": "orbit steps (default 10)",
     "cap": "monoid size cap",
-    "gens": "generator letters (default c,k)",
+    "gens": "generator letters (default c,k: witness14's, so a pair model needs --gens)",
     "word": "word whose orbit is walked",
     "start": "comma list of element names",
     "m": "cycle half-length",
@@ -343,9 +346,8 @@ def cmd_search(args) -> int:
         lines = [
             "search witness14",
             f"ground size: {n}",
-            "fixed points: "
-            + " ".join("{" + ",".join(map(str, f)) + "}" for f in payload["fixed_points"]),
-            "seed: {" + ",".join(map(str, payload["seed"])) + "}",
+            "fixed points: " + " ".join(map(format_set, fixed)),
+            f"seed: {format_set(seed)}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -412,50 +414,51 @@ def _monoid_chunks(mon: monoid_mod.GeneratedMonoid) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _reads_window(name: str, args, flag: Optional[str]) -> None:
-    """Refuse, before model name is built, a window flag it does not
-    read: it reads flag (M or m) or, when flag is None, neither."""
-    for unread in {"m", "M"} - {flag}:
-        if getattr(args, unread) is not None:
+#: the spellings of the staircase and pij model names
+_EXAMPLE3 = ("example3-literal", "example3-repaired", "example3")
+_PIJ = {f"pij({i},{j})": (i, j) for i in (0, 1) for j in (0, 1)}
+
+
+def _pair_generators(build: Callable) -> dict:
+    """The generators p and q of the pair model build makes."""
+    model = build()
+    return {"p": model.p, "q": model.q}
+
+
+def _model_from_flags(name: str, args) -> tuple[int, tuple[str, ...], Callable]:
+    """Model name resolved under the window flags, once per dump: its
+    ground size, the generator letters a monoid or hasse dump of it may
+    take, and a call that builds it.  In those two dumps the call gives
+    the generators, letter -> operator, but c; in the others, the model.
+    witness14, the pinned closure k, is a model of those two dumps only
+    and reads no window flag; the example3 names read --M and any other
+    name --m.  A window flag the model does not read is refused, then a
+    name that names nothing, all before anything is built."""
+    generators = args.target in ("monoid", "hasse")
+    witness = generators and name == "witness14"
+    window = None if witness else "M" if name in _EXAMPLE3 else "m"
+    for unread in ("m", "M"):
+        if unread != window and getattr(args, unread) is not None:
             raise ValueError(f"model {name} does not take --{unread}")
-
-
-def _model_from_flags(name: str, args) -> tuple[int, Callable]:
-    """The ground size of model name under the window flags, and a call
-    that builds it; a name or window flag that names nothing is refused
-    before anything is built."""
-    if name in ("example3-literal", "example3-repaired", "example3"):
-        _reads_window(name, args, "M")
-        variant = "literal" if name == "example3-literal" else "repaired"
+    if witness:
+        return models.KURATOWSKI_GROUND, ("k", "c"), lambda: {"k": models.kuratowski_witness()[0]}
+    if window == "M":
         M = args.M if args.M is not None else 10
-        return M + 1, functools.partial(models.example3, M, variant=variant)
-    _reads_window(name, args, "m")  # section4 and pij(i,j) read --m
-    m = args.m if args.m is not None else 4
-    if name == "section4":
-        # an orbit reads no table, so it walks the cycle as functions
-        return 2 * m + 2, functools.partial(models.section4_model, m,
-                                            materialize=args.target != "orbit")
-    if name.startswith("pij(") and name.endswith(")"):
-        inner = name[4:-1].split(",")
-        if len(inner) != 2:
-            raise ValueError(f"bad pij name {name!r}, expected pij(i,j)")
-        i, j = (int(part) for part in inner)
-        return 2 * m, functools.partial(models.pij_pair, i, j, m)
-    raise ValueError(f"unknown model name {name!r}")
-
-
-def _named_generators(model_name: str, args) -> dict:
-    """Letter -> operator table for monoid and hasse dumps: k and c for
-    witness14, p, q and c for any other model."""
-    if model_name == "witness14":
-        k, _seed = models.kuratowski_witness()
-        return {"k": k, "c": complement_table(k.ground_size)}
-    model = _model_from_flags(model_name, args)[1]()
-    return {
-        "p": model.p,
-        "q": model.q,
-        "c": complement_table(model.ground_size),
-    }
+        variant = "literal" if name == "example3-literal" else "repaired"
+        n, build = M + 1, functools.partial(models.example3, M, variant=variant)
+    else:
+        m = args.m if args.m is not None else 4
+        if name == "section4":
+            # an orbit reads no table, so it walks the cycle as functions
+            n, build = 2 * m + 2, functools.partial(models.section4_model, m,
+                                                    materialize=args.target != "orbit")
+        elif name in _PIJ:
+            n, build = 2 * m, functools.partial(models.pij_pair, *_PIJ[name], m)
+        elif name.startswith("pij(") and name.endswith(")"):
+            raise ValueError(f"bad pij name {name!r}, expected pij(i,j) with i and j 0 or 1")
+        else:
+            raise ValueError(f"unknown model name {name!r}")
+    return n, ("p", "q", "c"), functools.partial(_pair_generators, build) if generators else build
 
 
 def cmd_dump(args) -> int:
@@ -464,9 +467,10 @@ def cmd_dump(args) -> int:
     # that names nothing, is a usage error; a model failing its own
     # screen, or any later ValueError, is a bug and propagates.
     try:
+        if what == "orbit":
+            word = parse_word(args.word)
+        n, offered, build = _model_from_flags(args.name if what == "model" else args.model, args)
         if what in ("monoid", "hasse"):
-            n = (models.KURATOWSKI_GROUND if args.model == "witness14"
-                 else _model_from_flags(args.model, args)[0])
             most = DUMP_ENTRIES_CAP >> n
             cap = args.cap or min(monoid_mod.DEFAULT_CAP, most)  # a --cap given is at least 1
             # a model past the table cap is refused by its constructor,
@@ -475,12 +479,6 @@ def cmd_dump(args) -> int:
                 print(f"usage error: dump {what} takes --cap 1..{most} at ground size {n},"
                       f" got {cap}", file=sys.stderr)
                 return 2
-            # the letters a model offers follow from its name, so they
-            # are checked before it is built
-            offered = ("p", "q", "c")
-            if args.model == "witness14":
-                _reads_window(args.model, args, None)
-                offered = ("k", "c")
             gens = "c,k" if args.gens is None else args.gens
             letters = [part.strip() for part in gens.split(",") if part.strip()]
             missing = [g for g in letters if g not in offered]
@@ -488,12 +486,8 @@ def cmd_dump(args) -> int:
                 print(f"generators {missing} not available for model {args.model}"
                       f" (available: {sorted(offered)})", file=sys.stderr)
                 return 2
-            named = _named_generators(args.model, args)
-        elif what == "model":
-            model = _model_from_flags(args.name, args)[1]()
-        else:
-            word = parse_word(args.word)
-            model = _model_from_flags(args.model, args)[1]()
+        model = build()  # in a monoid or hasse dump, its generators but c
+        if what == "orbit":
             start = model.mask_of_names(args.start)
     except models.ModelConstructionError:
         raise
@@ -525,6 +519,7 @@ def cmd_dump(args) -> int:
             _emit(buf.getvalue(), args.out)
         return 0
 
+    named = dict(model, c=complement_table(n))
     mon = monoid_mod.generate_monoid([named[g] for g in letters], cap=cap,
                                      names=tuple(letters))
     if what == "monoid":

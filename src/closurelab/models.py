@@ -37,6 +37,7 @@ from .opalg import (
     check_closure,
     closure_from_fixed_points,
     commutes,
+    format_set,
     hex_rows,
     identity_table,
 )
@@ -120,9 +121,7 @@ class ClosurePairModel:
         return mask
 
     def format_mask(self, mask: int) -> str:
-        names = self.element_names()
-        return "{" + ",".join(names[i] for i in range(self.ground_size)
-                              if (mask >> i) & 1) + "}"
+        return format_set(mask, self.element_names())
 
     def to_json(self) -> dict:
         if not isinstance(self.p, OperatorTable) or not isinstance(
@@ -148,10 +147,6 @@ class ClosurePairModel:
 
 # ---------------------------------------------------------------------------
 # staircase operators on a segment window {0..M}
-
-
-def _segment_names(M: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(M + 1))
 
 
 def _staircase_literal_tables(M: int) -> tuple[OperatorTable, OperatorTable]:
@@ -219,7 +214,6 @@ def example3(M: int, variant: str = "repaired") -> ClosurePairModel:
         q=q,
         window=window,
         label=f"M={M}",
-        names=_segment_names(M),
         p_report=p_report,
         q_report=q_report,
         commuting=commutes(p, q),
@@ -245,17 +239,12 @@ def example3_additive(M: int) -> ClosurePairModel:
         q=q,
         window=window,
         label=f"M={M} additive",
-        names=_segment_names(M),
         commuting=p.compose(q) == q.compose(p),
     )
 
 
 # ---------------------------------------------------------------------------
 # the four (p_ij, q_ij) pairs on a cycle Z/(2m)
-
-
-def _cycle_names(m: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(2 * m))
 
 
 def _parity_mask(m: int, odd: bool) -> int:
@@ -309,7 +298,6 @@ def pij_pair(i: int, j: int, m: int) -> ClosurePairModel:
         provenance=f"pij({i},{j})",
         window=window,
         label=f"m={m}",
-        names=_cycle_names(m),
         **_commuting_closures(_pij_table("p", i, j, m), _pij_table("q", i, j, m),
                               f"pij({i},{j}) at m={m}"),
     )
@@ -320,7 +308,7 @@ def pij_pair(i: int, j: int, m: int) -> ClosurePairModel:
 
 
 def _flagged_names(m: int) -> tuple[str, ...]:
-    return _cycle_names(m) + ("top", "bot")
+    return tuple(map(str, range(2 * m))) + ("top", "bot")
 
 
 def _section4_tables(m: int) -> tuple[OperatorTable, OperatorTable]:

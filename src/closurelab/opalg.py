@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,6 +54,13 @@ def elements_of(mask: Mask) -> list[int]:
     if mask < 0:
         raise ValueError("negative mask")
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def format_set(mask: Mask, names: Optional[Sequence[str]] = None) -> str:
+    """A subset as text, "{0,2}": its elements in order, each element i
+    written as names[i] when names are given."""
+    items = elements_of(mask)
+    return "{" + ",".join(map(str, items) if names is None else (names[i] for i in items)) + "}"
 
 
 def _check_ground_size(n: int) -> None:

@@ -39,6 +39,7 @@ from .opalg import (
     conjugated_involution,
     elements_of,
     eval_word_on,
+    format_set,
     interior_rows,
     is_reversing_involution,
     leq_matrix,
@@ -61,15 +62,19 @@ class SuiteReport:
     lines: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
+    def check(self, label: str, ok, detail: str = "") -> bool:
+        """Append the line "label: PASS", or "label: FAIL" and detail,
+        failing the report when ok is false; returns ok as a bool."""
+        ok = bool(ok)
+        self.lines.append(f"{label}: " + ("PASS" if ok else f"FAIL {detail}".rstrip()))
+        self.passed &= ok
+        return ok
+
 
 def _verdict(report: SuiteReport) -> SuiteReport:
     report.lines.append("PASS" if report.passed else "FAIL")
     report.data["passed"] = report.passed
     return report
-
-
-def _fmt_set(mask: int) -> str:
-    return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +128,7 @@ def suite_theorem1(n: int = 2) -> SuiteReport:
         f"failures: {len(failures)}",
     ]
     for i, j, w in failures[:5]:
-        report.lines.append(f"  counterexample: p#{i} q#{j} at {_fmt_set(w)}")
+        report.lines.append(f"  counterexample: p#{i} q#{j} at {format_set(w)}")
     report.data = {
         "n": n,
         "closures": len(closures),
@@ -185,7 +190,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
         f"witness monoid size: {len(mon)}",
         "witness words: " + " ".join(wit_words),
         f"witness words match canonical list: {'yes' if words_ok else 'no'}",
-        f"witness seed {_fmt_set(seed)} distinct images: {len(orbit_images)}",
+        f"witness seed {format_set(seed)} distinct images: {len(orbit_images)}",
     ]
     report.data = {
         "n": n,
@@ -305,8 +310,8 @@ def suite_fixtures(n: int = 3) -> SuiteReport:
     report.passed &= ok
     report.lines.append(
         f"noncommuting demonstration: {lhs} != {rhs} on n={size} "
-        f"p#{pi} q#{qi} at {_fmt_set(witness)}: "
-        f"{_fmt_set(a)} vs {_fmt_set(b)}"
+        f"p#{pi} q#{qi} at {format_set(witness)}: "
+        f"{format_set(a)} vs {format_set(b)}"
     )
     report.data["noncommuting_failure"] = {
         "equation": [lhs, rhs],
@@ -326,56 +331,45 @@ def suite_fixtures(n: int = 3) -> SuiteReport:
 
 
 def suite_section4(m: int = 4) -> SuiteReport:
-    report = SuiteReport("section4", True)
     model = models.section4_model(m)
     n = model.ground_size
     top = 1 << (2 * m)
-    lines = ["verify section4", f"m: {m}", f"ground size: {n}"]
+    report = SuiteReport("section4", True, ["verify section4", f"m: {m}", f"ground size: {n}"])
     data = {"m": m, "ground_size": n}
 
     p_rep, q_rep, comm = model.p_report, model.q_report, model.commuting
-    report.passed &= p_rep.ok and q_rep.ok and comm
-    lines.append(f"p closure axioms: {'PASS' if p_rep.ok else 'FAIL'}")
-    lines.append(f"q closure axioms: {'PASS' if q_rep.ok else 'FAIL'}")
-    lines.append(f"pq = qp: {'PASS' if comm else 'FAIL'}")
+    report.check("p closure axioms", p_rep.ok)
+    report.check("q closure axioms", q_rep.ok)
+    report.check("pq = qp", comm)
     data["p_axioms"] = p_rep.as_dict()
     data["q_axioms"] = q_rep.as_dict()
     data["commute"] = comm
 
     # an element's flag pattern must survive both operators exactly
-    bot = 1 << (2 * m + 1)
-    flags = np.arange(1 << n, dtype=np.int64) & (top | bot)
-    flags_ok = bool(
-        np.array_equal(model.p.entries & (top | bot), flags)
-        and np.array_equal(model.q.entries & (top | bot), flags)
-    )
-    report.passed &= flags_ok
-    lines.append(f"flag preservation: {'PASS' if flags_ok else 'FAIL'}")
-    data["flag_preservation"] = flags_ok
+    both = top | (1 << (2 * m + 1))  # top and bot
+    flags = np.arange(1 << n, dtype=np.int64) & both
+    data["flag_preservation"] = report.check("flag preservation", all(
+        np.array_equal(op.entries & both, flags) for op in (model.p, model.q)))
 
     pij = [models.pij_pair(i, j, m) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))]
     sandwich = {}
     for which in "pq":
         t = np.stack([getattr(pair, which).entries for pair in pij])
         le = leq_matrix(t, t)  # rows and columns 00, 10, 01, 11
-        sandwich[which] = bool(le[0, 1] and le[0, 2] and le[1, 3] and le[2, 3])
-        report.passed &= sandwich[which]
-        lines.append(
-            f"sandwich {which}00 <= {which}10,{which}01 <= {which}11: "
-            f"{'PASS' if sandwich[which] else 'FAIL'}"
-        )
-    data["sandwich"] = {k: bool(v) for k, v in sandwich.items()}
+        sandwich[which] = report.check(f"sandwich {which}00 <= {which}10,{which}01 <= {which}11",
+                                       le[0, 1] and le[0, 2] and le[1, 3] and le[2, 3])
+    data["sandwich"] = sandwich
 
     start = 1 | top
     orb = monoid_mod.orbit("cpcpcqcq", model, start)
-    lines.append("orbit of {0,top} under cpcpcqcq:")
+    report.lines.append("orbit of {0,top} under cpcpcqcq:")
     expected_orbit_ok = orb.distinct_count == m and orb.cycle_entry == 0
     for step, img in enumerate(orb.images):
         expected = (1 << ((2 * step) % (2 * m))) | top
         mark = "" if img == expected else "  <- unexpected"
         expected_orbit_ok &= img == expected
-        lines.append(f"  step {step}: {model.format_mask(img)}{mark}")
-    lines.append(f"distinct images: {orb.distinct_count}")
+        report.lines.append(f"  step {step}: {model.format_mask(img)}{mark}")
+    report.lines.append(f"distinct images: {orb.distinct_count}")
     report.passed &= expected_orbit_ok
     data["orbit"] = {
         "images": [model.format_mask(i) for i in orb.images],
@@ -390,22 +384,15 @@ def suite_section4(m: int = 4) -> SuiteReport:
         end = eval_word_on("cpcp", model.p, model.q, mid)
         inter_ok &= mid == (1 << ((2 * step + 1) % (2 * m))) | top
         inter_ok &= end == (1 << ((2 * step + 2) % (2 * m))) | top
-    report.passed &= inter_ok
-    lines.append(
-        "intermediates cqcq({2n,top}) = {2n+1,top} and "
-        f"cpcp({{2n+1,top}}) = {{2n+2,top}}: {'PASS' if inter_ok else 'FAIL'}"
-    )
-    data["intermediates"] = inter_ok
+    data["intermediates"] = report.check(
+        "intermediates cqcq({2n,top}) = {2n+1,top} and cpcp({2n+1,top}) = {2n+2,top}", inter_ok)
 
     growth = monoid_mod.growth_study(partial(models.section4_model, materialize=False),
                                      "cpcpcqcq", lambda mm: 1 | (1 << (2 * mm)), (4, 8, 16))
-    lines += [f"growth m={mm}: {count} distinct images" for mm, count in growth]
-    growth_ok = [g for _, g in growth] == [4, 8, 16]
-    report.passed &= growth_ok
-    lines.append(f"growth pattern 4/8/16: {'PASS' if growth_ok else 'FAIL'}")
+    report.lines += [f"growth m={mm}: {count} distinct images" for mm, count in growth]
+    report.check("growth pattern 4/8/16", [g for _, g in growth] == [4, 8, 16])
     data["growth"] = growth
 
-    report.lines = lines
     report.data.update(data)
     return _verdict(report)
 
@@ -415,18 +402,13 @@ def suite_section4(m: int = 4) -> SuiteReport:
 
 
 def suite_example3(M: int = 10) -> SuiteReport:
-    report = SuiteReport("example3", True)
-    lines = ["verify example3", f"featured M: {M}"]
+    report = SuiteReport("example3", True, ["verify example3", f"featured M: {M}"])
     data = {"M": M}
 
     repaired = {size: models.example3(size) for size in range(2, 13)}
     axiom_fail = [size for size, model in repaired.items()
                   if not (model.p_report.ok and model.q_report.ok)]
-    report.passed &= not axiom_fail
-    lines.append(
-        f"repaired closure axioms M=2..12: "
-        f"{'PASS' if not axiom_fail else 'FAIL ' + str(axiom_fail)}"
-    )
+    report.check("repaired closure axioms M=2..12", not axiom_fail, str(axiom_fail))
     data["repaired_axiom_failures"] = axiom_fail
 
     orbit_fail = []
@@ -439,12 +421,8 @@ def suite_example3(M: int = 10) -> SuiteReport:
         )
         if orb.distinct_count != want or not prefixes_ok:
             orbit_fail.append(size)
-    report.passed &= not orbit_fail
-    lines.append(
-        "orbit of {0} under pq gives prefixes {0..2n}, "
-        f"floor(M/2)+1 distinct, even M=2..12: "
-        f"{'PASS' if not orbit_fail else 'FAIL ' + str(orbit_fail)}"
-    )
+    report.check("orbit of {0} under pq gives prefixes {0..2n}, floor(M/2)+1 distinct,"
+                 " even M=2..12", not orbit_fail, str(orbit_fail))
     data["orbit_failures"] = orbit_fail
 
     literal = models.example3(M, variant="literal")
@@ -452,23 +430,23 @@ def suite_example3(M: int = 10) -> SuiteReport:
     if literal.p_report is not None and literal.p_report.checks["monotone"].witness:
         a, b = literal.p_report.checks["monotone"].witness
         wit = (a, b)
-        lines.append(
+        report.lines.append(
             f"literal p monotonicity fails at M={M}: "
-            f"{_fmt_set(a)} subset of {_fmt_set(b)} but "
-            f"p{_fmt_set(a)} = {_fmt_set(literal.p.apply(a))} is not inside "
-            f"p{_fmt_set(b)} = {_fmt_set(literal.p.apply(b))}"
+            f"{format_set(a)} subset of {format_set(b)} but "
+            f"p{format_set(a)} = {format_set(literal.p.apply(a))} is not inside "
+            f"p{format_set(b)} = {format_set(literal.p.apply(b))}"
         )
     else:
         report.passed = False
-        lines.append(f"literal p monotonicity unexpectedly holds at M={M}")
+        report.lines.append(f"literal p monotonicity unexpectedly holds at M={M}")
     data["literal_witness"] = None if wit is None else [elements_of(wit[0]), elements_of(wit[1])]
 
     model = repaired[M] if M in repaired else models.example3(M)
     pq0 = eval_word_on("pq", model.p, model.q, 1)
     qp0 = eval_word_on("qp", model.p, model.q, 1)
-    lines.append(
-        f"non-commuting at M={M}: pq({{0}}) = {_fmt_set(pq0)}, "
-        f"qp({{0}}) = {_fmt_set(qp0)}"
+    report.lines.append(
+        f"non-commuting at M={M}: pq({{0}}) = {format_set(pq0)}, "
+        f"qp({{0}}) = {format_set(qp0)}"
     )
     report.passed &= pq0 != qp0
     data["pq_vs_qp"] = [elements_of(pq0), elements_of(qp0)]
@@ -481,21 +459,16 @@ def suite_example3(M: int = 10) -> SuiteReport:
         orbit_growth.append((size, orb.distinct_count))
         mon = monoid_mod.generate_monoid([fam.p, fam.q], names=("p", "q"))
         monoid_sizes.append((size, len(mon), mon.truncated))
-        lines.append(
+        report.lines.append(
             f"M={size}: orbit distinct {orb.distinct_count}, "
             f"monoid size {len(mon)}{' (truncated)' if mon.truncated else ''}"
         )
     sizes = [s for _, s, _ in monoid_sizes]
-    strictly = sizes[0] < sizes[1] < sizes[2] and not any(t for _, _, t in monoid_sizes)
-    report.passed &= strictly
-    lines.append(
-        f"monoid growth strictly increasing across M=8,16,32: "
-        f"{'PASS' if strictly else 'FAIL'}"
-    )
+    report.check("monoid growth strictly increasing across M=8,16,32",
+                 sizes[0] < sizes[1] < sizes[2] and not any(t for _, _, t in monoid_sizes))
     data["orbit_growth"] = orbit_growth
     data["monoid_sizes"] = [(m_, s) for m_, s, _ in monoid_sizes]
 
-    report.lines = lines
     report.data.update(data)
     return _verdict(report)
 
@@ -505,8 +478,7 @@ def suite_example3(M: int = 10) -> SuiteReport:
 
 
 def suite_lemma6() -> SuiteReport:
-    report = SuiteReport("lemma6", True)
-    lines = ["verify lemma6"]
+    report = SuiteReport("lemma6", True, ["verify lemma6"])
     rows = []
     for m in (2, 3, 4, 5):
         for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
@@ -514,17 +486,12 @@ def suite_lemma6() -> SuiteReport:
                 pair = models.pij_pair(i, j, m)
             except models.ModelConstructionError as err:
                 report.passed = False
-                lines.append(f"m={m} (i,j)=({i},{j}): construction failed: {err}")
+                report.lines.append(f"m={m} (i,j)=({i},{j}): construction failed: {err}")
                 rows.append({"m": m, "i": i, "j": j, "ok": False})
                 continue
-            ok = pair.p_report.ok and pair.q_report.ok and pair.commuting
-            report.passed &= ok
-            lines.append(
-                f"m={m} (i,j)=({i},{j}): closures and commuting: "
-                f"{'PASS' if ok else 'FAIL'}"
-            )
-            rows.append({"m": m, "i": i, "j": j, "ok": bool(ok)})
-    report.lines = lines
+            ok = report.check(f"m={m} (i,j)=({i},{j}): closures and commuting",
+                              pair.p_report.ok and pair.q_report.ok and pair.commuting)
+            rows.append({"m": m, "i": i, "j": j, "ok": ok})
     report.data = {"checks": rows}
     return _verdict(report)
 
@@ -602,7 +569,7 @@ def suite_remark_involution(n: int = 3) -> SuiteReport:
     ]
     for kind, perm, i, j, w in failures[:5]:
         report.lines.append(
-            f"  counterexample: {kind} {perm} p#{i} q#{j} at {_fmt_set(w)}"
+            f"  counterexample: {kind} {perm} p#{i} q#{j} at {format_set(w)}"
         )
     report.data = {
         "n": n,

@@ -508,8 +508,9 @@ def test_dump_model_names_select_variants(capsys):
     _, out, _ = run_cli(capsys, "dump", "model", "--name", "example3-literal", "--M", "6")
     assert json.loads(out) == models.example3(6, variant="literal").to_json()
 
-    _, out, _ = run_cli(capsys, "dump", "model", "--name", "pij(1,0)", "--m", "3")
-    assert json.loads(out) == models.pij_pair(1, 0, 3).to_json()
+    for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        _, out, _ = run_cli(capsys, "dump", "model", "--name", f"pij({i},{j})", "--m", "3")
+        assert json.loads(out) == models.pij_pair(i, j, 3).to_json()
 
     _, out, _ = run_cli(capsys, "dump", "model", "--name", "section4", "--m", "3")
     assert json.loads(out) == models.section4_model(3).to_json()
@@ -599,6 +600,8 @@ def test_dump_refuses_a_flag_its_target_does_not_read(capsys, monkeypatch, argv,
     (["dump", "model", "--name", "pij(0,1)", "--M", "5"], "pij(0,1)", "--M"),
     (["dump", "orbit", "--model", "example3-repaired", "--m", "3", "--word", "pq",
       "--start", "0"], "example3-repaired", "--m"),
+    # with both window flags, --m is named whatever the hash seed
+    (["dump", "hasse", "--model", "witness14", "--M", "5", "--m", "5"], "witness14", "--m"),
 ])
 def test_dump_refuses_a_window_flag_its_model_does_not_read(capsys, monkeypatch, argv,
                                                             model, flag):
@@ -821,6 +824,61 @@ def test_dump_orbit_word_that_does_not_parse_is_a_usage_error(capsys, monkeypatc
                              "--word", "cxq", "--start", "0")
     assert (code, out) == (2, "")
     assert err == "usage error: unknown letter 'x' at position 1\n"
+
+
+#: dump argument lists with two faults each, and the one usage error
+#: each names: the one found first
+_TWO_FAULTS = [
+    # a --word is read before the model name
+    (["dump", "orbit", "--model", "bogus", "--word", "cxq", "--start", "0"],
+     "unknown letter 'x' at position 1"),
+    (["dump", "orbit", "--model", "witness14", "--m", "5", "--word", "kq", "--start", "0"],
+     "unknown letter 'k' at position 0"),
+    # witness14 is a model of monoid and hasse dumps only; a name that is
+    # no example3 reads --m, so --M is refused before the name
+    (["dump", "model", "--name", "witness14", "--m", "5"], "unknown model name 'witness14'"),
+    (["dump", "model", "--name", "witness14", "--M", "5"], "model witness14 does not take --M"),
+    (["dump", "orbit", "--model", "witness14", "--word", "pq", "--start", "top"],
+     "unknown model name 'witness14'"),
+    (["dump", "orbit", "--model", "witness14", "--M", "5", "--word", "pq", "--start", "0"],
+     "model witness14 does not take --M"),
+    # a window flag witness14 does not read comes before its letters
+    (["dump", "monoid", "--model", "witness14", "--m", "5", "--gens", "p"],
+     "model witness14 does not take --m"),
+    (["dump", "hasse", "--model", "witness14", "--M", "5", "--gens", "p,q"],
+     "model witness14 does not take --M"),
+    # an unknown name comes before the letters it would offer
+    (["dump", "monoid", "--model", "bogus", "--gens", "k"], "unknown model name 'bogus'"),
+    # a --cap past the entry bound comes before the letters
+    (["dump", "monoid", "--model", "example3-repaired", "--M", "12", "--cap", "10000",
+      "--gens", "k"], "dump monoid takes --cap 1..512 at ground size 13, got 10000"),
+    (["dump", "hasse", "--model", "witness14", "--cap", "100000", "--gens", "p"],
+     "dump hasse takes --cap 1..65536 at ground size 6, got 100000"),
+]
+
+
+@pytest.mark.parametrize("argv,err", _TWO_FAULTS)
+def test_dump_with_two_faults_names_the_first(capsys, monkeypatch, argv, err):
+    def never(*args, **kwargs):
+        raise AssertionError("built a model or monoid despite a usage error")
+
+    for name in ("section4_model", "example3", "pij_pair", "kuratowski_witness"):
+        monkeypatch.setattr(models, name, never)
+    monkeypatch.setattr(monoid_mod, "generate_monoid", never)
+    assert run_cli(capsys, *argv) == (2, "", f"usage error: {err}\n")
+
+
+@pytest.mark.parametrize("name", ["pij(a,b)", "pij( 1 , 0 )", "pij(01,0)", "pij(1, 0)",
+                                  "pij(2,0)", "pij(0,-1)", "pij(1)", "pij(1,0,0)", "pij()"])
+def test_dump_refuses_every_other_pij_spelling(capsys, monkeypatch, name):
+    def never(*args, **kwargs):
+        raise AssertionError("built a model for a pij name that names none")
+
+    monkeypatch.setattr(models, "pij_pair", never)
+    err = f"usage error: bad pij name {name!r}, expected pij(i,j) with i and j 0 or 1\n"
+    for argv in (["model", "--name", name], ["monoid", "--model", name, "--gens", "p"],
+                 ["orbit", "--model", name, "--word", "p", "--start", "0"]):
+        assert run_cli(capsys, "dump", *argv) == (2, "", err)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from closurelab.opalg import (
     conjugated_involution,
     elements_of,
     eval_word,
+    format_set,
     eval_word_on,
     full_mask,
     identity_table,
@@ -38,6 +39,17 @@ def test_mask_helpers():
     assert mask_of([0, 2], 3) == 5
     assert elements_of(5) == [0, 2]
     assert elements_of(0) == []
+
+
+def test_format_set_spells_a_subset_in_element_order():
+    assert format_set(0) == "{}"
+    assert format_set(0, ("a", "b")) == "{}"
+    assert format_set(0b100101) == "{0,2,5}"
+    assert format_set(1 << 11) == "{11}"
+    # section4's flagged cycle at m = 2 names its last two points
+    names = ("0", "1", "2", "3", "top", "bot")
+    assert format_set(0b010001, names) == "{0,top}"
+    assert format_set(0b111100, names) == "{2,3,top,bot}"
     with pytest.raises(ValueError):
         mask_of([3], 3)
 

@@ -12,6 +12,7 @@ from closurelab.suites import (
     FIXTURE_FAILURE,
     KURATOWSKI_WORDS,
     SUITES,
+    SuiteReport,
     _pair_failures,
     suite_example3,
     suite_fixtures,
@@ -35,6 +36,21 @@ def test_suite_registry():
         "pq-closure", "remark-involution", "section4", "theorem1",
         "theorem2",
     ]
+
+
+def test_suite_report_check_records_one_verdict_line():
+    report = SuiteReport("demo", True)
+    assert report.check("first", True) is True
+    assert report.check("second", np.bool_(True), "[9]") is True
+    assert report.passed is True
+    assert report.check("third", [], "[2, 4]") is False
+    assert report.passed is False
+    # a failure is not undone by a later pass
+    assert report.check("fourth", 1) is True
+    assert report.check("fifth", False) is False
+    assert report.passed is False
+    assert report.lines == ["first: PASS", "second: PASS", "third: FAIL [2, 4]",
+                            "fourth: PASS", "fifth: FAIL"]
 
 
 def test_theorem1_suite():
