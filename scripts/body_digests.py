@@ -27,11 +27,14 @@ dump at the default cap (--M 12, 63 MB), one whose tables are wider
 than a chunk of the JSON writer (--M 15 --cap 4), and orbits of the
 flagged cycle at m = 8 and at m = 12, past the table cap.
 
-Three more lines pin the theory layer, which no command reaches: a
+Four more lines pin the theory layer, which no command reaches: a
 digest of the term_universe tables at depths 1 to 3, of
 check_intended_model(m).as_dict(), and of eval_term on both sides of
 the 90 proposition5_equation instances (blocks of length 2 and 4),
-each over every pair at n <= 2 and every commuting pair at n = 3.
+each over every pair at n <= 2 and every commuting pair at n = 3.  The
+fourth hashes opalg.eval_word on the words of those sides over the
+same models, so it equals the eval_term line: the one-shot evaluator
+cross-checks each model's word automaton.
 A last one pins the additive monoids <p, q> of example3_additive at
 M = 8, 16 and 32, whose sizes alone the example3 report prints: their
 witnesses, Cayley rows and elements' singleton images.  Those lines
@@ -47,7 +50,7 @@ from itertools import product
 
 sys.path.insert(0, "src")
 
-from closurelab import cli, idlab, models, monoid, theory
+from closurelab import cli, idlab, models, monoid, opalg, theory
 
 SUITES = ("theorem1", "kuratowski14", "theorem2", "fixtures", "section4", "example3",
           "lemma6", "interior", "pq-closure", "remark-involution")
@@ -126,10 +129,19 @@ def model_reports(models) -> bytes:
     return json.dumps([theory.check_intended_model(m).as_dict() for m in models]).encode()
 
 
+def proposition5_sides() -> list:
+    return [side for k in (1, 2) for blocks in product(("p", "q", "pq"), repeat=2 * k)
+            for side in theory.proposition5_equation(blocks)]
+
+
 def proposition5_tables(models) -> bytes:
-    sides = [side for k in (1, 2) for blocks in product(("p", "q", "pq"), repeat=2 * k)
-             for side in theory.proposition5_equation(blocks)]
+    sides = proposition5_sides()
     return b"".join(theory.eval_term(t, m).key() for m in models for t in sides)
+
+
+def proposition5_words(models) -> bytes:
+    words = [side.word for side in proposition5_sides()]
+    return b"".join(opalg.eval_word(w, m.p, m.q).key() for m in models for w in words)
 
 
 def additive_monoids() -> bytes:
@@ -145,6 +157,7 @@ LIBRARY = (
     ("term_universe depths 1-3", universe_tables),
     ("check_intended_model as_dict", model_reports),
     ("eval_term proposition5 sides", proposition5_tables),
+    ("eval_word proposition5 words", proposition5_words),
 )
 
 

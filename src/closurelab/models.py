@@ -23,7 +23,7 @@ kept in the enumeration module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from .opalg import (
     AxiomReport,
     FnOperator,
     OperatorTable,
+    WordTables,
     check_closure,
     closure_from_fixed_points,
     commutes,
@@ -95,10 +96,22 @@ class ClosurePairModel:
     p_report: Optional[AxiomReport] = None
     q_report: Optional[AxiomReport] = None
     commuting: Optional[bool] = None
+    _words: Optional[WordTables] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ground_size(self) -> int:
         return self.p.ground_size
+
+    def word_table(self, word) -> OperatorTable:
+        """The table of a cpq-word on this model's p and q, from the
+        model's WordTables: built on first use, and again once p or q
+        is no longer the object it was built from.  The model keeps one
+        table per distinct operator its words reached, for as long as
+        it lives; eval_word is the path that keeps nothing."""
+        words = self._words
+        if words is None or words.p is not self.p or words.q is not self.q:
+            words = self._words = WordTables(self.p, self.q)
+        return words(word)
 
     def element_names(self) -> tuple[str, ...]:
         if self.names is not None:

@@ -553,7 +553,9 @@ def parse_word(text: str) -> str:
 
 def eval_word(word, p: OperatorTable, q: OperatorTable) -> OperatorTable:
     """Table of a cpq-word, letters acting right-to-left as usual, c
-    being complementation.
+    being complementation: the one-shot path, which keeps nothing, with
+    two tables alive at any n.  WordTables gives the same tables from a
+    pair's automaton, for many words on one pair.
 
     This is FlatScope.eval on a single model, whose one row needs no
     offset, so no scope is built: the last letter's table is the start,
@@ -563,14 +565,70 @@ def eval_word(word, p: OperatorTable, q: OperatorTable) -> OperatorTable:
     different inclusion-reversing involution, for every c letter.
     """
     text = parse_word(word)
+    tables = _letter_tables(p, q)
     n = p.ground_size
-    if q.ground_size != n:
-        raise ValueError("ground sizes differ")
     if not text:
         return identity_table(n)
-    tables = {"p": p.entries, "q": q.entries, "c": _complement_entries(n)}
     v = _apply_letters(text[:-1], tables, tables[text[-1]], (1 << n) - 1)
     return OperatorTable(n, v, _validate=False)
+
+
+def _letter_tables(p: OperatorTable, q: OperatorTable) -> dict:
+    """The entries of each letter's table on one pair: p's, q's and the
+    complement's at their ground size.  An operator that is not an
+    OperatorTable is refused, by its type, and so are mixed sizes."""
+    for op in (p, q):
+        if not isinstance(op, OperatorTable):
+            raise TypeError(f"word evaluation needs OperatorTables, got {type(op).__name__}")
+    if q.ground_size != p.ground_size:
+        raise ValueError("ground sizes differ")
+    return {"p": p.entries, "q": q.entries, "c": _complement_entries(p.ground_size)}
+
+
+class WordTables:
+    """The tables of cpq-words on one pair (p, q), as the right Cayley
+    graph of the pair's monoid <c, p, q>, built as words reach it (the
+    lazy enumeration of Froidure and Pin, 1997).
+
+    states[i] is a distinct table, kept once, read-only; state 0 is the
+    identity.  edges[i][letter] is the state of letter after states[i].
+    Calling it with a word walks the letters right to left from state
+    0, as eval_word applies them; an edge not yet held costs one gather
+    and a lookup of the result among the states, and every later step
+    along it is a dict lookup.  A word's table is the state it ends in,
+    so a repeated word returns the same object.  The states stay as
+    long as the WordTables does: one table per distinct operator its
+    words reached, at most |<c, p, q>|.
+    """
+
+    def __init__(self, p: OperatorTable, q: OperatorTable):
+        self._letters = _letter_tables(p, q)
+        self.p, self.q = p, q
+        identity = identity_table(p.ground_size)
+        self.states = [identity]
+        self.edges = [{}]
+        self._index = {identity.key(): 0}
+
+    def __call__(self, word) -> OperatorTable:
+        state = 0
+        for letter in reversed(parse_word(word)):
+            step = self.edges[state].get(letter)
+            if step is None:
+                step = self._step(state, letter)
+            state = step
+        return self.states[state]
+
+    def _step(self, state: int, letter: str) -> int:
+        """Gather the edge (state, letter), hold it, and return its end."""
+        entries = self._letters[letter][self.states[state].entries]
+        key = entries.tobytes()
+        end = self._index.get(key)
+        if end is None:
+            end = self._index[key] = len(self.states)
+            self.states.append(OperatorTable(self.p.ground_size, entries, _validate=False))
+            self.edges.append({})
+        self.edges[state][letter] = end
+        return end
 
 
 class FlatScope:

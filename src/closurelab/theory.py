@@ -36,7 +36,6 @@ from .opalg import (
     check_closure,
     commutes,
     complement_table,
-    eval_word,
     identity_table,
     leq_matrix,
 )
@@ -252,10 +251,12 @@ def eval_term(term: Term, model) -> OperatorTable:
     The unit is the identity table, product is composition (right
     factor acts first, matching word evaluation), and bar(g) is
     complement . g . complement: the term is evaluated as its word
-    (term_word, built when the term was), one gather per letter.  model
-    just needs p and q.
+    (term_word, built when the term was) by model.word_table, so each
+    (table, letter) step the model's words share is gathered once in
+    the model's life.  model is a ClosurePairModel whose p and q are
+    OperatorTables; another operator raises TypeError.
     """
-    return eval_word(term_word(term), model.p, model.q)
+    return model.word_table(term_word(term))
 
 
 # ---------------------------------------------------------------------------

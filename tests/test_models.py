@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from closurelab import models
+from closurelab import idlab, models
 from closurelab.models import (
     ModelConstructionError,
     WindowSpec,
@@ -17,6 +18,7 @@ from closurelab.models import (
 from closurelab.opalg import (
     AdditiveOperator,
     FnOperator,
+    OperatorTable,
     check_closure,
     commutes,
     eval_word,
@@ -282,6 +284,36 @@ def test_json_rejects_functional_models():
     m = section4_model(3, materialize=False)
     with pytest.raises(ValueError):
         m.to_json()
+
+
+def test_word_table_follows_reassigned_operators():
+    m, other = pij_pair(1, 0, 3), pij_pair(0, 1, 3)
+    first = m.word_table("pcq")
+    assert first == eval_word("pcq", m.p, m.q) and m.word_table("pcq") is first
+    m.p = other.p
+    second = m.word_table("pcq")
+    assert second == eval_word("pcq", other.p, m.q) != first
+    m.q = other.q
+    assert m.word_table("pcq") == eval_word("pcq", other.p, other.q) != second
+    # an equal table held as another object is still a new operator
+    held = m.word_table("pcq")
+    m.p = OperatorTable(m.ground_size, m.p.entries)
+    assert m.word_table("pcq") == held and m.word_table("pcq") is not held
+
+
+def test_models_of_one_run_share_no_word_tables():
+    run = next(r for r in idlab.Scope.exhaustive(2).runs() if r.ground_size == 2)
+    twins = [run.model_at(1), run.model_at(1), run.model_at(2)]
+    assert twins[0].p is twins[2].p
+    words = ["", "p", "q", "cpcq", "pcqcpcq", "ccc"]
+    tables = [[m.word_table(w) for w in words] for m in twins]
+    assert tables[0] == tables[1]
+    for i, mine in enumerate(tables):
+        for j, theirs in enumerate(tables[:i]):
+            assert not any(np.shares_memory(a.entries, b.entries)
+                           for a in mine for b in theirs), (i, j)
+        assert not any(np.shares_memory(a.entries, op.entries)
+                       for a in mine for op in (twins[i].p, twins[i].q))
 
 
 def test_model_construction_error_is_value_error():

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closurelab import opalg
+from closurelab.idlab import KURATOWSKI_WORDS
+from closurelab.monoid import generate_monoid
 from closurelab.opalg import (
     AdditiveOperator,
     FlatScope,
+    FnOperator,
     OperatorTable,
+    WordTables,
     check_closure,
     check_interior,
     closure_from_fixed_points,
@@ -31,7 +35,13 @@ from closurelab.opalg import (
     reversed_involution,
 )
 
-from _oracles import closure_of_family, compose_tables, is_monotone, moore_families_brute
+from _oracles import (
+    closure_of_family,
+    compose_tables,
+    is_monotone,
+    moore_families_brute,
+    word_table,
+)
 
 
 def test_mask_helpers():
@@ -628,6 +638,99 @@ def test_eval_word_rejects_bad_letters():
     p = identity_table(1)
     with pytest.raises(ValueError):
         eval_word("pxq", p, p)
+
+
+def test_single_pair_evaluators_refuse_operators_that_are_not_tables():
+    table = identity_table(2)
+    others = [AdditiveOperator(2, (1, 2)), FnOperator(2, lambda a: a, "id")]
+    for other in others:
+        for evaluate in (eval_word, lambda w, p, q: WordTables(p, q)(w)):
+            for p, q in ((other, table), (table, other)):
+                with pytest.raises(TypeError, match=type(other).__name__):
+                    evaluate("", p, q)
+    with pytest.raises(ValueError, match="ground sizes differ"):
+        WordTables(table, identity_table(3))
+
+
+class _Gathers(np.ndarray):
+    """A letter's entries that count, in a list shared by the letters,
+    the gathers made through them."""
+
+    def __getitem__(self, index):
+        self.count[0] += 1
+        return self.view(np.ndarray)[index]
+
+
+def _counting(tables: WordTables) -> list:
+    count = [0]
+    for letter, entries in tables._letters.items():
+        tables._letters[letter] = entries.view(_Gathers)
+        tables._letters[letter].count = count
+    return count
+
+
+def _word_table_pairs():
+    """Random pairs at n = 0..4: arbitrary maps (n <= 2, where their
+    monoid stays small) and closures, commuting or not."""
+    rng = np.random.default_rng(20261020)
+    for n in range(5):
+        size = 1 << n
+        for _ in range(6):
+            family = lambda: [size - 1, *rng.integers(0, size, int(rng.integers(0, size + 1)))]
+            yield closure_from_fixed_points(n, family()), closure_from_fixed_points(n, family())
+            if n <= 2:
+                yield (OperatorTable(n, rng.integers(0, size, size)),
+                       OperatorTable(n, rng.integers(0, size, size)))
+
+
+def test_word_tables_match_eval_word_and_the_oracle():
+    rng = random.Random(20261020)
+    commuting = set()
+    for p, q in _word_table_pairs():
+        n = p.ground_size
+        commuting.add(commutes(p, q))
+        tables = WordTables(p, q)
+        gathers = _counting(tables)
+        # the empty word, all-c words, words whose suffixes repeat a
+        # table (cc is the identity, pp and p the same closure, and
+        # kckckck = kck), the Kuratowski words in p and in q, the
+        # suffixes of one word, and random words
+        words = ["", "c", "cc", "c" * 9, "pp", "ppp", "qq", "pcpcpcp", "pcp", "cqcqcqcq"]
+        words += [w.strip("1").replace("k", k) for w in KURATOWSKI_WORDS for k in "pq"]
+        words += ["qcpcq"[i:] for i in range(5)]
+        words += ["".join(rng.choice("cpq") for _ in range(rng.randrange(1, 13)))
+                  for _ in range(30)]
+        p_list, q_list = p.entries.tolist(), q.entries.tolist()
+        got = {}
+        for word in words:
+            table = tables(word)
+            assert table.ground_size == n and not table.entries.flags.writeable
+            assert table == eval_word(word, p, q), word
+            assert tuple(table.entries.tolist()) == word_table(word, p_list, q_list, n), word
+            got[word] = table
+        # a repeated word is the same object; each edge held cost one
+        # gather, and the states are distinct elements of <c, p, q>
+        assert all(tables(word) is table for word, table in got.items())
+        assert tables("") is tables.states[0] == identity_table(n)
+        assert gathers[0] == sum(map(len, tables.edges))
+        assert len({t.key() for t in tables.states}) == len(tables.states)
+        assert len(tables.states) <= len(generate_monoid([p, q, complement_table(n)]))
+    assert commuting == {True, False}
+
+
+def test_word_tables_follow_each_edge_to_its_letter():
+    p = closure_from_fixed_points(2, [1, 3])
+    q = closure_from_fixed_points(2, [2, 3])
+    tables = WordTables(p, q)
+    tables("cpcq")
+    for state, edges in enumerate(tables.edges):
+        for letter, end in edges.items():
+            want = eval_word(letter, p, q).compose(tables.states[state])
+            assert tables.states[end] == want, (state, letter)
+    # the walk leaves the identity by the word's last letter only
+    assert tables.edges[0].keys() == {"q"}
+    with pytest.raises(ValueError, match="unknown letter"):
+        tables("cxq")
 
 
 def test_additive_operator_matches_table():

@@ -15,7 +15,7 @@ from closurelab.idlab import (
     enumerate_closures,
     enumerate_commuting_pairs,
 )
-from closurelab.models import ClosurePairModel, pij_pair
+from closurelab.models import ClosurePairModel, example3_additive, pij_pair, section4_model
 from closurelab.opalg import (
     OperatorTable,
     check_closure,
@@ -231,6 +231,12 @@ def test_eval_term_rejects_non_terms():
     for bad in built + ("p",):
         with pytest.raises(TypeError, match="not a term"):
             eval_term(bad, m)
+
+
+def test_eval_term_refuses_models_without_tables():
+    for m in (example3_additive(8), section4_model(3, materialize=False)):
+        with pytest.raises(TypeError, match=type(m.p).__name__):
+            eval_term(P, m)
 
 
 def test_translation_matches_word_evaluation_exhaustive():
