@@ -21,11 +21,13 @@ m = 6, each search, the identity search at its caps (--n 3
 --maxlen 16, where the level cap on the monoid BFS under it binds
 hardest), and each dump target, with a monoid or orbit dump of each
 model kind (a pij pair, the literal and repaired staircases, the
-flagged cycle and witness14, on one letter too), the largest dumps the
-benchmark makes, a monoid dump cut short by --cap, the largest monoid
-dump at the default cap (--M 12, 63 MB), one whose tables are wider
-than a chunk of the JSON writer (--M 15 --cap 4), and orbits of the
-flagged cycle at m = 8 and at m = 12, past the table cap.
+flagged cycle and witness14, on one letter too), the tables of each
+pij flavor and the largest block closure table (--m 10, 2**20
+entries), the largest dumps the benchmark makes, a monoid dump cut
+short by --cap, the largest monoid dump at the default cap (--M 12,
+63 MB), one whose tables are wider than a chunk of the JSON writer
+(--M 15 --cap 4), and orbits of the flagged cycle at m = 8 and at
+m = 12, past the table cap, and at its edge, m = 1024 for 4096 steps.
 
 Four more lines pin the theory layer, which no command reaches: a
 digest of the term_universe tables at depths 1 to 3, of
@@ -78,6 +80,9 @@ COMMANDS = (
        ("dump", "model", "--name", "section4", "--m", "8"),
        ("dump", "model", "--name", "example3-literal"),
        ("dump", "model", "--name", "pij(0,1)"),
+       ("dump", "model", "--name", "pij(0,0)"),
+       ("dump", "model", "--name", "pij(1,1)"),
+       ("dump", "model", "--name", "pij(1,0)", "--m", "10"),
        ("dump", "monoid", "--model", "witness14"),
        ("dump", "monoid", "--model", "section4", "--m", "3", "--gens", "p,q,c"),
        ("dump", "monoid", *PQC_M6),
@@ -97,6 +102,8 @@ COMMANDS = (
         "--start", "0")]
     + [("dump", "orbit", "--model", "section4", "--m", m, "--word", "cpcpcqcq",
         "--start", "0,top") for m in ("8", "12")]
+    + [("dump", "orbit", "--model", "section4", "--m", "1024", "--word", "cpcpcqcq",
+        "--start", "0,top", "--iters", "4096")]
 )
 
 

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import idlab, models
 from . import monoid as monoid_mod
-from .opalg import MAX_GROUND_SIZE, complement_table, elements_of, format_set, parse_word
+from .opalg import (MAX_GROUND_SIZE, complement_table, elements_of, format_set, format_word,
+                    parse_word)
 from .suites import SUITES, SuiteReport
 
 OUT_DIR_ENV = "CLOSURELAB_OUT"
@@ -178,9 +179,10 @@ def _render_suite(report: SuiteReport, fmt: str, argv_echo: str,
 #: more, as random.Random(-s) replays random.Random(s).  Windows span
 #: at least 2 elements, and verify's flagged cycle (ground size 2m + 2)
 #: and each segment {0..M} (ground size M + 1) fit the table cap.  A
-#: dump's cycle is capped lower by its model, except in dump orbit
-#: --model section4, which walks it as functions: there --m 1024 and
-#: --iters 4096 take about 0.3 s and 31 MB, and --m 4096 about 10 s.
+#: dump refuses a cycle whose tables pass the table cap when it resolves
+#: the model, except in dump orbit --model section4, which walks it as
+#: functions: there --m 1024 and --iters 4096 take about 0.3 s and
+#: 31 MB, and --m 4096 about 10 s.
 _ANY, _NEEDED = "any", "needed"
 _WINDOW = {"m": (2, 1024), "M": (2, MAX_GROUND_SIZE - 1)}
 _FLAGS = {
@@ -307,7 +309,7 @@ def cmd_search(args) -> int:
                 f"words examined: {examined}",
                 f"equations found: {len(equations)}",
             ]
-            lines += [f"{lhs or '1'} = {rhs or '1'}" for lhs, rhs in equations]
+            lines += [f"{format_word(lhs)} = {format_word(rhs)}" for lhs, rhs in equations]
             _emit("\n".join(lines) + "\n", args.out)
         return 0
 
@@ -316,9 +318,11 @@ def cmd_search(args) -> int:
             print(f"usage error: search counterexample takes --eq LHS=RHS, got {args.eq!r}",
                   file=sys.stderr)
             return 2
-        # a word that does not parse is a usage error, and nothing else
+        # a word that does not parse is a usage error, and nothing else;
+        # a side that is 1 is the empty word
         try:
-            lhs, rhs = (parse_word(side.strip()) for side in args.eq.split("=", 1))
+            lhs, rhs = (parse_word("" if side.strip() == "1" else side.strip())
+                        for side in args.eq.split("=", 1))
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return 2
@@ -326,7 +330,8 @@ def cmd_search(args) -> int:
         if args.format == "json":
             _emit(_json_chunks(cert.to_json()), args.out)
         else:
-            _emit(f"search counterexample {lhs} = {rhs}\n{cert.summary()}\n", args.out)
+            _emit(f"search counterexample {format_word(lhs)} = {format_word(rhs)}\n"
+                  f"{cert.summary()}\n", args.out)
         return 0 if not cert.holds else 1
 
     # witness14
@@ -433,7 +438,8 @@ def _model_from_flags(name: str, args) -> tuple[int, tuple[str, ...], Callable]:
     witness14, the pinned closure k, is a model of those two dumps only
     and reads no window flag; the example3 names read --M and any other
     name --m.  A window flag the model does not read is refused, then a
-    name that names nothing, all before anything is built."""
+    name that names nothing, then a model whose tables would pass the
+    table cap, all before anything is built."""
     generators = args.target in ("monoid", "hasse")
     witness = generators and name == "witness14"
     window = None if witness else "M" if name in _EXAMPLE3 else "m"
@@ -442,58 +448,62 @@ def _model_from_flags(name: str, args) -> tuple[int, tuple[str, ...], Callable]:
             raise ValueError(f"model {name} does not take --{unread}")
     if witness:
         return models.KURATOWSKI_GROUND, ("k", "c"), lambda: {"k": models.kuratowski_witness()[0]}
+    # an orbit reads no table, so it walks the flagged cycle as functions
+    tables = name != "section4" or args.target != "orbit"
     if window == "M":
-        M = args.M if args.M is not None else 10
+        size = args.M if args.M is not None else 10
         variant = "literal" if name == "example3-literal" else "repaired"
-        n, build = M + 1, functools.partial(models.example3, M, variant=variant)
+        n, build = size + 1, functools.partial(models.example3, size, variant=variant)
     else:
-        m = args.m if args.m is not None else 4
+        size = args.m if args.m is not None else 4
         if name == "section4":
-            # an orbit reads no table, so it walks the cycle as functions
-            n, build = 2 * m + 2, functools.partial(models.section4_model, m,
-                                                    materialize=args.target != "orbit")
+            n, build = 2 * size + 2, functools.partial(models.section4_model, size,
+                                                       materialize=tables)
         elif name in _PIJ:
-            n, build = 2 * m, functools.partial(models.pij_pair, *_PIJ[name], m)
+            n, build = 2 * size, functools.partial(models.pij_pair, *_PIJ[name], size)
         elif name.startswith("pij(") and name.endswith(")"):
             raise ValueError(f"bad pij name {name!r}, expected pij(i,j) with i and j 0 or 1")
         else:
             raise ValueError(f"unknown model name {name!r}")
+    if tables and n > MAX_GROUND_SIZE:
+        raise ValueError(f"model {name} at --{window} {size} has ground size {n},"
+                         f" past the table cap {MAX_GROUND_SIZE}")
     return n, ("p", "q", "c"), functools.partial(_pair_generators, build) if generators else build
 
 
 def cmd_dump(args) -> int:
     what = args.target
     # A --word that does not parse, or a model name, window or --start
-    # that names nothing, is a usage error; a model failing its own
-    # screen, or any later ValueError, is a bug and propagates.
+    # that names nothing, is a usage error; any ValueError while the
+    # model is built, or later, is a bug and propagates.
     try:
         if what == "orbit":
             word = parse_word(args.word)
         n, offered, build = _model_from_flags(args.name if what == "model" else args.model, args)
-        if what in ("monoid", "hasse"):
-            most = DUMP_ENTRIES_CAP >> n
-            cap = args.cap or min(monoid_mod.DEFAULT_CAP, most)  # a --cap given is at least 1
-            # a model past the table cap is refused by its constructor,
-            # before it builds anything
-            if cap > most and n <= MAX_GROUND_SIZE:
-                print(f"usage error: dump {what} takes --cap 1..{most} at ground size {n},"
-                      f" got {cap}", file=sys.stderr)
-                return 2
-            gens = "c,k" if args.gens is None else args.gens
-            letters = [part.strip() for part in gens.split(",") if part.strip()]
-            missing = [g for g in letters if g not in offered]
-            if missing or not letters:
-                print(f"generators {missing} not available for model {args.model}"
-                      f" (available: {sorted(offered)})", file=sys.stderr)
-                return 2
-        model = build()  # in a monoid or hasse dump, its generators but c
-        if what == "orbit":
-            start = model.mask_of_names(args.start)
-    except models.ModelConstructionError:
-        raise
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
+    if what in ("monoid", "hasse"):
+        most = DUMP_ENTRIES_CAP >> n
+        cap = args.cap or min(monoid_mod.DEFAULT_CAP, most)  # a --cap given is at least 1
+        if cap > most:
+            print(f"usage error: dump {what} takes --cap 1..{most} at ground size {n},"
+                  f" got {cap}", file=sys.stderr)
+            return 2
+        gens = "c,k" if args.gens is None else args.gens
+        letters = [part.strip() for part in gens.split(",") if part.strip()]
+        missing = [g for g in letters if g not in offered]
+        if missing or not letters:
+            print(f"generators {missing} not available for model {args.model}"
+                  f" (available: {sorted(offered)})", file=sys.stderr)
+            return 2
+    model = build()  # in a monoid or hasse dump, its generators but c
+    if what == "orbit":
+        try:
+            start = model.mask_of_names(args.start)
+        except ValueError as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            return 2
 
     if what == "model":
         _emit(_json_chunks(model.to_json()), args.out)
@@ -530,7 +540,7 @@ def cmd_dump(args) -> int:
               f" than --cap {cap} elements", file=sys.stderr)
         return 2
     edges = monoid_mod.hasse(mon)
-    nodes = [w or "1" for w in mon.witnesses]
+    nodes = list(map(format_word, mon.witnesses))
     payload = {
         "nodes": nodes,
         "edges": [[nodes[lo], nodes[hi]] for lo, hi in edges],

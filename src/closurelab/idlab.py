@@ -37,6 +37,7 @@ from .opalg import (
     complement_table,
     elements_of,
     eval_word_on,
+    format_word,
 )
 
 DEFAULT_SEED = 20250816
@@ -402,7 +403,7 @@ class EquationCertificate:
         if self.holds:
             return f"no counterexample found ({self.scope})"
         return (
-            f"refuted: {self.lhs} != {self.rhs} on {self.model.label or self.model.provenance}"
+            f"refuted: {format_word(self.lhs)} != {format_word(self.rhs)} on {self.model.label or self.model.provenance}"
             f" at {sorted(elements_of(self.witness))}"
         )
 

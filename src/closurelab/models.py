@@ -16,6 +16,10 @@ size allows:
   cyclic part.  The resulting p, q commute, and the word cpcpcqcq
   walks {0, top} around the cycle two steps per application.
 
+Each flavor is defined once, in _flavors, as a map of one mask or of an
+array of masks: the pij tables, the flagged cycle's tables and its
+functions past the table cap all read it.
+
 A pinned single-closure witness whose monoid with complement reaches
 the 14-element ceiling lives here too, with its regeneration search
 kept in the enumeration module.
@@ -40,7 +44,6 @@ from .opalg import (
     commutes,
     format_set,
     hex_rows,
-    identity_table,
 )
 
 
@@ -257,41 +260,36 @@ def example3_additive(M: int) -> ClosurePairModel:
 
 
 # ---------------------------------------------------------------------------
-# the four (p_ij, q_ij) pairs on a cycle Z/(2m)
+# the four (p_ij, q_ij) flavors on a cycle Z/(2m), and the flagged cycle
 
 
-def _parity_mask(m: int, odd: bool) -> int:
-    return sum(1 << i for i in range(2 * m) if i % 2 == (1 if odd else 0))
-
-
-def _block_closure_table(m: int, q_blocks: bool) -> OperatorTable:
-    """Closure whose proper closed sets are two-element blocks tiling
-    the cycle: {2k+1, 2k+2} for the p flavor, {2k, 2k+1} for q (mod 2m).
-    Everything not inside a single block closes to the whole cycle: the
-    closed sets are the empty set, the m blocks and the cycle."""
+def _flavors(which: str, m: int) -> tuple:
+    """p's or q's four flavors on the cycle Z/(2m), (i, j) at index
+    i + 2j, each a map of a mask, a Python int or an int64 array of
+    them: (0,0) the identity, (1,0) the block closure, (0,1) adding the
+    parity points, (1,1) the whole cycle.  p's points are the odd ones
+    and q's the even ones: p adds Odd and its blocks {2k+1, 2k+2} start
+    at odd points, q adds Even and its blocks {2k, 2k+1} start at even
+    ones.  The block closure keeps the empty set, takes a subset of one
+    block to that block, found from its lowest point, and every other
+    subset to the whole cycle."""
     n = 2 * m
-    blocks = [(1 << i) | (1 << (i + 1) % n) for i in range(0 if q_blocks else 1, n, 2)]
-    return closure_from_fixed_points(n, [0, *blocks, (1 << n) - 1])
+    cycle = (1 << n) - 1
+    starts = cycle // 3 << (which == "p")  # the even points, shifted to the odd ones for p
 
+    def block_closure(z):
+        down = z & -z  # the lowest point,
+        up = down & starts  # if it starts its block,
+        down ^= up  # or if it ends it
+        block = up | down | (up << 1 | up >> (n - 1)) & cycle | down >> 1 | (down & 1) << (n - 1)
+        return block | ((z & ~block) != 0) * cycle
 
-def _parity_add_table(m: int, odd: bool) -> OperatorTable:
-    n = 2 * m
-    pm = np.int64(_parity_mask(m, odd))
-    return OperatorTable(n, np.arange(1 << n, dtype=np.int64) | pm, _validate=False)
+    return (lambda z: z, block_closure, lambda z: z | starts, lambda z: z | cycle)
 
 
 def _pij_table(which: str, i: int, j: int, m: int) -> OperatorTable:
-    n = 2 * m
-    if (i, j) == (0, 0):
-        return identity_table(n)
-    if (i, j) == (1, 1):
-        full = (1 << n) - 1
-        return OperatorTable(n, np.full(1 << n, full, dtype=np.int64), _validate=False)
-    if (i, j) == (1, 0):
-        return _block_closure_table(m, q_blocks=(which == "q"))
-    if (i, j) == (0, 1):
-        return _parity_add_table(m, odd=(which == "p"))
-    raise ValueError(f"pij indices must be 0 or 1, got ({i},{j})")
+    masks = np.arange(1 << (2 * m), dtype=np.int64)
+    return OperatorTable(2 * m, _flavors(which, m)[i + 2 * j](masks), _validate=False)
 
 
 def pij_pair(i: int, j: int, m: int) -> ClosurePairModel:
@@ -316,125 +314,39 @@ def pij_pair(i: int, j: int, m: int) -> ClosurePairModel:
     )
 
 
-# ---------------------------------------------------------------------------
-# the flagged cycle model: Z/(2m) plus top and bot
-
-
-def _flagged_names(m: int) -> tuple[str, ...]:
-    return tuple(map(str, range(2 * m))) + ("top", "bot")
-
-
-def _section4_tables(m: int) -> tuple[OperatorTable, OperatorTable]:
-    n = 2 * m + 2
-    top_bit = np.int64(1 << (2 * m))
-    bot_bit = np.int64(1 << (2 * m + 1))
-    zmask = np.int64((1 << (2 * m)) - 1)
-    full = np.int64((1 << n) - 1)
-    masks = np.arange(1 << n, dtype=np.int64)
-    z = masks & zmask
-    flags = masks & (top_bit | bot_bit)
-
-    def combine(t10: OperatorTable, t01: OperatorTable) -> np.ndarray:
-        return np.select(
-            [
-                flags == 0,
-                flags == top_bit,
-                flags == bot_bit,
-            ],
-            [
-                z,
-                t10.entries[z] | top_bit,
-                t01.entries[z] | bot_bit,
-            ],
-            default=full,
-        )
-
-    p = combine(_pij_table("p", 1, 0, m), _pij_table("p", 0, 1, m))
-    q = combine(_pij_table("q", 1, 0, m), _pij_table("q", 0, 1, m))
-    return (
-        OperatorTable(n, p, _validate=False),
-        OperatorTable(n, q, _validate=False),
-    )
-
-
-def _block_image(z: int, m: int, q_blocks: bool) -> int:
-    """Pointwise block closure on the cyclic part, for windows past the
-    table cap."""
-    n = 2 * m
-    if z == 0:
-        return 0
-    i = (z & -z).bit_length() - 1
-    start = 0 if q_blocks else 1
-    if i % 2 == start % 2:
-        a, b = i, (i + 1) % n
-    else:
-        a, b = (i - 1) % n, i
-    block = (1 << a) | (1 << b)
-    if z & ~block:
-        return (1 << n) - 1
-    return block
-
-
-def _section4_fns(m: int):
-    n = 2 * m + 2
-    top_bit = 1 << (2 * m)
-    bot_bit = 1 << (2 * m + 1)
-    zmask = (1 << (2 * m)) - 1
-    full = (1 << n) - 1
-    odd = _parity_mask(m, odd=True)
-    even = _parity_mask(m, odd=False)
-
-    def make(q_flavor: bool):
-        parity = even if q_flavor else odd
-
-        def fn(a: int) -> int:
-            flags = a & (top_bit | bot_bit)
-            z = a & zmask
-            if flags == 0:
-                return z
-            if flags == top_bit:
-                return _block_image(z, m, q_blocks=q_flavor) | top_bit
-            if flags == bot_bit:
-                return z | parity | bot_bit
-            return full
-
-        return fn
-
-    return make(False), make(True)
-
-
 def section4_model(m: int, materialize: bool = True) -> ClosurePairModel:
-    """The flagged-cycle pair: membership of top/bot in the argument
-    dispatches to the four cycle flavors, p(A) = p_ij(A n Z) u flags
-    with i = [top in A], j = [bot in A], q likewise with its flavors.
+    """The flagged-cycle pair on Z/(2m) plus top and bot: membership of
+    top/bot in the argument dispatches to the four cycle flavors,
+    p(A) = p_ij(A n Z) u flags with i = [top in A], j = [bot in A], q
+    likewise with its flavors.  The flags are the bits past the cycle,
+    so a mask's flavor index i + 2j is mask >> 2m, and the table is the
+    four flavors' tables in that order, each with its flags.
 
     Materialized (the default, within the table cap) the pair is
     screened for the closure axioms and commutation; otherwise the
     operators are plain functions at any size and only pointwise
     evaluation (orbits) applies.
     """
-    window = WindowSpec("cycle", m)
-    n = 2 * m + 2
+    n, shift = 2 * m + 2, 2 * m
+    fields = dict(provenance=f"section4({m})", window=WindowSpec("cycle", m),
+                  names=tuple(map(str, range(shift))) + ("top", "bot"))
+    flavors = {which: _flavors(which, m) for which in "pq"}
     if materialize:
         if n > MAX_GROUND_SIZE:
             raise ValueError(f"ground size {n} exceeds the table cap")
-        return ClosurePairModel(
-            provenance=f"section4({m})",
-            window=window,
-            label=f"m={m}",
-            names=_flagged_names(m),
-            **_commuting_closures(*_section4_tables(m), f"flagged cycle at m={m}"),
-        )
-    p_fn, q_fn = _section4_fns(m)
-    return ClosurePairModel(
-        provenance=f"section4({m})",
-        p=FnOperator(n, p_fn, "p"),
-        q=FnOperator(n, q_fn, "q"),
-        window=window,
-        label=f"m={m} functional",
-        names=_flagged_names(m),
-        commuting=None,
-    )
+        z = np.arange(1 << shift, dtype=np.int64)
+        p, q = (OperatorTable(n, np.concatenate([f(z) | k << shift for k, f in
+                                                 enumerate(flavors[which])]), _validate=False)
+                for which in "pq")
+        return ClosurePairModel(label=f"m={m}", **fields,
+                                **_commuting_closures(p, q, f"flagged cycle at m={m}"))
+    cycle = (1 << shift) - 1
+
+    def fn(which):
+        return lambda a: flavors[which][a >> shift](a & cycle) | a >> shift << shift
+
+    return ClosurePairModel(label=f"m={m} functional", p=FnOperator(n, fn("p"), "p"),
+                            q=FnOperator(n, fn("q"), "q"), commuting=None, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -551,6 +551,11 @@ def parse_word(text: str) -> str:
     return text
 
 
+def format_word(word: str) -> str:
+    """A word as report text: the empty word, the identity, is 1."""
+    return word or "1"
+
+
 def eval_word(word, p: OperatorTable, q: OperatorTable) -> OperatorTable:
     """Table of a cpq-word, letters acting right-to-left as usual, c
     being complementation: the one-shot path, which keeps nothing, with

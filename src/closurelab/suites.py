@@ -40,6 +40,7 @@ from .opalg import (
     elements_of,
     eval_word_on,
     format_set,
+    format_word,
     interior_rows,
     is_reversing_involution,
     leq_matrix,
@@ -163,7 +164,7 @@ def suite_kuratowski14(n: int = 4) -> SuiteReport:
     k, seed = models.kuratowski_witness()
     c = complement_table(k.ground_size)
     mon = monoid_mod.generate_monoid([k, c], names=("k", "c"))
-    wit_words = ["1" if w == "" else w for w in mon.witnesses]
+    wit_words = list(map(format_word, mon.witnesses))
     words_ok = sorted(wit_words) == sorted(KURATOWSKI_WORDS)
     orbit_images = {e.apply(seed) for e in mon.elements}
 

@@ -17,6 +17,7 @@ plain lists, the reference for the JSON that `dump monoid` spells from
 its arrays.
 """
 
+import functools
 import random
 from itertools import product
 
@@ -105,6 +106,21 @@ def block_closure_table(m, q_blocks):
         for sub in (1 << a, 1 << b, block):
             entries[sub] = block
     return tuple(entries)
+
+
+@functools.cache
+def _block_closed_sets(m, q_blocks):
+    n = 2 * m
+    start = 0 if q_blocks else 1
+    blocks = [(1 << ((2 * k + start) % n)) | (1 << ((2 * k + start + 1) % n)) for k in range(m)]
+    return (0, *blocks, (1 << n) - 1)
+
+
+def block_closure(a, m, q_blocks):
+    """The block closure of the subset a of the cycle Z/(2m), at any m:
+    the least of the empty set, the m blocks ({2k+1, 2k+2} for the p
+    flavor, {2k, 2k+1} for q, mod 2m) and the cycle that contains a."""
+    return min((c for c in _block_closed_sets(m, q_blocks) if a & ~c == 0), key=int.bit_count)
 
 
 def sample_commuting_pair(n, seed, max_tries=2000):

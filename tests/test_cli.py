@@ -429,6 +429,36 @@ def test_search_counterexample_held_exits_one(capsys):
                    "no counterexample found (exhaustive-all-n<=2)\n")
 
 
+def test_search_counterexample_reads_and_spells_the_empty_word_as_1(capsys):
+    code, out, _ = run_cli(capsys, "search", "counterexample", "--eq", "c=1", "--n", "0")
+    assert (code, out) == (1, "search counterexample c = 1\n"
+                              "no counterexample found (exhaustive-all-n<=0)\n")
+    code, out, _ = run_cli(capsys, "search", "counterexample", "--eq", "p = 1")
+    head, summary = out.splitlines()
+    assert (code, head) == (0, "search counterexample p = 1")
+    assert summary.startswith("refuted: p != 1 on ")
+    # an empty side is spelled 1 too; JSON keeps the empty word
+    code, out, _ = run_cli(capsys, "search", "counterexample", "--eq", "cc=")
+    assert (code, out.splitlines()[0]) == (1, "search counterexample cc = 1")
+    code, out, _ = run_cli(capsys, "search", "counterexample", "--eq", "p=1", "--format", "json")
+    assert (code, json.loads(out)["rhs"]) == (0, "")
+    # 1 is a whole side, not a letter
+    code, out, err = run_cli(capsys, "search", "counterexample", "--eq", "pq=q1")
+    assert (code, out, err) == (2, "", "usage error: unknown letter '1' at position 1\n")
+
+
+def test_identities_round_trip_through_the_counterexample_search(capsys):
+    # each equation the identity search prints, the empty word spelled
+    # 1, holds again when given back as --eq over the same scope
+    code, out, _ = run_cli(capsys, "search", "identities", "--n", "0", "--maxlen", "2")
+    equations = out.splitlines()[3:]
+    assert code == 0 and "c = 1" in equations
+    for equation in equations:
+        code, out, _ = run_cli(capsys, "search", "counterexample", "--n", "0",
+                               "--eq", equation.replace(" ", ""))
+        assert (code, out.splitlines()[0]) == (1, f"search counterexample {equation}")
+
+
 def test_search_counterexample_parses_both_words_before_the_search(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(idlab, "search_counterexample", lambda *args, **kw: calls.append(args))
@@ -642,6 +672,42 @@ def test_dump_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["dump", "hasse", "--model", "witness14"])
     assert "usage error" not in capsys.readouterr().err
+
+
+def test_dump_fault_while_building_its_model_is_not_a_usage_error(capsys, monkeypatch):
+    # the model is built outside the usage-error handler
+    def broken(which, m):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(models, "_flavors", broken)
+    for argv in (["model", "--name", "section4"], ["monoid", "--model", "pij(1,0)", "--gens", "p"],
+                 ["orbit", "--model", "section4", "--m", "12", "--word", "p", "--start", "0"]):
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["dump", *argv])
+        assert "usage error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,model,m,n", [
+    (["model", "--name", "section4", "--m", "10"], "section4", 10, 22),
+    (["model", "--name", "pij(1,0)", "--m", "11"], "pij(1,0)", 11, 22),
+    (["monoid", "--model", "pij(0,0)", "--m", "1024", "--gens", "p"], "pij(0,0)", 1024, 2048),
+    # named before a --cap past the entry bound
+    (["hasse", "--model", "section4", "--m", "10", "--gens", "p,q,c", "--cap", "100000"],
+     "section4", 10, 22),
+    (["orbit", "--model", "pij(0,1)", "--m", "11", "--word", "p", "--start", "0"],
+     "pij(0,1)", 11, 22),
+])
+def test_dump_refuses_a_model_past_the_table_cap(capsys, monkeypatch, argv, model, m, n):
+    # one message for every table model, before anything is built; an
+    # orbit of the flagged cycle walks functions and takes any --m
+    def never(*args, **kwargs):
+        raise AssertionError("built a model past the table cap")
+
+    for name in ("section4_model", "pij_pair"):
+        monkeypatch.setattr(models, name, never)
+    monkeypatch.setattr(monoid_mod, "generate_monoid", never)
+    err = f"usage error: model {model} at --m {m} has ground size {n}, past the table cap 20\n"
+    assert run_cli(capsys, "dump", *argv) == (2, "", err)
 
 
 def test_dump_hasse_of_a_truncated_monoid_is_a_usage_error(capsys):

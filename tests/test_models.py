@@ -1,6 +1,7 @@
 """Tests for the concrete model constructors."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from closurelab.opalg import (
     mask_of,
 )
 
-from _oracles import block_closure_table
+from _oracles import block_closure, block_closure_table
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +188,32 @@ def test_pij_parity_saturation_values():
 
 def test_block_closure_table_matches_hand_built_reference():
     for m in range(2, 10):
-        for q_blocks in (False, True):
-            table = models._block_closure_table(m, q_blocks)
+        for which in "pq":
+            table = models._pij_table(which, 1, 0, m)
             assert table.ground_size == 2 * m
-            assert tuple(table.entries.tolist()) == block_closure_table(m, q_blocks), (m, q_blocks)
+            assert tuple(table.entries.tolist()) == block_closure_table(m, which == "q"), (m, which)
+
+
+def test_each_flavor_as_an_int_map_matches_its_table():
+    for m in range(2, 7):
+        for which in "pq":
+            for (i, j), flavor in zip(((0, 0), (1, 0), (0, 1), (1, 1)), models._flavors(which, m)):
+                entries = models._pij_table(which, i, j, m).entries.tolist()
+                assert [flavor(a) for a in range(1 << (2 * m))] == entries, (m, which, i, j)
+
+
+def test_block_closure_matches_the_oracle_past_the_table_cap():
+    # at m = 1024, on seeded masks: half arbitrary, which close to the
+    # cycle but for the rare one inside a block, and half two-point
+    # sets, some of them blocks and some wrapping round the cycle
+    m, rng = 1024, random.Random(29)
+    masks = [rng.getrandbits(2 * m) for _ in range(1000)]
+    masks += [(1 << rng.randrange(2 * m)) | (1 << rng.randrange(2 * m)) for _ in range(1000)]
+    masks += [0b11, 0b110, 1 | 1 << (2 * m - 1)]
+    for which in "pq":
+        closure = models._flavors(which, m)[1]
+        for a in masks:
+            assert closure(a) == block_closure(a, m, which == "q"), (which, a)
 
 
 def test_pij_validation():
@@ -229,13 +252,13 @@ def test_section4_dispatch():
 
 
 def test_section4_functional_matches_tables():
-    table_model = section4_model(3)
-    fn_model = section4_model(3, materialize=False)
-    assert isinstance(fn_model.p, FnOperator)
-    assert fn_model.commuting is None
-    for a in range(1 << 8):
-        assert fn_model.p.apply(a) == int(table_model.p.entries[a])
-        assert fn_model.q.apply(a) == int(table_model.q.entries[a])
+    for m in range(2, 7):
+        table_model = section4_model(m)
+        fn_model = section4_model(m, materialize=False)
+        assert isinstance(fn_model.p, FnOperator)
+        assert fn_model.commuting is None
+        for op, table in ((fn_model.p, table_model.p), (fn_model.q, table_model.q)):
+            assert [op.apply(a) for a in range(1 << (2 * m + 2))] == table.entries.tolist(), m
 
 
 def test_section4_functional_scales_past_table_cap():
@@ -244,8 +267,10 @@ def test_section4_functional_scales_past_table_cap():
     assert n == 34
     top = 1 << 32
     start = mask_of([0], n) | top
-    a = m.p.apply(start)
-    assert a == mask_of([0, 1], n) | top or a == mask_of([31, 0], n) | top
+    # p's blocks are {2k+1, 2k+2} mod 32, so 0 shares one with 31; q's
+    # are {2k, 2k+1}
+    assert m.p.apply(start) == mask_of([0, 31], n) | top
+    assert m.q.apply(start) == mask_of([0, 1], n) | top
     with pytest.raises(ValueError):
         section4_model(16, materialize=True)
 
