@@ -37,10 +37,14 @@ each over every pair at n <= 2 and every commuting pair at n = 3.  The
 fourth hashes opalg.eval_word on the words of those sides over the
 same models, so it equals the eval_term line: the one-shot evaluator
 cross-checks each model's word automaton.
-A last one pins the additive monoids <p, q> of example3_additive at
+One more pins the additive monoids <p, q> of example3_additive at
 M = 8, 16 and 32, whose sizes alone the example3 report prints: their
-witnesses, Cayley rows and elements' singleton images.  Those lines
-read "lib" where a command's read its exit code.
+witnesses, Cayley rows and elements' singleton images.  A last one pins
+the term reader: print_term(parse_term(s)) for each of the 116 claim
+side and substitution texts collapse_derivation reads, the message and
+position of one refused text per TermSyntaxError message, and the
+derivation's to_json().  Those lines read "lib" where a command's read
+its exit code.
 """
 
 import hashlib
@@ -160,6 +164,27 @@ def additive_monoids() -> bytes:
     return json.dumps(out).encode()
 
 
+#: one text parse_term refuses per message
+REFUSED_TERMS = ("px", "pq)p", "p()", "q(pq", "bar p", "p bar(q")
+
+
+def term_reader() -> bytes:
+    texts = []
+    read = theory.parse_term  # recorded on its way through, as the derivation reads it
+    theory.parse_term = lambda s: texts.append(s) or read(s)
+    try:
+        derivation = theory.collapse_derivation()
+    finally:
+        theory.parse_term = read
+    out = []
+    for s in texts + list(REFUSED_TERMS):
+        try:
+            out.append([s, theory.print_term(read(s))])
+        except theory.TermSyntaxError as err:
+            out.append([s, str(err), err.position])
+    return json.dumps([out, derivation.to_json()]).encode()
+
+
 LIBRARY = (
     ("term_universe depths 1-3", universe_tables),
     ("check_intended_model as_dict", model_reports),
@@ -176,8 +201,9 @@ def main():
     for label, pin in LIBRARY:
         digest = hashlib.sha256(pin(models)).hexdigest()
         print(f"{digest}  lib  {label} (pairs n<=2, commuting pairs n=3)", flush=True)
-    digest = hashlib.sha256(additive_monoids()).hexdigest()
-    print(f"{digest}  lib  generate_monoid additive <p,q> at M=8,16,32", flush=True)
+    for label, pin in (("generate_monoid additive <p,q> at M=8,16,32", additive_monoids),
+                       ("parse_term collapse_derivation texts and refusals", term_reader)):
+        print(f"{hashlib.sha256(pin()).hexdigest()}  lib  {label}", flush=True)
 
 
 if __name__ == "__main__":

@@ -430,11 +430,12 @@ def _pair_generators(build: Callable) -> dict:
     return {"p": model.p, "q": model.q}
 
 
-def _model_from_flags(name: str, args) -> tuple[int, tuple[str, ...], Callable]:
+def _model_from_flags(name: str, args) -> tuple[int, tuple[str, ...], tuple[str, ...], Callable]:
     """Model name resolved under the window flags, once per dump: its
-    ground size, the generator letters a monoid or hasse dump of it may
-    take, and a call that builds it.  In those two dumps the call gives
-    the generators, letter -> operator, but c; in the others, the model.
+    ground size, its element names, the generator letters a monoid or
+    hasse dump of it may take, and a call that builds it.  In those two
+    dumps the call gives the generators, letter -> operator, but c; in
+    the others, the model.
     witness14, the pinned closure k, is a model of those two dumps only
     and reads no window flag; the example3 names read --M and any other
     name --m.  A window flag the model does not read is refused, then a
@@ -447,7 +448,9 @@ def _model_from_flags(name: str, args) -> tuple[int, tuple[str, ...], Callable]:
         if unread != window and getattr(args, unread) is not None:
             raise ValueError(f"model {name} does not take --{unread}")
     if witness:
-        return models.KURATOWSKI_GROUND, ("k", "c"), lambda: {"k": models.kuratowski_witness()[0]}
+        n = models.KURATOWSKI_GROUND
+        return (n, tuple(map(str, range(n))), ("k", "c"),
+                lambda: {"k": models.kuratowski_witness()[0]})
     # an orbit reads no table, so it walks the flagged cycle as functions
     tables = name != "section4" or args.target != "orbit"
     if window == "M":
@@ -468,7 +471,9 @@ def _model_from_flags(name: str, args) -> tuple[int, tuple[str, ...], Callable]:
     if tables and n > MAX_GROUND_SIZE:
         raise ValueError(f"model {name} at --{window} {size} has ground size {n},"
                          f" past the table cap {MAX_GROUND_SIZE}")
-    return n, ("p", "q", "c"), functools.partial(_pair_generators, build) if generators else build
+    names = models.flagged_cycle_names(size) if name == "section4" else tuple(map(str, range(n)))
+    return (n, names, ("p", "q", "c"),
+            functools.partial(_pair_generators, build) if generators else build)
 
 
 def cmd_dump(args) -> int:
@@ -476,10 +481,13 @@ def cmd_dump(args) -> int:
     # A --word that does not parse, or a model name, window or --start
     # that names nothing, is a usage error; any ValueError while the
     # model is built, or later, is a bug and propagates.
+    name = args.name if what == "model" else args.model
     try:
         if what == "orbit":
             word = parse_word(args.word)
-        n, offered, build = _model_from_flags(args.name if what == "model" else args.model, args)
+        n, names, offered, build = _model_from_flags(name, args)
+        if what == "orbit":
+            start = models.mask_of_names(args.start, names)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -494,16 +502,10 @@ def cmd_dump(args) -> int:
         letters = [part.strip() for part in gens.split(",") if part.strip()]
         missing = [g for g in letters if g not in offered]
         if missing or not letters:
-            print(f"generators {missing} not available for model {args.model}"
+            print(f"generators {missing} not available for model {name}"
                   f" (available: {sorted(offered)})", file=sys.stderr)
             return 2
     model = build()  # in a monoid or hasse dump, its generators but c
-    if what == "orbit":
-        try:
-            start = model.mask_of_names(args.start)
-        except ValueError as err:
-            print(f"usage error: {err}", file=sys.stderr)
-            return 2
 
     if what == "model":
         _emit(_json_chunks(model.to_json()), args.out)

@@ -80,6 +80,19 @@ def _commuting_closures(p: OperatorTable, q: OperatorTable, what: str) -> dict:
     return dict(p=p, q=q, p_report=p_report, q_report=q_report, commuting=True)
 
 
+def mask_of_names(text: str, names) -> int:
+    """The mask of a comma-separated list of element names, names[i]
+    naming element i; the empty list is the empty set."""
+    index = {name: i for i, name in enumerate(names)}
+    mask = 0
+    for part in text.split(",") if text.strip() else ():
+        part = part.strip()
+        if part not in index:
+            raise ValueError(f"unknown element {part!r}")
+        mask |= 1 << index[part]
+    return mask
+
+
 @dataclass
 class ClosurePairModel:
     """A ground size with two operators p, q and their pedigree.
@@ -122,19 +135,7 @@ class ClosurePairModel:
         return tuple(str(i) for i in range(self.ground_size))
 
     def mask_of_names(self, text: str) -> int:
-        """Parse a comma-separated list of element names into a mask."""
-        names = self.element_names()
-        index = {name: i for i, name in enumerate(names)}
-        mask = 0
-        text = text.strip()
-        if not text:
-            return 0
-        for part in text.split(","):
-            part = part.strip()
-            if part not in index:
-                raise ValueError(f"unknown element {part!r}")
-            mask |= 1 << index[part]
-        return mask
+        return mask_of_names(text, self.element_names())
 
     def format_mask(self, mask: int) -> str:
         return format_set(mask, self.element_names())
@@ -314,6 +315,11 @@ def pij_pair(i: int, j: int, m: int) -> ClosurePairModel:
     )
 
 
+def flagged_cycle_names(m: int) -> tuple[str, ...]:
+    """The element names of the flagged cycle: 0..2m-1, top and bot."""
+    return tuple(map(str, range(2 * m))) + ("top", "bot")
+
+
 def section4_model(m: int, materialize: bool = True) -> ClosurePairModel:
     """The flagged-cycle pair on Z/(2m) plus top and bot: membership of
     top/bot in the argument dispatches to the four cycle flavors,
@@ -329,7 +335,7 @@ def section4_model(m: int, materialize: bool = True) -> ClosurePairModel:
     """
     n, shift = 2 * m + 2, 2 * m
     fields = dict(provenance=f"section4({m})", window=WindowSpec("cycle", m),
-                  names=tuple(map(str, range(shift))) + ("top", "bot"))
+                  names=flagged_cycle_names(m))
     flavors = {which: _flavors(which, m) for which in "pq"}
     if materialize:
         if n > MAX_GROUND_SIZE:

@@ -26,6 +26,7 @@ equality, hashing and repr.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -139,68 +140,48 @@ class TermSyntaxError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("bar", i):
-            tokens.append(("bar", i))
-            i += 3
-            continue
-        if ch in _ATOMS:
-            tokens.append(("atom", ch, i))
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        raise TermSyntaxError(f"unexpected character {ch!r}", i)
-    return tokens
+# A token is bar or one of 1 p q ( ).  Group 2 is any other character
+# but whitespace, which matches neither group and is stepped over.
+_TOKEN = re.compile(r"(bar|[1pq()])|(\S)")
 
 
 def parse_term(text: str) -> Term:
     """Parse the canonical term syntax: atoms 1/p/q, juxtaposition,
     bar(...), parentheses.  Product is left-associative."""
-    tokens = _tokenize(text)
-    term, i = _parse_product(tokens, 0, len(text))
-    if i != len(tokens):
-        raise TermSyntaxError("unexpected trailing input", tokens[i][-1])
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m[2]:
+            raise TermSyntaxError(f"unexpected character {m[2]!r}", m.start())
+        tokens.append((m[1], m.start()))
+    tokens.append(("", len(text)))  # end of text
+    term, i = _parse_product(tokens, 0)
+    if tokens[i][0]:
+        raise TermSyntaxError("unexpected trailing input", tokens[i][1])
     return term
 
 
-def _parse_product(tokens, i, end_pos):
+def _parse_product(tokens, i):
+    """Read factors from tokens[i] up to a ) or the end; a group, ( or
+    bar(, reads a product and its closing )."""
     factors = []
-    while i < len(tokens) and tokens[i][0] not in (")",):
-        f, i = _parse_factor(tokens, i, end_pos)
-        factors.append(f)
+    while tokens[i][0] not in ("", ")"):
+        tok, pos = tokens[i]
+        if tok in _ATOMS:
+            factors.append(_ATOMS[tok])
+            i += 1
+            continue
+        if tok == "bar":
+            if tokens[i + 1][0] != "(":
+                raise TermSyntaxError("expected ( after bar", pos)
+            i += 1
+        inner, i = _parse_product(tokens, i + 1)
+        if tokens[i][0] != ")":
+            raise TermSyntaxError("unclosed bar(" if tok == "bar" else "unclosed parenthesis", pos)
+        factors.append(Bar(inner) if tok == "bar" else inner)
+        i += 1
     if not factors:
-        pos = tokens[i][-1] if i < len(tokens) else end_pos
-        raise TermSyntaxError("expected a term", pos)
+        raise TermSyntaxError("expected a term", tokens[i][1])
     return prod(*factors), i
-
-
-def _parse_factor(tokens, i, end_pos):
-    kind = tokens[i][0]
-    if kind == "atom":
-        return _ATOMS[tokens[i][1]], i + 1
-    if kind == "(":
-        inner, j = _parse_product(tokens, i + 1, end_pos)
-        if j >= len(tokens) or tokens[j][0] != ")":
-            raise TermSyntaxError("unclosed parenthesis", tokens[i][-1])
-        return inner, j + 1
-    if kind == "bar":
-        if i + 1 >= len(tokens) or tokens[i + 1][0] != "(":
-            raise TermSyntaxError("expected ( after bar", tokens[i][-1])
-        inner, j = _parse_product(tokens, i + 2, end_pos)
-        if j >= len(tokens) or tokens[j][0] != ")":
-            raise TermSyntaxError("unclosed bar(", tokens[i][-1])
-        return Bar(inner), j + 1
-    raise TermSyntaxError("unexpected token", tokens[i][-1])
 
 
 def substitute(t: Term, mapping: dict) -> Term:

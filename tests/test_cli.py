@@ -522,6 +522,24 @@ def test_search_witness14_text(capsys):
     assert lines[3] == "seed: {1,4}"
 
 
+def test_a_check_that_cannot_run_exits_1_and_prints_no_report(capsys, monkeypatch):
+    # a sampler that finds no pair, or a search that finds no witness,
+    # is a failed check: one line on stderr, nothing on stdout
+    def no_pair(n, seeds, max_tries=2000):
+        raise RuntimeError(f"no commuting pair found in {max_tries} tries (seed {seeds[0]})")
+
+    def no_witness():
+        raise RuntimeError("no separating 14-element witness found at n <= 6")
+
+    monkeypatch.setattr(idlab, "sample_commuting_pairs", no_pair)
+    monkeypatch.setattr(idlab, "find_kuratowski_witness", no_witness)
+    assert run_cli(capsys, "verify", "theorem2") == (
+        1, "", "check failed: no commuting pair found in 2000 tries"
+               f" (seed {idlab.DEFAULT_SEED})\n")
+    assert run_cli(capsys, "search", "witness14", "--format", "json") == (
+        1, "", "check failed: no separating 14-element witness found at n <= 6\n")
+
+
 # ---------------------------------------------------------------------------
 # dump
 
@@ -920,6 +938,13 @@ _TWO_FAULTS = [
       "--gens", "k"], "dump monoid takes --cap 1..512 at ground size 13, got 10000"),
     (["dump", "hasse", "--model", "witness14", "--cap", "100000", "--gens", "p"],
      "dump hasse takes --cap 1..65536 at ground size 6, got 100000"),
+    # the model name and window come before --start, whose names they give
+    (["dump", "orbit", "--model", "bogus", "--word", "p", "--start", "bogus"],
+     "unknown model name 'bogus'"),
+    (["dump", "orbit", "--model", "pij(1,0)", "--m", "11", "--word", "p", "--start", "bogus"],
+     "model pij(1,0) at --m 11 has ground size 22, past the table cap 20"),
+    (["dump", "orbit", "--model", "example3", "--m", "5", "--word", "p", "--start", "top"],
+     "model example3 does not take --m"),
 ]
 
 
@@ -932,6 +957,27 @@ def test_dump_with_two_faults_names_the_first(capsys, monkeypatch, argv, err):
         monkeypatch.setattr(models, name, never)
     monkeypatch.setattr(monoid_mod, "generate_monoid", never)
     assert run_cli(capsys, *argv) == (2, "", f"usage error: {err}\n")
+
+
+#: dump orbit argument lists whose --start names an element the model
+#: lacks, and that element
+_BAD_STARTS = [
+    (["--model", "pij(1,0)", "--m", "10", "--word", "p", "--start", "bogus"], "bogus"),
+    (["--model", "section4", "--m", "3", "--word", "pq", "--start", "0,6"], "6"),
+    (["--model", "section4", "--m", "3", "--word", "pq", "--start", "top,,bot"], ""),
+    (["--model", "example3-literal", "--M", "4", "--word", "pq", "--start", "top"], "top"),
+]
+
+
+@pytest.mark.parametrize("argv,element", _BAD_STARTS)
+def test_dump_orbit_reads_start_before_the_model_is_built(capsys, monkeypatch, argv, element):
+    def never(*args, **kwargs):
+        raise AssertionError("built a model for a --start that names nothing")
+
+    for name in ("section4_model", "example3", "pij_pair", "kuratowski_witness"):
+        monkeypatch.setattr(models, name, never)
+    assert run_cli(capsys, "dump", "orbit", *argv) == (
+        2, "", f"usage error: unknown element {element!r}\n")
 
 
 @pytest.mark.parametrize("name", ["pij(a,b)", "pij( 1 , 0 )", "pij(01,0)", "pij(1, 0)",

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -638,6 +639,43 @@ def test_eval_word_rejects_bad_letters():
     p = identity_table(1)
     with pytest.raises(ValueError):
         eval_word("pxq", p, p)
+
+
+_ONE, _TWO = identity_table(1), identity_table(2)
+_ADD_ONE, _ADD_TWO = AdditiveOperator(1, (1,)), AdditiveOperator(2, (1, 2))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: elements_of(-1), "negative mask"),
+    (lambda: _ONE.compose(_TWO), "ground sizes differ"),
+    (lambda: _ADD_TWO.compose(_ADD_ONE), "ground sizes differ"),
+    (lambda: leq(_TWO, _ONE), "ground sizes differ"),
+    (lambda: commuting_witness(_ONE, _TWO), "ground sizes differ"),
+    (lambda: eval_word_on("pq", _ADD_ONE, _ADD_TWO, 0), "ground sizes differ"),
+    (lambda: AdditiveOperator(-1, ()), "negative ground size"),
+    (lambda: AdditiveOperator(2, (1,)), "need 2 singleton images, got 1"),
+    (lambda: AdditiveOperator(2, (1, 4)), "image of singleton 1 outside the powerset"),
+    (lambda: AdditiveOperator(2, (-1, 2)), "image of singleton 0 outside the powerset"),
+    (lambda: lift_permutation([0, 0]), "not a permutation of 0..n-1"),
+    (lambda: eval_word_on("p", _ADD_TWO, _ADD_TWO, 4), "start mask outside the powerset"),
+    (lambda: eval_word_on("p", _ADD_TWO, _ADD_TWO, -1), "start mask outside the powerset"),
+], ids=["negative mask", "table compose", "additive compose", "leq", "commuting_witness",
+        "eval_word_on sizes", "negative ground", "image count", "image past the powerset",
+        "negative image", "lift_permutation", "start past the powerset", "negative start"])
+def test_bad_inputs_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_axiom_report_spells_each_kind_of_witness():
+    # identity but {0,1} -> {}: not expanding at {0,1}, not monotone at
+    # {0} <= {0,1}, and idempotent
+    report = check_closure(OperatorTable(2, [0, 1, 2, 0]))
+    assert report.as_dict() == {
+        "expanding": {"passed": False, "witness": [0, 1]},
+        "monotone": {"passed": False, "witness": [[0], [0, 1]]},
+        "idempotent": {"passed": True, "witness": None},
+    }
 
 
 def test_single_pair_evaluators_refuse_operators_that_are_not_tables():

@@ -1,12 +1,13 @@
 """Tests for the verification suites behind the CLI."""
 
+import json
 import statistics
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from closurelab import idlab, models, opalg, suites
+from closurelab import cli, idlab, models, opalg, suites
 from closurelab.opalg import complement_table, reversed_involution
 from closurelab.suites import (
     FIXTURE_FAILURE,
@@ -373,6 +374,97 @@ def test_remark_involution_suite():
     assert rep.data["involutive"] == 2
     assert rep.data["failures"] == []
     assert "failures: 0" in rep.lines
+
+
+def _verify(capsys, *argv):
+    """Exit code, text lines less the "# " header and JSON payload of
+    verify argv."""
+    code = cli.main(["verify", *argv])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("# ")]
+    assert cli.main(["verify", *argv, "--format", "json"]) == code
+    return code, lines, json.loads(capsys.readouterr().out)
+
+
+#: six made-up failures (p index, q index, theta row, mask) of
+#: _pair_failures, one more than a text report lists
+_FAKE_PAIR_FAILURES = [(0, 1, 0, 0b01), (2, 3, 3, 0b11), (1, 1, 1, 0), (4, 0, 2, 0b10),
+                       (5, 6, 0, 0b01), (6, 6, 3, 0b11)]
+
+
+def test_theorem1_lists_its_counterexamples_when_it_fails(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "_pair_failures", lambda *args: list(_FAKE_PAIR_FAILURES))
+    code, lines, payload = _verify(capsys, "theorem1", "--n", "2")
+    assert code == 1
+    assert lines[5:] == [
+        "failures: 6",
+        "  counterexample: p#0 q#1 at {0}",
+        "  counterexample: p#2 q#3 at {0,1}",
+        "  counterexample: p#1 q#1 at {}",
+        "  counterexample: p#4 q#0 at {1}",
+        "  counterexample: p#5 q#6 at {0}",
+        "FAIL",
+    ]
+    assert payload["failures"] == [
+        {"p": 0, "q": 1, "witness": [0]}, {"p": 2, "q": 3, "witness": [0, 1]},
+        {"p": 1, "q": 1, "witness": []}, {"p": 4, "q": 0, "witness": [1]},
+        {"p": 5, "q": 6, "witness": [0]}, {"p": 6, "q": 6, "witness": [0, 1]},
+    ]
+    assert payload["passed"] is False
+
+
+def test_remark_involution_lists_its_counterexamples_when_it_fails(capsys, monkeypatch):
+    # at n = 2 the thetas are conjugation by (0, 1) and (1, 0), then
+    # the reversal composed with each
+    monkeypatch.setattr(suites, "_pair_failures", lambda *args: list(_FAKE_PAIR_FAILURES))
+    code, lines, payload = _verify(capsys, "remark-involution", "--n", "2")
+    assert code == 1
+    assert lines[7:] == [
+        "failures: 6",
+        "  counterexample: conjugated (0, 1) p#0 q#1 at {0}",
+        "  counterexample: reversed (1, 0) p#2 q#3 at {0,1}",
+        "  counterexample: conjugated (1, 0) p#1 q#1 at {}",
+        "  counterexample: reversed (0, 1) p#4 q#0 at {1}",
+        "  counterexample: conjugated (0, 1) p#5 q#6 at {0}",
+        "FAIL",
+    ]
+    assert payload["failures"][:2] == [
+        {"kind": "conjugated", "perm": [0, 1], "p": 0, "q": 1, "witness": [0]},
+        {"kind": "reversed", "perm": [1, 0], "p": 2, "q": 3, "witness": [0, 1]},
+    ]
+    assert len(payload["failures"]) == 6
+    assert payload["passed"] is False
+
+
+def test_theorem2_lists_each_equation_that_fails(capsys, monkeypatch):
+    # blocks (p, p) give the word p, and p = pqcpq fails at the empty set
+    # on the first pair past n = 0, where p and q are the identity
+    word = suites.theorem2_word
+    monkeypatch.setattr(suites, "theorem2_word",
+                        lambda blocks: "p" if blocks == ("p", "p") else word(blocks))
+    code, lines, payload = _verify(capsys, "theorem2", "--n", "2", "--samples", "2")
+    assert code == 1
+    assert lines[2] == ("n_blocks=1 scope=exhaustive-commuting-n<=2:"
+                        " 8/9 equations hold over 2 pairs")
+    assert lines[-2:] == ["failures: 1", "FAIL"]
+    assert [part["failures"] for part in payload["parts"]] == [
+        [{"word": "p", "model": "n=1 p#0 q#0", "witness": []}], [], [], []]
+    assert [part["held"] for part in payload["parts"]] == [8, 81, 729, 729]
+    assert payload["passed"] is False
+
+
+def test_lemma6_reports_a_pair_that_fails_its_own_screen(capsys, monkeypatch):
+    failing = opalg.check_closure(opalg.complement_table(1))
+    monkeypatch.setattr(models, "check_closure", lambda table: failing)
+    code, lines, payload = _verify(capsys, "lemma6")
+    assert code == 1
+    assert lines == ["verify lemma6"] + [
+        f"m={m} (i,j)=({i},{j}): construction failed:"
+        f" pij({i},{j}) at m={m} failed the closure/commute screen"
+        for m in (2, 3, 4, 5) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))] + ["FAIL"]
+    assert payload["checks"][:2] == [{"m": 2, "i": 0, "j": 0, "ok": False},
+                                     {"m": 2, "i": 1, "j": 0, "ok": False}]
+    assert len(payload["checks"]) == 16 and not any(row["ok"] for row in payload["checks"])
+    assert payload["passed"] is False
 
 
 def test_every_suite_ends_with_a_verdict_line():

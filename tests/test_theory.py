@@ -107,6 +107,29 @@ def test_parse_rejects_bad_input():
         parse_term("pq)")
 
 
+@pytest.mark.parametrize("text,message,position", [
+    ("px", "unexpected character 'x'", 1),
+    ("p\tba(q)", "unexpected character 'b'", 2),
+    (")x", "unexpected character 'x'", 1),  # found before the text is read
+    ("pq)p", "unexpected trailing input", 2),
+    ("", "expected a term", 0),
+    ("  ", "expected a term", 2),
+    ("p()", "expected a term", 2),
+    ("bar( )", "expected a term", 5),
+    ("q(pq", "unclosed parenthesis", 1),
+    ("((p)", "unclosed parenthesis", 0),
+    ("bar p", "expected ( after bar", 0),
+    ("pbar", "expected ( after bar", 1),
+    ("p bar(q", "unclosed bar(", 2),
+    ("bar(bar(p)", "unclosed bar(", 0),
+])
+def test_parse_names_each_refusal_and_its_position(text, message, position):
+    with pytest.raises(TermSyntaxError) as refusal:
+        parse_term(text)
+    assert str(refusal.value) == f"{message} (at position {position})"
+    assert refusal.value.position == position
+
+
 _term_strategy = st.recursive(
     st.sampled_from([ONE, P, Q]),
     lambda children: st.one_of(
