@@ -15,8 +15,8 @@ module.qualified_name.  A name listed is a candidate for deletion
 unless something these paths do not reach, such as a test reference or
 a documented entry point, is meant to keep it.  Those names are KEPT,
 each with the reason it stays; any other name printed is also named on
-standard error, as is a KEPT name that no longer names a function, and
-the script then exits 1.
+standard error, as is a KEPT name that no longer names a function or
+that an exercised path calls, and the script then exits 1.
 """
 
 import contextlib
@@ -43,7 +43,7 @@ KEPT = frozenset({
     "opalg.OperatorTable.__hash__", "opalg.OperatorTable.__repr__",
     "opalg.OperatorTable.__setattr__", "opalg.AdditiveOperator.__hash__",
     "opalg.AdditiveOperator.__repr__", "opalg.AdditiveOperator.__setattr__",
-    "theory.Term.__mul__", "theory.TermSyntaxError.__init__",
+    "theory.Term.__mul__",
 })
 
 
@@ -106,7 +106,10 @@ def main() -> int:
     stale = sorted(KEPT - set(names.values()))
     for name in stale:
         print(f"kept but not defined: {name}", file=sys.stderr)
-    return 1 if unexpected or stale else 0
+    reached = sorted(KEPT & {name for key, name in names.items() if key in called})
+    for name in reached:
+        print(f"kept but reached: {name}", file=sys.stderr)
+    return 1 if unexpected or stale or reached else 0
 
 
 if __name__ == "__main__":

@@ -481,9 +481,9 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     """Shortlex survey of reduced words (no cc, pp, qq factor), bucketed
     by their joint evaluation over every commuting pair at sizes <= n.
 
-    The first word reaching a bucket is its canonical representative;
-    every later arrival yields the equation "word = canonical", which
-    holds across the whole exhaustive scope by construction.  Returns
+    A bucket's shortlex-least word is its canonical word; every other
+    word in it yields the equation "word = canonical", which holds
+    across the whole exhaustive scope by construction.  Returns
     (equations, scope description, words examined), the equations cut
     to the first limit when limit is given.
 
@@ -498,9 +498,9 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     A bucket is a state of the word automaton: the flat vector of a
     word's tables over all models (FlatScope's layout, c as a table).
     The monoid BFS, capped at maxlen levels, gives each state's
-    shortlex-least word, which is reduced, and the Cayley edges; the
-    reduced words are walked over them a level at a time, a state's
-    first arrival being that word.
+    shortlex-least word and the Cayley edges; the reduced words are
+    walked over them a level at a time, and a word is an equation's
+    left side exactly when it is not its state's canonical word.
     """
     if not 0 <= maxlen <= MAXLEN_CAP:
         raise ValueError(f"maxlen must be in 0..{MAXLEN_CAP}, got {maxlen}")
@@ -517,23 +517,21 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     cayley = np.array(edges, dtype=np.intp).reshape(-1, 3)
     canon = np.array(canon, dtype=object)
     letters = np.array(list("cpq"), dtype=object)
-    seen = np.arange(len(canon)) == 0
     words, states, last = np.array([""], dtype=object), np.zeros(1, dtype=np.intp), np.array([3])
     equations: list[tuple[str, str]] = []
     for _ in range(maxlen):
         # each word's children in letter order, skipping its last (3: none)
         parent, last = np.nonzero(np.arange(3) != last[:, None])
         words, states = words[parent] + letters[last], cayley[states[parent], last]
-        # the first arrival at each state no shorter word reached
-        first = np.flatnonzero(~seen[states])
-        first = first[np.unique(states[first], return_index=True)[1]]
-        seen[states[first]] = True
-        repeat = np.delete(np.arange(len(states)), first)
+        # a state's BFS word is shortlex-least (letters c, p, q), hence
+        # reduced (c is an involution, p and q idempotent), hence the first
+        # word this walk lists there: every other word is an equation
+        repeat = words != canon[states]
         equations += zip(words[repeat].tolist(), canon[states[repeat]].tolist())
     if limit is not None:
         equations = equations[:limit]
     # examined: the empty word, then 3 * 2**(L-1) words of each length L
-    return equations, f"exhaustive-commuting-n<={n}", 1 + 3 * (2**maxlen - 1)
+    return equations, Scope.exhaustive(n).description, 1 + 3 * (2**maxlen - 1)
 
 
 def search_counterexample(lhs, rhs, max_n: int = 2) -> EquationCertificate:

@@ -729,6 +729,17 @@ def test_search_rediscovers_the_long_fixture():
     assert len(eqs) == 24134
 
 
+def test_search_identities_lists_every_word_but_one_per_state_at_n3():
+    # the word-by-word oracle reaches length 6 only at n = 3: here every
+    # examined word either is its state's canonical word or yields an
+    # equation, one canonical word for each of the 2,373 states
+    eqs, _, examined = search_identities(16, n=3)
+    assert examined - len(eqs) == 2373
+    rights = {rhs for _, rhs in eqs}
+    assert all(a != b for rhs in rights for a, b in zip(rhs, rhs[1:]))
+    assert rights.isdisjoint(lhs for lhs, _ in eqs)
+
+
 def test_search_counterexample_modes():
     # every ordered pair is in scope, commuting or not
     cert = search_counterexample("pq", "qp")
@@ -763,6 +774,13 @@ def test_witness_search_draws_no_trial_at_n5(monkeypatch):
     # trial 1273
     assert idlab.WITNESS_BLOCK_ENTRIES >> 6 == 256
     assert drawn == [(6, trial) for trial in range(1280)]
+
+
+def test_witness_search_without_trials_finds_no_witness(monkeypatch):
+    # n <= 4 holds no separating seed, and past n = 5 no trial is drawn
+    monkeypatch.setattr(idlab, "WITNESS_TRIALS", 0)
+    with pytest.raises(RuntimeError, match=r"^no separating 14-element witness found at n <= 8$"):
+        find_kuratowski_witness()
 
 
 def test_kc_screen_flags_hammer_failures_on_arbitrary_maps():

@@ -89,6 +89,16 @@ def test_staircase_literal_fails_monotonicity():
     assert pa & ~pb  # image of the smaller set sticks out
 
 
+def test_staircase_repaired_is_refused_when_it_fails_the_screen(monkeypatch):
+    failing = check_closure(example3(4, variant="literal").p)
+    monkeypatch.setattr(models, "check_closure", lambda table: failing)
+    with pytest.raises(ModelConstructionError,
+                       match="^repaired staircase failed the closure screen$"):
+        example3(4)
+    # the literal tables still ship with the failing report attached
+    assert example3(4, variant="literal").p_report is failing
+
+
 def test_staircase_literal_and_repaired_agree_on_chains():
     # both variants walk {0} up the staircase two rungs per pq round
     for variant in ("literal", "repaired"):

@@ -227,6 +227,12 @@ def test_truncation():
         hasse(mon)
 
 
+def test_hasse_orders_only_table_backed_monoids():
+    mon = generate_monoid([example3_additive(4).p, example3_additive(4).q])
+    with pytest.raises(ValueError, match="^only table-backed monoids are ordered$"):
+        hasse(mon)
+
+
 def test_monoid_json():
     k, _ = kuratowski_witness()
     c = complement_table(k.ground_size)

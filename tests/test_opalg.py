@@ -667,6 +667,14 @@ def test_bad_inputs_are_refused_with_their_message(call, message):
         call()
 
 
+def test_additive_operators_are_immutable_and_equal_only_to_their_kind():
+    with pytest.raises(AttributeError, match="^AdditiveOperator is immutable$"):
+        _ADD_TWO.images = (2, 1)
+    assert _ADD_TWO == AdditiveOperator(2, (1, 2))
+    assert _ADD_TWO.__eq__(_ADD_TWO.to_table()) is NotImplemented
+    assert _ADD_TWO != "p"
+
+
 def test_axiom_report_spells_each_kind_of_witness():
     # identity but {0,1} -> {}: not expanding at {0,1}, not monotone at
     # {0} <= {0,1}, and idempotent

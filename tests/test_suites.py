@@ -3,6 +3,7 @@
 import json
 import statistics
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -464,6 +465,35 @@ def test_lemma6_reports_a_pair_that_fails_its_own_screen(capsys, monkeypatch):
     assert payload["checks"][:2] == [{"m": 2, "i": 0, "j": 0, "ok": False},
                                      {"m": 2, "i": 1, "j": 0, "ok": False}]
     assert len(payload["checks"]) == 16 and not any(row["ok"] for row in payload["checks"])
+    assert payload["passed"] is False
+
+
+def test_example3_names_each_orbit_that_misses_its_prefixes(capsys, monkeypatch):
+    # with p and q swapped at M = 4, pq takes {0} to {0,1}, not {0,1,2}
+    build = models.example3
+
+    def swapped(M, variant="repaired"):
+        model = build(M, variant)
+        return replace(model, p=model.q, q=model.p) if (M, variant) == (4, "repaired") else model
+
+    monkeypatch.setattr(models, "example3", swapped)
+    code, lines, payload = _verify(capsys, "example3")
+    assert code == 1
+    assert [ln for ln in lines if "FAIL" in ln] == [
+        "orbit of {0} under pq gives prefixes {0..2n}, floor(M/2)+1 distinct,"
+        " even M=2..12: FAIL [4]", "FAIL"]
+    assert payload["orbit_failures"] == [4]
+    assert payload["passed"] is False
+
+
+def test_example3_fails_when_the_literal_variant_is_monotone(capsys, monkeypatch):
+    build = models.example3
+    monkeypatch.setattr(models, "example3", lambda M, variant="repaired": build(M))
+    code, lines, payload = _verify(capsys, "example3")
+    assert code == 1
+    assert lines[4] == "literal p monotonicity unexpectedly holds at M=10"
+    assert [ln for ln in lines if "FAIL" in ln] == ["FAIL"]
+    assert payload["literal_witness"] is None
     assert payload["passed"] is False
 
 

@@ -158,6 +158,17 @@ def test_substitute_and_variables():
 def test_mul_operator_builds_products():
     assert P * Q == Prod(P, Q)
     assert (P * Q) * ONE == prod(P, Q, ONE)
+    assert P.__mul__(3) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand"):
+        P * 3
+
+
+def test_term_builders_refuse_an_empty_product_and_non_terms():
+    with pytest.raises(ValueError, match="^empty product$"):
+        prod()
+    for call in (print_term, lambda t: substitute(t, {})):
+        with pytest.raises(TypeError, match="^not a term: 3$"):
+            call(3)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +522,15 @@ def test_derivation_json_round_trip():
     back = Derivation.from_json(json.loads(blob))
     assert back == d
     assert check_derivation(back).accepted
+
+
+def test_a_claim_with_neither_relation_is_refused():
+    d = collapse_derivation()
+    message = "^claim has no <= or =: 'pq'$"
+    with pytest.raises(ValueError, match=message):
+        Derivation.from_json([{**d.to_json()[0], "claim": "pq"}])
+    with pytest.raises(ValueError, match=message):
+        check_derivation(d, goal="pq")
 
 
 def test_every_rule_is_exercised_by_the_fixture():
