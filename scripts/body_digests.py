@@ -15,7 +15,8 @@ the same lines exactly when every listed command writes the same body
 with the same exit code: compare two runs with diff.  The list covers
 every verify suite as text and json, theorem2 over non-default sampled
 scopes (one of 2,000 seeds, whose long streams pin the sampler's
-draws), theorem1 at n = 4 as text (about 3 s), interior at n = 4,
+draws), theorem1 at n = 4 as text, remark-involution at n = 4 as text
+and json (each under 2 s in one process), interior at n = 4,
 example3 at a featured M inside M = 2..12 and past it, section4 at
 m = 6, each search, the identity search at its caps (--n 3
 --maxlen 16, where the level cap on the monoid BFS under it binds
@@ -68,6 +69,7 @@ COMMANDS = (
     + [("verify", "theorem2", "--samples", "2000", "--seed", "11", "--format", "json")]
     + [("verify", "theorem2", "--n", "1", "--seed", "-5")]
     + [("verify", "theorem1", "--n", "4")]
+    + [("verify", "remark-involution", "--n", "4", "--format", fmt) for fmt in ("text", "json")]
     + [("verify", name, flag, value, "--format", fmt)
        for name, flag, value in (("interior", "--n", "4"), ("example3", "--M", "4"),
                                  ("example3", "--M", "15"), ("section4", "--m", "6"))

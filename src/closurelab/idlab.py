@@ -38,6 +38,7 @@ from .opalg import (
     elements_of,
     eval_word_on,
     format_word,
+    lift_permutation,
 )
 
 DEFAULT_SEED = 20250816
@@ -115,6 +116,34 @@ def _closure_stack(n: int) -> np.ndarray:
         )
     rows = closures_from_masks(n, _moore_families(n))
     return _frozen(rows[np.lexsort(rows.T[::-1])])
+
+
+def _relabeled(stack: np.ndarray, perm) -> np.ndarray:
+    """Each table k along the last axis of stack relabeled by the point
+    permutation perm: s k s^-1, where s = lift_permutation(perm) and
+    its inverse is its argsort."""
+    lift = lift_permutation(perm).entries
+    return lift[stack[..., np.argsort(lift)]]
+
+
+@lru_cache(maxsize=None)
+def _closure_orbits(n: int, perms: tuple) -> np.ndarray:
+    """For each closure at ground size n, in canonical order, the index
+    of its orbit's representative under relabeling by perms, a tuple of
+    permutations of range(n) that is a group: the smallest index among
+    its conjugates s k s^-1.  Closure i represents its orbit when
+    rep[i] == i, and np.bincount(rep) gives each orbit's size at its
+    representative.  A conjugate is found in the canonical stack by a
+    binary search on its entries as bytes (each below 2**n <= 16), whose
+    order is the stack's lexicographic one."""
+    def keys(rows):
+        return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{1 << n}")[:, 0]
+
+    stack = _closure_stack(n)
+    canon, rep = keys(stack), np.arange(len(stack))
+    for perm in perms:
+        rep = np.minimum(rep, np.searchsorted(canon, keys(_relabeled(stack, perm))))
+    return _frozen(rep)
 
 
 def _closure_blocks(n: int, trials: int = 0) -> Iterator[np.ndarray]:

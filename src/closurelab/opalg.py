@@ -129,6 +129,8 @@ class OperatorTable:
         return self.entries.tobytes()
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, OperatorTable):
             return NotImplemented
         # entries are always int64 of shape (2**n,): equal bytes, equal tables
@@ -597,13 +599,14 @@ class WordTables:
 
     states[i] is a distinct table, kept once, read-only; state 0 is the
     identity.  edges[i][letter] is the state of letter after states[i].
-    Calling it with a word walks the letters right to left from state
-    0, as eval_word applies them; an edge not yet held costs one gather
-    and a lookup of the result among the states, and every later step
-    along it is a dict lookup.  A word's table is the state it ends in,
-    so a repeated word returns the same object.  The states stay as
+    Calling it with a new word checks its letters, then walks them
+    right to left from state 0, as eval_word applies them; an edge not
+    yet held costs one gather and a lookup of the result among the
+    states, and every later step along it is a dict lookup.  A word's
+    table is the state it ends in, held under the word, so a repeated
+    word is one lookup and returns the same object.  The states stay as
     long as the WordTables does: one table per distinct operator its
-    words reached, at most |<c, p, q>|.
+    words reached, at most |<c, p, q>|, and one entry per word walked.
     """
 
     def __init__(self, p: OperatorTable, q: OperatorTable):
@@ -613,15 +616,19 @@ class WordTables:
         self.states = [identity]
         self.edges = [{}]
         self._index = {identity.key(): 0}
+        self._words = {}
 
     def __call__(self, word) -> OperatorTable:
-        state = 0
-        for letter in reversed(parse_word(word)):
-            step = self.edges[state].get(letter)
-            if step is None:
-                step = self._step(state, letter)
-            state = step
-        return self.states[state]
+        table = self._words.get(word)
+        if table is None:
+            state = 0
+            for letter in reversed(parse_word(word)):
+                step = self.edges[state].get(letter)
+                if step is None:
+                    step = self._step(state, letter)
+                state = step
+            table = self._words[word] = self.states[state]
+        return table
 
     def _step(self, state: int, letter: str) -> int:
         """Gather the edge (state, letter), hold it, and return its end."""

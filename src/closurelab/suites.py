@@ -91,28 +91,45 @@ def _pair_failures(lhs: str, rhs: str, n: int, thetas=None) -> list:
     are evaluated once and share its failures.  The q and theta stacks
     are shifted into one flat scope once; each p row only replaces p's
     table there, rhs's p-free suffix is evaluated once, and an lhs that
-    ends in rhs continues from rhs's tables (pcqcpcq: 5 gathers per p)."""
+    ends in rhs continues from rhs's tables (pcqcpcq: 5 gathers per p).
+
+    p is screened one relabeling orbit at a time (isomorph rejection,
+    McKay 1998), over the relabelings s that map the set of theta
+    tables onto itself: (p, q, theta) fails exactly when (s p s^-1,
+    s q s^-1, s theta s^-1) does, and q runs over every closure, so an
+    orbit fails only if its representative does.  The representatives'
+    rows are walked first, then the other rows of each failing orbit."""
     closures = idlab._closure_stack(n)
     if thetas is None:
         thetas = complement_table(n).entries[None]
     distinct, inverse = np.unique(thetas, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
+    held = {row.tobytes() for row in distinct}
+    group = tuple(perm for perm in permutations(range(n))
+                  if {row.tobytes() for row in idlab._relabeled(distinct, perm)} == held)
+    rep = idlab._closure_orbits(n, group)
     q = np.repeat(closures, len(distinct), axis=0)
     c = np.tile(distinct, (len(closures), 1))
     flat = FlatScope(q, q, c)  # p's table is set per row below
     head, rest = rhs.rstrip("cq"), lhs.removesuffix(rhs)
     # the p-free suffix's tables, entries below 2**n <= 16 held in uint8
     tail = flat.eval(rhs[len(head):]).astype(np.uint8) if head != rhs else None
-    failures = []
-    for i, row in enumerate(closures):
-        flat.set_table("p", row)
+
+    def row_failures(i: int) -> list:
+        flat.set_table("p", closures[i])
         right = flat.eval(head, tail)
         left = flat.eval(rest, right) if rest != lhs else flat.eval(lhs)
         diff = (left != right).reshape(len(closures), len(distinct), -1)
         del left  # freed now, the next row's tables reuse its memory
-        for j, t in zip(*np.nonzero(diff.any(axis=2)[:, inverse])):
-            failures.append((i, int(j), int(t), int(diff[j, inverse[t]].argmax())))
-    return failures
+        return [(i, int(j), int(t), int(diff[j, inverse[t]].argmax()))
+                for j, t in zip(*np.nonzero(diff.any(axis=2)[:, inverse]))]
+
+    own = rep == np.arange(len(rep))
+    found = {i: row_failures(i) for i in np.flatnonzero(own).tolist()}
+    failing = [i for i, rows in found.items() if rows]
+    for i in np.flatnonzero(np.isin(rep, failing) & ~own).tolist():
+        found[i] = row_failures(i)
+    return [failure for i in sorted(found) for failure in found[i]]
 
 
 def suite_theorem1(n: int = 2) -> SuiteReport:

@@ -218,6 +218,33 @@ def monoid_bfs(tables, names, cap=float("inf"), additive=False):
     return elements, witnesses, cayley, False
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_images(perm):
+    """The image set of each subset under the point permutation perm,
+    and the inverse of that map."""
+    size = 1 << len(perm)
+    image = [sum(1 << perm[i] for i in range(len(perm)) if a >> i & 1) for a in range(size)]
+    preimage = [0] * size
+    for a, b in enumerate(image):
+        preimage[b] = a
+    return image, preimage
+
+
+def relabeled_table(entries, perm):
+    """The table s k s^-1 of k = entries under the point permutation
+    perm, s mapping each subset to its image set, one subset at a
+    time."""
+    image, preimage = _subset_images(tuple(perm))
+    return tuple(image[entries[b]] for b in preimage)
+
+
+def relabeling_orbits(tables, perms):
+    """For each table of the list tables, the smallest index in it of
+    a relabeling of the table by some perm in perms."""
+    index = {table: i for i, table in enumerate(tables)}
+    return [min(index[relabeled_table(table, perm)] for perm in perms) for table in tables]
+
+
 def commuting_closure_pairs(n):
     """Every ordered pair of closure tables at ground size n that
     commute, built from moore_families_brute (n <= 3)."""

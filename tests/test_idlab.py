@@ -3,7 +3,7 @@
 import json
 import random
 from dataclasses import replace
-from itertools import chain, islice, product
+from itertools import chain, islice, permutations, product
 
 import numpy as np
 import pytest
@@ -47,6 +47,8 @@ from _oracles import (
     identity_survey,
     lockstep_schedule,
     moore_families_brute,
+    relabeled_table,
+    relabeling_orbits,
 )
 from _oracles import sample_commuting_pair as reference_pair
 
@@ -111,6 +113,38 @@ def test_closure_stack_matches_the_brute_force_row_for_row():
         assert not stack.flags.writeable
         want = sorted(closure_of_family(n, fam) for fam in moore_families_brute(n))
         assert [tuple(row) for row in stack.tolist()] == want, n
+
+
+def test_closure_orbits_match_the_brute_force_oracle():
+    # each closure's representative under relabeling by all of S_n is
+    # the oracle's, one conjugate at a time; the orbits number 1, 2, 5,
+    # 19 and 184, their sizes sum to the closure counts,
+    # and at n = 4 Burnside's lemma counts them again: the mean number
+    # of closures that a permutation fixes
+    counts, sizes = [], []
+    for n in range(5):
+        perms = tuple(permutations(range(n)))
+        rep = idlab._closure_orbits(n, perms)
+        tables = [tuple(row) for row in idlab._closure_stack(n).tolist()]
+        assert not rep.flags.writeable
+        assert rep.tolist() == relabeling_orbits(tables, perms), n
+        counts.append(int(np.count_nonzero(rep == np.arange(len(rep)))))
+        sizes.append(int(np.bincount(rep).sum()))
+    assert counts == [1, 2, 5, 19, 184]
+    assert sizes == [1, 2, 7, 61, 2480]
+    fixed = sum(relabeled_table(table, perm) == table for perm in perms for table in tables)
+    assert fixed == 184 * 24
+
+
+def test_closure_orbits_under_a_subgroup_match_the_oracle():
+    # the group {id, (0 1)} at n = 3: orbits of one or two closures,
+    # more of them than under all of S_3
+    group = ((0, 1, 2), (1, 0, 2))
+    rep = idlab._closure_orbits(3, group)
+    tables = [tuple(row) for row in idlab._closure_stack(3).tolist()]
+    assert rep.tolist() == relabeling_orbits(tables, group)
+    assert set(np.bincount(rep)[np.unique(rep)].tolist()) == {1, 2}
+    assert len(np.unique(rep)) > 19
 
 
 def test_closure_blocks_past_the_canonical_stack_follow_the_families():

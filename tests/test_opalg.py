@@ -779,6 +779,39 @@ def test_word_tables_follow_each_edge_to_its_letter():
         tables("cxq")
 
 
+def test_word_tables_look_a_repeated_word_up_and_refuse_a_bad_one_each_time(monkeypatch):
+    p = closure_from_fixed_points(3, [1, 3, 7])
+    q = closure_from_fixed_points(3, [2, 6, 7])
+    tables, want = WordTables(p, q), eval_word("pqcpq", p, q)
+    parsed, parse_word = [], opalg.parse_word
+    monkeypatch.setattr(opalg, "parse_word", lambda word: parsed.append(word) or parse_word(word))
+    first = tables("cpqcpq")
+    # the second call neither parses nor walks: no edge is read
+    edges, tables.edges = tables.edges, None
+    assert tables("cpqcpq") is first
+    assert parsed == ["cpqcpq"]
+    tables.edges = edges
+    # a word that shares a suffix is walked, and held under its own text
+    assert tables("pqcpq") == want
+    assert parsed == ["cpqcpq", "pqcpq"]
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"unknown letter 'x' at position 3"):
+            tables("cpqxq")
+    assert parsed == ["cpqcpq", "pqcpq", "cpqxq", "cpqxq"]
+
+
+def test_operator_table_is_equal_to_itself_without_a_key(monkeypatch):
+    # tables are immutable: the same object is equal before any bytes
+    # are compared
+    table = identity_table(2)
+    keys = []
+    monkeypatch.setattr(OperatorTable, "key", lambda self: keys.append(self) or self.entries.tobytes())
+    assert table == table
+    assert keys == []
+    assert table == identity_table(2)
+    assert len(keys) == 2
+
+
 def test_additive_operator_matches_table():
     # singleton images: i -> {i, i+1 mod 3}
     images = tuple(mask_of([i, (i + 1) % 3], 3) for i in range(3))

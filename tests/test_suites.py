@@ -4,12 +4,13 @@ import json
 import statistics
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from closurelab import cli, idlab, models, opalg, suites
-from closurelab.opalg import complement_table, reversed_involution
+from closurelab.opalg import complement_table, conjugated_involution, reversed_involution
 from closurelab.suites import (
     FIXTURE_FAILURE,
     KURATOWSKI_WORDS,
@@ -120,6 +121,7 @@ def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
     # holds the table, in (p, q, theta) order
     comp, theta = complement_table(2), reversed_involution([1, 0])
     stack = np.stack([t.entries for t in (comp, theta, comp, theta, comp)])
+    closures = idlab._closure_stack(2).tolist()
     scopes, tables, words = [], [], []
 
     class Counted(suites.FlatScope):
@@ -128,7 +130,8 @@ def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
             super().__init__(p, q, c)
 
         def set_table(self, letter, stack):
-            tables.append(letter)
+            # a stack's letter, or the index of the p row set alone
+            tables.append(letter if stack.ndim > 1 else closures.index(stack.tolist()))
             super().set_table(letter, stack)
 
         def eval(self, word, start=None):
@@ -141,11 +144,14 @@ def test_pair_failures_evaluate_each_distinct_theta_once(monkeypatch):
         "pcq", "qcp", 2, [tuple(row.tolist()) for row in stack])
     assert {t for _, _, t, _ in got} == {0, 1, 2, 3, 4}
     # one scope over 7 q times the 2 distinct tables, shifted once, and
-    # per p of the 7 closures only p's table replaced and the 2 words
-    # evaluated on it
+    # per p row walked only p's table replaced and the 2 words evaluated
+    # on it.  Relabeling the two points maps {comp, theta} onto itself,
+    # so p is screened over the S_2 orbits {0}, {1, 2}, {3}, {4, 5} and
+    # {6}: their representatives first, then the other rows of the two
+    # orbits that fail
     distinct = sorted({tuple(comp.entries.tolist()), tuple(theta.entries.tolist())})
     assert scopes == [(7 * 2, distinct)]
-    assert tables == ["c", "p", "q"] + ["p"] * 7
+    assert tables == ["c", "p", "q", 0, 1, 3, 4, 6, 2, 5]
     assert words == ["qcp", "pcq"] * 7
 
 
@@ -155,9 +161,15 @@ def test_pair_failures_continue_the_left_side_from_the_right(monkeypatch):
     # gathers in all.  Thetas that are no involutions refute it, at the
     # pairs and masks of the word by word evaluation.
     stack = np.stack([complement_table(2).entries, [1, 2, 3, 0], [3, 3, 0, 0]])
-    words = []
+    closures = idlab._closure_stack(2).tolist()
+    rows, words = [], []
 
     class Counted(suites.FlatScope):
+        def set_table(self, letter, stack):
+            if stack.ndim == 1:
+                rows.append(closures.index(stack.tolist()))
+            super().set_table(letter, stack)
+
         def eval(self, word, start=None):
             words.append((word, start is not None))
             return super().eval(word, start)
@@ -168,6 +180,60 @@ def test_pair_failures_continue_the_left_side_from_the_right(monkeypatch):
         "pcqcpcq", "pcq", 2, [tuple(row) for row in stack.tolist()])
     assert {t for _, _, t, _ in got} == {1, 2}
     assert words == [("cq", False)] + [("p", True), ("pcqc", True)] * 7
+    # swapping the two points moves [1, 2, 3, 0] and [3, 3, 0, 0] out of
+    # the stack, so each closure is its own orbit, walked in order
+    assert rows == list(range(7))
+
+
+def _remark_stack(n):
+    """The thetas of verify remark-involution at ground size n, in its
+    order: complement conjugated by each permutation, then each
+    involutive permutation's reversed involution."""
+    perms = list(permutations(range(n)))
+    thetas = [conjugated_involution(pi) for pi in perms]
+    thetas += [reversed_involution(pi) for pi in perms if all(pi[pi[x]] == x for x in range(n))]
+    return np.stack([t.entries for t in thetas])
+
+
+@pytest.mark.parametrize("lhs,rhs", [("pq", "qp"), ("pcq", "qcp"), ("pc", "cp")])
+def test_pair_failures_expand_each_failing_orbit(lhs, rhs, monkeypatch):
+    # the failures of the word by word walk, in its order, over the
+    # relabelings that map the thetas onto themselves: all of S_n for
+    # complement and the remark stack, the identity alone for tables
+    # that swapping the points moves, and {id, (0 1)} for the reversed
+    # involution of (0 1) at n = 3.  Screened over all of S_2, pc = cp
+    # with [3, 3, 0, 0] would miss failures.
+    groups = []
+    orbits = idlab._closure_orbits
+    monkeypatch.setattr(idlab, "_closure_orbits", lambda n, perms: groups.append(perms) or orbits(n, perms))
+    cases = [(n, None, permutations(range(n))) for n in range(4)]
+    cases += [(n, _remark_stack(n), permutations(range(n))) for n in (1, 2)]
+    cases += [(2, np.array([[1, 2, 3, 0]]), [(0, 1)]), (2, np.array([[3, 3, 0, 0]]), [(0, 1)]),
+              (3, reversed_involution([1, 0, 2]).entries[None], [(0, 1, 2), (1, 0, 2)])]
+    for n, thetas, group in cases:
+        rows = None if thetas is None else [tuple(row) for row in thetas.tolist()]
+        got = _pair_failures(lhs, rhs, n, thetas)
+        assert got == _pair_failures_by_hand(lhs, rhs, n, rows), (n, rows)
+        assert groups.pop() == tuple(group)
+        assert got or n < 2
+
+
+def test_pair_failures_walk_only_the_representatives_of_a_passing_identity(monkeypatch):
+    # theorem 1 at n = 3: one p row for each of the 19 S_3 orbits
+    closures = idlab._closure_stack(3).tolist()
+    rows = []
+
+    class Counted(suites.FlatScope):
+        def set_table(self, letter, stack):
+            if stack.ndim == 1:
+                rows.append(closures.index(stack.tolist()))
+            super().set_table(letter, stack)
+
+    monkeypatch.setattr(suites, "FlatScope", Counted)
+    assert _pair_failures("pcqcpcq", "pcq", 3) == []
+    rep = idlab._closure_orbits(3, tuple(permutations(range(3))))
+    assert rows == np.flatnonzero(rep == np.arange(61)).tolist()
+    assert len(rows) == 19
 
 
 def test_kuratowski_suite():
@@ -375,6 +441,14 @@ def test_remark_involution_suite():
     assert rep.data["involutive"] == 2
     assert rep.data["failures"] == []
     assert "failures: 0" in rep.lines
+
+
+def test_remark_involution_suite_at_n4():
+    # 2,480**2 closure pairs times 24 + 10 involutions, screened one
+    # relabeling orbit of p at a time
+    rep = suite_remark_involution(4)
+    assert rep.passed
+    assert rep.lines[-4:] == ["closure pairs: 6150400", "checks: 209113600", "failures: 0", "PASS"]
 
 
 def _verify(capsys, *argv):
