@@ -37,6 +37,8 @@ KEPT = frozenset({
     "opalg.leq", "opalg.check_interior", "opalg.mask_of",
     # reached only with --out
     "cli._writable",
+    # the package root's dir(), which the tests and interactive use call
+    "__init__.__dir__",
     # the tests' composition reference, and the data model
     "opalg.OperatorTable.compose",
     # the data model, and errors on input no exercised path gives

@@ -37,7 +37,7 @@ import time
 from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -45,7 +45,9 @@ from . import idlab, models
 from . import monoid as monoid_mod
 from .opalg import (MAX_GROUND_SIZE, complement_table, elements_of, format_set, format_word,
                     parse_word)
-from .suites import SUITES, SuiteReport
+
+if TYPE_CHECKING:
+    from .suites import SuiteReport
 
 OUT_DIR_ENV = "CLOSURELAB_OUT"
 
@@ -263,6 +265,8 @@ def _flag_error(command: str, args) -> Optional[str]:
 
 
 def cmd_verify(args) -> int:
+    from .suites import SUITES  # here, so search and dump load neither suites nor theory
+
     name = args.target
     # a flag left unset takes the suite's own default
     kwargs = {flag: getattr(args, flag) for flag in _FLAGS[f"verify {name}"]

@@ -525,7 +525,8 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     is the identity.)
 
     A bucket is a state of the word automaton: the flat vector of a
-    word's tables over all models (FlatScope's layout, c as a table).
+    word's tables over all models (FlatScope's layout, c as a table),
+    keyed on its entries less their model's row offset.
     The monoid BFS, capped at maxlen levels, gives each state's
     shortlex-least word and the Cayley edges; the reduced words are
     walked over them a level at a time, and a word is an equation's
@@ -538,11 +539,14 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     flat = _pair_run(n, True).flat
-    width = flat.shape[0] * flat.shape[1]
-    tables = np.stack([np.arange(width) ^ (flat.shape[1] - 1), flat.tables["p"], flat.tables["q"]])
-    # appending a letter on the right applies it first: one gather
-    _, canon, edges, _ = _bfs(np.arange(width, dtype=np.min_scalar_type(width - 1)),
-                              _gather(tables), width, "cpq", depth=maxlen)
+    size = flat.shape[1]
+    width = flat.shape[0] * size
+    tables = np.stack([np.arange(width) ^ (size - 1), flat.tables["p"], flat.tables["q"]])
+    # appending a letter on the right applies it first: one gather.  The
+    # rows hold masked entries (uint8 for n <= 3); the tables stay flat
+    # positions, as a product reads its indices from them
+    identity = (np.arange(width) & (size - 1)).astype(np.min_scalar_type(size - 1))
+    _, canon, edges, _ = _bfs(identity, _gather(tables), width, "cpq", depth=maxlen)
     cayley = np.array(edges, dtype=np.intp).reshape(-1, 3)
     canon = np.array(canon, dtype=object)
     letters = np.array(list("cpq"), dtype=object)
