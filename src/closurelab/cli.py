@@ -34,6 +34,7 @@ import json
 import os
 import sys
 import time
+from bisect import bisect_right
 from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -290,6 +291,20 @@ def cmd_verify(args) -> int:
 # search
 
 
+def _equation_blocks(equations) -> Iterator[str]:
+    """The text lines of the identity search's equations, one string
+    per left-side length, the equations being listed by length.  A left
+    side is never empty, and an empty right side, the identity, is 1
+    (format_word's rule, written inline: a call per line costs more
+    than the join)."""
+    start = 0
+    while start < len(equations):
+        end = bisect_right(equations, len(equations[start][0]), lo=start,
+                           key=lambda eq: len(eq[0]))
+        yield "".join([f"{lhs} = {rhs or '1'}\n" for lhs, rhs in equations[start:end]])
+        start = end
+
+
 def cmd_search(args) -> int:
     n = 2 if args.n is None else args.n
     if args.target == "identities":
@@ -308,13 +323,10 @@ def cmd_search(args) -> int:
                        for i, (lhs, rhs) in enumerate(equations))
             _emit(chain(entries, ["\n]\n"]) if equations else "[]\n", args.out)
         else:
-            lines = [
-                f"search identities maxlen={maxlen} scope={scope_desc}",
-                f"words examined: {examined}",
-                f"equations found: {len(equations)}",
-            ]
-            lines += [f"{format_word(lhs)} = {format_word(rhs)}" for lhs, rhs in equations]
-            _emit("\n".join(lines) + "\n", args.out)
+            header = (f"search identities maxlen={maxlen} scope={scope_desc}\n"
+                      f"words examined: {examined}\n"
+                      f"equations found: {len(equations)}\n")
+            _emit(chain([header], _equation_blocks(equations)), args.out)
         return 0
 
     if args.target == "counterexample":

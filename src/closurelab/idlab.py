@@ -161,7 +161,8 @@ def _closure_blocks(n: int, trials: int = 0) -> Iterator[np.ndarray]:
         masks = _moore_families(n)
         blocks = (masks[start:start + rows] for start in range(0, len(masks), rows))
     else:
-        blocks = ([_witness_family(n, t) for t in range(start, min(start + rows, trials))]
+        rng = random.Random()
+        blocks = ([_witness_family(n, t, rng) for t in range(start, min(start + rows, trials))]
                   for start in range(0, trials, rows))
     for block in blocks:
         yield closures_from_masks(n, block)
@@ -590,14 +591,15 @@ WITNESS_SEARCH_BASE = 777000
 WITNESS_BLOCK_ENTRIES = 1 << 14
 
 
-def _witness_family(n: int, trial: int) -> int:
+def _witness_family(n: int, trial: int, rng: random.Random) -> int:
     """Fixed-point family of seeded witness-search trial number trial,
-    as a bitmask: random.Random(WITNESS_SEARCH_BASE + trial) draws
+    as a bitmask: rng, reseeded to WITNESS_SEARCH_BASE + trial (the
+    state random.Random(WITNESS_SEARCH_BASE + trial) starts in), draws
     randint(1, min(2**n, 3n)) members, each randrange(2**n), through
     _family_mask, and the full set is added."""
     size = 1 << n
-    getrandbits = random.Random(WITNESS_SEARCH_BASE + trial).getrandbits
-    return _family_mask(getrandbits, 1, min(size, 3 * n), size)
+    rng.seed(WITNESS_SEARCH_BASE + trial)
+    return _family_mask(rng.getrandbits, 1, min(size, 3 * n), size)
 
 
 #: the fourteen canonical words of the complement-closure monoid, in
@@ -608,32 +610,71 @@ KURATOWSKI_WORDS = (
 )
 
 
+def _kc_tables(ks: np.ndarray, words: tuple = KURATOWSKI_WORDS) -> np.ndarray:
+    """The (len(words), rows, 2**n) tables of k, c-words on each operator
+    k of a (rows, 2**n) stack, in the narrowest dtype that holds a
+    mask.  words holds "1", the identity, and every suffix of each of
+    its words; the tables are the suffixes of the words that end no
+    other one, at one gather or XOR per letter."""
+    rows, size = ks.shape
+    tables = np.empty((len(words), rows, size), dtype=np.min_scalar_type(size - 1))
+    tables[words.index("1")] = np.arange(size)
+    flat = FlatScope(ks)
+    for word in words:
+        if word != "1" and not any(other != word and other.endswith(word) for other in words):
+            for length, table in enumerate(flat.suffixes(word.replace("k", "p")), 1):
+                tables[words.index(word[-length:])] = table
+    return tables
+
+
+def _separating_seeds(tables: np.ndarray) -> np.ndarray:
+    """The exact seed test: for a (words, rows, 2**n) stack of word
+    tables, the (rows, 2**n) bool matrix of the seeds on which every
+    word takes a different value.  Each (row, seed) holds one bit per
+    value, 2**n bits in the narrowest unsigned dtype (uint8 .. uint64),
+    or in 2**n >> 6 uint64 words past n = 6, and the words set theirs
+    in turn: a seed separates when no word finds its bit already set."""
+    _, rows, size = tables.shape
+    width = max(1, size >> 6)
+    dtype = np.min_scalar_type((1 << min(size, 64)) - 1)
+    one = dtype.type(1)
+    seen = np.zeros(rows * size * width, dtype=dtype)
+    clash = np.zeros(rows * size, dtype=dtype)
+    base = np.arange(0, seen.size, width)
+    for table in tables:
+        values = table.reshape(-1)
+        if width == 1:
+            bits = one << values.astype(dtype)
+            clash |= seen & bits
+            seen |= bits
+        else:
+            bits = one << (values & 63).astype(dtype)
+            at = base + (values >> 6)
+            held = seen[at]
+            clash |= held & bits
+            seen[at] = held | bits
+    return (clash == 0).reshape(rows, size)
+
+
 def _kc_screen(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each operator k of a (rows, 2**n) stack: the size of its
     monoid with complement, whether kckckck = kck fails, and the
     smallest seed on which the 14 KURATOWSKI_WORDS take 14 pairwise
-    distinct values, or -1.  Their tables, and those of kk and kckckck,
-    are the suffixes of kckckck, ckckckc and kk.  Where kk = k and
+    distinct values, or -1 (_separating_seeds).  Where kk = k and
     kckckck = kck (on every closure), k and c map the 14 tables among
     themselves, so they are the monoid; any other row gets a BFS."""
-    rows, size = ks.shape
     order = KURATOWSKI_WORDS + ("kk", "kckckck")
-    tables = np.empty((len(order), rows, size), dtype=np.min_scalar_type(size - 1))
-    tables[0] = np.arange(size)
-    flat = FlatScope(ks)
-    for word in ("kckckck", "ckckckc", "kk"):
-        for length, table in enumerate(flat.suffixes(word.replace("k", "p")), 1):
-            tables[order.index(word[-length:])] = table
+    tables = _kc_tables(ks, order)
+    size = ks.shape[1]
     keys = tables.view(np.dtype((np.void, size * tables.itemsize)))[..., 0]
     words = len(KURATOWSKI_WORDS)
     # a table is new unless an earlier word has it
     sizes = words - np.sum([(keys[:i] == keys[i]).any(axis=0) for i in range(1, words)], axis=0)
-    # only rows with 14 distinct tables are sorted along the word axis,
-    # where 14 distinct values have no equal neighbours
+    # a separating seed needs 14 distinct tables, so only those rows
+    # are tested
     full = np.flatnonzero(sizes == words)
-    ordered = np.sort(tables[:words, full], axis=0)
-    separating = (ordered[1:] != ordered[:-1]).all(axis=0)
-    seeds = np.full(rows, -1)
+    separating = _separating_seeds(tables[:words, full])
+    seeds = np.full(len(ks), -1)
     seeds[full] = np.where(separating.any(axis=1), separating.argmax(axis=1), -1)
     hammer_fails = keys[order.index("kckckck")] != keys[order.index("kck")]
     n = size.bit_length() - 1
@@ -664,22 +705,24 @@ def find_kuratowski_witness():
     the seed being the smallest one for the first hit.  This is the
     regeneration path for the pinned fixture in the models module.
 
-    The candidates are screened a block at a time (see _closure_blocks):
-    the 14 words of KURATOWSKI_WORDS are evaluated over the whole block
-    (_kc_screen), and a seed separates a closure when the 14 values
-    there are pairwise distinct.  The screen is exact: every
-    element of the monoid generated by k and c is one of those 14 words
-    (Kuratowski's theorem, checked exhaustively at n <= 5 by verify
-    kuratowski14), so a seed's images under the monoid are the 14 word
-    values, and 14 distinct values there mean a monoid of 14 elements
-    with a seed of 14 distinct images, and the other way round.
+    The candidates are screened a block at a time (see _closure_blocks),
+    on the seeds alone: the tables of the 14 KURATOWSKI_WORDS over the
+    whole block (_kc_tables, the suffixes of ckckck and ckckckc), then
+    the exact seed test (_separating_seeds), which verify kuratowski14
+    shares.  Monoid sizes, the hammer identity and the BFS are not
+    needed.  Every candidate is a closure, so by Kuratowski's theorem
+    (checked exhaustively at n <= 5 by verify kuratowski14) every
+    element of its monoid with c is one of the 14 words.  A seed's
+    images under the monoid are then the 14 word values, and a seed
+    with 14 distinct values there is one with 14 distinct images in a
+    monoid of exactly 14 elements, and the other way round.
     """
     for n in chain(range(1, ENUMERATION_CAP + 1), range(WITNESS_FREE_CAP + 1, WITNESS_MAX_N + 1)):
         for block in _closure_blocks(n, WITNESS_TRIALS):
-            seeds = _kc_screen(block)[2]
-            hit = seeds >= 0
-            if hit.any():
-                row = int(hit.argmax())
+            separating = _separating_seeds(_kc_tables(block))
+            hits = np.flatnonzero(separating.any(axis=1))
+            if hits.size:
+                row = int(hits[0])
                 fixed = np.flatnonzero(block[row] == np.arange(1 << n))
-                return n, tuple(fixed.tolist()), int(seeds[row])
+                return n, tuple(fixed.tolist()), int(separating[row].argmax())
     raise RuntimeError(f"no separating 14-element witness found at n <= {WITNESS_MAX_N}")

@@ -178,9 +178,10 @@ def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
     Edges (i, j) mean element i is strictly below j with nothing in
     between; sorted by the witness words of the endpoints (shortest
     first, then lexicographic).  The order is one leq_matrix screen of
-    the stacked tables; j covers i where the strict order's square,
-    which counts the v with i < v < j, is 0 (in float32: exact, by BLAS).
-    The square is formed in blocks of rows: one k x k float32 matrix.
+    the stacked tables.  Each row of the strict order is packed into
+    bits (np.packbits), and j covers i where i < j and j is in none of
+    the packed rows of i's strict upset, whose OR is taken row by row:
+    the work is the sum over i of |upset(i)| * k / 8 bytes.
     """
     if monoid.truncated:
         raise ValueError("refusing to order a truncated monoid")
@@ -188,11 +189,11 @@ def hasse(monoid: GeneratedMonoid) -> list[tuple[int, int]]:
         raise ValueError("only table-backed monoids are ordered")
     strict = leq_matrix(monoid.rows, monoid.rows)
     np.fill_diagonal(strict, False)
-    counts = strict.astype(np.float32)
-    step = max(1, opalg.TEMPORARY_ENTRIES // len(counts))
-    edges = [(start + int(i), int(j)) for start in range(0, len(counts), step)
-             for i, j in zip(*np.nonzero(strict[start:start + step]
-                                         & (counts[start:start + step] @ counts == 0)))]
+    packed = np.packbits(strict, axis=1)
+    # row i: what lies strictly above something strictly above i
+    above = np.array([np.bitwise_or.reduce(packed[up], axis=0) for up in strict])
+    covers = np.unpackbits(packed & ~above, axis=1, count=len(strict))
+    edges = list(zip(*(side.tolist() for side in np.nonzero(covers))))
 
     def wkey(idx):
         w = monoid.witnesses[idx]

@@ -309,8 +309,7 @@ def leq(f: OperatorTable, g: OperatorTable) -> bool:
 
 
 #: the most entries one numpy temporary holds at once: leq_matrix's
-#: screen, a row block of the monoid module's table BFS gather and of
-#: monoid.hasse's cover test
+#: screen and a row block of the monoid module's table BFS gather
 TEMPORARY_ENTRIES = 1 << 20
 
 
@@ -398,19 +397,20 @@ def _monotone_fast(entries: np.ndarray, n: int) -> np.ndarray:
 
 
 def _monotone_witness(entries: np.ndarray, n: int) -> tuple[Mask, Mask]:
-    # Smallest failing (A, B) in mask order: A ascending, then B over the
-    # supersets of A in ascending order via the (B+1)|A enumeration.
-    size = entries.size
-    for a in range(size):
-        fa = int(entries[a])
-        b = a
-        while True:
-            b = (b + 1) | a
-            if b >= size:
-                break
-            if fa & ~int(entries[b]):
-                return (a, b)
-    raise AssertionError("witness scan reached the end of a failing table")
+    """Smallest failing (A, B), A a subset of B with f(A) outside f(B),
+    in mask order: A ascending, then B.  meet[A] is the AND of f(B) over
+    the supersets B of A, by one in-place pass per element over the
+    halves without and with it (as in closures_from_masks); A is the
+    first mask with f(A) outside meet[A], and B the first superset of A
+    that f(A) is not inside."""
+    meet = entries.copy()
+    for i in range(n):
+        halves = meet.reshape(-1, 2, 1 << i)
+        lacks = halves[:, 0]
+        lacks &= halves[:, 1]
+    a = _first_true(entries & ~meet)
+    masks = np.arange(entries.size)
+    return a, _first_true(((masks & a) == a) & ((entries[a] & ~entries) != 0))
 
 
 def _axiom_report(f: OperatorTable, first: str, failing) -> AxiomReport:

@@ -170,6 +170,34 @@ def is_monotone(entries):
                for a in range(size) for b in range(size) if a | b == b)
 
 
+def monotone_witness(entries):
+    """The smallest failing (A, B) of a table that is not monotone: A a
+    subset of B with entries[A] outside entries[B], A ascending, then B
+    over the supersets of A in ascending order by the (B + 1) | A
+    enumeration; None for a monotone table."""
+    size = len(entries)
+    for a in range(size):
+        b = a
+        while True:
+            b = (b + 1) | a
+            if b >= size:
+                break
+            if entries[a] & ~entries[b]:
+                return (a, b)
+    return None
+
+
+def covering_pairs(tables):
+    """The transitive reduction of the pointwise order on distinct
+    tables: every (i, j) with tables[i] strictly below tables[j] and no
+    table strictly in between."""
+    k = len(tables)
+    strict = [[i != j and all(a | b == b for a, b in zip(tables[i], tables[j]))
+               for j in range(k)] for i in range(k)]
+    return {(i, j) for i in range(k) for j in range(k)
+            if strict[i][j] and not any(strict[i][v] and strict[v][j] for v in range(k))}
+
+
 def compose_tables(outer, inner):
     return tuple(outer[x] for x in inner)
 

@@ -168,7 +168,8 @@ def test_closure_blocks_past_n5_are_the_seeded_trials():
         blocks = list(idlab._closure_blocks(n, trials))
         assert [len(b) for b in blocks] == [
             min(rows, trials - start) for start in range(0, trials, rows)]
-        want = closures_from_masks(n, [idlab._witness_family(n, t) for t in range(trials)])
+        rng = random.Random()
+        want = closures_from_masks(n, [idlab._witness_family(n, t, rng) for t in range(trials)])
         assert np.array_equal(np.concatenate(blocks), want)
     assert list(idlab._closure_blocks(6)) == []
 
@@ -798,9 +799,9 @@ def test_witness_search_draws_no_trial_at_n5(monkeypatch):
     drawn = []
     real = idlab._witness_family
 
-    def counting(n, trial):
+    def counting(n, trial, rng):
         drawn.append((n, trial))
-        return real(n, trial)
+        return real(n, trial, rng)
 
     monkeypatch.setattr(idlab, "_witness_family", counting)
     assert find_kuratowski_witness()[0] == 6
@@ -864,12 +865,32 @@ def test_kc_screen_sizes_match_the_monoid_bfs():
     assert max(want) > 14
 
 
+def test_separating_seeds_match_the_sort_on_random_stacks():
+    # A seed separates when its values have no equal neighbours once
+    # sorted along the word axis.  Random stacks of 2, 5 and 14 words
+    # at n = 1..8; past n = 6 each (row, seed) holds 2 or 4 uint64
+    # words, and about half the seeds separate 14 words at n = 7.
+    rng = np.random.default_rng(34)
+    for n in range(1, 9):
+        size = 1 << n
+        for words in (2, 5, 14):
+            tables = rng.integers(0, size, size=(words, 40, size)).astype(
+                np.min_scalar_type(size - 1))
+            ordered = np.sort(tables, axis=0)
+            want = (ordered[1:] != ordered[:-1]).all(axis=0)
+            got = idlab._separating_seeds(tables)
+            assert got.shape == (40, size) and np.array_equal(got, want), (n, words)
+            if n == 7 and words == 14:
+                assert 0.4 < want.mean() < 0.6
+
+
 def test_witness_screen_matches_monoid_bfs_per_candidate():
     # Every closure at n <= 4, then the first four blocks of Moore
     # families at n = 5 and seeded trials at n = 6, across block
     # boundaries and past the hit at n = 6, trial 1273: the blocks must
-    # hold the candidates in order, and the screen's seed for each must
-    # be the BFS reference's.
+    # hold the candidates in order, and the seed for each must be the
+    # BFS reference's, both on the witness search's path (the 14 word
+    # tables alone, then the seed test) and on the suite's screen.
     hits = []
     for n, trials in ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 1300)):
         blocks = list(islice(idlab._closure_blocks(n, trials), 4 if n == 5 else None))
@@ -883,8 +904,10 @@ def test_witness_screen_matches_monoid_bfs_per_candidate():
         if n > idlab.ENUMERATION_CAP:
             assert len(blocks) >= 2  # the candidates cross a block boundary
         assert np.concatenate(blocks).tolist() == [k.entries.tolist() for k in candidates]
-        got = np.concatenate([idlab._kc_screen(b)[2] for b in blocks])
+        separating = [idlab._separating_seeds(idlab._kc_tables(b)) for b in blocks]
+        got = np.concatenate([np.where(s.any(axis=1), s.argmax(axis=1), -1) for s in separating])
         want = [_bfs_separating_seed(k) for k in candidates]
         assert got.tolist() == want, n
+        assert np.concatenate([idlab._kc_screen(b)[2] for b in blocks]).tolist() == want, n
         hits += [(n, int(i), int(got[i])) for i in np.flatnonzero(got >= 0)]
     assert hits == [(6, 1273, 18)]

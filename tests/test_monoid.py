@@ -20,12 +20,12 @@ from closurelab.opalg import (
     complement_table,
     eval_word,
     identity_table,
-    leq,
+    leq_matrix,
     mask_of,
 )
 from closurelab.suites import KURATOWSKI_WORDS
 
-from _oracles import monoid_bfs, monoid_payload
+from _oracles import covering_pairs, monoid_bfs, monoid_payload
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +251,6 @@ def test_monoid_json():
 # order structure
 
 
-def _covering_pairs(mon):
-    """Brute force: every (i, j) with element i strictly below j under
-    pairwise leq and no element strictly in between."""
-    k = len(mon)
-    le = [[leq(a, b) for b in mon.elements] for a in mon.elements]
-    strict = [[le[i][j] and i != j for j in range(k)] for i in range(k)]
-    return {(i, j) for i in range(k) for j in range(k)
-            if strict[i][j] and not any(strict[i][v] and strict[v][j] for v in range(k))}
-
-
 def test_hasse_of_kuratowski_monoid():
     k, _ = kuratowski_witness()
     c = complement_table(k.ground_size)
@@ -268,7 +258,7 @@ def test_hasse_of_kuratowski_monoid():
     edges = hasse(mon)
     assert len(edges) == 16
     # the edges are exactly the strict covering pairs
-    assert set(edges) == _covering_pairs(mon) and len(set(edges)) == len(edges)
+    assert set(edges) == covering_pairs(mon.rows.tolist()) and len(set(edges)) == len(edges)
     # identity sits below k and above the interior ckc
     by_witness = {w: i for i, w in enumerate(mon.witnesses)}
     assert (by_witness[""], by_witness["k"]) in edges
@@ -286,11 +276,55 @@ def test_hasse_edges_are_the_covering_pairs(model, gens, monkeypatch):
     tables = {"p": m.p, "q": m.q, "c": complement_table(m.ground_size)}
     mon = generate_monoid([tables[g] for g in gens], names=tuple(gens))
     edges = hasse(mon)
-    assert set(edges) == _covering_pairs(mon) and len(set(edges)) == len(edges)
+    assert set(edges) == covering_pairs(mon.rows.tolist()) and len(set(edges)) == len(edges)
     assert edges  # a nontrivial order
-    # the cover test in blocks of 7 rows, the last one short
+    # the order screened one mask at a time
     monkeypatch.setattr(opalg, "TEMPORARY_ENTRIES", 7 * len(mon) + 6)
     assert len(mon) % 7 and hasse(mon) == edges
+
+
+def _table_monoid(rows):
+    """A GeneratedMonoid whose elements are the given distinct rows,
+    witnessed by words of growing length, for hasse to order."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    n = rows.shape[1].bit_length() - 1
+    return monoid.GeneratedMonoid(
+        generators=(identity_table(n),), generator_names=("g",),
+        witnesses=["g" * i for i in range(len(rows))], cayley=[], truncated=False, rows=rows)
+
+
+def test_hasse_is_the_transitive_reduction_of_random_orders():
+    # random distinct tables, with any mask or only the masks
+    # {0, ..., i - 1} as entries (a deeper order), then a chain (row t
+    # full on the first t masks) and an antichain (row t full on mask t
+    # alone), each longer than a byte
+    rng = np.random.default_rng(34)
+    for n, count in ((1, 3), (2, 40), (2, 90), (3, 60), (3, 100)):
+        for rows in (rng.integers(0, 1 << n, size=(count, 1 << n)),
+                     (1 << rng.integers(0, n + 1, size=(count, 1 << n))) - 1):
+            mon = _table_monoid(rng.permutation(np.unique(rows, axis=0)))
+            assert set(hasse(mon)) == covering_pairs(mon.rows.tolist()), (n, count)
+    size = 16
+    chain = (np.arange(size) < np.arange(size + 1)[:, None]) * (size - 1)
+    mon = _table_monoid(chain[::-1])
+    assert hasse(mon) == [(i + 1, i) for i in range(size)]
+    assert set(hasse(mon)) == covering_pairs(mon.rows.tolist())
+    antichain = np.eye(size, dtype=np.uint8) * (size - 1)
+    assert hasse(_table_monoid(antichain)) == [] == sorted(covering_pairs(antichain.tolist()))
+
+
+def test_hasse_matches_the_float32_square_on_example3_repaired():
+    # the cover test it replaced: j covers i where i < j and the strict
+    # order's square, which counts the v with i < v < j, is 0
+    m = example3(5)
+    tables = {"p": m.p, "q": m.q, "c": complement_table(m.ground_size)}
+    mon = generate_monoid([tables[g] for g in "pqc"], names=tuple("pqc"))
+    strict = leq_matrix(mon.rows, mon.rows)
+    np.fill_diagonal(strict, False)
+    counts = strict.astype(np.float32)
+    want = set(zip(*(side.tolist() for side in np.nonzero(strict & (counts @ counts == 0)))))
+    edges = hasse(mon)
+    assert len(mon) > 1000 and set(edges) == want and len(edges) == len(want)
 
 
 def test_hasse_edges_sorted_by_witness():

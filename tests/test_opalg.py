@@ -40,6 +40,7 @@ from _oracles import (
     closure_of_family,
     compose_tables,
     is_monotone,
+    monotone_witness,
     moore_families_brute,
     word_table,
 )
@@ -271,6 +272,27 @@ def test_monotone_witness_is_smallest():
     assert not rep.checks["monotone"].passed
     a, b = rep.checks["monotone"].witness
     assert (a, b) == (2, 10)  # {1} vs {1,3}
+
+
+def test_monotone_witness_matches_the_superset_scan():
+    # random tables, nearly all failing at a small A, and monotone
+    # tables (A | m, for a fixed m) with one entry changed, which fail
+    # anywhere, up to the top masks
+    rng = np.random.default_rng(34)
+    for n in range(1, 9):
+        size = 1 << n
+        masks = np.arange(size)
+        for trial in range(40):
+            if trial % 2:
+                entries = rng.integers(0, size, size=size)
+            else:
+                entries = masks | int(rng.integers(0, size))
+                entries[rng.integers(0, size)] = rng.integers(0, size)
+            if is_monotone(entries.tolist()):
+                continue
+            want = monotone_witness(entries.tolist())
+            assert opalg._monotone_witness(entries, n) == want, (n, trial)
+            assert check_closure(OperatorTable(n, entries)).checks["monotone"].witness == want
 
 
 def test_check_interior():
