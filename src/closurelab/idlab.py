@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .models import ClosurePairModel
-from .monoid import _bfs, _gather, generate_monoid
 from .opalg import (
     FlatScope,
     OperatorTable,
@@ -170,7 +169,9 @@ def _closure_blocks(n: int, trials: int = 0) -> Iterator[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _closures(n: int) -> tuple[OperatorTable, ...]:
-    return tuple(OperatorTable(n, row, _validate=False) for row in _closure_stack(n))
+    """The tables of enumerate_closures(n), each a view of its row of
+    the read-only canonical stack."""
+    return OperatorTable._rows(n, _closure_stack(n))
 
 
 def enumerate_closures(n: int) -> list[OperatorTable]:
@@ -224,8 +225,10 @@ class ModelRun:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, as a view of itself, as _complement_entries
+    hands out its array: no caller can make it writable again."""
     arr.setflags(write=False)
-    return arr
+    return arr[:]
 
 
 @lru_cache(maxsize=None)
@@ -242,12 +245,14 @@ def _pair_run(n: int, commuting: bool) -> ModelRun:
     p, q = np.repeat(stack, k, axis=0), np.tile(stack, (k, 1))
     flags = commuting_rows(p, q)
     pairs = np.flatnonzero(flags) if commuting else np.arange(k * k)
+    # Python ints and bools, read once: a model then costs no numpy scalar
+    indices, commutes_at, closures = pairs.tolist(), flags[pairs].tolist(), _closures(n)
 
     def model_at(r: int) -> ClosurePairModel:
-        i, j = divmod(int(pairs[r]), k)
+        i, j = divmod(indices[r], k)
         return ClosurePairModel(
-            provenance="enumerated", p=_closures(n)[i], q=_closures(n)[j],
-            label=f"n={n} p#{i} q#{j}", commuting=commuting or bool(flags[pairs[r]]),
+            provenance="enumerated", p=closures[i], q=closures[j],
+            label=f"n={n} p#{i} q#{j}", commuting=commutes_at[r],
         )
 
     return ModelRun(n, _frozen(p[pairs]), _frozen(q[pairs]), model_at)
@@ -351,16 +356,17 @@ def sample_commuting_pairs(n: int, seeds: Iterable[int], max_tries: int = 2000) 
             f"no commuting pair found in {max_tries} tries (seed {seeds[pending[0]]})"
         )
 
+    p, q = _frozen(p), _frozen(q)
+
     def model_at(i: int) -> ClosurePairModel:
+        (pi,), (qi,) = OperatorTable._rows(n, p[i:i + 1]), OperatorTable._rows(n, q[i:i + 1])
         return ClosurePairModel(
-            provenance="custom",
-            p=OperatorTable(n, p[i], _validate=False),
-            q=OperatorTable(n, q[i], _validate=False),
+            provenance="custom", p=pi, q=qi,
             label=f"sampled n={n} seed={seeds[i]}",
             commuting=True,
         )
 
-    return ModelRun(n, _frozen(p), _frozen(q), model_at, _frozen(tries), _frozen(drawn), rounds)
+    return ModelRun(n, p, q, model_at, _frozen(tries), _frozen(drawn), rounds)
 
 
 def sample_commuting_pair(n: int, seed: int, max_tries: int = 2000) -> ClosurePairModel:
@@ -539,6 +545,8 @@ def search_identities(maxlen: int, n: int = 2, limit: Optional[int] = None):
         raise ValueError(f"n must be in 0..{PAIR_ENUMERATION_CAP}, got {n}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
+    from .monoid import _bfs, _gather  # monoid loads on the first BFS, not with idlab
+
     flat = _pair_run(n, True).flat
     size = flat.shape[1]
     width = flat.shape[0] * size
@@ -679,6 +687,8 @@ def _kc_screen(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hammer_fails = keys[order.index("kckckck")] != keys[order.index("kck")]
     n = size.bit_length() - 1
     for row in np.flatnonzero(hammer_fails | (keys[order.index("kk")] != keys[1])):
+        from .monoid import generate_monoid  # monoid loads on the first BFS, not with idlab
+
         sizes[row] = len(generate_monoid([OperatorTable(n, ks[row]), complement_table(n)]))
     return sizes, hammer_fails, seeds
 

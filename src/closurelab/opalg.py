@@ -85,6 +85,8 @@ class OperatorTable:
     _validate=False is for an array the package has just built, such as
     a gather's result: it trusts entries to be an int64 ndarray of 2**n
     masks at a checked n, and only copies a view and freezes it.
+    _rows is for the rows of a read-only stack the package has built:
+    they are shared, not copied.
     """
 
     __slots__ = ("ground_size", "entries")
@@ -109,6 +111,25 @@ class OperatorTable:
         entries.setflags(write=False)
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _rows(cls, ground_size: int, stack: np.ndarray) -> tuple["OperatorTable", ...]:
+        """A table for each row of a (k, 2**n) int64 stack the package
+        has built and frozen, whose entries are that row itself, a view,
+        not a copy.  A writable stack is refused: its rows could change
+        under the tables.  Like _validate=False, it trusts the stack's
+        dtype, shape and values."""
+        if stack.flags.writeable:
+            raise ValueError("only a read-only stack's rows are shared")
+        # the slots' own setters, past __init__ and the immutable __setattr__
+        set_size, set_entries = cls.ground_size.__set__, cls.entries.__set__
+        tables = []
+        for row in stack:
+            table = object.__new__(cls)
+            set_size(table, ground_size)
+            set_entries(table, row)
+            tables.append(table)
+        return tuple(tables)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorTable is immutable")

@@ -174,6 +174,27 @@ def test_closure_blocks_past_n5_are_the_seeded_trials():
     assert list(idlab._closure_blocks(6)) == []
 
 
+def test_closure_tables_are_read_only_views_of_the_canonical_stack():
+    # no table copies its row, and neither the stack nor a table can be
+    # made writable again; the wrapper takes no writable stack
+    for n in range(5):
+        stack = idlab._closure_stack(n)
+        tables = idlab._closures(n)
+        assert len(tables) == len(stack)
+        for table, row in zip(tables, stack):
+            assert table.ground_size == n
+            assert np.shares_memory(table.entries, row)
+            assert np.array_equal(table.entries, row)
+            assert not table.entries.flags.writeable
+            with pytest.raises(ValueError):
+                table.entries.setflags(write=True)
+        with pytest.raises(ValueError):
+            stack.setflags(write=True)
+        with pytest.raises(ValueError, match="read-only"):
+            OperatorTable._rows(n, stack.copy())
+        assert all(a is b for a, b in zip(enumerate_closures(n), tables))
+
+
 def test_enumeration_matches_function_filter_oracle():
     # brute force over every powerset function at n <= 2
     for n in (0, 1, 2):
@@ -222,6 +243,12 @@ def test_pair_models_have_pedigree():
     # every pair's flag, commuting or not, is the single-pair screen's
     for n in range(4):
         assert all(m.commuting is commutes(m.p, m.q) for m in enumerate_all_pairs(n))
+    # and its tables are the cached closures themselves, by index
+    for n in range(4):
+        closures = idlab._closures(n)
+        for m in chain(enumerate_commuting_pairs(n), enumerate_all_pairs(n)):
+            i, j = (int(part[2:]) for part in m.label.split()[1:])
+            assert m.p is closures[i] and m.q is closures[j]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +378,21 @@ def test_sampler_draws_few_tries_past_those_it_uses():
     run = idlab.sample_commuting_pairs(5, range(DEFAULT_SEED, DEFAULT_SEED + 2000))
     assert run.tries.sum() <= run.drawn.sum() <= 1.01 * run.tries.sum()
     assert not run.drawn.flags.writeable
+
+
+def test_sampled_models_view_their_rows_of_the_run():
+    # each model's tables are read-only views of its rows, not copies,
+    # and the run's stacks cannot be made writable again
+    run = idlab.sample_commuting_pairs(3, [7, 8])
+    for i, m in enumerate(run.models()):
+        for table, stack in ((m.p, run.p), (m.q, run.q)):
+            assert np.shares_memory(table.entries, stack[i])
+            assert np.array_equal(table.entries, stack[i])
+            with pytest.raises(ValueError):
+                table.entries.setflags(write=True)
+    for stack in (run.p, run.q):
+        with pytest.raises(ValueError):
+            stack.setflags(write=True)
 
 
 def test_sampled_run_models_and_stacks():

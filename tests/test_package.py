@@ -121,7 +121,35 @@ def test_a_bare_import_loads_no_submodule():
 def test_importing_idlab_loads_only_what_it_imports():
     _, modules = loaded_after("from closurelab import idlab")
     assert modules == {"closurelab", "closurelab.idlab", "closurelab.models",
-                       "closurelab.monoid", "closurelab.opalg"}
+                       "closurelab.opalg"}
+
+
+#: the benchmark's set-up fill, then the witness search, which runs no BFS
+FILL = (
+    "from closurelab import idlab\n"
+    "for n in range(5):\n"
+    "    idlab.enumerate_closures(n)\n"
+    "for n in range(4):\n"
+    "    idlab.enumerate_commuting_pairs(n)\n"
+    "idlab.find_kuratowski_witness()\n"
+)
+#: a digest of the identity survey's equations, which run the monoid BFS
+SURVEY = ("import hashlib\n"
+          "survey = hashlib.sha256(repr(idlab.search_identities(7, n=2)).encode()).hexdigest()\n")
+
+
+def test_the_cache_fill_loads_no_monoid_until_a_bfs_needs_it():
+    rc, modules = loaded_after(
+        FILL + "before = sorted(m for m in sys.modules if m.startswith('closurelab'))\n"
+        + SURVEY + "rc = [before, survey]")
+    before, survey = rc
+    assert set(before) == {"closurelab", "closurelab.idlab", "closurelab.models",
+                           "closurelab.opalg"}
+    assert modules == set(before) | {"closurelab.monoid"}
+    # the survey is the same whether monoid loads on demand or up front
+    rc, _ = loaded_after("import closurelab.monoid\nfrom closurelab import idlab\n"
+                         + SURVEY + "rc = survey")
+    assert rc == survey
 
 
 @pytest.mark.parametrize("argv", [["dump", "monoid", "--model", "witness14"],
